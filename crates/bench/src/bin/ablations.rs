@@ -12,16 +12,7 @@
 #![warn(clippy::disallowed_methods)]
 
 use scq_apps::{ising, IsingParams};
-
-/// Unwraps a toolflow result or exits nonzero with a diagnostic — the
-/// ablation bin surfaces structured errors instead of panicking.
-fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {what}: {e}");
-        std::process::exit(1)
-    })
-}
-use scq_bench::parallel_map;
+use scq_bench::{or_die, parallel_map};
 use scq_braid::{schedule, BraidConfig, Policy, TGateModel};
 use scq_core::{CommBackend, TeleportBackend};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
@@ -29,8 +20,8 @@ use scq_layout::{place, LayoutStrategy};
 use scq_mesh::FabricConfig;
 use scq_surface::surgery::SurgeryCost;
 use scq_teleport::{
-    schedule_planar_with, BaselinePlacement, CongestionAwarePlacement, PlacementStrategy,
-    PlanarConfig,
+    schedule_planar_with, BaselinePlacement, CongestionAwarePlacement, FabricRun,
+    PlacementStrategy, PlanarConfig,
 };
 
 fn workload() -> Circuit {
@@ -226,7 +217,16 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, strategy) in strategies {
-        let s = schedule_planar_with(&circuit, &dag, &planar_config, strategy);
+        let (s, _) = or_die(
+            schedule_planar_with(
+                &circuit,
+                &dag,
+                &planar_config,
+                strategy,
+                &FabricRun::default(),
+            ),
+            name,
+        );
         println!(
             "{name:<22} {:>10} {:>14} {:>14}",
             s.cycles, s.link_stall_cycles, s.hottest_link_busy_cycles

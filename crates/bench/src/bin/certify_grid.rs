@@ -19,14 +19,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use scq_bench::{fig6_workloads, parallel_map};
-use scq_braid::{
-    braid_mesh_dims, schedule_traced, schedule_traced_on_defects, BraidConfig, Policy,
-};
+use scq_braid::{braid_mesh_dims, schedule_with, BraidConfig, EventCollector, Policy};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::place;
 use scq_mesh::{DefectMap, Topology};
 use scq_teleport::{
-    schedule_planar_traced, schedule_planar_traced_on_defects, PlanarConfig, PlanarMachine,
+    schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig, PlanarMachine,
 };
 use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Severity};
 
@@ -67,16 +65,16 @@ fn braid_point(
         code_distance: CODE_DISTANCE,
         ..Default::default()
     };
-    let (map, traced) = if defective {
+    let map = defective.then(|| {
         let (mw, mh) = braid_mesh_dims(&layout, circuit);
-        let map = DefectMap::sample(Topology::new(mw, mh), DEFECT_RATE, DEFECT_SEED);
-        let traced = schedule_traced_on_defects(circuit, &dag, &layout, &config, &map);
-        (Some(map), traced)
-    } else {
-        (None, schedule_traced(circuit, &dag, &layout, &config))
-    };
-    let outcome = match traced {
-        Ok((_, trace)) => Ok(certify_braid_trace(&trace, circuit, &dag, map.as_ref())),
+        DefectMap::sample(Topology::new(mw, mh), DEFECT_RATE, DEFECT_SEED)
+    });
+    let mut sink = EventCollector::default();
+    let outcome = match schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink) {
+        Ok(schedule) => {
+            let trace = sink.into_trace(&layout, circuit, &schedule);
+            Ok(certify_braid_trace(&trace, circuit, &dag, map.as_ref()))
+        }
         Err(e) => Err(e.to_string()),
     };
     PointReport { label, outcome }
@@ -90,22 +88,24 @@ fn planar_point(circuit: &scq_ir::Circuit, app: &str, defective: bool) -> PointR
         code_distance: CODE_DISTANCE,
         ..Default::default()
     };
-    let (map, traced) = if defective {
+    let map = defective.then(|| {
         let (gw, gh) = PlanarMachine::grid_dims(circuit.num_qubits());
-        let map = DefectMap::sample(Topology::new(gw, gh), DEFECT_RATE, DEFECT_SEED);
-        let traced = schedule_planar_traced_on_defects(circuit, &dag, &config, &map, DEFECT_SEED);
-        (Some(map), traced)
-    } else {
-        (None, Ok(schedule_planar_traced(circuit, &dag, &config)))
+        DefectMap::sample(Topology::new(gw, gh), DEFECT_RATE, DEFECT_SEED)
+    });
+    let run = FabricRun {
+        defects: map.as_ref(),
+        fault_seed: DEFECT_SEED,
+        transcript: true,
     };
-    let outcome = match traced {
-        Ok((schedule, transcript)) => Ok(certify_planar_schedule(
+    let outcome = match schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run) {
+        Ok((schedule, Some(transcript))) => Ok(certify_planar_schedule(
             &schedule,
             &transcript,
             circuit,
             &dag,
             map.as_ref(),
         )),
+        Ok((_, None)) => Err("the engine returned no transcript".into()),
         Err(e) => Err(e.to_string()),
     };
     PointReport { label, outcome }

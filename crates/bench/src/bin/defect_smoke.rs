@@ -12,17 +12,8 @@
 
 #![warn(clippy::disallowed_methods)]
 
-use scq_bench::{fig6_workloads, run_planar_on_defects, run_policy, run_policy_on_defects};
+use scq_bench::{fig6_workloads, or_die, run_planar_on_defects, run_policy, run_policy_on_defects};
 use scq_braid::Policy;
-
-/// Unwraps a rate-0 scheduling result or exits nonzero — the smoke bin
-/// reports structured contract violations instead of panicking.
-fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {what}: {e}");
-        std::process::exit(1)
-    })
-}
 use scq_ir::DependencyDag;
 use scq_teleport::{schedule_planar, PlanarConfig};
 

@@ -19,29 +19,19 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use scq_bench::{
-    fig6_workloads, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
-    run_policy_reference, timed_median3,
+    fig6_workloads, or_die, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
+    run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
 };
-use scq_braid::{schedule_traced, BraidConfig, Policy};
+use scq_braid::{schedule_with, BraidConfig, EventCollector, Policy};
 use scq_core::{run_toolflow_timed, ToolflowConfig};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::place;
 use scq_teleport::{
-    schedule_planar, schedule_planar_traced, schedule_simd, simulate_epr_distribution,
-    simulate_epr_on_fabric, CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand,
-    FabricEprConfig, PlanarConfig, PlanarMachine, SimdConfig,
+    schedule_planar, schedule_planar_with, schedule_simd, simulate_epr_distribution,
+    simulate_epr_on_fabric, BaselinePlacement, CongestionAwarePlacement, DistributionPolicy,
+    EprConfig, EprDemand, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, SimdConfig,
 };
 use scq_verify::{certify_braid_trace, certify_planar_schedule};
-
-/// Writes a regenerated report, or exits nonzero with a diagnostic —
-/// an unwritable working directory must not panic the toolflow.
-fn write_report(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: {}", scq_ir::CliError::io(path, &e));
-        std::process::exit(1);
-    }
-    println!("\nwrote {path}");
-}
 
 const CODE_DISTANCE: u32 = 5;
 /// Timed runs per engine point; the median is reported.
@@ -58,17 +48,6 @@ const DEFECT_SEED: u64 = 20702;
 /// show at [`DEFECT_RATE`]; `bench_guard` fails when a regenerated row
 /// exceeds it.
 const DEGRADATION_ENVELOPE: f64 = 8.0;
-/// The standard pipeline's stages, in execution order — the keys of the
-/// `pass_secs` section (`bench_guard` checks all of them).
-const PASS_NAMES: [&str; 7] = [
-    "normalize-ir",
-    "code-distance",
-    "interaction-analysis",
-    "layout",
-    "braid-schedule",
-    "planar-schedule",
-    "estimate",
-];
 
 struct Point {
     app: &'static str,
@@ -134,11 +113,12 @@ fn main() {
                 code_distance: CODE_DISTANCE,
                 ..Default::default()
             };
-            let (_, trace) = schedule_traced(circuit, &dag, &layout, &config).unwrap_or_else(|e| {
-                eprintln!("error: fig6 workload failed to schedule: {e}");
-                std::process::exit(1)
-            });
-            (w, dag, trace)
+            let mut sink = EventCollector::default();
+            let schedule = or_die(
+                schedule_with(circuit, &dag, &layout, &config, None, &mut sink),
+                "fig6 workload failed to schedule",
+            );
+            (w, dag, sink.into_trace(&layout, circuit, &schedule))
         })
         .collect();
     let t0 = Instant::now();
@@ -156,24 +136,20 @@ fn main() {
     // run per fig6 app at the report's pinned distance, durations
     // summed per stage. `bench_guard` asserts every stage below is
     // present and non-negative in the emitted `pass_secs` section.
-    let mut pass_secs = vec![0.0f64; PASS_NAMES.len()];
+    let mut pass_secs = vec![0.0f64; PIPELINE_STAGES.len()];
     for (bench, _) in &workloads {
         let config = ToolflowConfig {
             code_distance: Some(CODE_DISTANCE),
             ..Default::default()
         };
-        let (_, trace) = run_toolflow_timed(*bench, &config).unwrap_or_else(|e| {
-            eprintln!("error: {}: timed toolflow failed: {e}", bench.name());
-            std::process::exit(1)
-        });
+        let (_, trace) = or_die(
+            run_toolflow_timed(*bench, &config),
+            &format!("{}: timed toolflow failed", bench.name()),
+        );
         for t in &trace.timings {
-            match PASS_NAMES.iter().position(|n| *n == t.pass) {
-                Some(slot) => pass_secs[slot] += t.duration.as_secs_f64(),
-                None => {
-                    eprintln!("error: pipeline emitted unknown pass `{}`", t.pass);
-                    std::process::exit(1)
-                }
-            }
+            let slot = PIPELINE_STAGES.iter().position(|n| *n == t.pass);
+            let slot = or_die(slot.ok_or(t.pass), "pipeline emitted unknown pass");
+            pass_secs[slot] += t.duration.as_secs_f64();
         }
     }
 
@@ -221,7 +197,7 @@ fn main() {
         certify_secs * 1e3
     );
     println!("\npipeline pass breakdown (summed over the fig6 apps):");
-    for (name, s) in PASS_NAMES.iter().zip(&pass_secs) {
+    for (name, s) in PIPELINE_STAGES.iter().zip(&pass_secs) {
         println!("  {name:<20} {:>9.3}ms", s * 1e3);
     }
 
@@ -248,8 +224,12 @@ fn main() {
     let _ = writeln!(json, "  \"geomean_speedup\": {geomean_speedup:.2},");
     let _ = writeln!(json, "  \"parallel_grid_secs\": {parallel_grid_secs:.6},");
     let _ = writeln!(json, "  \"pass_secs\": {{");
-    for (i, (name, s)) in PASS_NAMES.iter().zip(&pass_secs).enumerate() {
-        let comma = if i + 1 < PASS_NAMES.len() { "," } else { "" };
+    for (i, (name, s)) in PIPELINE_STAGES.iter().zip(&pass_secs).enumerate() {
+        let comma = if i + 1 < PIPELINE_STAGES.len() {
+            ","
+        } else {
+            ""
+        };
         let _ = writeln!(json, "    \"{name}\": {s:.6}{comma}");
     }
     let _ = writeln!(json, "  }},");
@@ -328,47 +308,32 @@ fn degradation_report(
         .collect();
     parallel_map(&grid, |&(w, backend)| {
         let (bench, circuit) = &workloads[w];
-        match backend {
-            "braid" => {
-                let clean = run_policy(circuit, Policy::P6, CODE_DISTANCE).cycles;
-                let outcome = run_policy_on_defects(
-                    circuit,
-                    Policy::P6,
-                    CODE_DISTANCE,
-                    DEFECT_RATE,
-                    DEFECT_SEED,
-                )
-                .map(|s| s.cycles)
-                .map_err(|e| e.to_string());
-                DegradationPoint {
-                    app: bench.name(),
-                    backend,
-                    clean_makespan: clean,
-                    outcome,
-                }
-            }
+        let (clean_makespan, outcome) = match backend {
+            "braid" => (
+                run_policy(circuit, Policy::P6, CODE_DISTANCE).cycles,
+                run_policy_on_defects(circuit, Policy::P6, CODE_DISTANCE, DEFECT_RATE, DEFECT_SEED)
+                    .map(|s| s.cycles)
+                    .map_err(|e| e.to_string()),
+            ),
             _ => {
                 let dag = DependencyDag::from_circuit(circuit);
-                let clean = schedule_planar(
-                    circuit,
-                    &dag,
-                    &PlanarConfig {
-                        code_distance: CODE_DISTANCE,
-                        ..Default::default()
-                    },
-                )
-                .cycles;
-                let outcome =
+                let config = PlanarConfig {
+                    code_distance: CODE_DISTANCE,
+                    ..Default::default()
+                };
+                (
+                    schedule_planar(circuit, &dag, &config).cycles,
                     run_planar_on_defects(circuit, CODE_DISTANCE, DEFECT_RATE, DEFECT_SEED)
                         .map(|s| s.cycles)
-                        .map_err(|e| e.to_string());
-                DegradationPoint {
-                    app: bench.name(),
-                    backend,
-                    clean_makespan: clean,
-                    outcome,
-                }
+                        .map_err(|e| e.to_string()),
+                )
             }
+        };
+        DegradationPoint {
+            app: bench.name(),
+            backend,
+            clean_makespan,
+            outcome,
         }
     })
 }
@@ -443,9 +408,14 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let (_, outcome) =
-            CongestionAwarePlacement::default().place_traced(circuit.num_qubits(), &planar, &simd);
+        let placed = CongestionAwarePlacement::default().place_traced(
+            circuit.num_qubits(),
+            &planar,
+            &simd,
+            &FabricRun::default(),
+        );
         let place_secs = t0.elapsed().as_secs_f64();
+        let (_, outcome) = or_die(placed, &format!("{}: placement failed", bench.name()));
         assert_eq!(
             outcome.baseline.makespan,
             tight.pipeline.makespan,
@@ -542,8 +512,15 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
                 code_distance: CODE_DISTANCE,
                 ..Default::default()
             };
-            let (schedule, transcript) = schedule_planar_traced(circuit, &dag, &config);
-            (dag, schedule, transcript)
+            let run = FabricRun {
+                transcript: true,
+                ..Default::default()
+            };
+            let scheduled = schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run);
+            match or_die(scheduled, "fig6 workload failed to schedule") {
+                (schedule, Some(transcript)) => (dag, schedule, transcript),
+                (_, None) => or_die(Err("no transcript recorded"), "fig6 planar run"),
+            }
         })
         .collect();
     let t0 = Instant::now();

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use scq_bench::{scale_workloads, timed_median3, ScaleWorkload};
+use scq_bench::{scale_workloads, timed_median3, write_report, ScaleWorkload};
 use scq_teleport::{
     simulate_epr_on_fabric, simulate_epr_on_heap_fabric, DistributionPolicy, FabricEprResult,
 };
@@ -137,9 +137,5 @@ fn main() {
     let _ = writeln!(json, "  ]");
     json.push('}');
     json.push('\n');
-    if let Err(e) = std::fs::write("BENCH_scale.json", &json) {
-        eprintln!("error: {}", scq_ir::CliError::io("BENCH_scale.json", &e));
-        std::process::exit(1);
-    }
-    println!("wrote BENCH_scale.json");
+    write_report("BENCH_scale.json", &json);
 }

@@ -2,19 +2,15 @@
 //! request stream (fig6 grid x both backends, every request submitted
 //! three times) through a [`BatchRunner`] and writes `BENCH_serve.json`
 //! — sustained schedules/sec, cache hit rate, warm/cold latency per
-//! app, work-stealing pool counters, and the dispatch A/B ratio
-//! (work-stealing vs the retained atomic-cursor baseline).
+//! app, and work-stealing pool counters.
 //!
-//! Three properties are asserted here and re-checked by `bench_guard`:
+//! Two properties are asserted here and re-checked by `bench_guard`:
 //!
 //! 1. **Hit rate** on the duplicate stream >= 0.5 (each unique request
 //!    appears three times, so the cache should serve two of three).
 //! 2. **Warm/cold ratio** >= 10x for at least one app: a cache hit
 //!    must be at least an order of magnitude cheaper than the schedule
 //!    it memoizes, or the cache isn't earning its keep.
-//! 3. **Dispatch ratio** <= 1.05: the work-stealing pool must never be
-//!    measurably slower than the cursor dispatcher on the fig6 grid
-//!    (best-of-3 each side).
 //!
 //! Cache hits are also asserted *byte-identical* to an independent cold
 //! run of the same request — the differential-correctness contract.
@@ -25,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use scq_bench::{fig6_workloads, parallel_map, parallel_map_cursor, run_policy};
+use scq_bench::{fig6_workloads, or_die, run_policy, write_report};
 use scq_braid::Policy;
 use scq_serve::{
     steal_map_stats, BackendKind, BatchRunner, RequestSource, ScheduleRequest, ScheduleResponse,
@@ -34,25 +30,9 @@ use scq_serve::{
 const CODE_DISTANCE: u32 = 5;
 /// Times every unique request appears in the duplicate-laden stream.
 const REPEATS: usize = 3;
-/// Floors/ceilings mirrored by `bench_guard` on the committed report.
+/// Floors mirrored by `bench_guard` on the committed report.
 const HIT_RATE_FLOOR: f64 = 0.5;
 const WARM_SPEEDUP_FLOOR: f64 = 10.0;
-const DISPATCH_RATIO_CEILING: f64 = 1.05;
-
-/// Writes a regenerated report, or exits nonzero with a diagnostic —
-/// an unwritable working directory must not panic the toolflow.
-fn write_report(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: {}", scq_ir::CliError::io(path, &e));
-        std::process::exit(1);
-    }
-    println!("\nwrote {path}");
-}
-
-fn fail(msg: String) -> ! {
-    eprintln!("error: serve_throughput: {msg}");
-    std::process::exit(1)
-}
 
 struct WarmCold {
     app: &'static str,
@@ -68,10 +48,7 @@ impl WarmCold {
 }
 
 fn response_summary(resp: &ScheduleResponse) -> String {
-    match &resp.outcome {
-        Ok(outcome) => outcome.summary.clone(),
-        Err(e) => fail(format!("{} failed: {e}", resp.label)),
-    }
+    or_die(resp.outcome.as_ref(), &resp.label).summary.clone()
 }
 
 fn main() {
@@ -146,10 +123,8 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, (app, backend, req))| {
-            let cold_secs = match &responses[i].outcome {
-                Ok(outcome) => outcome.compute_secs,
-                Err(e) => fail(format!("{app}/{backend} failed: {e}")),
-            };
+            let cold_secs =
+                or_die(responses[i].outcome.as_ref(), &format!("{app}/{backend}")).compute_secs;
             let warm_secs = (0..3)
                 .map(|_| {
                     let resp = runner.run_one(req);
@@ -182,29 +157,6 @@ fn main() {
     let (_, steal_stats) = steal_map_stats(&grid, |&(w, policy)| {
         run_policy(&workloads[w].1, policy, CODE_DISTANCE)
     });
-
-    // Dispatch A/B: the same grid through both dispatchers, best of 3.
-    let time_grid = |dispatch: &dyn Fn() -> usize| -> f64 {
-        (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                let n = dispatch();
-                assert_eq!(n, grid.len());
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let run_point = |&(w, policy): &(usize, Policy)| -> u64 {
-        run_policy(&workloads[w].1, policy, CODE_DISTANCE).cycles
-    };
-    let cursor_secs = time_grid(&|| parallel_map_cursor(&grid, run_point).len());
-    let steal_secs = time_grid(&|| parallel_map(&grid, run_point).len());
-    let dispatch_ratio = steal_secs / cursor_secs.max(1e-9);
-    assert!(
-        dispatch_ratio <= DISPATCH_RATIO_CEILING,
-        "work-stealing dispatch ratio {dispatch_ratio:.3} exceeds {DISPATCH_RATIO_CEILING} \
-         (steal {steal_secs:.4}s vs cursor {cursor_secs:.4}s)"
-    );
 
     println!(
         "Serve throughput report ({} requests, {} unique, d = {CODE_DISTANCE})",
@@ -244,12 +196,6 @@ fn main() {
         steal_stats.executed_stolen,
         steal_stats.steal_fraction() * 100.0
     );
-    println!(
-        "dispatch A/B on the fig6 grid: cursor {:.1}ms, steal {:.1}ms, ratio {:.3}",
-        cursor_secs * 1e3,
-        steal_secs * 1e3,
-        dispatch_ratio
-    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"code_distance\": {CODE_DISTANCE},");
@@ -286,12 +232,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"steal_fraction\": {:.4},",
+        "  \"steal_fraction\": {:.4}",
         steal_stats.steal_fraction()
     );
-    let _ = writeln!(json, "  \"dispatch_cursor_secs\": {cursor_secs:.6},");
-    let _ = writeln!(json, "  \"dispatch_steal_secs\": {steal_secs:.6},");
-    let _ = writeln!(json, "  \"dispatch_ratio\": {dispatch_ratio:.4}");
     json.push('}');
     json.push('\n');
     write_report("BENCH_serve.json", &json);

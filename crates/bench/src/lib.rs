@@ -25,21 +25,51 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use scq_apps::{ising, sha1, square_root, Benchmark, IsingParams, Sha1Params, SqParams};
 use scq_braid::{
-    braid_mesh_dims, schedule, schedule_on_defects, schedule_reference, BraidConfig, BraidSchedule,
-    Policy, ScheduleError,
+    braid_mesh_dims, schedule_circuit, schedule_reference, schedule_with, BraidConfig,
+    BraidSchedule, NoTrace, Policy, ScheduleError,
 };
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::place;
 use scq_mesh::{CommError, DefectMap, Topology};
 use scq_teleport::{
-    hop_cycles_for_distance, schedule_planar_on_defects, schedule_simd, EprConfig, EprRequest,
-    FabricEprConfig, PlanarConfig, PlanarMachine, PlanarSchedule, SimdConfig,
+    hop_cycles_for_distance, schedule_planar_with, schedule_simd, BaselinePlacement, EprConfig,
+    EprRequest, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, PlanarSchedule,
+    SimdConfig,
 };
+
+/// The standard toolflow pipeline's stages, in execution order — the
+/// keys of `BENCH_sched.json`'s `pass_secs` section, which `perf_report`
+/// writes and `bench_guard` checks.
+pub const PIPELINE_STAGES: [&str; 7] = [
+    "normalize-ir",
+    "code-distance",
+    "interaction-analysis",
+    "layout",
+    "braid-schedule",
+    "planar-schedule",
+    "estimate",
+];
+
+/// Unwraps a result or exits nonzero with `error: {what}: {e}` — the
+/// bench binaries report structured failures instead of panicking.
+pub fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Writes a regenerated report, or exits nonzero with a diagnostic —
+/// an unwritable working directory must not panic the toolflow.
+pub fn write_report(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("error: {}", scq_ir::CliError::io(path, &e));
+        std::process::exit(1);
+    }
+    println!("\nwrote {path}");
+}
 
 /// Formats a row of fixed-width cells.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
@@ -83,40 +113,20 @@ pub fn fig6_workloads() -> Vec<(Benchmark, Circuit)> {
     ]
 }
 
+/// The braid configuration of one Figure 6 point.
+fn braid_config(policy: Policy, code_distance: u32) -> BraidConfig {
+    BraidConfig {
+        policy,
+        code_distance,
+        ..Default::default()
+    }
+}
+
 /// Runs one circuit under one policy with the policy's paired layout —
 /// one bar of Figure 6.
 pub fn run_policy(circuit: &Circuit, policy: Policy, code_distance: u32) -> BraidSchedule {
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
-    schedule(circuit, &dag, &layout, &config).expect("figure 6 workloads schedule cleanly")
-}
-
-/// [`run_policy`] without the clean-workload assumption: scheduling
-/// failures come back as values for harnesses that must not panic.
-///
-/// # Errors
-///
-/// Forwards the scheduler's [`ScheduleError`].
-pub fn run_policy_checked(
-    circuit: &Circuit,
-    policy: Policy,
-    code_distance: u32,
-) -> Result<BraidSchedule, ScheduleError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
-    schedule(circuit, &dag, &layout, &config)
+    schedule_circuit(circuit, &braid_config(policy, code_distance))
+        .expect("figure 6 workloads schedule cleanly")
 }
 
 /// [`run_policy`] on a braid mesh with fabrication defects sampled at
@@ -137,14 +147,10 @@ pub fn run_policy_on_defects(
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
     let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
     let (mw, mh) = braid_mesh_dims(&layout, circuit);
     let map = DefectMap::sample(Topology::new(mw, mh), rate, seed);
-    schedule_on_defects(circuit, &dag, &layout, &config, &map)
+    let config = braid_config(policy, code_distance);
+    schedule_with(circuit, &dag, &layout, &config, Some(&map), &mut NoTrace)
 }
 
 /// The planar counterpart of [`run_policy_on_defects`]: schedules the
@@ -168,9 +174,14 @@ pub fn run_planar_on_defects(
         code_distance,
         ..Default::default()
     };
-    let (gw, gh) = scq_teleport::PlanarMachine::grid_dims(circuit.num_qubits());
+    let (gw, gh) = PlanarMachine::grid_dims(circuit.num_qubits());
     let map = DefectMap::sample(Topology::new(gw, gh), rate, seed);
-    schedule_planar_on_defects(circuit, &dag, &config, &map, seed)
+    let run = FabricRun {
+        defects: Some(&map),
+        fault_seed: seed,
+        transcript: false,
+    };
+    schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run).map(|(s, _)| s)
 }
 
 /// [`run_policy`] driven by the retained naive-stepping engine — the
@@ -184,12 +195,7 @@ pub fn run_policy_reference(
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
     let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
-    schedule_reference(circuit, &dag, &layout, &config)
+    schedule_reference(circuit, &dag, &layout, &braid_config(policy, code_distance))
         .expect("figure 6 workloads schedule cleanly")
 }
 
@@ -364,59 +370,13 @@ pub fn timed_median3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 /// load stays balanced) and steals the back half of a victim's deque
 /// when its own runs dry, so long points (e.g. SHA-1 under policy 0)
 /// do not convoy short ones *and* balanced sweeps pay no shared-cursor
-/// traffic. The `dispatch/*` criterion microbenches A/B this against
-/// the retained [`parallel_map_cursor`] baseline, and `serve_throughput`
-/// guards the ratio in `BENCH_serve.json`.
+/// traffic.
 ///
 /// # Panics
 ///
 /// Propagates a panic from `f` (the pool joins all workers first).
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     scq_serve::steal_map(items, f)
-}
-
-/// The atomic-cursor dispatcher [`parallel_map`] replaced, retained as
-/// the A/B baseline: workers claim one item at a time from a shared
-/// cursor. Perfectly balanced but pays one contended RMW per item and
-/// cannot batch; the work-stealing pool must never be measurably slower
-/// than this (`dispatch_ratio` in `BENCH_serve.json`).
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_map_cursor<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every item was claimed")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -562,13 +522,6 @@ mod tests {
             assert!(x != 5, "deliberate");
             x
         });
-    }
-
-    #[test]
-    fn cursor_and_steal_dispatch_agree() {
-        let items: Vec<u64> = (0..257).collect();
-        let f = |&x: &u64| x.wrapping_mul(2654435761).rotate_left(11);
-        assert_eq!(parallel_map(&items, f), parallel_map_cursor(&items, f));
     }
 
     #[test]

@@ -12,10 +12,12 @@ use scq_bench::{
     fig6_workloads, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference,
 };
-use scq_braid::{schedule_traced, BraidConfig, Policy};
+use scq_braid::{schedule_with, BraidConfig, EventCollector, Policy};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::place;
-use scq_teleport::{schedule_planar, schedule_planar_traced, PlanarConfig};
+use scq_teleport::{
+    schedule_planar, schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig,
+};
 use scq_verify::{certify_braid_trace, certify_planar_schedule};
 
 const CODE_DISTANCE: u32 = 5;
@@ -95,8 +97,10 @@ fn braid_traces_certify_clean_on_fig6_grid() {
             code_distance: CODE_DISTANCE,
             ..Default::default()
         };
-        let (_, trace) = schedule_traced(circuit, &dag, &layout, &config)
+        let mut sink = EventCollector::default();
+        let schedule = schedule_with(circuit, &dag, &layout, &config, None, &mut sink)
             .expect("figure 6 workloads schedule cleanly");
+        let trace = sink.into_trace(&layout, circuit, &schedule);
         let findings = certify_braid_trace(&trace, circuit, &dag, None);
         findings
             .into_iter()
@@ -116,14 +120,18 @@ fn planar_schedules_certify_clean_on_fig6_workloads() {
     let workloads = fig6_workloads();
     let violations: Vec<String> = parallel_map(&workloads, |(bench, circuit)| {
         let dag = DependencyDag::from_circuit(circuit);
-        let (schedule, transcript) = schedule_planar_traced(
-            circuit,
-            &dag,
-            &PlanarConfig {
-                code_distance: CODE_DISTANCE,
-                ..Default::default()
-            },
-        );
+        let config = PlanarConfig {
+            code_distance: CODE_DISTANCE,
+            ..Default::default()
+        };
+        let run = FabricRun {
+            transcript: true,
+            ..Default::default()
+        };
+        let (schedule, transcript) =
+            schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run)
+                .expect("clean machines always schedule");
+        let transcript = transcript.expect("a transcript was requested");
         let findings = certify_planar_schedule(&schedule, &transcript, circuit, &dag, None);
         findings
             .into_iter()

@@ -19,13 +19,16 @@
 //!
 //! Two engines produce provably identical schedules:
 //!
-//! * **The event-driven fast path** ([`schedule`], [`schedule_traced`],
-//!   [`schedule_with_sink`]) — incremental ready/leg2-ready sets
+//! * **The event-driven fast path** — incremental ready/leg2-ready sets
 //!   maintained on state transitions (no per-cycle O(n) rescan),
 //!   event-driven time advance that jumps idle stretches straight to the
 //!   next release via `Mesh::tick_n`, allocation-free fused route+claim
 //!   walks with pooled route buffers, and tracing that is generic over a
-//!   [`TraceSink`] so untraced runs pay no event or clone cost.
+//!   [`TraceSink`] so untraced runs pay no event or clone cost. It has
+//!   two entry points: [`schedule`] (pristine mesh, [`NoTrace`]) and
+//!   [`schedule_with`], which adds an optional [`scq_mesh::DefectMap`]
+//!   and a caller-chosen sink — an [`EventCollector`] turns into the
+//!   replayable [`BraidTrace`] via [`EventCollector::into_trace`].
 //! * **The naive-stepping reference** ([`schedule_reference`],
 //!   [`schedule_traced_reference`]) — the original one-cycle-at-a-time,
 //!   full-rescan engine, retained as the differential oracle.
@@ -67,8 +70,7 @@ mod trace;
 pub use policy::Policy;
 pub use reference::{schedule_reference, schedule_traced_reference};
 pub use scheduler::{
-    braid_mesh_dims, factory_sites, op_latency_cycles, schedule, schedule_circuit,
-    schedule_on_defects, schedule_traced, schedule_traced_on_defects, schedule_with_sink,
+    braid_mesh_dims, factory_sites, op_latency_cycles, schedule, schedule_circuit, schedule_with,
     BraidConfig, BraidSchedule, ScheduleError, TGateModel,
 };
 pub use trace::{BraidEvent, BraidTrace, EventCollector, NoTrace, TraceConflict, TraceSink};

@@ -1,7 +1,7 @@
 //! The naive cycle-stepping scheduler, retained as a differential
 //! reference.
 //!
-//! This is the original `schedule_traced` engine: it advances time one
+//! This is the original traced engine: it advances time one
 //! EC cycle at a time, rescans every operation's state per cycle for
 //! policies 3-6, and allocates a fresh route `Vec` on every routing
 //! attempt. The event-driven engine in [`crate::scheduler`] must produce
@@ -44,8 +44,8 @@ pub fn schedule_reference(
     schedule_traced_reference(circuit, dag, layout, config).map(|(s, _)| s)
 }
 
-/// Naive-stepping counterpart of [`crate::schedule_traced`]; see the
-/// module docs.
+/// Naive-stepping counterpart of [`crate::schedule_with`] recording
+/// into an [`crate::EventCollector`]; see the module docs.
 ///
 /// # Errors
 ///

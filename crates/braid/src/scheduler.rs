@@ -236,12 +236,13 @@ pub fn factory_sites(mesh_w: u32, mesh_h: u32, count: u32) -> Vec<Coord> {
 /// safe precisely because the resulting schedule is *static* (replayed
 /// verbatim on the machine, Section 6.1).
 ///
-/// This entry point runs the event-driven engine with the zero-cost
-/// [`NoTrace`] sink: no events are recorded and route buffers are
-/// recycled, so it is the fastest way to obtain a [`BraidSchedule`].
-/// The engine is guaranteed bit-identical to the retained naive
-/// reference ([`crate::schedule_reference`]); the `scq-bench`
-/// equivalence suite enforces this across every policy.
+/// This entry point runs the event-driven engine on a pristine mesh
+/// with the zero-cost [`NoTrace`] sink: no events are recorded and
+/// route buffers are recycled, so it is the fastest way to obtain a
+/// [`BraidSchedule`]. [`schedule_with`] is the same engine with a defect
+/// map and a trace sink. The engine is guaranteed bit-identical to the
+/// retained naive reference ([`crate::schedule_reference`]); the
+/// `scq-bench` equivalence suite enforces this across every policy.
 ///
 /// # Errors
 ///
@@ -258,107 +259,19 @@ pub fn schedule(
     layout: &Layout,
     config: &BraidConfig,
 ) -> Result<BraidSchedule, ScheduleError> {
-    let mut sink = NoTrace;
-    schedule_with_sink(circuit, dag, layout, config, &mut sink)
+    schedule_with(circuit, dag, layout, config, None, &mut NoTrace)
 }
 
-/// Like [`schedule`], but on a defect-laden mesh: braids route around
-/// the map's dead routers and links (the mesh holds them permanently
-/// claimed), dead factory sites are skipped, and T gates only consider
-/// factories with a live route to their target.
+/// Router-mesh dimensions the braid engine uses for this layout and
+/// circuit — build braid-resolution [`DefectMap`]s on exactly these.
 ///
-/// The map must be built on the router-resolution dimensions returned
-/// by [`braid_mesh_dims`]. With an empty map this is exactly
-/// [`schedule`] — bit-identical schedules, enforced by the equivalence
-/// suites.
-///
-/// # Errors
-///
-/// As [`schedule`], plus [`ScheduleError::Unroutable`] when the defects
-/// cut the mesh: a circuit qubit's tile is dead, a two-qubit pair has
-/// no defect-free route, a T-gate target is unreachable from every live
-/// factory, or all factory sites died.
-///
-/// # Panics
-///
-/// Panics if `dag` was not built from `circuit` or the map's dimensions
-/// differ from [`braid_mesh_dims`].
-pub fn schedule_on_defects(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-    defects: &DefectMap,
-) -> Result<BraidSchedule, ScheduleError> {
-    let mut sink = NoTrace;
-    schedule_with_sink_on(circuit, dag, layout, config, Some(defects), &mut sink)
-}
-
-/// Like [`schedule_traced`], but on a defect-laden mesh (see
-/// [`schedule_on_defects`]).
-///
-/// # Errors
-///
-/// As [`schedule_on_defects`].
-///
-/// # Panics
-///
-/// As [`schedule_on_defects`].
-pub fn schedule_traced_on_defects(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-    defects: &DefectMap,
-) -> Result<(BraidSchedule, BraidTrace), ScheduleError> {
-    let mut sink = EventCollector::default();
-    let stats = schedule_with_sink_on(circuit, dag, layout, config, Some(defects), &mut sink)?;
-    let (mesh_width, mesh_height) = trace_mesh_dims(layout, circuit.is_empty());
-    let trace = BraidTrace {
-        mesh_width,
-        mesh_height,
-        cycles: stats.cycles,
-        events: sink.events,
-    };
-    Ok((stats, trace))
-}
-
-/// Like [`schedule`], but also returns the [`BraidTrace`] — the static,
-/// replayable schedule artifact with every braid leg's route and
-/// open/close cycles. [`BraidTrace::validate`] proves it conflict-free.
-///
-/// # Errors
-///
-/// As [`schedule`].
-///
-/// # Panics
-///
-/// Panics if `dag` was not built from `circuit`.
-pub fn schedule_traced(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-) -> Result<(BraidSchedule, BraidTrace), ScheduleError> {
-    let mut sink = EventCollector::default();
-    let stats = schedule_with_sink(circuit, dag, layout, config, &mut sink)?;
-    let (mesh_width, mesh_height) = trace_mesh_dims(layout, circuit.is_empty());
-    let trace = BraidTrace {
-        mesh_width,
-        mesh_height,
-        cycles: stats.cycles,
-        events: sink.events,
-    };
-    Ok((stats, trace))
-}
-
-/// Router-mesh dimensions for a layout, double resolution: tile (x, y)
-/// anchors at router (2x+1, 2y+1) and even rows/columns are the braid
-/// channels between tiles. The engine and the trace header derive their
+/// The mesh is double the tile grid's resolution: tile (x, y) anchors
+/// at router (2x+1, 2y+1) and even rows/columns are the braid channels
+/// between tiles. The engine and the trace header derive their
 /// dimensions from this one formula; empty circuits clamp degenerate
 /// zero-size grids to a 3x3 mesh for a well-formed trace.
-fn trace_mesh_dims(layout: &Layout, is_empty: bool) -> (u32, u32) {
-    let (w, h) = if is_empty {
+pub fn braid_mesh_dims(layout: &Layout, circuit: &Circuit) -> (u32, u32) {
+    let (w, h) = if circuit.is_empty() {
         (layout.grid_width().max(1), layout.grid_height().max(1))
     } else {
         (layout.grid_width(), layout.grid_height())
@@ -366,12 +279,25 @@ fn trace_mesh_dims(layout: &Layout, is_empty: bool) -> (u32, u32) {
     (2 * w + 1, 2 * h + 1)
 }
 
-/// Router-mesh dimensions the braid engine uses for this layout and
-/// circuit — build braid-resolution [`DefectMap`]s on exactly these
-/// (the mesh is double the tile grid's resolution, plus the border
-/// channels).
-pub fn braid_mesh_dims(layout: &Layout, circuit: &Circuit) -> (u32, u32) {
-    trace_mesh_dims(layout, circuit.is_empty())
+impl EventCollector {
+    /// Assembles the [`BraidTrace`] of a [`schedule_with`] run that
+    /// recorded into this collector — the static, replayable schedule
+    /// artifact with every braid leg's route and open/close cycles.
+    /// [`BraidTrace::validate`] proves it conflict-free.
+    pub fn into_trace(
+        self,
+        layout: &Layout,
+        circuit: &Circuit,
+        schedule: &BraidSchedule,
+    ) -> BraidTrace {
+        let (mesh_width, mesh_height) = braid_mesh_dims(layout, circuit);
+        BraidTrace {
+            mesh_width,
+            mesh_height,
+            cycles: schedule.cycles,
+            events: self.events,
+        }
+    }
 }
 
 /// Mutable simulation state shared by the release and issue phases.
@@ -541,9 +467,21 @@ impl Engine {
     }
 }
 
-/// The event-driven scheduling engine, generic over the [`TraceSink`].
+/// The event-driven scheduling engine: [`schedule`] with an optional
+/// defect map and a caller-chosen [`TraceSink`].
 ///
-/// Three mechanisms make this the fast path while preserving
+/// With `defects`, braids route around the map's dead routers and links
+/// (the mesh holds them permanently claimed), dead factory sites are
+/// skipped, and T gates only consider factories with a live route to
+/// their target. The map must be built on the router-resolution
+/// dimensions returned by [`braid_mesh_dims`]; an empty map is treated
+/// as `None`, so it schedules bit-identically to the pristine mesh.
+///
+/// The sink decides what is recorded: [`NoTrace`] keeps the run
+/// monomorphized on the zero-cost path, while an [`EventCollector`]
+/// keeps every closed leg for [`EventCollector::into_trace`].
+///
+/// Four mechanisms make this the fast path while preserving
 /// bit-identical schedules versus [`crate::schedule_reference`]:
 ///
 /// 1. **Incremental ready-sets.** Operations enter the `ready` /
@@ -578,32 +516,23 @@ impl Engine {
 ///
 /// # Errors
 ///
-/// As [`schedule`].
+/// As [`schedule`], plus [`ScheduleError::Unroutable`] when the defects
+/// cut the mesh: a circuit qubit's tile is dead, a two-qubit pair has
+/// no defect-free route, a T-gate target is unreachable from every live
+/// factory, or all factory sites died.
 ///
 /// # Panics
 ///
-/// Panics if `dag` was not built from `circuit`.
-pub fn schedule_with_sink<S: TraceSink>(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    layout: &Layout,
-    config: &BraidConfig,
-    sink: &mut S,
-) -> Result<BraidSchedule, ScheduleError> {
-    schedule_with_sink_on(circuit, dag, layout, config, None, sink)
-}
-
-/// The engine behind every public entry point, optionally on a
-/// defect-laden mesh. An empty (or absent) map takes the exact code
-/// path of the defect-free engine, preserving bit-identical schedules.
+/// Panics if `dag` was not built from `circuit` or the map's dimensions
+/// differ from [`braid_mesh_dims`].
 #[allow(clippy::too_many_lines)]
-fn schedule_with_sink_on<S: TraceSink>(
+pub fn schedule_with(
     circuit: &Circuit,
     dag: &DependencyDag,
     layout: &Layout,
     config: &BraidConfig,
     defects: Option<&DefectMap>,
-    sink: &mut S,
+    sink: &mut impl TraceSink,
 ) -> Result<BraidSchedule, ScheduleError> {
     let defects = defects.filter(|m| !m.is_empty());
     assert_eq!(dag.len(), circuit.len(), "dag does not match circuit");
@@ -634,7 +563,7 @@ fn schedule_with_sink_on<S: TraceSink>(
         return Ok(stats);
     }
 
-    let (mesh_w, mesh_h) = trace_mesh_dims(layout, false);
+    let (mesh_w, mesh_h) = braid_mesh_dims(layout, circuit);
     let anchors: Vec<Coord> = (0..circuit.num_qubits())
         .map(|q| {
             let tile = layout.tile(q);
@@ -1252,8 +1181,18 @@ mod tests {
         let (mw, mh) = braid_mesh_dims(&layout, &c);
         let map = DefectMap::empty(scq_mesh::Topology::new(mw, mh));
         let clean = schedule(&c, &dag, &layout, &config).unwrap();
-        let defected = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap();
+        let defected = on_defects(&c, &dag, &layout, &config, &map).unwrap();
         assert_eq!(clean, defected);
+    }
+
+    fn on_defects(
+        c: &Circuit,
+        dag: &DependencyDag,
+        layout: &Layout,
+        config: &BraidConfig,
+        map: &DefectMap,
+    ) -> Result<BraidSchedule, ScheduleError> {
+        schedule_with(c, dag, layout, config, Some(map), &mut NoTrace)
     }
 
     #[test]
@@ -1271,7 +1210,7 @@ mod tests {
         // the anchor row).
         let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode 2 1\n")).unwrap();
         let clean = schedule(&c, &dag, &layout, &config).unwrap();
-        let defected = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap();
+        let defected = on_defects(&c, &dag, &layout, &config, &map).unwrap();
         assert_eq!(defected.total_ops, clean.total_ops);
         assert!(
             defected.cycles >= clean.cycles,
@@ -1280,7 +1219,9 @@ mod tests {
             clean.cycles
         );
         // The traced variant agrees and its routes avoid the dead node.
-        let (stats, trace) = schedule_traced_on_defects(&c, &dag, &layout, &config, &map).unwrap();
+        let mut sink = EventCollector::default();
+        let stats = schedule_with(&c, &dag, &layout, &config, Some(&map), &mut sink).unwrap();
+        let trace = sink.into_trace(&layout, &c, &stats);
         assert_eq!(stats, defected);
         trace.validate().unwrap();
         for ev in &trace.events {
@@ -1307,7 +1248,7 @@ mod tests {
             text.push_str(&format!("node {cut_x} {y}\n"));
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let err = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
+        let err = on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
         match err {
             ScheduleError::Unroutable(CommError::Unroutable { src, dst }) => {
                 assert_ne!(src, dst, "a two-qubit pair cut reports both endpoints");
@@ -1326,7 +1267,7 @@ mod tests {
         let (mw, mh) = braid_mesh_dims(&layout, &c);
         // Tile (0, 0) anchors at router (1, 1).
         let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode 1 1\n")).unwrap();
-        let err = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
+        let err = on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::Unroutable(CommError::Unroutable { src, dst }) if src == dst
@@ -1348,7 +1289,7 @@ mod tests {
             text.push_str(&format!("node {x} 0\nnode {x} {}\n", mh - 1));
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let err = schedule_on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
+        let err = on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::Unroutable(CommError::NoLiveFactories { .. })
@@ -1363,6 +1304,6 @@ mod tests {
             text2.push_str(&format!("node {x} 0\nnode {x} {}\n", mh2 - 1));
         }
         let map2 = DefectMap::from_text(&text2).unwrap();
-        assert!(schedule_on_defects(&cnot, &dag2, &layout2, &config, &map2).is_ok());
+        assert!(on_defects(&cnot, &dag2, &layout2, &config, &map2).is_ok());
     }
 }

@@ -24,7 +24,8 @@ use scq_mesh::{Coord, Mesh, Path};
 /// arguments are discarded and the closed leg's [`Path`] buffer is
 /// handed back to the engine for reuse, so no event is pushed and no
 /// path is cloned or dropped. [`EventCollector`] is the recording sink
-/// behind [`schedule_traced`](crate::schedule_traced).
+/// to pass to [`schedule_with`](crate::schedule_with) for a
+/// [`BraidTrace`].
 pub trait TraceSink {
     /// Records one closed braid leg.
     ///

@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use scq_apps::Benchmark;
-use scq_braid::{schedule_traced, schedule_traced_reference, BraidConfig, Policy};
+use scq_braid::{schedule_traced_reference, schedule_with, BraidConfig, EventCollector, Policy};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::place;
 use scq_mesh::{CalendarQueue, EventQueue};
@@ -106,8 +106,10 @@ fn in_order_policies_match_the_reference_engine_on_a_fig6_app() {
         };
         let graph = InteractionGraph::from_circuit(&circuit);
         let layout = place(&graph, policy.layout_strategy(), None);
-        let (fast_stats, fast_trace) =
-            schedule_traced(&circuit, &dag, &layout, &config).expect("fast engine");
+        let mut sink = EventCollector::default();
+        let fast_stats =
+            schedule_with(&circuit, &dag, &layout, &config, None, &mut sink).expect("fast engine");
+        let fast_trace = sink.into_trace(&layout, &circuit, &fast_stats);
         let (ref_stats, ref_trace) =
             schedule_traced_reference(&circuit, &dag, &layout, &config).expect("reference engine");
         assert_eq!(fast_stats, ref_stats, "{policy} stats diverged");

@@ -3,7 +3,9 @@
 //! policy, in both the schedule statistics and the full trace.
 
 use proptest::prelude::*;
-use scq_braid::{schedule_traced, schedule_traced_reference, BraidConfig, Policy, TGateModel};
+use scq_braid::{
+    schedule_traced_reference, schedule_with, BraidConfig, EventCollector, Policy, TGateModel,
+};
 use scq_ir::{Circuit, DependencyDag, Gate, InteractionGraph};
 use scq_layout::place;
 
@@ -42,7 +44,11 @@ fn assert_equivalent(circuit: &Circuit, config: &BraidConfig) {
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
     let layout = place(&graph, config.policy.layout_strategy(), None);
-    let fast = schedule_traced(circuit, &dag, &layout, config);
+    let mut sink = EventCollector::default();
+    let fast = schedule_with(circuit, &dag, &layout, config, None, &mut sink).map(|s| {
+        let trace = sink.into_trace(&layout, circuit, &s);
+        (s, trace)
+    });
     let naive = schedule_traced_reference(circuit, &dag, &layout, config);
     match (fast, naive) {
         (Ok((fs, ft)), Ok((ns, nt))) => {

@@ -24,13 +24,14 @@
 //! teleport engine flies EPR halves through a [`scq_mesh::Fabric`] —
 //! which is what makes their cycle counts comparable.
 
-use scq_braid::{BraidConfig, BraidSchedule};
-use scq_ir::{Circuit, DependencyDag, InteractionGraph};
-use scq_layout::{place, Layout};
+use scq_braid::{schedule_circuit, BraidConfig, BraidSchedule};
+use scq_ir::{Circuit, DependencyDag};
 use scq_surface::Encoding;
-use scq_teleport::{PlanarConfig, PlanarSchedule};
+use scq_teleport::{
+    schedule_planar, schedule_planar_with, CongestionAwarePlacement, FabricRun, PlanarConfig,
+    PlanarSchedule,
+};
 
-use crate::pipeline::{braid_stage, planar_stage};
 use crate::ToolflowError;
 
 /// Backend-agnostic outcome of scheduling one circuit.
@@ -81,24 +82,6 @@ impl CommDetail {
     /// The planar schedule, if this report came from the teleport
     /// backend.
     pub fn as_teleport(&self) -> Option<&PlanarSchedule> {
-        match self {
-            CommDetail::Teleport(s) => Some(s),
-            CommDetail::Braid(_) => None,
-        }
-    }
-
-    /// Consumes the detail, yielding the braid schedule without a
-    /// clone.
-    pub fn into_braid(self) -> Option<BraidSchedule> {
-        match self {
-            CommDetail::Braid(s) => Some(s),
-            CommDetail::Teleport(_) => None,
-        }
-    }
-
-    /// Consumes the detail, yielding the planar schedule without a
-    /// clone.
-    pub fn into_teleport(self) -> Option<PlanarSchedule> {
         match self {
             CommDetail::Teleport(s) => Some(s),
             CommDetail::Braid(_) => None,
@@ -162,29 +145,6 @@ impl BraidBackend {
     pub fn new(config: BraidConfig) -> Self {
         BraidBackend { config }
     }
-
-    /// Like [`CommBackend::schedule`], but reusing a precomputed
-    /// layout instead of placing qubits again — for callers (like the
-    /// toolflow) that already built one for the same policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`CommBackend::schedule`].
-    pub fn schedule_on_layout(
-        &self,
-        circuit: &Circuit,
-        dag: &DependencyDag,
-        layout: &Layout,
-    ) -> Result<CommReport, ToolflowError> {
-        let s = braid_stage(circuit, dag, layout, &self.config)?;
-        Ok(CommReport {
-            encoding: Encoding::DoubleDefect,
-            cycles: s.cycles,
-            lower_bound_cycles: s.critical_path_cycles,
-            comm_events: s.braids_placed,
-            detail: CommDetail::Braid(s),
-        })
-    }
 }
 
 impl CommBackend for BraidBackend {
@@ -196,14 +156,21 @@ impl CommBackend for BraidBackend {
         Encoding::DoubleDefect
     }
 
+    /// Places and schedules through [`schedule_circuit`], which derives
+    /// its own DAG from `circuit`.
     fn schedule(
         &self,
         circuit: &Circuit,
-        dag: &DependencyDag,
+        _dag: &DependencyDag,
     ) -> Result<CommReport, ToolflowError> {
-        let graph = InteractionGraph::from_circuit(circuit);
-        let layout = place(&graph, self.config.policy.layout_strategy(), None);
-        self.schedule_on_layout(circuit, dag, &layout)
+        let s = schedule_circuit(circuit, &self.config)?;
+        Ok(CommReport {
+            encoding: Encoding::DoubleDefect,
+            cycles: s.cycles,
+            lower_bound_cycles: s.critical_path_cycles,
+            comm_events: s.braids_placed,
+            detail: CommDetail::Braid(s),
+        })
     }
 }
 
@@ -235,14 +202,7 @@ impl CommBackend for TeleportBackend {
         circuit: &Circuit,
         dag: &DependencyDag,
     ) -> Result<CommReport, ToolflowError> {
-        let s = planar_stage(circuit, dag, &self.config, false);
-        Ok(CommReport {
-            encoding: Encoding::Planar,
-            cycles: s.cycles,
-            lower_bound_cycles: s.timesteps,
-            comm_events: s.simd.total_teleports(),
-            detail: CommDetail::Teleport(s),
-        })
+        Ok(planar_report(schedule_planar(circuit, dag, &self.config)))
     }
 
     fn schedule_optimized(
@@ -250,14 +210,25 @@ impl CommBackend for TeleportBackend {
         circuit: &Circuit,
         dag: &DependencyDag,
     ) -> Result<CommReport, ToolflowError> {
-        let s = planar_stage(circuit, dag, &self.config, true);
-        Ok(CommReport {
-            encoding: Encoding::Planar,
-            cycles: s.cycles,
-            lower_bound_cycles: s.timesteps,
-            comm_events: s.simd.total_teleports(),
-            detail: CommDetail::Teleport(s),
-        })
+        let (s, _) = schedule_planar_with(
+            circuit,
+            dag,
+            &self.config,
+            &CongestionAwarePlacement::default(),
+            &FabricRun::default(),
+        )?;
+        Ok(planar_report(s))
+    }
+}
+
+/// The backend-agnostic view of a planar schedule.
+fn planar_report(s: PlanarSchedule) -> CommReport {
+    CommReport {
+        encoding: Encoding::Planar,
+        cycles: s.cycles,
+        lower_bound_cycles: s.timesteps,
+        comm_events: s.simd.total_teleports(),
+        detail: CommDetail::Teleport(s),
     }
 }
 

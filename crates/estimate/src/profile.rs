@@ -14,7 +14,8 @@ use scq_ir::{analysis, DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
 use scq_teleport::{
     hop_cycles_for_distance, schedule_simd, simulate_epr_on_fabric, CongestionAwarePlacement,
-    DistributionPolicy, EprConfig, FabricEprConfig, PlacementStrategy, PlanarConfig, SimdConfig,
+    DistributionPolicy, EprConfig, FabricEprConfig, FabricRun, PlacementStrategy, PlanarConfig,
+    SimdConfig,
 };
 
 /// How an application's logical qubit count scales with its logical
@@ -239,7 +240,9 @@ fn measured_teleport_congestion(circuit: &scq_ir::Circuit) -> f64 {
         epr_factories: None,
         ..Default::default()
     };
-    let machine = CongestionAwarePlacement::default().place(circuit.num_qubits(), &planar, &simd);
+    let machine = CongestionAwarePlacement::default()
+        .place(circuit.num_qubits(), &planar, &simd, &FabricRun::default())
+        .expect("a defect-free floorplan always places");
     let requests = machine.requests_for(&simd);
     let run = |link_capacity: u32| {
         simulate_epr_on_fabric(

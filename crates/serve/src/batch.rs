@@ -25,13 +25,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use scq_braid::{schedule, schedule_on_defects, schedule_traced, schedule_traced_on_defects};
+use scq_braid::{schedule_with, EventCollector, NoTrace};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, Layout};
-use scq_teleport::{
-    schedule_planar, schedule_planar_on_defects, schedule_planar_traced,
-    schedule_planar_traced_on_defects, PlanarMachine, PlanarSchedule,
-};
+use scq_teleport::{schedule_planar_with, BaselinePlacement, FabricRun, PlanarMachine};
 use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Severity};
 
 use crate::cache::{CacheStats, Provenance, ScheduleCache};
@@ -229,19 +226,15 @@ fn compute_braid(
     let map = request.defects.materialize(dims)?;
 
     let schedule = if request.verify {
-        let (sched, trace) = match &map {
-            Some(m) => schedule_traced_on_defects(circuit, &dag, &layout, &config, m),
-            None => schedule_traced(circuit, &dag, &layout, &config),
-        }
-        .map_err(ServeError::schedule)?;
+        let mut sink = EventCollector::default();
+        let sched = schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink)
+            .map_err(ServeError::schedule)?;
+        let trace = sink.into_trace(&layout, circuit, &sched);
         certified(certify_braid_trace(&trace, circuit, &dag, map.as_ref()))?;
         sched
     } else {
-        match &map {
-            Some(m) => schedule_on_defects(circuit, &dag, &layout, &config, m),
-            None => schedule(circuit, &dag, &layout, &config),
-        }
-        .map_err(ServeError::schedule)?
+        schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut NoTrace)
+            .map_err(ServeError::schedule)?
     };
 
     let summary = format!(
@@ -277,29 +270,24 @@ fn compute_planar(
     let config = request.planar_config();
     let dims = PlanarMachine::grid_dims(circuit.num_qubits());
     let map = request.defects.materialize(dims)?;
-    let fault_seed = request.defects.fault_seed();
+    let run = FabricRun {
+        defects: map.as_ref(),
+        fault_seed: request.defects.fault_seed(),
+        transcript: request.verify,
+    };
 
-    let schedule: PlanarSchedule = if request.verify {
-        let (sched, transcript) = match &map {
-            Some(m) => schedule_planar_traced_on_defects(circuit, &dag, &config, m, fault_seed)
-                .map_err(ServeError::schedule)?,
-            None => schedule_planar_traced(circuit, &dag, &config),
-        };
+    let (schedule, transcript) =
+        schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run)
+            .map_err(ServeError::schedule)?;
+    if let Some(transcript) = &transcript {
         certified(certify_planar_schedule(
-            &sched,
-            &transcript,
+            &schedule,
+            transcript,
             circuit,
             &dag,
             map.as_ref(),
         ))?;
-        sched
-    } else {
-        match &map {
-            Some(m) => schedule_planar_on_defects(circuit, &dag, &config, m, fault_seed)
-                .map_err(ServeError::schedule)?,
-            None => schedule_planar(circuit, &dag, &config),
-        }
-    };
+    }
 
     let placement: Vec<(u32, u32)> = schedule.machine.tiles.iter().map(|c| (c.x, c.y)).collect();
     let summary = format!(

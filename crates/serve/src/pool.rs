@@ -23,7 +23,7 @@
 //! worker an uncontended run of items (cache-friendly, zero shared
 //! traffic while balanced) and fall back to stealing exactly when the
 //! load actually skews — the best of both dispatch disciplines. The
-//! `dispatch/*` criterion microbenches in `scq-bench` A/B the two.
+//! difference needs many cores to show, so no bench here measures it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

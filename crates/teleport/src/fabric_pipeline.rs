@@ -124,11 +124,11 @@ impl FabricEprResult {
 /// demand, the planned routes and launch cycles, the measured arrival
 /// cycles, and every link traversal attempt on the fabric.
 ///
-/// Produced by the `_traced` entry points (off the default hot path);
-/// consumed by the independent certifier in `scq-verify`, which checks
-/// lane-capacity conservation, hop timing, route conformance, and
-/// defect avoidance from this transcript alone — sharing no claiming or
-/// routing code with the simulation that produced it.
+/// Produced when [`FabricRun::transcript`] is set (off the default hot
+/// path); consumed by the independent certifier in `scq-verify`, which
+/// checks lane-capacity conservation, hop timing, route conformance,
+/// and defect avoidance from this transcript alone — sharing no
+/// claiming or routing code with the simulation that produced it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EprTranscript {
     /// The fabric geometry the run used.
@@ -151,9 +151,41 @@ pub struct EprTranscript {
     pub hops: Vec<HopRecord>,
 }
 
+/// How one EPR (or planar) run departs from the clean default: the
+/// machine's fabrication defects, the seed of their transient-fault
+/// draws, and whether to record an [`EprTranscript`].
+///
+/// `FabricRun::default()` is the clean, untraced run. An empty defect
+/// map is treated as `None`, so it reproduces the clean run bit for
+/// bit.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FabricRun<'a> {
+    /// Dead tiles/links and flaky links of the machine, on the
+    /// topology the run uses.
+    pub defects: Option<&'a DefectMap>,
+    /// Keys the transient-fault draws on flaky links (unused without
+    /// defects).
+    pub fault_seed: u64,
+    /// Record the [`EprTranscript`] of the EPR phase for independent
+    /// certification.
+    pub transcript: bool,
+}
+
+impl<'a> FabricRun<'a> {
+    /// The same run with an empty defect map folded to `None` — what
+    /// every engine entry point works on.
+    pub(crate) fn normalized(&self) -> FabricRun<'a> {
+        FabricRun {
+            defects: self.defects.filter(|m| !m.is_empty()),
+            ..*self
+        }
+    }
+}
+
 /// Simulates route-aware EPR distribution for a located demand trace on
-/// a `topology`-shaped machine. See the module docs at the top of this file for the
-/// three-phase model.
+/// a clean `topology`-shaped machine. See the module docs at the top of
+/// this file for the three-phase model; [`simulate_epr_on_fabric_with`]
+/// is the same engine on a defect-laden machine or with a transcript.
 ///
 /// # Panics
 ///
@@ -166,18 +198,68 @@ pub fn simulate_epr_on_fabric(
     config: &FabricEprConfig,
     topology: Topology,
 ) -> FabricEprResult {
-    let routes: Vec<Path> = requests
+    let routes = xy_routes(requests, topology);
+    let fabric = Fabric::new(topology, fabric_config(config));
+    run_epr_phases(requests, routes, policy, config, fabric, false).0
+}
+
+/// [`simulate_epr_on_fabric`] under a [`FabricRun`]: on a defect-laden
+/// machine, routes detour around the map's dead tiles and links
+/// (falling back to BFS when the dimension-ordered L-route is blocked),
+/// and flaky links inject seeded transient faults — a failed hop
+/// re-establishes its entanglement swap after a bounded backoff (see
+/// [`Fabric::with_defects`]), counted in the stats and the heatmap.
+/// With `run.transcript` the full [`EprTranscript`] comes back too;
+/// the result is bit-identical either way.
+///
+/// # Errors
+///
+/// Returns [`CommError::Unroutable`] (naming the cut endpoints) when a
+/// request has no defect-free route, or
+/// [`CommError::DefectMapMismatch`] when the map's topology differs
+/// from `topology`.
+///
+/// # Panics
+///
+/// As [`simulate_epr_on_fabric`].
+pub fn simulate_epr_on_fabric_with(
+    requests: &[EprRequest],
+    policy: DistributionPolicy,
+    config: &FabricEprConfig,
+    topology: Topology,
+    run: &FabricRun,
+) -> Result<(FabricEprResult, Option<EprTranscript>), CommError> {
+    let run = run.normalized();
+    let (routes, fabric) = match run.defects {
+        None => (
+            xy_routes(requests, topology),
+            Fabric::new(topology, fabric_config(config)),
+        ),
+        Some(defects) => (
+            plan_defect_routes(requests, topology, defects)?,
+            Fabric::with_defects(topology, fabric_config(config), defects, run.fault_seed),
+        ),
+    };
+    let record = run.transcript;
+    Ok(run_epr_phases(
+        requests, routes, policy, config, fabric, record,
+    ))
+}
+
+/// The per-link parameters of the packet fabric behind `config`.
+fn fabric_config(config: &FabricEprConfig) -> FabricConfig {
+    FabricConfig {
+        hop_cycles: config.epr.hop_cycles,
+        link_capacity: config.link_capacity,
+    }
+}
+
+/// The dimension-ordered route of every request on a clean machine.
+fn xy_routes(requests: &[EprRequest], topology: Topology) -> Vec<Path> {
+    requests
         .iter()
         .map(|r| topology.route_xy(r.src, r.dst))
-        .collect();
-    let fabric = Fabric::new(
-        topology,
-        FabricConfig {
-            hop_cycles: config.epr.hop_cycles,
-            link_capacity: config.link_capacity,
-        },
-    );
-    run_epr_phases(requests, routes, policy, config, fabric)
+        .collect()
 }
 
 /// [`simulate_epr_on_fabric`] on the `BinaryHeap`-backed event queue
@@ -195,87 +277,13 @@ pub fn simulate_epr_on_heap_fabric(
     config: &FabricEprConfig,
     topology: Topology,
 ) -> FabricEprResult {
-    let routes: Vec<Path> = requests
-        .iter()
-        .map(|r| topology.route_xy(r.src, r.dst))
-        .collect();
-    let fabric = Fabric::new_heap_backed(
-        topology,
-        FabricConfig {
-            hop_cycles: config.epr.hop_cycles,
-            link_capacity: config.link_capacity,
-        },
-    );
-    run_epr_phases(requests, routes, policy, config, fabric)
+    let routes = xy_routes(requests, topology);
+    let fabric = Fabric::new_heap_backed(topology, fabric_config(config));
+    run_epr_phases(requests, routes, policy, config, fabric, false).0
 }
 
-/// Like [`simulate_epr_on_fabric`], additionally returning the full
-/// [`EprTranscript`] of the run for independent certification. The
-/// result is bit-identical to the untraced entry point; recording only
-/// adds the transcript bookkeeping, so the default path stays hot.
-///
-/// # Panics
-///
-/// As [`simulate_epr_on_fabric`].
-pub fn simulate_epr_on_fabric_traced(
-    requests: &[EprRequest],
-    policy: DistributionPolicy,
-    config: &FabricEprConfig,
-    topology: Topology,
-) -> (FabricEprResult, EprTranscript) {
-    let routes: Vec<Path> = requests
-        .iter()
-        .map(|r| topology.route_xy(r.src, r.dst))
-        .collect();
-    let fabric = Fabric::new(
-        topology,
-        FabricConfig {
-            hop_cycles: config.epr.hop_cycles,
-            link_capacity: config.link_capacity,
-        },
-    );
-    let (result, transcript) = run_epr_phases_inner(requests, routes, policy, config, fabric, true);
-    (result, transcript.expect("transcript was requested"))
-}
-
-/// Like [`simulate_epr_on_fabric_with_defects`], additionally returning
-/// the full [`EprTranscript`] of the run for independent certification.
-///
-/// # Errors
-///
-/// As [`simulate_epr_on_fabric_with_defects`], plus
-/// [`CommError::DefectMapMismatch`] when the map's topology differs
-/// from `topology`.
-pub fn simulate_epr_on_fabric_traced_with_defects(
-    requests: &[EprRequest],
-    policy: DistributionPolicy,
-    config: &FabricEprConfig,
-    topology: Topology,
-    defects: &DefectMap,
-    fault_seed: u64,
-) -> Result<(FabricEprResult, EprTranscript), CommError> {
-    if defects.is_empty() {
-        return Ok(simulate_epr_on_fabric_traced(
-            requests, policy, config, topology,
-        ));
-    }
-    let routes = plan_defect_routes(requests, topology, defects)?;
-    let fabric = Fabric::with_defects(
-        topology,
-        FabricConfig {
-            hop_cycles: config.epr.hop_cycles,
-            link_capacity: config.link_capacity,
-        },
-        defects,
-        fault_seed,
-    );
-    let (result, transcript) = run_epr_phases_inner(requests, routes, policy, config, fabric, true);
-    Ok((result, transcript.expect("transcript was requested")))
-}
-
-/// Defect-avoiding route planning shared by the traced and untraced
-/// defect-aware entry points: checks the map's shape, then detours each
-/// request around dead resources.
+/// Defect-avoiding route planning: checks the map's shape, then detours
+/// each request around dead resources.
 fn plan_defect_routes(
     requests: &[EprRequest],
     topology: Topology,
@@ -302,67 +310,12 @@ fn plan_defect_routes(
     Ok(routes)
 }
 
-/// Like [`simulate_epr_on_fabric`], but on a defect-laden machine:
-/// routes detour around the map's dead tiles and links (falling back to
-/// BFS when the dimension-ordered L-route is blocked), and flaky links
-/// inject seeded transient faults — a failed hop re-establishes its
-/// entanglement swap after a bounded backoff (see
-/// [`Fabric::with_defects`]), counted in the stats and the heatmap.
-///
-/// With an empty map this is exactly [`simulate_epr_on_fabric`] —
-/// bit-identical results.
-///
-/// # Errors
-///
-/// Returns [`CommError::Unroutable`] (naming the cut endpoints) when a
-/// request has no defect-free route, or
-/// [`CommError::DefectMapMismatch`] when the map's topology differs
-/// from `topology`.
-///
-/// # Panics
-///
-/// As [`simulate_epr_on_fabric`].
-pub fn simulate_epr_on_fabric_with_defects(
-    requests: &[EprRequest],
-    policy: DistributionPolicy,
-    config: &FabricEprConfig,
-    topology: Topology,
-    defects: &DefectMap,
-    fault_seed: u64,
-) -> Result<FabricEprResult, CommError> {
-    if defects.is_empty() {
-        return Ok(simulate_epr_on_fabric(requests, policy, config, topology));
-    }
-    let routes = plan_defect_routes(requests, topology, defects)?;
-    let fabric = Fabric::with_defects(
-        topology,
-        FabricConfig {
-            hop_cycles: config.epr.hop_cycles,
-            link_capacity: config.link_capacity,
-        },
-        defects,
-        fault_seed,
-    );
-    Ok(run_epr_phases(requests, routes, policy, config, fabric))
-}
-
-/// The shared three-phase engine behind the pristine and defect-aware
-/// entry points: plan launches from uncontended route estimates, fly
-/// every half through the given fabric, account measured arrivals.
+/// The three-phase engine behind every entry point: plan launches from
+/// uncontended route estimates, fly every half through the given
+/// fabric, account measured arrivals. `record` keeps the planned
+/// routes/launches, measured arrivals, and the fabric's hop log as an
+/// [`EprTranscript`]; without it nothing is cloned or logged.
 fn run_epr_phases<Q: EventQueue<MsgId>>(
-    requests: &[EprRequest],
-    routes: Vec<Path>,
-    policy: DistributionPolicy,
-    config: &FabricEprConfig,
-    fabric: Fabric<Q>,
-) -> FabricEprResult {
-    run_epr_phases_inner(requests, routes, policy, config, fabric, false).0
-}
-
-/// [`run_epr_phases`] with optional transcript recording: `record`
-/// keeps the planned routes/launches, measured arrivals, and the
-/// fabric's hop log alongside the result.
-fn run_epr_phases_inner<Q: EventQueue<MsgId>>(
     requests: &[EprRequest],
     routes: Vec<Path>,
     policy: DistributionPolicy,
@@ -437,31 +390,6 @@ fn run_epr_phases_inner<Q: EventQueue<MsgId>>(
         peak_event_queue: stats.peak_event_queue,
     };
     (result, transcript)
-}
-
-/// Sweeps lookahead windows on the fabric, returning `(window, result)`
-/// pairs — the route-aware counterpart of
-/// [`window_sweep`](crate::window_sweep).
-pub fn window_sweep_fabric(
-    requests: &[EprRequest],
-    windows: &[usize],
-    config: &FabricEprConfig,
-    topology: Topology,
-) -> Vec<(usize, FabricEprResult)> {
-    windows
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                simulate_epr_on_fabric(
-                    requests,
-                    DistributionPolicy::JustInTime { window: w },
-                    config,
-                    topology,
-                ),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -566,19 +494,20 @@ mod tests {
     }
 
     #[test]
-    fn window_sweep_fabric_is_monotone_in_peak() {
+    fn wider_windows_never_lower_the_peak() {
         let topo = Topology::new(12, 6);
         let trace: Vec<(u64, u32)> = (0..80).map(|i| (20 + i, 4)).collect();
         let requests = row_requests(&trace, topo);
-        let sweep = window_sweep_fabric(
-            &requests,
-            &[1, 4, 16, 64],
-            &FabricEprConfig::default(),
-            topo,
-        );
-        for w in sweep.windows(2) {
-            assert!(w[0].1.pipeline.peak_live_eprs <= w[1].1.pipeline.peak_live_eprs);
-        }
+        let peaks: Vec<usize> = [1, 4, 16, 64]
+            .into_iter()
+            .map(|window| {
+                let policy = DistributionPolicy::JustInTime { window };
+                simulate_epr_on_fabric(&requests, policy, &FabricEprConfig::default(), topo)
+                    .pipeline
+                    .peak_live_eprs
+            })
+            .collect();
+        assert!(peaks.windows(2).all(|w| w[0] <= w[1]), "{peaks:?}");
     }
 
     #[test]

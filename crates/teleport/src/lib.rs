@@ -22,9 +22,14 @@
 //! - [`simulate_epr_distribution`]: the legacy flow-level pipeline of
 //!   Section 8.1, retained as the differential oracle the fabric must
 //!   match exactly under unlimited link capacity,
-//! - [`schedule_planar`] / [`schedule_planar_with`]: the combined
-//!   machine timeline in EC cycles, with teleports consuming measured
-//!   fabric arrival events.
+//! - [`schedule_planar`]: the combined machine timeline in EC cycles,
+//!   with teleports consuming measured fabric arrival events.
+//!
+//! Each engine has one clean entry point and one `_with` entry point
+//! taking a [`FabricRun`] — the machine's defect map, the seed of its
+//! transient faults, and whether to record an [`EprTranscript`] for
+//! certification: [`simulate_epr_on_fabric_with`] and
+//! [`schedule_planar_with`] (which also takes the placement strategy).
 //!
 //! # Examples
 //!
@@ -55,10 +60,8 @@ mod planar;
 mod simd;
 
 pub use fabric_pipeline::{
-    simulate_epr_on_fabric, simulate_epr_on_fabric_traced,
-    simulate_epr_on_fabric_traced_with_defects, simulate_epr_on_fabric_with_defects,
-    simulate_epr_on_heap_fabric, window_sweep_fabric, EprRequest, EprTranscript, FabricEprConfig,
-    FabricEprResult,
+    simulate_epr_on_fabric, simulate_epr_on_fabric_with, simulate_epr_on_heap_fabric, EprRequest,
+    EprTranscript, FabricEprConfig, FabricEprResult, FabricRun,
 };
 pub use pipeline::{
     simulate_epr_distribution, window_sweep, DistributionPolicy, EprConfig, EprDemand,
@@ -66,8 +69,7 @@ pub use pipeline::{
 };
 pub use placement::{BaselinePlacement, CongestionAwarePlacement, PlacementStrategy};
 pub use planar::{
-    hop_cycles_for_distance, schedule_planar, schedule_planar_on_defects, schedule_planar_traced,
-    schedule_planar_traced_on_defects, schedule_planar_with, PlanarConfig, PlanarMachine,
+    hop_cycles_for_distance, schedule_planar, schedule_planar_with, PlanarConfig, PlanarMachine,
     PlanarSchedule,
 };
 pub use simd::{schedule_simd, SimdConfig, SimdSchedule};

@@ -24,28 +24,43 @@
 //! `BENCH_epr.json`.
 
 use scq_layout::{optimize_placement, CongestionPlacerConfig, PlacementCost, PlacementOutcome};
-use scq_mesh::{CommError, Coord, DefectMap, LinkHeatmap};
+use scq_mesh::{CommError, Coord, LinkHeatmap};
 
-use crate::fabric_pipeline::{simulate_epr_on_fabric, simulate_epr_on_fabric_with_defects};
+use crate::fabric_pipeline::{simulate_epr_on_fabric_with, FabricRun};
 use crate::planar::{PlanarConfig, PlanarMachine};
 use crate::simd::SimdSchedule;
 
 /// A policy for laying out the planar machine's data tiles.
 ///
 /// The strategy receives the SIMD schedule (whose per-teleport qubits
-/// are the communication demand) and the full planar configuration, and
-/// returns the machine the EPR fabric will run on.
+/// are the communication demand), the full planar configuration, and
+/// the [`FabricRun`] describing the machine's defects, and returns the
+/// machine the EPR fabric will run on.
 pub trait PlacementStrategy {
     /// Human-readable strategy name (for reports and ablations).
     fn name(&self) -> &'static str;
 
     /// Lays out a machine for `num_qubits` data qubits under `config`,
-    /// given the demand trace in `simd`.
-    fn place(&self, num_qubits: u32, config: &PlanarConfig, simd: &SimdSchedule) -> PlanarMachine;
+    /// given the demand trace in `simd`, keeping data tiles and
+    /// factories off the dead tiles of `run.defects`.
+    ///
+    /// # Errors
+    ///
+    /// A structured [`CommError`] when the defects leave no buildable
+    /// (or, for strategies that profile the fabric, no routable)
+    /// floorplan.
+    fn place(
+        &self,
+        num_qubits: u32,
+        config: &PlanarConfig,
+        simd: &SimdSchedule,
+        run: &FabricRun,
+    ) -> Result<PlanarMachine, CommError>;
 }
 
 /// The historical floorplan: row-major data tiles in a near-square
-/// block, factories on the edge rows — exactly [`PlanarMachine::new`].
+/// block, factories on the edge rows — exactly [`PlanarMachine::new`],
+/// or [`PlanarMachine::with_defects`] on a defect-laden machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BaselinePlacement;
 
@@ -54,8 +69,17 @@ impl PlacementStrategy for BaselinePlacement {
         "baseline"
     }
 
-    fn place(&self, num_qubits: u32, config: &PlanarConfig, _simd: &SimdSchedule) -> PlanarMachine {
-        PlanarMachine::new(num_qubits, config.epr_factories)
+    fn place(
+        &self,
+        num_qubits: u32,
+        config: &PlanarConfig,
+        _simd: &SimdSchedule,
+        run: &FabricRun,
+    ) -> Result<PlanarMachine, CommError> {
+        match run.defects {
+            Some(defects) => PlanarMachine::with_defects(num_qubits, config.epr_factories, defects),
+            None => Ok(PlanarMachine::new(num_qubits, config.epr_factories)),
+        }
     }
 }
 
@@ -78,111 +102,67 @@ impl CongestionAwarePlacement {
     /// optimizer did — baseline vs optimized cost, moves accepted,
     /// profiling simulations spent. Ablations and the perf report use
     /// this to emit the placement section of `BENCH_epr.json`.
+    ///
+    /// On a defect-laden machine the starting floorplan avoids dead
+    /// tiles ([`PlanarMachine::with_defects`]), dead cells are excluded
+    /// from the legal move set, and candidates the defects cut off
+    /// price as infinite cost — the strict-Pareto acceptance can never
+    /// choose them, so defective columns are effectively infinite-cost.
+    /// Profiling runs draw transient faults from `run.fault_seed`; the
+    /// transcript flag is ignored.
+    ///
+    /// # Errors
+    ///
+    /// A structured [`CommError`] when even the starting floorplan
+    /// cannot be built or routed on the cut machine (never on a clean
+    /// one).
     pub fn place_traced(
         &self,
         num_qubits: u32,
         config: &PlanarConfig,
         simd: &SimdSchedule,
-    ) -> (PlanarMachine, PlacementOutcome) {
-        let mut machine = PlanarMachine::new(num_qubits, config.epr_factories);
-        let demand = per_qubit_demand(num_qubits, simd);
-        let cells = data_cells(&machine);
-        let fabric_config = config.fabric_config();
-        let policy = config.policy;
-        let profile_machine = machine.clone();
-        let mut evaluate = |tiles: &[Coord]| {
-            let mut candidate = profile_machine.clone();
-            candidate.tiles = tiles.to_vec();
-            let result = simulate_epr_on_fabric(
-                &candidate.requests_for(simd),
-                policy,
-                &fabric_config,
-                candidate.topology,
-            );
-            (
-                PlacementCost {
-                    makespan: result.pipeline.makespan,
-                    lane_stalls: result.link_stall_cycles,
-                },
-                result.heatmap,
-            )
-        };
-        let mut tiles = machine.tiles.clone();
-        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut evaluate, &self.placer);
-        machine.tiles = tiles;
-        (machine, outcome)
-    }
-
-    /// Like [`CongestionAwarePlacement::place_traced`], but on a
-    /// defect-laden machine: the starting floorplan avoids dead tiles
-    /// ([`PlanarMachine::with_defects`]), dead cells are excluded from
-    /// the legal move set, and candidates the defects cut off price as
-    /// infinite cost — the strict-Pareto acceptance can never choose
-    /// them, so defective columns are effectively infinite-cost. With
-    /// an empty map this is exactly `place_traced`.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`CommError`] when even the starting floorplan
-    /// cannot be built or routed on the cut machine.
-    pub fn place_traced_on_defects(
-        &self,
-        num_qubits: u32,
-        config: &PlanarConfig,
-        simd: &SimdSchedule,
-        defects: &DefectMap,
-        fault_seed: u64,
+        run: &FabricRun,
     ) -> Result<(PlanarMachine, PlacementOutcome), CommError> {
-        if defects.is_empty() {
-            return Ok(self.place_traced(num_qubits, config, simd));
+        let run = FabricRun {
+            transcript: false,
+            ..run.normalized()
+        };
+        let mut machine = BaselinePlacement.place(num_qubits, config, simd, &run)?;
+        let mut cells = data_cells(&machine);
+        if let Some(defects) = run.defects {
+            // Prove the baseline routable up front: every later
+            // candidate either routes or prices as infinite and is
+            // rejected, so the returned machine is always schedulable.
+            machine.requests_for_avoiding(simd, Some(defects))?;
+            cells.retain(|&c| !defects.node_dead(c));
         }
-        let mut machine = PlanarMachine::with_defects(num_qubits, config.epr_factories, defects)?;
-        // Prove the baseline routable up front: every later candidate
-        // either routes or prices as infinite and is rejected, so the
-        // returned machine is always schedulable.
-        machine.requests_for_avoiding(simd, defects)?;
         let demand = per_qubit_demand(num_qubits, simd);
-        let cells: Vec<Coord> = data_cells(&machine)
-            .into_iter()
-            .filter(|&c| !defects.node_dead(c))
-            .collect();
-        let fabric_config = config.fabric_config();
+        let fabric = config.fabric_config();
         let policy = config.policy;
         let profile_machine = machine.clone();
         let mut evaluate = |tiles: &[Coord]| {
             let mut candidate = profile_machine.clone();
             candidate.tiles = tiles.to_vec();
+            let topo = candidate.topology;
             let priced = candidate
-                .requests_for_avoiding(simd, defects)
-                .and_then(|reqs| {
-                    simulate_epr_on_fabric_with_defects(
-                        &reqs,
-                        policy,
-                        &fabric_config,
-                        candidate.topology,
-                        defects,
-                        fault_seed,
-                    )
-                });
+                .requests_for_avoiding(simd, run.defects)
+                .and_then(|reqs| simulate_epr_on_fabric_with(&reqs, policy, &fabric, topo, &run));
             match priced {
-                Ok(result) => (
+                Ok((result, _)) => (
                     PlacementCost {
                         makespan: result.pipeline.makespan,
                         lane_stalls: result.link_stall_cycles,
                     },
                     result.heatmap,
                 ),
-                Err(_) => (
-                    PlacementCost {
+                Err(_) => {
+                    let idle = vec![0; topo.num_links()];
+                    let cost = PlacementCost {
                         makespan: u64::MAX,
                         lane_stalls: u64::MAX,
-                    },
-                    LinkHeatmap::new(
-                        candidate.topology,
-                        vec![0; candidate.topology.num_links()],
-                        vec![0; candidate.topology.num_links()],
-                    ),
-                ),
+                    };
+                    (cost, LinkHeatmap::new(topo, idle.clone(), idle))
+                }
             }
         };
         let mut tiles = machine.tiles.clone();
@@ -197,8 +177,14 @@ impl PlacementStrategy for CongestionAwarePlacement {
         "congestion-aware"
     }
 
-    fn place(&self, num_qubits: u32, config: &PlanarConfig, simd: &SimdSchedule) -> PlanarMachine {
-        self.place_traced(num_qubits, config, simd).0
+    fn place(
+        &self,
+        num_qubits: u32,
+        config: &PlanarConfig,
+        simd: &SimdSchedule,
+        run: &FabricRun,
+    ) -> Result<PlanarMachine, CommError> {
+        Ok(self.place_traced(num_qubits, config, simd, run)?.0)
     }
 }
 
@@ -226,13 +212,32 @@ fn data_cells(machine: &PlanarMachine) -> Vec<Coord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric_pipeline::simulate_epr_on_fabric;
     use crate::pipeline::{DistributionPolicy, EprConfig};
     use crate::simd::{schedule_simd, SimdConfig};
     use scq_ir::{Circuit, DependencyDag};
+    use scq_mesh::DefectMap;
 
     fn simd_for(circuit: &Circuit) -> SimdSchedule {
         let dag = DependencyDag::from_circuit(circuit);
         schedule_simd(circuit, &dag, &SimdConfig::default())
+    }
+
+    fn baseline(n: u32, config: &PlanarConfig, simd: &SimdSchedule) -> PlanarMachine {
+        BaselinePlacement
+            .place(n, config, simd, &FabricRun::default())
+            .unwrap()
+    }
+
+    fn optimized(
+        n: u32,
+        config: &PlanarConfig,
+        simd: &SimdSchedule,
+        run: &FabricRun,
+    ) -> (PlanarMachine, PlacementOutcome) {
+        CongestionAwarePlacement::default()
+            .place_traced(n, config, simd, run)
+            .unwrap()
     }
 
     /// A circuit whose teleport demand piles onto one grid column:
@@ -274,8 +279,10 @@ mod tests {
                 epr_factories: factories,
                 ..PlanarConfig::default()
             };
-            let placed = BaselinePlacement.place(30, &config, &simd);
-            assert_eq!(placed, PlanarMachine::new(30, factories));
+            assert_eq!(
+                baseline(30, &config, &simd),
+                PlanarMachine::new(30, factories)
+            );
         }
     }
 
@@ -289,22 +296,21 @@ mod tests {
         let config = contended_config();
         let fabric = config.fabric_config();
 
-        let baseline = BaselinePlacement.place(36, &config, &simd);
+        let base_machine = baseline(36, &config, &simd);
         let base = simulate_epr_on_fabric(
-            &baseline.requests_for(&simd),
+            &base_machine.requests_for(&simd),
             config.policy,
             &fabric,
-            baseline.topology,
+            base_machine.topology,
         );
         assert!(base.link_stall_cycles > 0, "scenario must be contended");
 
-        let (optimized, outcome) =
-            CongestionAwarePlacement::default().place_traced(36, &config, &simd);
+        let (opt_machine, outcome) = optimized(36, &config, &simd, &FabricRun::default());
         let opt = simulate_epr_on_fabric(
-            &optimized.requests_for(&simd),
+            &opt_machine.requests_for(&simd),
             config.policy,
             &fabric,
-            optimized.topology,
+            opt_machine.topology,
         );
         assert!(outcome.moves_accepted > 0, "{outcome:?}");
         assert!(
@@ -326,8 +332,8 @@ mod tests {
         let c = hot_column_circuit(36, 6, 12);
         let simd = simd_for(&c);
         let config = contended_config();
-        let (m1, o1) = CongestionAwarePlacement::default().place_traced(36, &config, &simd);
-        let (m2, o2) = CongestionAwarePlacement::default().place_traced(36, &config, &simd);
+        let (m1, o1) = optimized(36, &config, &simd, &FabricRun::default());
+        let (m2, o2) = optimized(36, &config, &simd, &FabricRun::default());
         assert_eq!(m1, m2);
         assert_eq!(o1, o2);
     }
@@ -336,8 +342,7 @@ mod tests {
     fn optimized_tiles_stay_on_legal_distinct_cells() {
         let c = hot_column_circuit(36, 6, 12);
         let simd = simd_for(&c);
-        let (m, _) =
-            CongestionAwarePlacement::default().place_traced(36, &contended_config(), &simd);
+        let (m, _) = optimized(36, &contended_config(), &simd, &FabricRun::default());
         let mut seen = std::collections::HashSet::new();
         for t in &m.tiles {
             assert!(
@@ -353,18 +358,19 @@ mod tests {
     fn zero_qubit_circuit_places_cleanly() {
         let c = Circuit::builder("empty", 0).finish();
         let simd = simd_for(&c);
-        let (m, outcome) =
-            CongestionAwarePlacement::default().place_traced(0, &contended_config(), &simd);
+        let (m, outcome) = optimized(0, &contended_config(), &simd, &FabricRun::default());
         assert!(m.tiles.is_empty());
         assert_eq!(outcome.moves_accepted, 0);
         // And the schedule path matches the baseline exactly.
         let dag = DependencyDag::from_circuit(&c);
-        let opt = crate::planar::schedule_planar_with(
+        let (opt, _) = crate::planar::schedule_planar_with(
             &c,
             &dag,
             &contended_config(),
             &CongestionAwarePlacement::default(),
-        );
+            &FabricRun::default(),
+        )
+        .unwrap();
         let base = crate::planar::schedule_planar(&c, &dag, &contended_config());
         assert_eq!(opt, base);
     }
@@ -381,9 +387,12 @@ mod tests {
             "dims {gw} {gh}\nnode 0 1\nnode 3 2\nflaky 1 1 1 2 0.25\n"
         ))
         .unwrap();
-        let (m, outcome) = CongestionAwarePlacement::default()
-            .place_traced_on_defects(28, &config, &simd, &map, 17)
-            .unwrap();
+        let run = FabricRun {
+            defects: Some(&map),
+            fault_seed: 17,
+            transcript: false,
+        };
+        let (m, outcome) = optimized(28, &config, &simd, &run);
         let mut seen = std::collections::HashSet::new();
         for t in &m.tiles {
             assert!(!map.node_dead(*t), "tile {t} on a dead cell");
@@ -392,24 +401,28 @@ mod tests {
         }
         assert!(outcome.evaluations >= 1);
         // Still deterministic.
-        let (m2, o2) = CongestionAwarePlacement::default()
-            .place_traced_on_defects(28, &config, &simd, &map, 17)
-            .unwrap();
+        let (m2, o2) = optimized(28, &config, &simd, &run);
         assert_eq!(m, m2);
         assert_eq!(outcome, o2);
     }
 
     #[test]
-    fn defect_aware_placement_with_empty_map_matches_place_traced() {
+    fn placement_with_empty_map_matches_the_clean_run() {
         let c = hot_column_circuit(36, 6, 12);
         let simd = simd_for(&c);
         let config = contended_config();
         let (gw, gh) = PlanarMachine::grid_dims(36);
         let map = DefectMap::empty(scq_mesh::Topology::new(gw, gh));
-        let clean = CongestionAwarePlacement::default().place_traced(36, &config, &simd);
-        let defected = CongestionAwarePlacement::default()
-            .place_traced_on_defects(36, &config, &simd, &map, 0)
-            .unwrap();
+        let clean = optimized(36, &config, &simd, &FabricRun::default());
+        let defected = optimized(
+            36,
+            &config,
+            &simd,
+            &FabricRun {
+                defects: Some(&map),
+                ..Default::default()
+            },
+        );
         assert_eq!(clean, defected);
     }
 
@@ -421,7 +434,7 @@ mod tests {
             link_capacity: scq_mesh::FabricConfig::UNLIMITED,
             ..PlanarConfig::default()
         };
-        let (m, outcome) = CongestionAwarePlacement::default().place_traced(16, &config, &simd);
+        let (m, outcome) = optimized(16, &config, &simd, &FabricRun::default());
         assert_eq!(outcome.evaluations, 1, "stall-free: one profiling pass");
         assert_eq!(m, PlanarMachine::new(16, None));
     }

@@ -17,9 +17,8 @@ use scq_mesh::{CommError, Coord, DefectMap, Topology};
 use scq_surface::{edge_factory_sites, FactoryConfig};
 
 use crate::fabric_pipeline::{
-    simulate_epr_on_fabric, simulate_epr_on_fabric_traced,
-    simulate_epr_on_fabric_traced_with_defects, simulate_epr_on_fabric_with_defects, EprRequest,
-    EprTranscript, FabricEprConfig, FabricEprResult,
+    simulate_epr_on_fabric_with, EprRequest, EprTranscript, FabricEprConfig, FabricEprResult,
+    FabricRun,
 };
 use crate::pipeline::{DistributionPolicy, EprConfig, EprPipelineResult};
 use crate::placement::{BaselinePlacement, PlacementStrategy};
@@ -241,7 +240,8 @@ impl PlanarMachine {
     /// Like [`PlanarMachine::requests_for`], but sourcing each teleport
     /// at the nearest factory that still has a defect-free route to the
     /// destination tile (ties break on the lowest factory index). With
-    /// an empty map this is exactly [`PlanarMachine::requests_for`].
+    /// no map, or an empty one, this is exactly
+    /// [`PlanarMachine::requests_for`].
     ///
     /// # Errors
     ///
@@ -250,11 +250,11 @@ impl PlanarMachine {
     pub fn requests_for_avoiding(
         &self,
         simd: &SimdSchedule,
-        defects: &DefectMap,
+        defects: Option<&DefectMap>,
     ) -> Result<Vec<EprRequest>, CommError> {
-        if defects.is_empty() {
+        let Some(defects) = defects.filter(|m| !m.is_empty()) else {
             return Ok(self.requests_for(simd));
-        }
+        };
         // Memoize the chosen factory per qubit: reachability needs a
         // BFS, and demand traces revisit the same tiles constantly.
         let mut chosen: Vec<Option<Coord>> = vec![None; self.tiles.len()];
@@ -331,7 +331,9 @@ impl PlanarSchedule {
 /// demand trace; the route-aware fabric flies each EPR half from its
 /// factory tile to its consuming tile, and teleports consume the
 /// arrival events. The returned cycle count is the EPR-aware makespan
-/// (never less than the SIMD timestep count).
+/// (never less than the SIMD timestep count). This is
+/// [`schedule_planar_with`] on the baseline floorplan of a clean,
+/// untraced machine.
 ///
 /// # Panics
 ///
@@ -343,15 +345,37 @@ pub fn schedule_planar(
     dag: &DependencyDag,
     config: &PlanarConfig,
 ) -> PlanarSchedule {
-    schedule_planar_with(circuit, dag, config, &BaselinePlacement)
+    schedule_planar_with(
+        circuit,
+        dag,
+        config,
+        &BaselinePlacement,
+        &FabricRun::default(),
+    )
+    .expect("a defect-free planar machine always schedules")
+    .0
 }
 
-/// Like [`schedule_planar`], but laying the machine out with an
-/// injected [`PlacementStrategy`] instead of the hard-coded baseline
-/// floorplan. [`BaselinePlacement`] reproduces [`schedule_planar`] bit
-/// for bit; [`CongestionAwarePlacement`](crate::CongestionAwarePlacement)
-/// first profiles the baseline on the fabric and then steers data
-/// tiles away from the measured hot columns.
+/// Like [`schedule_planar`], with an injected [`PlacementStrategy`] and
+/// a [`FabricRun`].
+///
+/// [`BaselinePlacement`] reproduces [`schedule_planar`]'s floorplan;
+/// [`CongestionAwarePlacement`](crate::CongestionAwarePlacement) first
+/// profiles the baseline on the fabric and then steers data tiles away
+/// from the measured hot columns. With `run.defects`, data tiles and
+/// factories avoid dead tiles, EPR routes detour around dead links, and
+/// flaky links inject seeded transient faults (retried with bounded
+/// backoff; `run.fault_seed` keys the draws) — an empty map is treated
+/// as none, so it schedules bit-identically to the clean machine. With
+/// `run.transcript` the full [`EprTranscript`] of the EPR phase comes
+/// back for independent certification; the schedule is bit-identical
+/// either way.
+///
+/// # Errors
+///
+/// A structured [`CommError`] when the defects make the machine
+/// unbuildable, the map's dimensions mismatched, or the demand
+/// unroutable — never a panic or a hang.
 ///
 /// # Panics
 ///
@@ -361,69 +385,18 @@ pub fn schedule_planar_with(
     dag: &DependencyDag,
     config: &PlanarConfig,
     placement: &dyn PlacementStrategy,
-) -> PlanarSchedule {
+    run: &FabricRun,
+) -> Result<(PlanarSchedule, Option<EprTranscript>), CommError> {
+    let run = run.normalized();
     let simd = schedule_simd(circuit, dag, &config.simd);
-    let machine = placement.place(circuit.num_qubits(), config, &simd);
-    let requests = machine.requests_for(&simd);
-    let result = simulate_epr_on_fabric(
+    let machine = placement.place(circuit.num_qubits(), config, &simd, &run)?;
+    let requests = machine.requests_for_avoiding(&simd, run.defects)?;
+    let (result, transcript) = simulate_epr_on_fabric_with(
         &requests,
         config.policy,
         &config.fabric_config(),
         machine.topology,
-    );
-    assemble(machine, simd, result)
-}
-
-/// Like [`schedule_planar`], additionally returning the full
-/// [`EprTranscript`] of the EPR phase for independent certification.
-/// The schedule is bit-identical to [`schedule_planar`]'s.
-///
-/// # Panics
-///
-/// As [`schedule_planar`].
-pub fn schedule_planar_traced(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    config: &PlanarConfig,
-) -> (PlanarSchedule, EprTranscript) {
-    let simd = schedule_simd(circuit, dag, &config.simd);
-    let machine = BaselinePlacement.place(circuit.num_qubits(), config, &simd);
-    let requests = machine.requests_for(&simd);
-    let (result, transcript) = simulate_epr_on_fabric_traced(
-        &requests,
-        config.policy,
-        &config.fabric_config(),
-        machine.topology,
-    );
-    (assemble(machine, simd, result), transcript)
-}
-
-/// Like [`schedule_planar_on_defects`], additionally returning the full
-/// [`EprTranscript`] of the EPR phase for independent certification.
-///
-/// # Errors
-///
-/// As [`schedule_planar_on_defects`].
-pub fn schedule_planar_traced_on_defects(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    config: &PlanarConfig,
-    defects: &DefectMap,
-    fault_seed: u64,
-) -> Result<(PlanarSchedule, EprTranscript), CommError> {
-    if defects.is_empty() {
-        return Ok(schedule_planar_traced(circuit, dag, config));
-    }
-    let simd = schedule_simd(circuit, dag, &config.simd);
-    let machine = PlanarMachine::with_defects(circuit.num_qubits(), config.epr_factories, defects)?;
-    let requests = machine.requests_for_avoiding(&simd, defects)?;
-    let (result, transcript) = simulate_epr_on_fabric_traced_with_defects(
-        &requests,
-        config.policy,
-        &config.fabric_config(),
-        machine.topology,
-        defects,
-        fault_seed,
+        &run,
     )?;
     Ok((assemble(machine, simd, result), transcript))
 }
@@ -454,46 +427,6 @@ fn assemble(machine: PlanarMachine, simd: SimdSchedule, result: FabricEprResult)
     }
 }
 
-/// Like [`schedule_planar`], but on a machine with fabrication defects:
-/// data tiles and factories avoid dead tiles
-/// ([`PlanarMachine::with_defects`]), EPR routes detour around dead
-/// links, and flaky links inject seeded transient faults (retried with
-/// bounded backoff; `fault_seed` keys the draws). With an empty map the
-/// result is bit-identical to [`schedule_planar`].
-///
-/// # Errors
-///
-/// A structured [`CommError`] when the defects make the machine
-/// unbuildable, the map's dimensions mismatched, or the demand
-/// unroutable — never a panic or a hang.
-///
-/// # Panics
-///
-/// As [`schedule_planar`].
-pub fn schedule_planar_on_defects(
-    circuit: &Circuit,
-    dag: &DependencyDag,
-    config: &PlanarConfig,
-    defects: &DefectMap,
-    fault_seed: u64,
-) -> Result<PlanarSchedule, CommError> {
-    if defects.is_empty() {
-        return Ok(schedule_planar(circuit, dag, config));
-    }
-    let simd = schedule_simd(circuit, dag, &config.simd);
-    let machine = PlanarMachine::with_defects(circuit.num_qubits(), config.epr_factories, defects)?;
-    let requests = machine.requests_for_avoiding(&simd, defects)?;
-    let result = simulate_epr_on_fabric_with_defects(
-        &requests,
-        config.policy,
-        &config.fabric_config(),
-        machine.topology,
-        defects,
-        fault_seed,
-    )?;
-    Ok(assemble(machine, simd, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +435,21 @@ mod tests {
     fn run(circuit: &Circuit, config: &PlanarConfig) -> PlanarSchedule {
         let dag = DependencyDag::from_circuit(circuit);
         schedule_planar(circuit, &dag, config)
+    }
+
+    fn on_defects(
+        circuit: &Circuit,
+        dag: &DependencyDag,
+        config: &PlanarConfig,
+        defects: &DefectMap,
+        fault_seed: u64,
+    ) -> Result<PlanarSchedule, CommError> {
+        let run = FabricRun {
+            defects: Some(defects),
+            fault_seed,
+            transcript: false,
+        };
+        schedule_planar_with(circuit, dag, config, &BaselinePlacement, &run).map(|(s, _)| s)
     }
 
     fn mixed_circuit(n: u32, layers: u32) -> Circuit {
@@ -640,7 +588,7 @@ mod tests {
         let (gw, gh) = PlanarMachine::grid_dims(16);
         let map = DefectMap::empty(Topology::new(gw, gh));
         let clean = schedule_planar(&c, &dag, &config);
-        let defected = schedule_planar_on_defects(&c, &dag, &config, &map, 1234).unwrap();
+        let defected = on_defects(&c, &dag, &config, &map, 1234).unwrap();
         assert_eq!(clean, defected);
     }
 
@@ -657,7 +605,7 @@ mod tests {
         // machine routes around them.
         let map =
             DefectMap::from_text(&format!("dims {gw} {gh}\nnode 1 0\nlink 1 2 2 2\n")).unwrap();
-        let s = schedule_planar_on_defects(&c, &dag, &config, &map, 99).unwrap();
+        let s = on_defects(&c, &dag, &config, &map, 99).unwrap();
         for t in &s.machine.tiles {
             assert!(!map.node_dead(*t), "data tile {t} on a dead cell");
         }
@@ -711,7 +659,7 @@ mod tests {
         // the machine builds, but demand to that tile cannot route.
         let text = format!("dims {gw} {gh}\nlink 0 1 1 1\nlink 0 1 0 0\nlink 0 1 0 2\n");
         let map = DefectMap::from_text(&text).unwrap();
-        let err = schedule_planar_on_defects(&c, &dag, &config, &map, 5).unwrap_err();
+        let err = on_defects(&c, &dag, &config, &map, 5).unwrap_err();
         assert!(matches!(err, CommError::Unroutable { dst, .. } if dst == Coord::new(0, 1)));
     }
 
@@ -731,7 +679,7 @@ mod tests {
         }
         let map = DefectMap::from_text(&text).unwrap();
         let clean = schedule_planar(&c, &dag, &config);
-        let faulty = schedule_planar_on_defects(&c, &dag, &config, &map, 7).unwrap();
+        let faulty = on_defects(&c, &dag, &config, &map, 7).unwrap();
         assert!(
             faulty.cycles >= clean.cycles,
             "faults shortened the schedule: {} < {}",
@@ -739,7 +687,7 @@ mod tests {
             clean.cycles
         );
         // Deterministic under the same seed.
-        let again = schedule_planar_on_defects(&c, &dag, &config, &map, 7).unwrap();
+        let again = on_defects(&c, &dag, &config, &map, 7).unwrap();
         assert_eq!(faulty, again);
     }
 }

@@ -331,7 +331,7 @@ fn check_dependencies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scq_braid::{schedule_traced, BraidConfig};
+    use scq_braid::{schedule_with, BraidConfig, EventCollector};
 
     fn traced(n: u32) -> (Circuit, DependencyDag, BraidTrace) {
         let mut b = Circuit::builder("cert", n);
@@ -345,8 +345,10 @@ mod tests {
         let dag = DependencyDag::from_circuit(&c);
         let graph = scq_ir::InteractionGraph::from_circuit(&c);
         let layout = scq_layout::place(&graph, scq_layout::LayoutStrategy::InteractionAware, None);
-        let (_, trace) =
-            schedule_traced(&c, &dag, &layout, &BraidConfig::default()).expect("schedules");
+        let mut sink = EventCollector::default();
+        let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
+            .expect("schedules");
+        let trace = sink.into_trace(&layout, &c, &schedule);
         (c, dag, trace)
     }
 

@@ -486,7 +486,7 @@ fn check_dependencies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scq_teleport::{schedule_planar_traced, PlanarConfig};
+    use scq_teleport::{schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig};
 
     fn traced(n: u32) -> (Circuit, DependencyDag, PlanarSchedule, EprTranscript) {
         let mut b = Circuit::builder("cert", n);
@@ -501,8 +501,14 @@ mod tests {
         }
         let c = b.finish();
         let dag = DependencyDag::from_circuit(&c);
-        let (s, t) = schedule_planar_traced(&c, &dag, &PlanarConfig::default());
-        (c, dag, s, t)
+        let run = FabricRun {
+            transcript: true,
+            ..Default::default()
+        };
+        let (s, t) =
+            schedule_planar_with(&c, &dag, &PlanarConfig::default(), &BaselinePlacement, &run)
+                .expect("schedules");
+        (c, dag, s, t.expect("transcript requested"))
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! route, overflow a swap lane, drop a demand record — and asserts the
 //! certifier reports a finding *naming the violated invariant*.
 
-use scq_braid::{schedule_traced, BraidConfig, BraidTrace};
+use scq_braid::{schedule_with, BraidConfig, BraidTrace, EventCollector};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
 use scq_mesh::{DefectMap, Path};
-use scq_teleport::{schedule_planar_traced, EprTranscript, PlanarConfig, PlanarSchedule};
+use scq_teleport::{
+    schedule_planar_with, BaselinePlacement, EprTranscript, FabricRun, PlanarConfig, PlanarSchedule,
+};
 use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Invariant};
 
 /// A T+CNOT-chain workload wide enough that braids contend and every
@@ -40,15 +42,22 @@ fn braid_fixture() -> (Circuit, DependencyDag, BraidTrace) {
     let (c, dag) = workload(10);
     let graph = InteractionGraph::from_circuit(&c);
     let layout = place(&graph, LayoutStrategy::InteractionAware, None);
-    let (_, trace) = schedule_traced(&c, &dag, &layout, &BraidConfig::default())
+    let mut sink = EventCollector::default();
+    let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
         .expect("the mutation workload schedules cleanly");
+    let trace = sink.into_trace(&layout, &c, &schedule);
     (c, dag, trace)
 }
 
 fn planar_fixture() -> (Circuit, DependencyDag, PlanarSchedule, EprTranscript) {
     let (c, dag) = workload(16);
-    let (s, t) = schedule_planar_traced(&c, &dag, &PlanarConfig::default());
-    (c, dag, s, t)
+    let run = FabricRun {
+        transcript: true,
+        ..Default::default()
+    };
+    let (s, t) = schedule_planar_with(&c, &dag, &PlanarConfig::default(), &BaselinePlacement, &run)
+        .expect("the mutation workload schedules cleanly");
+    (c, dag, s, t.expect("a transcript was requested"))
 }
 
 /// Asserts the mutant's findings include `expected`, and that the

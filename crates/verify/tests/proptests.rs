@@ -5,14 +5,47 @@
 //! only acceptable alternative to a clean certificate).
 
 use proptest::prelude::*;
-use scq_braid::{braid_mesh_dims, schedule_traced, schedule_traced_on_defects, BraidConfig};
+use scq_braid::{
+    braid_mesh_dims, schedule_with, BraidConfig, BraidTrace, EventCollector, ScheduleError,
+};
 use scq_ir::{Circuit, DependencyDag, Gate, InteractionGraph};
-use scq_layout::{place, LayoutStrategy};
-use scq_mesh::{DefectMap, Topology};
+use scq_layout::{place, Layout, LayoutStrategy};
+use scq_mesh::{CommError, DefectMap, Topology};
 use scq_teleport::{
-    schedule_planar_traced, schedule_planar_traced_on_defects, PlanarConfig, PlanarMachine,
+    schedule_planar_with, BaselinePlacement, EprTranscript, FabricRun, PlanarConfig, PlanarMachine,
+    PlanarSchedule,
 };
 use scq_verify::{certify_braid_trace, certify_planar_schedule};
+
+/// The braid trace of `c` on `layout`, optionally on a defected mesh.
+fn braid_trace(
+    c: &Circuit,
+    dag: &DependencyDag,
+    layout: &Layout,
+    defects: Option<&DefectMap>,
+) -> Result<BraidTrace, ScheduleError> {
+    let mut sink = EventCollector::default();
+    let schedule = schedule_with(c, dag, layout, &BraidConfig::default(), defects, &mut sink)?;
+    Ok(sink.into_trace(layout, c, &schedule))
+}
+
+/// The planar schedule of `c` with its EPR transcript, optionally on a
+/// defected machine (`seed` keys the transient faults).
+fn planar_traced(
+    c: &Circuit,
+    dag: &DependencyDag,
+    defects: Option<&DefectMap>,
+    seed: u64,
+) -> Result<(PlanarSchedule, EprTranscript), CommError> {
+    let run = FabricRun {
+        defects,
+        fault_seed: seed,
+        transcript: true,
+    };
+    let (schedule, transcript) =
+        schedule_planar_with(c, dag, &PlanarConfig::default(), &BaselinePlacement, &run)?;
+    Ok((schedule, transcript.expect("a transcript was requested")))
+}
 
 /// Arbitrary small circuit with a healthy mix of local ops, CNOTs, and
 /// T gates — the same corpus shape as the engines' differential suites.
@@ -55,7 +88,7 @@ proptest! {
         let dag = DependencyDag::from_circuit(&c);
         let graph = InteractionGraph::from_circuit(&c);
         let layout = place(&graph, LayoutStrategy::InteractionAware, None);
-        let (_, trace) = schedule_traced(&c, &dag, &layout, &BraidConfig::default())
+        let trace = braid_trace(&c, &dag, &layout, None)
             .expect("clean fabrics schedule every corpus circuit");
         let findings = certify_braid_trace(&trace, &c, &dag, None);
         prop_assert!(findings.is_empty(), "{findings:?}");
@@ -71,9 +104,7 @@ proptest! {
         // A structured scheduling error (the defects cut the machine
         // apart) is the only acceptable alternative to a clean
         // certificate — a flagged schedule is always a bug.
-        if let Ok((_, trace)) =
-            schedule_traced_on_defects(&c, &dag, &layout, &BraidConfig::default(), &map)
-        {
+        if let Ok(trace) = braid_trace(&c, &dag, &layout, Some(&map)) {
             let findings = certify_braid_trace(&trace, &c, &dag, Some(&map));
             prop_assert!(findings.is_empty(), "{findings:?}");
         }
@@ -82,7 +113,8 @@ proptest! {
     #[test]
     fn planar_schedules_certify_clean(c in arb_circuit()) {
         let dag = DependencyDag::from_circuit(&c);
-        let (schedule, transcript) = schedule_planar_traced(&c, &dag, &PlanarConfig::default());
+        let (schedule, transcript) =
+            planar_traced(&c, &dag, None, 0).expect("clean machines always schedule");
         let findings = certify_planar_schedule(&schedule, &transcript, &c, &dag, None);
         prop_assert!(findings.is_empty(), "{findings:?}");
     }
@@ -92,13 +124,7 @@ proptest! {
         let dag = DependencyDag::from_circuit(&c);
         let (gw, gh) = PlanarMachine::grid_dims(c.num_qubits());
         let map = DefectMap::sample(Topology::new(gw, gh), 0.03, seed);
-        if let Ok((schedule, transcript)) = schedule_planar_traced_on_defects(
-            &c,
-            &dag,
-            &PlanarConfig::default(),
-            &map,
-            seed,
-        ) {
+        if let Ok((schedule, transcript)) = planar_traced(&c, &dag, Some(&map), seed) {
             let findings =
                 certify_planar_schedule(&schedule, &transcript, &c, &dag, Some(&map));
             prop_assert!(findings.is_empty(), "{findings:?}");

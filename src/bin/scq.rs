@@ -42,9 +42,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use scq::braid::{
-    braid_mesh_dims, schedule_traced, schedule_traced_on_defects, BraidConfig, Policy,
-};
+use scq::braid::{braid_mesh_dims, schedule_with, BraidConfig, EventCollector, Policy};
 use scq::core::{ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq::estimate::{estimate_both, AppProfile, EstimateConfig};
 use scq::ir::{
@@ -55,8 +53,7 @@ use scq::mesh::{DefectMap, Topology};
 use scq::serve::{load_request_file, BatchRunner};
 use scq::surface::Technology;
 use scq::teleport::{
-    schedule_planar, schedule_planar_on_defects, schedule_planar_traced,
-    schedule_planar_traced_on_defects, PlanarConfig, PlanarMachine,
+    schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig, PlanarMachine,
 };
 use scq::verify::{
     certify_braid_trace, certify_planar_schedule, CheckContext, FabricView, Finding, PassRunner,
@@ -378,10 +375,9 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String]) -> CliResult {
         describe_map(map, "braid");
     }
     let braid_t0 = Instant::now();
-    let (braid, trace) = match &braid_map {
-        Some(map) => schedule_traced_on_defects(circuit, dag, layout, &config, map)?,
-        None => schedule_traced(circuit, dag, layout, &config)?,
-    };
+    let mut sink = EventCollector::default();
+    let braid = schedule_with(circuit, dag, layout, &config, braid_map.as_ref(), &mut sink)?;
+    let trace = sink.into_trace(layout, circuit, &braid);
     pass_timings.push(PassTiming {
         pass: "braid-schedule",
         duration: braid_t0.elapsed(),
@@ -406,34 +402,22 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String]) -> CliResult {
         describe_map(map, "planar");
     }
     let planar_t0 = Instant::now();
-    let planar = if verify {
-        let (planar, transcript) = match &planar_map {
-            Some(map) => {
-                schedule_planar_traced_on_defects(circuit, dag, &planar_config, map, defects.seed)?
-            }
-            None => schedule_planar_traced(circuit, dag, &planar_config),
-        };
-        pass_timings.push(PassTiming {
-            pass: "planar-schedule",
-            duration: planar_t0.elapsed(),
-        });
-        let findings =
-            certify_planar_schedule(&planar, &transcript, circuit, dag, planar_map.as_ref());
-        report_findings(&findings, "planar schedule")?;
-        planar
-    } else {
-        let planar = match &planar_map {
-            Some(map) => {
-                schedule_planar_on_defects(circuit, dag, &planar_config, map, defects.seed)?
-            }
-            None => schedule_planar(circuit, dag, &planar_config),
-        };
-        pass_timings.push(PassTiming {
-            pass: "planar-schedule",
-            duration: planar_t0.elapsed(),
-        });
-        planar
+    let run = FabricRun {
+        defects: planar_map.as_ref(),
+        fault_seed: defects.seed,
+        transcript: verify,
     };
+    let (planar, transcript) =
+        schedule_planar_with(circuit, dag, &planar_config, &BaselinePlacement, &run)?;
+    pass_timings.push(PassTiming {
+        pass: "planar-schedule",
+        duration: planar_t0.elapsed(),
+    });
+    if let Some(transcript) = &transcript {
+        let findings =
+            certify_planar_schedule(&planar, transcript, circuit, dag, planar_map.as_ref());
+        report_findings(&findings, "planar schedule")?;
+    }
     println!(
         "planar (Multi-SIMD): {} cycles, {} teleports, peak {} live EPR pairs",
         planar.cycles,
@@ -557,13 +541,13 @@ fn cmd_heatmap(circuit: &Circuit, rest: &[String]) -> CliResult {
         code_distance,
         ..Default::default()
     };
-    let (braid, trace) = match defects.map_for(braid_mesh_dims(&layout, circuit), "braid")? {
-        Some(map) => {
-            describe_map(&map, "braid");
-            schedule_traced_on_defects(circuit, &dag, &layout, &config, &map)?
-        }
-        None => schedule_traced(circuit, &dag, &layout, &config)?,
-    };
+    let map = defects.map_for(braid_mesh_dims(&layout, circuit), "braid")?;
+    if let Some(map) = &map {
+        describe_map(map, "braid");
+    }
+    let mut sink = EventCollector::default();
+    let braid = schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink)?;
+    let trace = sink.into_trace(&layout, circuit, &braid);
     println!(
         "{} braid legs over {} cycles, peak {} concurrent braids",
         trace.events.len(),

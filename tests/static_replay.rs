@@ -4,22 +4,29 @@
 //! the traced schedule of every benchmark and prove it conflict-free.
 
 use scq::apps::Benchmark;
-use scq::braid::{schedule_traced, BraidConfig, Policy};
-use scq::ir::{DependencyDag, InteractionGraph};
+use scq::braid::{schedule_with, BraidConfig, BraidSchedule, BraidTrace, EventCollector, Policy};
+use scq::ir::{Circuit, DependencyDag, InteractionGraph};
 use scq::layout::place;
 
-fn trace_for(bench: Benchmark, policy: Policy) -> scq::braid::BraidTrace {
-    let circuit = bench.small_circuit();
-    let dag = DependencyDag::from_circuit(&circuit);
-    let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
+/// Schedules `circuit` with a recording sink and returns the schedule
+/// with its replayable trace.
+fn traced(circuit: &Circuit, config: &BraidConfig) -> (BraidSchedule, BraidTrace) {
+    let dag = DependencyDag::from_circuit(circuit);
+    let graph = InteractionGraph::from_circuit(circuit);
+    let layout = place(&graph, config.policy.layout_strategy(), None);
+    let mut sink = EventCollector::default();
+    let stats = schedule_with(circuit, &dag, &layout, config, None, &mut sink).unwrap();
+    let trace = sink.into_trace(&layout, circuit, &stats);
+    (stats, trace)
+}
+
+fn trace_for(bench: Benchmark, policy: Policy) -> BraidTrace {
     let config = BraidConfig {
         policy,
         code_distance: 3,
         ..Default::default()
     };
-    let (_, trace) = schedule_traced(&circuit, &dag, &layout, &config).unwrap();
-    trace
+    traced(&bench.small_circuit(), &config).1
 }
 
 #[test]
@@ -45,16 +52,12 @@ fn replay_holds_under_every_policy() {
 
 #[test]
 fn trace_is_consistent_with_schedule_stats() {
-    let circuit = Benchmark::Gse.small_circuit();
-    let dag = DependencyDag::from_circuit(&circuit);
-    let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, Policy::P6.layout_strategy(), None);
     let config = BraidConfig {
         policy: Policy::P6,
         code_distance: 5,
         ..Default::default()
     };
-    let (stats, trace) = schedule_traced(&circuit, &dag, &layout, &config).unwrap();
+    let (stats, trace) = traced(&Benchmark::Gse.small_circuit(), &config);
     assert_eq!(trace.events.len() as u64, stats.braids_placed);
     assert_eq!(trace.cycles, stats.cycles);
     let hops: u64 = trace.events.iter().map(|e| e.path.len_hops() as u64).sum();
