@@ -5,7 +5,7 @@
 //! bench_guard [BENCH_sched.json] [floor] [BENCH_epr.json] [BENCH_serve.json] [BENCH_scale.json]
 //! ```
 //!
-//! Six checks:
+//! Seven checks:
 //!
 //! 1. **Scheduler speedup floor** (`BENCH_sched.json`): the
 //!    event-driven braid engine's geomean speedup over the naive
@@ -43,6 +43,13 @@
 //!    <= 1.0 — the calendar queue is never allowed to be slower than
 //!    the `BinaryHeap` twin exactly where it exists to win. Skipped
 //!    with a note when the file is absent.
+//! 7. **End-to-end toolflow** (`BENCH_sched.json`): the `e2e` section
+//!    must carry every fig6 app; the summed warm toolflow time must
+//!    stay within a quarter of the summed first-call time, and the warm
+//!    `estimate` pass within 1% of the warm toolflow. Both bounds are
+//!    ratios of times taken in one process, so a uniformly slower
+//!    machine does not trip them; losing the calibration memo does.
+//!    Skipped with a note when the file predates the section.
 //!
 //! CI runs this right after `perf_report`, `serve_throughput`, and
 //! `scale_report` regenerate the files.
@@ -51,6 +58,7 @@
 
 use std::process::ExitCode;
 
+use scq_apps::Benchmark;
 use scq_bench::PIPELINE_STAGES;
 
 /// Default floor on the geomean speedup (measured ~8x; a drop to 3x
@@ -104,6 +112,60 @@ fn check_pass_secs(json: &str) -> Result<Option<usize>, String> {
         }
     }
     Ok(Some(PIPELINE_STAGES.len()))
+}
+
+/// Ceiling on the summed warm toolflow time over the summed first-call
+/// time (measured ~0.07: the first call pays each app's calibration).
+const E2E_WARM_OVER_FIRST: f64 = 0.25;
+/// Ceiling on the warm `estimate` pass's share of the warm toolflow
+/// (measured well under 0.1%: a memo hit plus the closed-form model).
+const E2E_ESTIMATE_SHARE: f64 = 0.01;
+
+/// Checks the `e2e` section of a scheduler report: a row for every
+/// fig6 app (the Table 2 benchmarks), warm toolflow time within
+/// [`E2E_WARM_OVER_FIRST`] of the first call's, and the warm estimate
+/// within [`E2E_ESTIMATE_SHARE`] of the warm toolflow. Returns
+/// `Ok(None)` when the file has no `e2e` section.
+fn check_e2e(json: &str) -> Result<Option<String>, String> {
+    let Some(section) = json.find("\"e2e\"").map(|i| &json[i..]) else {
+        return Ok(None);
+    };
+    let section = &section[..section.find(']').unwrap_or(section.len())];
+    let (mut first, mut warm, mut estimate) = (0.0, 0.0, 0.0);
+    for bench in Benchmark::TABLE2 {
+        let app = bench.name();
+        let Some(row) = section.find(&format!("\"app\": \"{app}\"")) else {
+            return Err(format!("no row for {app}"));
+        };
+        let row = &section[row..];
+        let row = &row[..row.find('}').unwrap_or(row.len())];
+        let field = |key| parse_field(row, key).ok_or_else(|| format!("{app}: no {key}"));
+        first += field("first_secs")?;
+        warm += field("warm_secs")?;
+        estimate += field("warm_estimate_secs")?;
+    }
+    if warm > E2E_WARM_OVER_FIRST * first {
+        return Err(format!(
+            "warm toolflow {:.1}ms exceeds {E2E_WARM_OVER_FIRST} x the first calls' {:.1}ms \
+             (is calibration still memoized?)",
+            warm * 1e3,
+            first * 1e3
+        ));
+    }
+    if estimate > E2E_ESTIMATE_SHARE * warm {
+        return Err(format!(
+            "warm estimate {:.3}ms exceeds {E2E_ESTIMATE_SHARE} x the warm toolflow's {:.1}ms",
+            estimate * 1e3,
+            warm * 1e3
+        ));
+    }
+    Ok(Some(format!(
+        "{} apps, warm/first {:.3} <= {E2E_WARM_OVER_FIRST}, warm estimate share {:.5} <= \
+         {E2E_ESTIMATE_SHARE}",
+        Benchmark::TABLE2.len(),
+        warm / first,
+        estimate / warm
+    )))
 }
 
 /// Checks the placement section of an EPR report: every optimized
@@ -316,6 +378,15 @@ fn main() -> ExitCode {
         }
     }
 
+    match check_e2e(&text) {
+        Ok(Some(summary)) => println!("bench_guard: ok — end-to-end toolflow: {summary}"),
+        Ok(None) => println!("bench_guard: note — {path} has no e2e section, skipping"),
+        Err(e) => {
+            eprintln!("bench_guard: FAIL — end-to-end toolflow in {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     match std::fs::read_to_string(&epr_path) {
         Ok(epr_text) => {
             match check_placement(&epr_text) {
@@ -381,8 +452,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        check_degradation, check_pass_secs, check_placement, check_scale, check_serve, parse_field,
-        parse_fields, PIPELINE_STAGES,
+        check_degradation, check_e2e, check_pass_secs, check_placement, check_scale, check_serve,
+        parse_field, parse_fields, Benchmark, PIPELINE_STAGES,
     };
 
     #[test]
@@ -462,6 +533,68 @@ mod tests {
         // must not satisfy the presence check.
         let json = "{\"pass_secs\": {\"normalize-ir\": 0.001}, \"code-distance\": 0.002}";
         assert!(check_pass_secs(json).unwrap_err().contains("missing"));
+    }
+
+    /// A scheduler report whose `e2e` section has one
+    /// `(first, warm, warm estimate)` row per fig6 app, in order,
+    /// between `pass_secs` and `certify_secs` as `perf_report` writes
+    /// it.
+    fn e2e_json(rows: &[(f64, f64, f64)]) -> String {
+        let body: Vec<String> = Benchmark::TABLE2
+            .iter()
+            .zip(rows)
+            .map(|(b, (first, warm, est))| {
+                format!(
+                    "    {{\"app\": \"{}\", \"first_secs\": {first:.3e}, \"warm_secs\": \
+                     {warm:.3e}, \"warm_estimate_secs\": {est:.3e}}}",
+                    b.name()
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"pass_secs\": {{\n    \"estimate\": 0.3\n  }},\n  \"e2e\": [\n{}\n  ],\n  \
+             \"certify_secs\": 0.3\n}}",
+            body.join(",\n")
+        )
+    }
+
+    #[test]
+    fn e2e_check_accepts_a_memoized_toolflow() {
+        // Rows shaped like a measured run: SHA-1 pays ~0.3 s once.
+        let json = e2e_json(&[
+            (2.4e-3, 9.0e-4, 1.1e-6),
+            (7.5e-2, 8.1e-3, 1.3e-6),
+            (3.4e-1, 2.1e-2, 1.2e-6),
+            (2.9e-2, 4.0e-3, 1.0e-6),
+        ]);
+        let verdict = check_e2e(&json);
+        assert!(
+            matches!(&verdict, Ok(Some(s)) if s.starts_with("4 apps")),
+            "{verdict:?}"
+        );
+    }
+
+    #[test]
+    fn e2e_check_rejects_a_missing_app() {
+        let json = e2e_json(&[(0.1, 0.01, 1e-6), (0.1, 0.01, 1e-6), (0.1, 0.01, 1e-6)]);
+        let err = check_e2e(&json).unwrap_err();
+        assert!(err.contains(Benchmark::TABLE2[3].name()), "{err}");
+    }
+
+    #[test]
+    fn e2e_check_rejects_an_estimate_dominated_warm_toolflow() {
+        // Calibration reruns on every call: warm costs what first did.
+        let json = e2e_json(&[(0.3, 0.29, 0.27); 4]);
+        assert!(check_e2e(&json).unwrap_err().contains("warm toolflow"));
+        // Warm is cheap overall, yet estimate is a tenth of it.
+        let json = e2e_json(&[(0.3, 0.01, 1e-3); 4]);
+        assert!(check_e2e(&json).unwrap_err().contains("warm estimate"));
+    }
+
+    #[test]
+    fn e2e_check_skips_reports_without_the_section() {
+        let stages: Vec<(&str, f64)> = PIPELINE_STAGES.iter().map(|&s| (s, 0.001)).collect();
+        assert_eq!(check_e2e(&pass_secs_json(&stages)), Ok(None));
     }
 
     fn placement_json(rows: &[(u64, u64, u64, u64)]) -> String {

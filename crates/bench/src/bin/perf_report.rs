@@ -57,6 +57,17 @@ struct Point {
     ref_secs: f64,
 }
 
+/// One app's full toolflow wall clock, estimate included.
+struct E2ePoint {
+    app: &'static str,
+    /// The first call: the app's cold calibration.
+    first_secs: f64,
+    /// Median of three later calls.
+    warm_secs: f64,
+    /// The `estimate` pass of one warm call.
+    warm_estimate_secs: f64,
+}
+
 impl Point {
     fn speedup(&self) -> f64 {
         self.ref_secs / self.fast_secs.max(1e-12)
@@ -136,21 +147,44 @@ fn main() {
     // run per fig6 app at the report's pinned distance, durations
     // summed per stage. `bench_guard` asserts every stage below is
     // present and non-negative in the emitted `pass_secs` section.
+    // That run is the app's first calibration in this process, so
+    // `pass_secs` is the cold breakdown; three more runs give the warm
+    // end-to-end time the `e2e` section records beside it.
     let mut pass_secs = vec![0.0f64; PIPELINE_STAGES.len()];
+    let mut e2e = Vec::new();
     for (bench, _) in &workloads {
         let config = ToolflowConfig {
             code_distance: Some(CODE_DISTANCE),
             ..Default::default()
         };
-        let (_, trace) = or_die(
-            run_toolflow_timed(*bench, &config),
-            &format!("{}: timed toolflow failed", bench.name()),
-        );
+        let timed = || {
+            or_die(
+                run_toolflow_timed(*bench, &config),
+                &format!("{}: timed toolflow failed", bench.name()),
+            )
+            .1
+        };
+        let t0 = Instant::now();
+        let trace = timed();
+        let first_secs = t0.elapsed().as_secs_f64();
         for t in &trace.timings {
             let slot = PIPELINE_STAGES.iter().position(|n| *n == t.pass);
             let slot = or_die(slot.ok_or(t.pass), "pipeline emitted unknown pass");
             pass_secs[slot] += t.duration.as_secs_f64();
         }
+        let (warm_trace, warm_secs) = timed_median3(timed);
+        let warm_estimate_secs = warm_trace
+            .timings
+            .iter()
+            .filter(|t| t.pass == "estimate")
+            .map(|t| t.duration.as_secs_f64())
+            .sum::<f64>();
+        e2e.push(E2ePoint {
+            app: bench.name(),
+            first_secs,
+            warm_secs,
+            warm_estimate_secs,
+        });
     }
 
     let total_fast: f64 = points.iter().map(|p| p.fast_secs).sum();
@@ -200,6 +234,16 @@ fn main() {
     for (name, s) in PIPELINE_STAGES.iter().zip(&pass_secs) {
         println!("  {name:<20} {:>9.3}ms", s * 1e3);
     }
+    println!("\nend-to-end toolflow (first call, then the median of {RUNS_PER_POINT} warm calls):");
+    for p in &e2e {
+        println!(
+            "  {:<20} first {:>9.3}ms  warm {:>9.3}ms  warm estimate {:>9.4}ms",
+            p.app,
+            p.first_secs * 1e3,
+            p.warm_secs * 1e3,
+            p.warm_estimate_secs * 1e3
+        );
+    }
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"code_distance\": {CODE_DISTANCE},");
@@ -233,6 +277,16 @@ fn main() {
         let _ = writeln!(json, "    \"{name}\": {s:.6}{comma}");
     }
     let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"e2e\": [");
+    for (i, p) in e2e.iter().enumerate() {
+        let comma = if i + 1 < e2e.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"app\": \"{}\", \"first_secs\": {:.3e}, \"warm_secs\": {:.3e}, \"warm_estimate_secs\": {:.3e}}}{comma}",
+            p.app, p.first_secs, p.warm_secs, p.warm_estimate_secs
+        );
+    }
+    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"certify_secs\": {certify_secs:.6}");
     json.push('}');
     json.push('\n');

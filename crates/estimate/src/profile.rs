@@ -8,14 +8,16 @@
 //! combine them with each application's analytic problem-size scaling to
 //! evaluate arbitrary computation sizes.
 
+use std::sync::OnceLock;
+
 use scq_apps::Benchmark;
 use scq_braid::{schedule_circuit, BraidConfig, Policy};
-use scq_ir::{analysis, DependencyDag, InteractionGraph};
-use scq_layout::{place, LayoutStrategy};
+use scq_ir::{analysis, Circuit, DependencyDag, InteractionGraph};
+use scq_layout::{place, LayoutStrategy, PlacementOutcome};
 use scq_teleport::{
     hop_cycles_for_distance, schedule_simd, simulate_epr_on_fabric, CongestionAwarePlacement,
-    DistributionPolicy, EprConfig, FabricEprConfig, FabricRun, PlacementStrategy, PlanarConfig,
-    SimdConfig,
+    DistributionPolicy, EprConfig, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine,
+    SimdConfig, SimdSchedule,
 };
 
 /// How an application's logical qubit count scales with its logical
@@ -101,57 +103,19 @@ impl AppProfile {
     /// Calibrates the profile of `bench` by analyzing and scheduling a
     /// small instance.
     ///
-    /// Deterministic: generators, layout, and the braid scheduler are
-    /// all seeded.
+    /// Computed once per process per [`Benchmark`]: the profile is a
+    /// pure function of the enum (generators, layout, and the braid
+    /// scheduler are all seeded), so the first call fills a process-wide
+    /// slot and every call returns an owned clone of it. Callers may
+    /// perturb their copy freely; the memo never sees it.
     pub fn calibrate(bench: Benchmark) -> AppProfile {
-        // Parallelism and operation mix come from the paper-default
-        // instance (Table 2 characterizes the applications at scale, not
-        // at toy sizes).
-        let circuit = bench.default_circuit();
-        let stats = analysis::analyze(&circuit);
-        let total = stats.total_ops.max(1) as f64;
-        let frac_two_qubit = stats.two_qubit_ops as f64 / total;
-        let frac_t = stats.t_count as f64 / total;
-
-        // Braid congestion at Policy 6 on a mid-size instance.
-        let braid_circuit = bench.scaled_circuit(calibration_scale(bench));
-        let config = BraidConfig {
-            policy: Policy::P6,
-            code_distance: 5,
-            ..Default::default()
-        };
-        let braid_congestion = schedule_circuit(&braid_circuit, &config)
-            .map(|s| s.schedule_to_cp_ratio())
-            .unwrap_or(1.0)
-            .max(1.0);
-
-        // Teleport congestion on the same instance, measured from the
-        // route-aware EPR fabric rather than a closed-form hop model.
-        let teleport_congestion = measured_teleport_congestion(&braid_circuit);
-
-        // Layout distance coefficient.
-        let graph = InteractionGraph::from_circuit(&circuit);
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
-        let kappa = if graph.total_weight() > 0 && circuit.num_qubits() > 1 {
-            layout.avg_interaction_distance(&graph) / f64::from(circuit.num_qubits()).sqrt()
-        } else {
-            0.5
-        };
-
-        // Parallelism from the instance itself (matches Table 2).
-        let dag = DependencyDag::from_circuit(&circuit);
-        let parallelism = dag.parallelism_factor().max(1.0);
-
-        AppProfile {
-            name: bench.name().to_owned(),
-            parallelism,
-            frac_two_qubit,
-            frac_t,
-            braid_congestion,
-            teleport_congestion,
-            layout_kappa: kappa.max(0.05),
-            scaling: fit_scaling(bench),
-        }
+        static MEMO: [OnceLock<AppProfile>; Benchmark::ALL.len()] =
+            [const { OnceLock::new() }; Benchmark::ALL.len()];
+        let slot = Benchmark::ALL
+            .iter()
+            .position(|&b| b == bench)
+            .expect("Benchmark::ALL lists every benchmark");
+        MEMO[slot].get_or_init(|| calibrate_uncached(bench)).clone()
     }
 
     /// Calibrates a profile from a single user-provided circuit.
@@ -159,41 +123,15 @@ impl AppProfile {
     /// Unlike [`AppProfile::calibrate`], no cross-size scaling law can be
     /// fit from one instance, so the qubit count is held constant: the
     /// profile is accurate *at this circuit's own computation size* and
-    /// should not be extrapolated across sizes.
-    pub fn from_circuit(circuit: &scq_ir::Circuit, name: impl Into<String>) -> AppProfile {
-        let stats = analysis::analyze(circuit);
-        let total = stats.total_ops.max(1) as f64;
-        let config = BraidConfig {
-            policy: Policy::P6,
-            code_distance: 5,
-            ..Default::default()
+    /// should not be extrapolated across sizes. Not memoized: the input
+    /// is a circuit, not a key.
+    pub fn from_circuit(circuit: &Circuit, name: impl Into<String>) -> AppProfile {
+        let scaling = LogicalScaling::Power {
+            a: 0.0,
+            b: 0.0,
+            c: f64::from(circuit.num_qubits()),
         };
-        let braid_congestion = schedule_circuit(circuit, &config)
-            .map(|s| s.schedule_to_cp_ratio())
-            .unwrap_or(1.0)
-            .max(1.0);
-        let teleport_congestion = measured_teleport_congestion(circuit);
-        let graph = InteractionGraph::from_circuit(circuit);
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
-        let kappa = if graph.total_weight() > 0 && circuit.num_qubits() > 1 {
-            layout.avg_interaction_distance(&graph) / f64::from(circuit.num_qubits()).sqrt()
-        } else {
-            0.5
-        };
-        AppProfile {
-            name: name.into(),
-            parallelism: stats.parallelism_factor.max(1.0),
-            frac_two_qubit: stats.two_qubit_ops as f64 / total,
-            frac_t: stats.t_count as f64 / total,
-            braid_congestion,
-            teleport_congestion,
-            layout_kappa: kappa.max(0.05),
-            scaling: LogicalScaling::Power {
-                a: 0.0,
-                b: 0.0,
-                c: f64::from(circuit.num_qubits()),
-            },
-        }
+        measure(circuit, circuit, name.into(), scaling)
     }
 
     /// Logical data qubits at computation size `kq`.
@@ -204,6 +142,60 @@ impl AppProfile {
     /// Fraction of ops that are local Cliffords.
     pub fn frac_local(&self) -> f64 {
         (1.0 - self.frac_two_qubit - self.frac_t).max(0.0)
+    }
+}
+
+/// The uncached body of [`AppProfile::calibrate`].
+fn calibrate_uncached(bench: Benchmark) -> AppProfile {
+    // Parallelism, operation mix and layout distance come from the
+    // paper-default instance (Table 2 characterizes the applications at
+    // scale, not at toy sizes); congestion from a mid-size instance.
+    measure(
+        &bench.default_circuit(),
+        &bench.scaled_circuit(calibration_scale(bench)),
+        bench.name().to_owned(),
+        fit_scaling(bench),
+    )
+}
+
+/// The measurements both calibration entry points share: parallelism,
+/// operation mix and the layout distance coefficient of
+/// `stats_circuit`, and the braid (Policy 6) and teleport congestion
+/// multipliers of `congestion_circuit`.
+fn measure(
+    stats_circuit: &Circuit,
+    congestion_circuit: &Circuit,
+    name: String,
+    scaling: LogicalScaling,
+) -> AppProfile {
+    let stats = analysis::analyze(stats_circuit);
+    let total = stats.total_ops.max(1) as f64;
+    let config = BraidConfig {
+        policy: Policy::P6,
+        code_distance: 5,
+        ..Default::default()
+    };
+    let braid_congestion = schedule_circuit(congestion_circuit, &config)
+        .map(|s| s.schedule_to_cp_ratio())
+        .unwrap_or(1.0)
+        .max(1.0);
+    let graph = InteractionGraph::from_circuit(stats_circuit);
+    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let qubits = stats_circuit.num_qubits();
+    let kappa = if graph.total_weight() > 0 && qubits > 1 {
+        layout.avg_interaction_distance(&graph) / f64::from(qubits).sqrt()
+    } else {
+        0.5
+    };
+    AppProfile {
+        name,
+        parallelism: stats.parallelism_factor.max(1.0),
+        frac_two_qubit: stats.two_qubit_ops as f64 / total,
+        frac_t: stats.t_count as f64 / total,
+        braid_congestion,
+        teleport_congestion: measured_teleport_congestion(congestion_circuit),
+        layout_kappa: kappa.max(0.05),
+        scaling,
     }
 }
 
@@ -221,43 +213,55 @@ impl AppProfile {
 /// multiplier prices the *residual* contention after the heatmap →
 /// placement feedback loop has steered demand off the hot columns, not
 /// the naive row-major floorplan's.
-fn measured_teleport_congestion(circuit: &scq_ir::Circuit) -> f64 {
-    // One SIMD schedule, floorplan, and demand trace serve both fabric
-    // runs — only the swap-lane capacity differs between them.
-    let dag = DependencyDag::from_circuit(circuit);
-    let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
-    let epr = EprConfig {
-        hop_cycles: hop_cycles_for_distance(5),
-        ..Default::default()
-    };
-    let planar = PlanarConfig {
-        epr,
+fn measured_teleport_congestion(circuit: &Circuit) -> f64 {
+    let planar = calibration_config();
+    let (simd, machine, outcome) = calibration_placement(circuit, &planar);
+    // The placement already measured the constrained run on the final
+    // floorplan (`outcome.optimized`); only the unlimited one remains.
+    let free = simulate_epr_on_fabric(
+        &machine.requests_for(&simd),
+        planar.policy,
+        &FabricEprConfig::unlimited(planar.epr),
+        machine.topology,
+    );
+    if free.pipeline.makespan == 0 {
+        return 1.0;
+    }
+    (outcome.optimized.makespan as f64 / free.pipeline.makespan as f64).max(1.0)
+}
+
+/// The planar machine the teleport calibration runs: JIT window 64
+/// over [`CALIBRATION_LANES`] swap lanes, distance-5 hops.
+fn calibration_config() -> PlanarConfig {
+    PlanarConfig {
+        epr: EprConfig {
+            hop_cycles: hop_cycles_for_distance(5),
+            ..Default::default()
+        },
         policy: DistributionPolicy::JustInTime { window: 64 },
         // fabric_config() scales hop_cycles by the code distance; the
-        // distance is already priced into `epr` above.
+        // distance is already priced into `epr` above, and
+        // hop_cycles_for_distance(1) == 1 keeps the placement's
+        // profiling runs on exactly that fabric.
         code_distance: 1,
         link_capacity: CALIBRATION_LANES,
         epr_factories: None,
         ..Default::default()
-    };
-    let machine = CongestionAwarePlacement::default()
-        .place(circuit.num_qubits(), &planar, &simd, &FabricRun::default())
-        .expect("a defect-free floorplan always places");
-    let requests = machine.requests_for(&simd);
-    let run = |link_capacity: u32| {
-        simulate_epr_on_fabric(
-            &requests,
-            planar.policy,
-            &FabricEprConfig { epr, link_capacity },
-            machine.topology,
-        )
-    };
-    let tight = run(CALIBRATION_LANES);
-    let free = run(scq_mesh::FabricConfig::UNLIMITED);
-    if free.pipeline.makespan == 0 {
-        return 1.0;
     }
-    (tight.pipeline.makespan as f64 / free.pipeline.makespan as f64).max(1.0)
+}
+
+/// The demand trace of `circuit` and its congestion-aware floorplan
+/// under `planar`, with what the placement measured on the way.
+fn calibration_placement(
+    circuit: &Circuit,
+    planar: &PlanarConfig,
+) -> (SimdSchedule, PlanarMachine, PlacementOutcome) {
+    let dag = DependencyDag::from_circuit(circuit);
+    let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
+    let (machine, outcome) = CongestionAwarePlacement::default()
+        .place_traced(circuit.num_qubits(), planar, &simd, &FabricRun::default())
+        .expect("a defect-free floorplan always places");
+    (simd, machine, outcome)
 }
 
 /// Swap lanes per link for the constrained calibration runs.
@@ -377,6 +381,46 @@ mod tests {
         // Constant scaling: qubits don't extrapolate.
         assert_eq!(p.logical_qubits(1e3), p.logical_qubits(1e12));
         assert_eq!(p.logical_qubits(1e3), 6.0);
+    }
+
+    #[test]
+    fn calibrate_memo_matches_the_uncached_computation() {
+        // Compared as Debug text: the bytes the toolflow's golden
+        // digests hash.
+        let bytes = |p: AppProfile| format!("{p:?}");
+        for bench in Benchmark::ALL {
+            let first = bytes(AppProfile::calibrate(bench));
+            let repeat = bytes(AppProfile::calibrate(bench));
+            assert_eq!(first, repeat, "{}: repeated call", bench.name());
+            assert_eq!(first, bytes(calibrate_uncached(bench)), "{}", bench.name());
+        }
+    }
+
+    #[test]
+    fn placement_outcome_is_the_constrained_rerun() {
+        // measured_teleport_congestion reads the tight makespan from the
+        // placement instead of re-simulating it; pin that equivalence on
+        // every calibration instance.
+        let planar = calibration_config();
+        for bench in Benchmark::ALL {
+            let circuit = bench.scaled_circuit(calibration_scale(bench));
+            let (simd, machine, outcome) = calibration_placement(&circuit, &planar);
+            let tight = simulate_epr_on_fabric(
+                &machine.requests_for(&simd),
+                planar.policy,
+                &FabricEprConfig {
+                    epr: planar.epr,
+                    link_capacity: CALIBRATION_LANES,
+                },
+                machine.topology,
+            );
+            assert_eq!(
+                outcome.optimized.makespan,
+                tight.pipeline.makespan,
+                "{}",
+                bench.name()
+            );
+        }
     }
 
     #[test]
