@@ -124,46 +124,101 @@ fn bench_claim_route(c: &mut Criterion) {
     });
 }
 
-/// Conflict-free claim/release churn with the occupancy index dormant
-/// (the lazy default — no claim has failed) vs live: the difference is
-/// exactly the per-node summary upkeep the lazy index spares
-/// uncontended scheduling runs.
-fn bench_lazy_occupancy_index(c: &mut Criterion) {
+/// Conflict-free claim/release churn: the owner arrays plus the
+/// occupancy bitboards every claim and release keeps in step.
+fn bench_claim_release(c: &mut Criterion) {
     use scq_mesh::{Coord, Mesh, Path};
     let base = Mesh::new(41, 41);
-    // Disjoint rows: every claim succeeds, so a dormant index stays
-    // dormant for the whole run.
+    // Disjoint rows: every claim succeeds.
     let routes: Vec<Path> = (0..41u32)
         .map(|y| base.route_xy(Coord::new(0, y), Coord::new(40, y)))
         .collect();
-    let churn = |mesh: &mut Mesh| {
-        for _ in 0..8 {
-            for (i, r) in routes.iter().enumerate() {
-                assert!(mesh.try_claim(r, i as u32 + 1));
-            }
-            for (i, r) in routes.iter().enumerate() {
-                mesh.release(r, i as u32 + 1);
-            }
-        }
-        mesh.busy_links()
-    };
-    c.bench_function("mesh/claim-release-dormant-index", |b| {
+    c.bench_function("mesh/claim-release", |b| {
         b.iter_batched(
             || base.clone(),
-            |mut mesh| churn(&mut mesh),
+            |mut mesh| {
+                for _ in 0..8 {
+                    for (i, r) in routes.iter().enumerate() {
+                        assert!(mesh.try_claim(r, i as u32 + 1));
+                    }
+                    for (i, r) in routes.iter().enumerate() {
+                        mesh.release(r, i as u32 + 1);
+                    }
+                }
+                mesh.busy_links()
+            },
             BatchSize::SmallInput,
         )
     });
-    c.bench_function("mesh/claim-release-live-index", |b| {
-        b.iter_batched(
-            || {
-                let mut mesh = base.clone();
-                mesh.ensure_occupancy_index();
-                mesh
-            },
-            |mut mesh| churn(&mut mesh),
-            BatchSize::SmallInput,
-        )
+}
+
+/// Adaptive routing on SHA-1's braid mesh at d = 3 (51 x 49 routers),
+/// congested by seeded short XY braids and cut in two by a staircase
+/// wall that claims no full row or column. Successful searches run the
+/// BFS kernel; pairs split by the wall run the exact unroutability
+/// probe's flood over the whole free region on one side.
+fn bench_adaptive_routing(c: &mut Criterion) {
+    use scq_mesh::{Coord, Mesh, Path, RouteScratch};
+    let (w, h) = (51u32, 49u32);
+    let mut mesh = Mesh::new(w, h);
+    // Row 20 up to x = 25, down column 25, then row 28 to the east edge:
+    // every router above row 20 is cut off from every one below row 28.
+    assert!(mesh
+        .claim_route_xy(Coord::new(0, 20), Coord::new(25, 28), 1)
+        .is_some());
+    assert!(mesh
+        .claim_route_xy(Coord::new(26, 28), Coord::new(50, 28), 2)
+        .is_some());
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |bound: u32| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % u64::from(bound)) as u32
+    };
+    for owner in 3..400u32 {
+        let a = Coord::new(next(w), next(h));
+        let b = Coord::new((a.x + next(9)).min(w - 1), (a.y + next(9)).min(h - 1));
+        let _ = mesh.claim_route_xy(a, b, owner);
+    }
+    let (mut found, mut cut) = (Vec::new(), Vec::new());
+    for _ in 0..100_000 {
+        if found.len() >= 64 && cut.len() >= 64 {
+            break;
+        }
+        let (a, b) = (Coord::new(next(w), next(h)), Coord::new(next(w), next(h)));
+        if mesh.node_claimed(a) || mesh.node_claimed(b) {
+            continue;
+        }
+        if mesh.route_adaptive(a, b, 0).is_some() {
+            found.push((a, b));
+        } else if a.y < 20 && b.y > 28 {
+            cut.push((a, b));
+        }
+    }
+    found.truncate(64);
+    cut.truncate(64);
+    assert_eq!((found.len(), cut.len()), (64, 64), "too few endpoint pairs");
+    assert!(cut.iter().all(|&(a, b)| mesh.route_certainly_blocked(a, b)));
+    let mut scratch = RouteScratch::new();
+    let mut out = Path::empty();
+    c.bench_function("mesh/route-adaptive-found", |b| {
+        b.iter(|| {
+            found
+                .iter()
+                .map(|&(src, dst)| {
+                    assert!(mesh.route_adaptive_into(src, dst, 0, &mut scratch, &mut out));
+                    out.len_hops()
+                })
+                .sum::<usize>()
+        })
+    });
+    c.bench_function("mesh/route-certainly-blocked-cut", |b| {
+        b.iter(|| {
+            cut.iter()
+                .filter(|&&(src, dst)| mesh.route_certainly_blocked(src, dst))
+                .count()
+        })
     });
 }
 
@@ -373,7 +428,8 @@ criterion_group!(
     bench_layout,
     bench_braid_scheduler,
     bench_claim_route,
-    bench_lazy_occupancy_index,
+    bench_claim_release,
+    bench_adaptive_routing,
     bench_ready_sets_vs_rescan,
     bench_traced_vs_untraced,
     bench_event_queue,

@@ -53,6 +53,9 @@ struct Point {
     app: &'static str,
     policy: usize,
     cycles: u64,
+    /// Adaptive routing attempts, the count that explains the
+    /// contended points' times.
+    adaptive_routes: u64,
     fast_secs: f64,
     ref_secs: f64,
 }
@@ -91,6 +94,7 @@ fn main() {
                 app: bench.name(),
                 policy: policy.index(),
                 cycles: fast.cycles,
+                adaptive_routes: fast.adaptive_routes,
                 fast_secs,
                 ref_secs,
             });
@@ -199,15 +203,16 @@ fn main() {
     );
     println!();
     println!(
-        "{:<10} {:>6} {:>10} {:>12} {:>12} {:>9} {:>14}",
-        "app", "policy", "cycles", "fast", "reference", "speedup", "cycles/s fast"
+        "{:<10} {:>6} {:>10} {:>9} {:>12} {:>12} {:>9} {:>14}",
+        "app", "policy", "cycles", "adaptive", "fast", "reference", "speedup", "cycles/s fast"
     );
     for p in &points {
         println!(
-            "{:<10} {:>6} {:>10} {:>11.3}ms {:>11.3}ms {:>8.1}x {:>14.2e}",
+            "{:<10} {:>6} {:>10} {:>9} {:>11.3}ms {:>11.3}ms {:>8.1}x {:>14.2e}",
             p.app,
             format!("P{}", p.policy),
             p.cycles,
+            p.adaptive_routes,
             p.fast_secs * 1e3,
             p.ref_secs * 1e3,
             p.speedup(),
@@ -253,8 +258,8 @@ fn main() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"app\": \"{}\", \"policy\": {}, \"cycles\": {}, \"fast_secs\": {:.6}, \"ref_secs\": {:.6}, \"speedup\": {:.2}, \"cycles_per_sec_fast\": {:.3e}}}{comma}",
-            p.app, p.policy, p.cycles, p.fast_secs, p.ref_secs, p.speedup(), p.cycles_per_sec_fast()
+            "    {{\"app\": \"{}\", \"policy\": {}, \"cycles\": {}, \"adaptive_routes\": {}, \"fast_secs\": {:.6}, \"ref_secs\": {:.6}, \"speedup\": {:.2}, \"cycles_per_sec_fast\": {:.3e}}}{comma}",
+            p.app, p.policy, p.cycles, p.adaptive_routes, p.fast_secs, p.ref_secs, p.speedup(), p.cycles_per_sec_fast()
         );
     }
     let _ = writeln!(json, "  ],");

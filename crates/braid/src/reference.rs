@@ -273,9 +273,11 @@ pub fn schedule_traced_reference(
                 None => {
                     fail_count[op] += 1;
                     if fail_count[op] > config.drop_timeout {
-                        // Drop and re-inject: restart the routing ladder.
+                        // Drop and re-inject onto the last YX rung: the
+                        // next attempt walks YX; only the one after can
+                        // route adaptively.
                         stats.drops += 1;
-                        fail_count[op] = 2 * config.route_timeout; // stay adaptive
+                        fail_count[op] = 2 * config.route_timeout;
                     }
                     false
                 }

@@ -38,6 +38,10 @@ pub struct BraidConfig {
     /// (twice this before adaptive routing).
     pub route_timeout: u32,
     /// Failed-claim cycles before the braid is dropped and re-injected.
+    /// A re-injected braid resumes with `2 * route_timeout` failures, on
+    /// the last Y-then-X rung: its next attempt walks the YX route once
+    /// more, and the one after routes adaptively if `drop_timeout >
+    /// 2 * route_timeout` (as by default), else it is dropped again.
     pub drop_timeout: u32,
     /// Number of magic-state factory sites; `None` derives one per two
     /// grid columns (a top and bottom factory row, Figure 3b).
@@ -340,9 +344,10 @@ impl Engine {
     fn record_failed_attempt(&mut self, op: usize, config: &BraidConfig) {
         self.fail_count[op] += 1;
         if self.fail_count[op] > config.drop_timeout {
-            // Drop and re-inject: restart the routing ladder.
+            // Drop and re-inject onto the last YX rung: the next attempt
+            // walks YX; only the one after can route adaptively.
             self.stats.drops += 1;
-            self.fail_count[op] = 2 * config.route_timeout; // stay adaptive
+            self.fail_count[op] = 2 * config.route_timeout;
         }
     }
 
@@ -401,17 +406,17 @@ impl Engine {
         // path (into a pooled buffer) on success.
         let attempts = self.fail_count[op];
         let owner = op as u32;
-        // Claim-walk pruning via the mesh occupancy index: each routing
-        // mode has a conservative O(1)-ish probe (claimed endpoint,
-        // claimed router certainly on the dimension-ordered corridor,
-        // or a full-line separator / enclosed endpoint for adaptive)
-        // that proves the claim below must fail for an owner holding no
-        // mesh resources — which this op is: paths release before ops
-        // re-enter the ready sets. The bookkeeping is exactly that of a
-        // walked-and-failed claim — adaptive attempts still count, the
-        // failure counter still escalates — so schedules stay
-        // bit-identical to the unpruned reference; only the
-        // O(route length) walk is skipped. Under contention braids
+        // Claim-walk pruning via the mesh occupancy bitboards: each
+        // routing mode has a probe (a claimed router on the
+        // dimension-ordered corridor, or no free route at all for
+        // adaptive) that proves the claim below must fail for an owner
+        // holding no mesh resources — which this op is: paths release
+        // before ops re-enter the ready sets. The adaptive probe is
+        // exact, so no adaptive search below ever fails. The bookkeeping
+        // is exactly that of a walked-and-failed claim — adaptive
+        // attempts still count, the failure counter still escalates — so
+        // schedules stay bit-identical to the unpruned reference; only
+        // the walk or search is skipped. Under contention braids
         // commonly cross foreign corridors, so this is the common case.
         debug_assert!(
             self.held_paths[op].is_none(),
@@ -505,14 +510,15 @@ impl Engine {
 ///    successful routes land in pooled buffers that the sink returns on
 ///    release.
 /// 4. **Claim-walk pruning.** Before any walk, each attempt consults
-///    the mesh occupancy index's conservative congestion probe for its
-///    routing mode ([`Mesh::xy_certainly_blocked`] /
-///    [`Mesh::yx_certainly_blocked`] /
-///    [`Mesh::route_certainly_blocked`]): a claimed endpoint, a claimed
-///    router provably on the dimension-ordered corridor, or a full-line
-///    separator dooms the claim for an owner holding nothing — which an
-///    issuing op always is. Pruned attempts keep the exact bookkeeping
-///    of a walked failure — no walk, same schedule.
+///    the mesh's bitboard congestion probe for its routing mode
+///    ([`Mesh::xy_certainly_blocked`] / [`Mesh::yx_certainly_blocked`] /
+///    [`Mesh::route_certainly_blocked`]): a claimed router on the
+///    dimension-ordered corridor, or no free route at all, dooms the
+///    claim for an owner holding nothing — which an issuing op always
+///    is. The adaptive probe is exact, a bit-parallel flood of the free
+///    region, so an adaptive BFS runs only when it will find a route.
+///    Pruned attempts keep the exact bookkeeping of a walked failure —
+///    no walk, same schedule.
 ///
 /// # Errors
 ///

@@ -56,6 +56,19 @@
 //! the utilization clock over an idle stretch in one step so an
 //! event-driven scheduler can jump between wake times.
 //!
+//! Beside its owner arrays, a [`Mesh`] keeps occupancy bitboards: free
+//! routers and free horizontal links per row, free vertical links per
+//! pair of adjacent rows, and free routers per column, `ceil(width /
+//! 64)` words a row and `ceil(height / 64)` a column at every mesh size.
+//! They make the congestion probes cheap and exact where it counts:
+//! [`Mesh::xy_certainly_blocked`] / [`Mesh::yx_certainly_blocked`] test
+//! a dimension-ordered corridor a word at a time, and
+//! [`Mesh::route_certainly_blocked`] floods the free region bit-parallel
+//! and says exactly whether any free route exists, so a scheduler that
+//! asks first never runs a failing BFS. The line reads
+//! ([`Mesh::row_claimed_count`], [`Mesh::row_claimed_interval`] and
+//! their column twins) are popcounts and trailing/leading-zero counts.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,7 +1,5 @@
 //! The circuit-switched mesh: atomic path claims, routing, utilization.
 
-use std::collections::VecDeque;
-
 use crate::coord::{Coord, Path};
 use crate::defect::DefectMap;
 use crate::topology::{DimOrder, Topology};
@@ -33,8 +31,9 @@ pub struct RouteScratch {
     seen: Vec<u64>,
     /// Current search generation.
     stamp: u64,
-    /// BFS frontier of flat node indices.
-    queue: VecDeque<u32>,
+    /// BFS frontier as a flat FIFO of `[node index, x, y]` entries read
+    /// through a head cursor, so expanding a node never divides.
+    queue: Vec<[u32; 3]>,
 }
 
 impl RouteScratch {
@@ -54,62 +53,73 @@ impl RouteScratch {
     }
 }
 
-/// Claimed-interval summary of one router row or column.
-///
-/// Part of the mesh's occupancy index: every row and every column keeps
-/// the number of claimed routers on it and the interval `[min, max]`
-/// that bounds them. The summaries are updated incrementally on the
-/// claim and release paths and power the conservative
-/// `*_certainly_blocked` congestion probes.
-#[derive(Clone, Copy, Debug, Default)]
-struct LineSummary {
-    /// Claimed routers on this line.
-    count: u32,
-    /// Smallest claimed position along the line (valid when `count > 0`).
-    min: u32,
-    /// Largest claimed position along the line (valid when `count > 0`).
-    max: u32,
+/// The bits of word `i` that fall within the first `len` bits of a line.
+fn line_mask(i: usize, len: u32) -> u64 {
+    match len.saturating_sub(64 * i as u32) {
+        0 => 0,
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    }
 }
 
-impl LineSummary {
-    /// `true` if the summary proves some claimed router lies in
-    /// `[lo, hi]` on a line of `len` routers. Never returns `true`
-    /// speculatively: a `false` only means the summary cannot tell.
-    fn certainly_claims_in(&self, lo: u32, hi: u32, len: u32) -> bool {
-        debug_assert!(
-            lo <= hi && hi < len,
-            "span [{lo}, {hi}] not on a line of {len}"
-        );
-        if self.count == 0 {
-            return false;
-        }
-        if (self.min >= lo && self.min <= hi) || (self.max >= lo && self.max <= hi) {
-            return true;
-        }
-        // Pigeonhole: more claimed routers than positions outside the
-        // span means at least one must sit inside it.
-        self.count > len - (hi - lo + 1)
-    }
+/// `lines` lines of `words` words each, the first `len` bits of each set.
+fn full_lines(len: u32, words: usize, lines: u32) -> Vec<u64> {
+    let line: Vec<u64> = (0..words).map(|i| line_mask(i, len)).collect();
+    line.repeat(lines as usize)
+}
 
-    /// Removes the claimed position `pos` from the summary. When `pos`
-    /// carried the line's `min` or `max`, the boundary walks inward via
-    /// `claimed_at` to the next claimed position — O(gap), and O(1)
-    /// amortized when a path's contiguous run is released node by node.
-    fn release(&mut self, pos: u32, claimed_at: impl Fn(u32) -> bool) {
-        self.count -= 1;
-        if self.count > 0 {
-            if pos == self.min {
-                self.min = (self.min + 1..=self.max)
-                    .find(|&p| claimed_at(p))
-                    .expect("count > 0");
-            } else if pos == self.max {
-                self.max = (self.min..self.max)
-                    .rev()
-                    .find(|&p| claimed_at(p))
-                    .expect("count > 0");
-            }
-        }
+/// Sets bit `i` of the line that starts at word `line` to `on`.
+fn set_bit(words: &mut [u64], line: usize, i: u32, on: bool) {
+    let (word, bit) = (line + (i / 64) as usize, 1u64 << (i % 64));
+    words[word] = words[word] & !bit | if on { bit } else { 0 };
+}
+
+fn bit(words: &[u64], i: u32) -> bool {
+    words[(i / 64) as usize] >> (i % 64) & 1 == 1
+}
+
+/// `true` if bits `lo..=hi` of `words` are all set.
+fn all_set(words: &[u64], lo: u32, hi: u32) -> bool {
+    let (first, last) = ((lo / 64) as usize, (hi / 64) as usize);
+    (first..=last).all(|i| {
+        let from = if i == first { lo % 64 } else { 0 };
+        let to = if i == last { hi % 64 } else { 63 };
+        let mask = (u64::MAX >> (63 - (to - from))) << from;
+        words[i] & mask == mask
+    })
+}
+
+/// The lowest and highest clear bit among the first `len` bits of
+/// `words`, or `None` when they are all set.
+fn clear_span(words: &[u64], len: u32) -> Option<(u32, u32)> {
+    let clear = |i: usize| !words[i] & line_mask(i, len);
+    let first = (0..words.len()).find(|&i| clear(i) != 0)?;
+    let last = (0..words.len()).rev().find(|&i| clear(i) != 0)?;
+    Some((
+        64 * first as u32 + clear(first).trailing_zeros(),
+        64 * last as u32 + 63 - clear(last).leading_zeros(),
+    ))
+}
+
+/// Occluded fill toward higher bits: spreads `reach` into each bit of
+/// `enter` (the bits that can be entered from the bit below) that a run
+/// of `enter` bits joins to it.
+fn fill_up(mut reach: u64, mut enter: u64) -> u64 {
+    for s in [1, 2, 4, 8, 16, 32] {
+        reach |= enter & (reach << s);
+        enter &= enter << s;
     }
+    reach
+}
+
+/// [`fill_up`] toward lower bits: `enter` holds the bits that can be
+/// entered from the bit above.
+fn fill_down(mut reach: u64, mut enter: u64) -> u64 {
+    for s in [1, 2, 4, 8, 16, 32] {
+        reach |= enter & (reach >> s);
+        enter &= enter >> s;
+    }
+    reach
 }
 
 /// A 2D circuit-switched mesh of routers and links.
@@ -151,17 +161,23 @@ pub struct Mesh {
     /// Accumulated busy-link-cycles for utilization.
     busy_link_cycles: u64,
     ticks: u64,
-    /// Occupancy index: claimed-interval summary per router row
-    /// (indexed by `y`, positions along the line are `x`).
-    rows: Vec<LineSummary>,
-    /// Occupancy index: claimed-interval summary per router column
-    /// (indexed by `x`, positions along the line are `y`).
-    cols: Vec<LineSummary>,
-    /// Whether the occupancy index is live. The index starts dormant —
-    /// uncontended runs never fail a claim, so they never pay its
-    /// upkeep — and is built (one O(nodes) sweep) on the first claim
-    /// failure, after which claim/release maintain it incrementally.
-    index_active: bool,
+    /// Occupancy bitboards, a set bit marking a free resource, written
+    /// together with the owner arrays above. Every row of bits takes
+    /// `row_words` words (`ceil(width / 64)`).
+    row_words: usize,
+    /// Free routers, row by row: bit `x` of row `y` is router `(x, y)`.
+    free_nodes: Vec<u64>,
+    /// Free horizontal links, row by row: bit `x` of row `y` is the link
+    /// from `(x, y)` to `(x + 1, y)`.
+    free_h: Vec<u64>,
+    /// Free vertical links, a row of bits per pair of adjacent router
+    /// rows: bit `x` of row `y` is the link from `(x, y)` to `(x, y + 1)`.
+    free_v: Vec<u64>,
+    /// Words per column of `free_cols` (`ceil(height / 64)`).
+    col_words: usize,
+    /// Free routers, column by column: bit `y` of column `x` is router
+    /// `(x, y)`.
+    free_cols: Vec<u64>,
 }
 
 impl Mesh {
@@ -172,6 +188,7 @@ impl Mesh {
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         let topo = Topology::new(width, height);
+        let (row_words, col_words) = (width.div_ceil(64) as usize, height.div_ceil(64) as usize);
         Mesh {
             topo,
             h_links: vec![FREE; topo.num_h_links()],
@@ -180,9 +197,12 @@ impl Mesh {
             busy_links: 0,
             busy_link_cycles: 0,
             ticks: 0,
-            rows: vec![LineSummary::default(); topo.height() as usize],
-            cols: vec![LineSummary::default(); topo.width() as usize],
-            index_active: false,
+            row_words,
+            free_nodes: full_lines(width, row_words, height),
+            free_h: full_lines(width - 1, row_words, height),
+            free_v: full_lines(width, row_words, height - 1),
+            col_words,
+            free_cols: full_lines(height, col_words, width),
         }
     }
 
@@ -211,20 +231,17 @@ impl Mesh {
             map_topo.width(),
             map_topo.height()
         );
-        for i in 0..mesh.nodes.len() {
-            if defects.node_dead_idx(i) {
-                mesh.nodes[i] = DEFECT;
-            }
-        }
-        let num_h = mesh.topo.num_h_links();
-        for i in 0..mesh.h_links.len() {
-            if defects.link_dead_idx(i) {
-                mesh.h_links[i] = DEFECT;
-            }
-        }
-        for i in 0..mesh.v_links.len() {
-            if defects.link_dead_idx(num_h + i) {
-                mesh.v_links[i] = DEFECT;
+        for y in 0..height {
+            for x in 0..width {
+                let c = Coord::new(x, y);
+                if defects.node_dead_idx(mesh.node_index(c)) {
+                    mesh.write_node(c, DEFECT);
+                }
+                for n in [Coord::new(x + 1, y), Coord::new(x, y + 1)] {
+                    if mesh.contains(n) && defects.link_dead_idx(mesh.topo.link_index(c, n)) {
+                        mesh.write_link(c, n, DEFECT);
+                    }
+                }
             }
         }
         mesh
@@ -244,35 +261,6 @@ impl Mesh {
             self.height()
         );
         self.nodes[self.node_index(c)] == DEFECT
-    }
-
-    /// Whether the occupancy index is currently live. Dormant until the
-    /// first claim failure (see [`Mesh::ensure_occupancy_index`]).
-    pub fn occupancy_index_active(&self) -> bool {
-        self.index_active
-    }
-
-    /// Activates the occupancy index if it is still dormant, rebuilding
-    /// the per-row/column claimed-interval summaries from the current
-    /// node occupancy in one O(nodes) sweep.
-    ///
-    /// The mesh calls this itself on the first failed claim — the
-    /// earliest evidence of contention, which is the only regime where
-    /// the index's `*_certainly_blocked` probes earn their upkeep.
-    /// Callers that know a run will be contended may invoke it up front.
-    pub fn ensure_occupancy_index(&mut self) {
-        if self.index_active {
-            return;
-        }
-        self.index_active = true;
-        let (w, h) = (self.topo.width(), self.topo.height());
-        for y in 0..h {
-            for x in 0..w {
-                if self.nodes[(y * w + x) as usize] != FREE {
-                    self.index_claim(Coord::new(x, y));
-                }
-            }
-        }
     }
 
     /// The underlying geometry, shared with the packet-style
@@ -318,17 +306,14 @@ impl Mesh {
         self.topo.node_index(c)
     }
 
-    fn link_slot(&mut self, a: Coord, b: Coord) -> &mut ClaimId {
-        debug_assert!(a.is_adjacent(b), "link endpoints must be adjacent");
-        if a.y == b.y {
-            let x = a.x.min(b.x);
-            let i = self.h_index(x, a.y);
-            &mut self.h_links[i]
-        } else {
-            let y = a.y.min(b.y);
-            let i = self.v_index(a.x, y);
-            &mut self.v_links[i]
-        }
+    /// Free-router bits of row `y`.
+    fn node_row(&self, y: u32) -> &[u64] {
+        &self.free_nodes[y as usize * self.row_words..][..self.row_words]
+    }
+
+    /// Free-router bits of column `x`.
+    fn node_col(&self, x: u32) -> &[u64] {
+        &self.free_cols[x as usize * self.col_words..][..self.col_words]
     }
 
     fn link_owner(&self, a: Coord, b: Coord) -> ClaimId {
@@ -339,58 +324,47 @@ impl Mesh {
         }
     }
 
-    /// Marks node `c` claimed in place, updating the occupancy index
-    /// when it is live. Idempotent re-claims (node already owned) touch
-    /// nothing.
-    fn set_node_claimed(&mut self, c: Coord, owner: ClaimId) {
-        let i = self.node_index(c);
-        if self.nodes[i] != FREE {
-            debug_assert_eq!(self.nodes[i], owner, "claim over a foreign node");
-            return;
-        }
-        self.nodes[i] = owner;
-        if self.index_active {
-            self.index_claim(c);
-        }
+    /// Sets the owner of the link between adjacent `a` and `b` and its
+    /// bitboard bit; returns the previous owner.
+    fn write_link(&mut self, a: Coord, b: Coord, owner: ClaimId) -> ClaimId {
+        debug_assert!(a.is_adjacent(b), "link endpoints must be adjacent");
+        let row_words = self.row_words;
+        let (slot, bits, x, y) = if a.y == b.y {
+            let (x, y) = (a.x.min(b.x), a.y);
+            let i = self.h_index(x, y);
+            (&mut self.h_links[i], &mut self.free_h, x, y)
+        } else {
+            let (x, y) = (a.x, a.y.min(b.y));
+            let i = self.v_index(x, y);
+            (&mut self.v_links[i], &mut self.free_v, x, y)
+        };
+        set_bit(bits, y as usize * row_words, x, owner == FREE);
+        std::mem::replace(slot, owner)
     }
 
-    /// Records node `c` in the row/column claimed-interval summaries.
-    /// Only called while the index is live (or while rebuilding it).
-    fn index_claim(&mut self, c: Coord) {
-        let row = &mut self.rows[c.y as usize];
-        if row.count == 0 {
-            (row.min, row.max) = (c.x, c.x);
-        } else {
-            row.min = row.min.min(c.x);
-            row.max = row.max.max(c.x);
-        }
-        row.count += 1;
-        let col = &mut self.cols[c.x as usize];
-        if col.count == 0 {
-            (col.min, col.max) = (c.y, c.y);
-        } else {
-            col.min = col.min.min(c.y);
-            col.max = col.max.max(c.y);
-        }
-        col.count += 1;
+    /// Sets the owner of router `c` and its bits in both node
+    /// bitboards; returns the previous owner.
+    fn write_node(&mut self, c: Coord, owner: ClaimId) -> ClaimId {
+        let (row, col) = (c.y as usize * self.row_words, c.x as usize * self.col_words);
+        set_bit(&mut self.free_nodes, row, c.x, owner == FREE);
+        set_bit(&mut self.free_cols, col, c.y, owner == FREE);
+        let i = self.node_index(c);
+        std::mem::replace(&mut self.nodes[i], owner)
     }
 
-    /// Marks node `c` free, updating the occupancy index when it is
-    /// live (see [`LineSummary::release`]).
-    fn set_node_free(&mut self, c: Coord) {
-        let i = self.node_index(c);
-        debug_assert_ne!(self.nodes[i], FREE, "releasing a free node");
-        self.nodes[i] = FREE;
-        if !self.index_active {
-            return;
+    /// Claims every router and link of the route `nodes` for `owner`,
+    /// each checked free or already `owner`'s (an idempotent re-claim);
+    /// only newly claimed links count as busy.
+    fn claim_free(&mut self, nodes: &[Coord], owner: ClaimId) {
+        for &n in nodes {
+            let old = self.write_node(n, owner);
+            debug_assert!(old == FREE || old == owner, "claim over a foreign node");
         }
-        let w = self.topo.width();
-        let Self {
-            nodes, rows, cols, ..
-        } = self;
-        let base = (c.y * w) as usize;
-        rows[c.y as usize].release(c.x, |x| nodes[base + x as usize] != FREE);
-        cols[c.x as usize].release(c.y, |y| nodes[(y * w + c.x) as usize] != FREE);
+        for pair in nodes.windows(2) {
+            if self.write_link(pair[0], pair[1], owner) == FREE {
+                self.busy_links += 1;
+            }
+        }
     }
 
     /// Returns `true` if every node and link of `path` is unclaimed (or
@@ -437,21 +411,9 @@ impl Mesh {
             "ClaimId::MAX is reserved (and ClaimId::MAX - 1 marks defects)"
         );
         if !self.is_path_free(path, owner) {
-            // First evidence of contention: from here on the occupancy
-            // index earns its upkeep, so bring it live.
-            self.ensure_occupancy_index();
             return false;
         }
-        for &n in path.nodes() {
-            self.set_node_claimed(n, owner);
-        }
-        for (a, b) in path.links() {
-            let slot = self.link_slot(a, b);
-            if *slot == FREE {
-                *slot = owner;
-                self.busy_links += 1;
-            }
-        }
+        self.claim_free(path.nodes(), owner);
         true
     }
 
@@ -463,14 +425,12 @@ impl Mesh {
     /// releasing someone else's braid is always a scheduler bug.
     pub fn release(&mut self, path: &Path, owner: ClaimId) {
         for &n in path.nodes() {
-            let i = self.node_index(n);
-            assert_eq!(self.nodes[i], owner, "node {n} not owned by {owner}");
-            self.set_node_free(n);
+            let old = self.write_node(n, FREE);
+            assert_eq!(old, owner, "node {n} not owned by {owner}");
         }
         for (a, b) in path.links() {
-            let slot = self.link_slot(a, b);
-            assert_eq!(*slot, owner, "link not owned by {owner}");
-            *slot = FREE;
+            let old = self.write_link(a, b, FREE);
+            assert_eq!(old, owner, "link not owned by {owner}");
             self.busy_links -= 1;
         }
     }
@@ -490,27 +450,8 @@ impl Mesh {
         self.nodes[self.node_index(c)] != FREE
     }
 
-    /// Claimed positions along row `y` — the dormant-index fallback
-    /// scan behind the public line accessors.
-    fn row_claimed_positions(&self, y: u32) -> impl DoubleEndedIterator<Item = u32> + '_ {
-        (0..self.width()).filter(move |&x| self.node_claimed(Coord::new(x, y)))
-    }
-
-    /// Claimed positions along column `x`; see
-    /// [`Mesh::row_claimed_positions`].
-    fn col_claimed_positions(&self, x: u32) -> impl DoubleEndedIterator<Item = u32> + '_ {
-        (0..self.height()).filter(move |&y| self.node_claimed(Coord::new(x, y)))
-    }
-
-    /// Bounding `[min, max]` of a claimed-position scan, or `None` when
-    /// the line is idle.
-    fn scan_interval(mut positions: impl DoubleEndedIterator<Item = u32>) -> Option<(u32, u32)> {
-        let lo = positions.next()?;
-        Some((lo, positions.next_back().unwrap_or(lo)))
-    }
-
-    /// Number of claimed routers on row `y` — O(1) from the occupancy
-    /// index when it is live, one O(width) scan while it is dormant.
+    /// Number of claimed routers on row `y`: a popcount of its bitboard
+    /// row.
     ///
     /// # Panics
     ///
@@ -521,15 +462,12 @@ impl Mesh {
             "row {y} outside height {}",
             self.height()
         );
-        if !self.index_active {
-            return self.row_claimed_positions(y).count() as u32;
-        }
-        self.rows[y as usize].count
+        let free: u32 = self.node_row(y).iter().map(|w| w.count_ones()).sum();
+        self.width() - free
     }
 
-    /// Number of claimed routers on column `x` — O(1) from the
-    /// occupancy index when it is live, one O(height) scan while it is
-    /// dormant.
+    /// Number of claimed routers on column `x`: a popcount of its
+    /// bitboard column.
     ///
     /// # Panics
     ///
@@ -540,15 +478,13 @@ impl Mesh {
             "column {x} outside width {}",
             self.width()
         );
-        if !self.index_active {
-            return self.col_claimed_positions(x).count() as u32;
-        }
-        self.cols[x as usize].count
+        let free: u32 = self.node_col(x).iter().map(|w| w.count_ones()).sum();
+        self.height() - free
     }
 
     /// The `[min, max]` x-interval bounding row `y`'s claimed routers,
-    /// or `None` when the row is idle. O(1) from the occupancy index
-    /// when it is live, one O(width) scan while it is dormant.
+    /// or `None` when the row is idle; read from the bitboard row with
+    /// trailing/leading-zero counts.
     ///
     /// # Panics
     ///
@@ -559,17 +495,12 @@ impl Mesh {
             "row {y} outside height {}",
             self.height()
         );
-        if !self.index_active {
-            return Self::scan_interval(self.row_claimed_positions(y));
-        }
-        let row = &self.rows[y as usize];
-        (row.count > 0).then_some((row.min, row.max))
+        clear_span(self.node_row(y), self.width())
     }
 
     /// The `[min, max]` y-interval bounding column `x`'s claimed
-    /// routers, or `None` when the column is idle. O(1) from the
-    /// occupancy index when it is live, one O(height) scan while it is
-    /// dormant.
+    /// routers, or `None` when the column is idle; read from the
+    /// bitboard column with trailing/leading-zero counts.
     ///
     /// # Panics
     ///
@@ -580,29 +511,21 @@ impl Mesh {
             "column {x} outside width {}",
             self.width()
         );
-        if !self.index_active {
-            return Self::scan_interval(self.col_claimed_positions(x));
-        }
-        let col = &self.cols[x as usize];
-        (col.count > 0).then_some((col.min, col.max))
+        clear_span(self.node_col(x), self.height())
     }
 
-    /// Conservative congestion probe: `true` proves the dimension-ordered
-    /// X-then-Y walk `src -> dst` cannot be claimed *by a claimant that
-    /// currently holds no mesh resources* — some router on the walk is
-    /// certainly claimed. `false` promises nothing.
+    /// Congestion probe: `true` proves the dimension-ordered X-then-Y
+    /// walk `src -> dst` cannot be claimed *by a claimant that currently
+    /// holds no mesh resources* — some router on the walk is claimed.
     ///
-    /// The probe reads only the per-line claimed-interval summaries of
-    /// row `src.y` and column `dst.x` (O(1)), never the walk itself. It
-    /// is exactly conservative: whenever it returns `true`,
-    /// [`Mesh::claim_route_xy_into`] would return `false` for any owner
-    /// holding nothing, because a claimed link always comes with its
-    /// claimed endpoint routers.
-    ///
-    /// While the occupancy index is dormant (no claim has failed yet —
-    /// see [`Mesh::ensure_occupancy_index`]) only the exact endpoint
-    /// checks can fire; the corridor proofs need the live summaries.
-    /// That weakens the verdict, never its soundness.
+    /// The probe tests the walk's routers (row `src.y`, then column
+    /// `dst.x`) against the occupancy bitboards a word at a time. It
+    /// never reports a claimable walk as blocked; on a defect-free mesh
+    /// it is exact — it returns `true` precisely when
+    /// [`Mesh::claim_route_xy_into`] would return `false` for such a
+    /// claimant — because a claimed link always comes with its claimed
+    /// endpoint routers. A dead link between live routers is the one
+    /// failure it cannot see.
     ///
     /// # Panics
     ///
@@ -612,13 +535,9 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
-        if self.node_claimed(src) || self.node_claimed(dst) {
-            return true;
-        }
         let (x_lo, x_hi) = (src.x.min(dst.x), src.x.max(dst.x));
         let (y_lo, y_hi) = (src.y.min(dst.y), src.y.max(dst.y));
-        self.rows[src.y as usize].certainly_claims_in(x_lo, x_hi, self.width())
-            || self.cols[dst.x as usize].certainly_claims_in(y_lo, y_hi, self.height())
+        !all_set(self.node_row(src.y), x_lo, x_hi) || !all_set(self.node_col(dst.x), y_lo, y_hi)
     }
 
     /// Y-then-X counterpart of [`Mesh::xy_certainly_blocked`]: probes
@@ -633,46 +552,107 @@ impl Mesh {
         self.xy_certainly_blocked(dst, src)
     }
 
-    /// Conservative congestion probe for *any* route: `true` proves no
-    /// path whatsoever — dimension-ordered or adaptive — can connect
+    /// Exact unroutability probe for *any* route: `true` precisely when
+    /// no path whatsoever — dimension-ordered or adaptive — connects
     /// `src` and `dst` for a claimant that currently holds no mesh
-    /// resources. Either an endpoint router is claimed, or a fully
-    /// claimed row or column strictly between the endpoints separates
-    /// them (every unit-step path must cross it on a claimed router).
+    /// resources, i.e. when [`Mesh::route_adaptive`] would return `None`
+    /// for it.
     ///
-    /// `false` promises nothing; [`Mesh::route_adaptive_into`] may still
-    /// fail. While the occupancy index is dormant, only the endpoint
-    /// and enclosure checks can fire (see [`Mesh::xy_certainly_blocked`]).
+    /// Past the endpoint checks, a bit-parallel flood over the occupancy
+    /// bitboards decides reachability: within a row, reach spreads along
+    /// runs of free routers joined by free links; between rows, it
+    /// crosses free vertical links; rows are swept down and up until
+    /// nothing changes or `dst` is reached. The flood costs a few word
+    /// operations per row and sweep instead of a BFS step per router.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is off the mesh.
     pub fn route_certainly_blocked(&self, src: Coord, dst: Coord) -> bool {
-        if self.node_claimed(src) || self.node_claimed(dst) {
-            return true;
-        }
-        if src != dst && (self.endpoint_enclosed(src) || self.endpoint_enclosed(dst)) {
-            return true;
-        }
-        let (y_lo, y_hi) = (src.y.min(dst.y), src.y.max(dst.y));
-        if (y_lo + 1..y_hi).any(|y| self.rows[y as usize].count == self.width()) {
-            return true;
-        }
-        let (x_lo, x_hi) = (src.x.min(dst.x), src.x.max(dst.x));
-        (x_lo + 1..x_hi).any(|x| self.cols[x as usize].count == self.height())
+        self.node_claimed(src) || self.node_claimed(dst) || !self.free_region_reaches(src, dst)
     }
 
-    /// `true` when every exit of router `c` is shut — each neighbor is
-    /// claimed or the connecting link is. A free route of length >= 1
-    /// must leave through one of them, so an enclosed endpoint is
-    /// provably unroutable (the common local-congestion failure).
-    fn endpoint_enclosed(&self, c: Coord) -> bool {
-        let exit_open =
-            |n: Coord| self.nodes[self.node_index(n)] == FREE && self.link_owner(c, n) == FREE;
-        !((c.x + 1 < self.width() && exit_open(Coord::new(c.x + 1, c.y)))
-            || (c.x > 0 && exit_open(Coord::new(c.x - 1, c.y)))
-            || (c.y + 1 < self.height() && exit_open(Coord::new(c.x, c.y + 1)))
-            || (c.y > 0 && exit_open(Coord::new(c.x, c.y - 1))))
+    /// The flood behind [`Mesh::route_certainly_blocked`], from the free
+    /// router `src`. Rows gain reach bits and turn dirty; each sweep
+    /// visits its dirty rows in order, spreads them and pushes into both
+    /// neighbour rows. A neighbour ahead of the sweep is visited in the
+    /// same sweep, one behind it in the next, which runs the other way.
+    fn free_region_reaches(&self, src: Coord, dst: Coord) -> bool {
+        let (h, rw) = (self.height() as usize, self.row_words);
+        let mut reach = vec![0u64; h * rw];
+        let mut dirty = vec![false; h];
+        set_bit(&mut reach, src.y as usize * rw, src.x, true);
+        dirty[src.y as usize] = true;
+        // Dirty rows of the coming sweep lie in `lo..=hi`.
+        let (mut lo, mut hi, mut down) = (src.y as usize, src.y as usize, true);
+        loop {
+            let (mut next_lo, mut next_hi) = (usize::MAX, 0);
+            let mut y = if down { lo } else { hi };
+            while (lo..=hi).contains(&y) {
+                if std::mem::take(&mut dirty[y]) {
+                    self.spread_row(y, &mut reach[y * rw..][..rw]);
+                    if y == dst.y as usize && bit(&reach[y * rw..], dst.x) {
+                        return true;
+                    }
+                    for (ny, link_row) in [(y + 1, y), (y.wrapping_sub(1), y.wrapping_sub(1))] {
+                        if ny >= h || !self.push_reach(&mut reach, y, ny, link_row) {
+                            continue;
+                        }
+                        dirty[ny] = true;
+                        if (ny > y) == down {
+                            (lo, hi) = (lo.min(ny), hi.max(ny));
+                        } else {
+                            (next_lo, next_hi) = (next_lo.min(ny), next_hi.max(ny));
+                        }
+                    }
+                }
+                y = if down { y + 1 } else { y.wrapping_sub(1) };
+            }
+            if next_lo > next_hi {
+                return false;
+            }
+            (lo, hi, down) = (next_lo, next_hi, !down);
+        }
+    }
+
+    /// Spreads `reach`, the reach bits of row `y`, along the row's runs
+    /// of free routers joined by free links: east through the words,
+    /// then west, carrying across word boundaries.
+    fn spread_row(&self, y: usize, reach: &mut [u64]) {
+        let rw = self.row_words;
+        let nodes = &self.free_nodes[y * rw..][..rw];
+        let links = &self.free_h[y * rw..][..rw];
+        // East: router x can be entered from x - 1 over link x - 1.
+        let (mut link_in, mut reach_in) = (0, 0);
+        for k in 0..rw {
+            let enter = (links[k] << 1 | link_in) & nodes[k];
+            reach[k] = fill_up(reach[k] | (reach_in & enter), enter);
+            (link_in, reach_in) = (links[k] >> 63, reach[k] >> 63);
+        }
+        // West: router x can be entered from x + 1 over link x.
+        let mut reach_in = 0;
+        for k in (0..rw).rev() {
+            let enter = links[k] & nodes[k];
+            reach[k] = fill_down(reach[k] | (reach_in & enter), enter);
+            reach_in = reach[k] << 63;
+        }
+    }
+
+    /// Adds to row `to`'s reach the routers of row `from`'s reach whose
+    /// vertical link (in link row `link_row`) and router in `to` are
+    /// free. Returns whether any bit was new.
+    fn push_reach(&self, reach: &mut [u64], from: usize, to: usize, link_row: usize) -> bool {
+        let rw = self.row_words;
+        let mut grew = false;
+        for k in 0..rw {
+            let add = reach[from * rw + k]
+                & self.free_v[link_row * rw + k]
+                & self.free_nodes[to * rw + k]
+                & !reach[to * rw + k];
+            reach[to * rw + k] |= add;
+            grew |= add != 0;
+        }
+        grew
     }
 
     /// Dimension-ordered (X then Y) route between two routers.
@@ -752,26 +732,11 @@ impl Mesh {
             true
         });
         if !free {
-            self.ensure_occupancy_index();
             return false;
         }
-        // Pass 2: claim every resource and materialize the path.
-        let nodes_out = out.nodes_mut();
-        nodes_out.clear();
-        let mut last: Option<Coord> = None;
-        Topology::walk_dim_ordered(src, dst, order, |c| {
-            self.set_node_claimed(c, owner);
-            if let Some(prev) = last {
-                let slot = self.link_slot(prev, c);
-                if *slot == FREE {
-                    *slot = owner;
-                    self.busy_links += 1;
-                }
-            }
-            nodes_out.push(c);
-            last = Some(c);
-            true
-        });
+        // Pass 2: materialize the route and claim it.
+        self.topo.route_dim_ordered_into(src, dst, order, out);
+        self.claim_free(out.nodes(), owner);
         true
     }
 
@@ -830,7 +795,7 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// As [`Mesh::claim_route_yx_into`].
+    /// As [`Mesh::claim_route_xy_into`].
     pub fn claim_route_yx(&mut self, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
         let mut out = Path::empty();
         self.claim_route_yx_into(src, dst, owner, &mut out)
@@ -875,61 +840,83 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
-        let free_node = |i: usize| {
-            let o = self.nodes[i];
-            o == FREE || o == owner
-        };
-        if !free_node(self.node_index(src)) || !free_node(self.node_index(dst)) {
+        let free = |o: ClaimId| (o == FREE) | (o == owner);
+        let (src_i, dst_i) = (self.node_index(src), self.node_index(dst));
+        if !free(self.nodes[src_i]) || !free(self.nodes[dst_i]) {
             return false;
         }
-        // BFS over free links/nodes; deterministic neighbor order
-        // (east, west, south, north) keeps results reproducible. The
-        // flood is the hot loop of contention-bound scheduling runs, so
-        // it works on flat node indices: neighbors are `i ± 1` /
-        // `i ± width`, the vertical link below node `i` is `v_links[i]`,
-        // and the horizontal link east of it is `h_links[i - y]`.
-        let (w, h) = (self.width() as usize, self.height() as usize);
-        let n = w * h;
-        scratch.begin(n);
-        let stamp = scratch.stamp;
-        let free_link = |slot: ClaimId| slot == FREE || slot == owner;
-        let dst_i = self.node_index(dst);
-        let src_i = self.node_index(src);
-        scratch.seen[src_i] = stamp;
-        scratch.queue.push_back(src_i as u32);
-        'bfs: while let Some(cur) = scratch.queue.pop_front() {
-            let cur = cur as usize;
-            let (x, y) = (cur % w, cur / w);
-            // (neighbor index, link slot), in east/west/south/north order.
-            let neighbors = [
-                (x + 1 < w).then(|| (cur + 1, self.h_links[cur - y])),
-                (x > 0).then(|| (cur - 1, self.h_links[cur - y - 1])),
-                (y + 1 < h).then(|| (cur + w, self.v_links[cur])),
-                (y > 0).then(|| (cur - w, self.v_links[cur - w])),
-            ];
-            for (i, link) in neighbors.into_iter().flatten() {
-                if scratch.seen[i] == stamp || !free_node(i) || !free_link(link) {
-                    continue;
-                }
-                scratch.seen[i] = stamp;
-                scratch.prev[i] = cur as u32;
-                if i == dst_i {
+        // BFS over free links/nodes; the fixed neighbor order (east,
+        // west, south, north) and the stop on first discovery of `dst`
+        // make every route reproducible. The flood is the hot loop of
+        // contention-bound scheduling runs, so it works on flat node
+        // indices carried with their coordinates: neighbors are `i ± 1`
+        // / `i ± width`, the vertical link below node `i` is
+        // `v_links[i]`, and the horizontal link east of it is
+        // `h_links[i - y]`.
+        let (w, h) = (self.width(), self.height());
+        let row = w as usize;
+        // Index, x and y steps to the east/west/south/north neighbors.
+        let steps = [
+            (1, 1, 0),
+            (usize::MAX, u32::MAX, 0),
+            (row, 0, 1),
+            (row.wrapping_neg(), 0, u32::MAX),
+        ];
+        scratch.begin(self.nodes.len());
+        let RouteScratch {
+            prev,
+            seen,
+            stamp,
+            queue,
+        } = scratch;
+        let stamp = *stamp;
+        seen[src_i] = stamp;
+        queue.push([src_i as u32, src.x, src.y]);
+        let mut head = 0;
+        'bfs: while let Some(&[cur, x, y]) = queue.get(head) {
+            head += 1;
+            let i = cur as usize;
+            // Bit k of `open_mask` marks neighbor k unvisited with its
+            // router and link free. The tests combine without branching,
+            // so the mesh's occupancy never steers the branch predictor.
+            let open = |n: usize, link: ClaimId| {
+                u32::from((seen[n] != stamp) & free(self.nodes[n]) & free(link))
+            };
+            let mut open_mask = 0;
+            if x + 1 < w {
+                open_mask |= open(i + 1, self.h_links[i - y as usize]);
+            }
+            if x > 0 {
+                open_mask |= open(i - 1, self.h_links[i - y as usize - 1]) << 1;
+            }
+            if y + 1 < h {
+                open_mask |= open(i + row, self.v_links[i]) << 2;
+            }
+            if y > 0 {
+                open_mask |= open(i - row, self.v_links[i - row]) << 3;
+            }
+            while open_mask != 0 {
+                let (di, dx, dy) = steps[open_mask.trailing_zeros() as usize];
+                open_mask &= open_mask - 1;
+                let n = i.wrapping_add(di);
+                seen[n] = stamp;
+                prev[n] = cur;
+                if n == dst_i {
                     break 'bfs;
                 }
-                scratch.queue.push_back(i as u32);
+                queue.push([n as u32, x.wrapping_add(dx), y.wrapping_add(dy)]);
             }
         }
-        if scratch.seen[dst_i] != stamp {
+        if seen[dst_i] != stamp {
             return false;
         }
         let nodes = out.nodes_mut();
         nodes.clear();
         nodes.push(dst);
         let mut cur = dst;
-        let width = self.width();
         while cur != src {
-            let p = scratch.prev[self.node_index(cur)];
-            cur = Coord::new(p % width, p / width);
+            let p = prev[self.node_index(cur)];
+            cur = Coord::new(p % w, p / w);
             nodes.push(cur);
         }
         nodes.reverse();
@@ -1266,15 +1253,15 @@ mod tests {
 
     #[test]
     fn certainly_blocked_probes_are_conservative() {
-        // Exhaustive soundness check on a congested mesh: whenever a
+        // Exhaustive check on a congested mesh: whenever a corridor
         // probe says "blocked", the corresponding claim must fail for a
-        // fresh owner holding nothing.
+        // fresh owner holding nothing, and the route probe must agree
+        // with the adaptive search exactly.
         let mut m = Mesh::new(7, 7);
         let wall_v = m.route_xy(Coord::new(3, 1), Coord::new(3, 5));
         assert!(m.try_claim(&wall_v, 90));
         let wall_h = m.route_xy(Coord::new(0, 6), Coord::new(6, 6));
         assert!(m.try_claim(&wall_h, 91));
-        m.ensure_occupancy_index();
         for sx in 0..7u32 {
             for sy in 0..7u32 {
                 for dx in 0..7u32 {
@@ -1294,12 +1281,11 @@ mod tests {
                                 "yx probe lied for {src}->{dst}"
                             );
                         }
-                        if m.route_certainly_blocked(src, dst) {
-                            assert!(
-                                m.route_adaptive(src, dst, 7).is_none(),
-                                "route probe lied for {src}->{dst}"
-                            );
-                        }
+                        assert_eq!(
+                            m.route_certainly_blocked(src, dst),
+                            m.route_adaptive(src, dst, 7).is_none(),
+                            "route probe inexact for {src}->{dst}"
+                        );
                     }
                 }
             }
@@ -1311,7 +1297,6 @@ mod tests {
         let mut m = Mesh::new(5, 5);
         let wall = m.route_xy(Coord::new(0, 2), Coord::new(4, 2));
         assert!(m.try_claim(&wall, 1));
-        m.ensure_occupancy_index();
         // Row 2 is fully claimed: anything crossing it is provably
         // unroutable, even adaptively.
         assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
@@ -1355,21 +1340,19 @@ mod tests {
     }
 
     #[test]
-    fn interval_summary_tightens_after_boundary_release() {
+    fn corridor_probe_tracks_releases() {
         let mut m = Mesh::new(8, 8);
         // Three single-node claims on row 3 at x = 1, 4, 6.
         for x in [1u32, 4, 6] {
             assert!(m.try_claim(&Path::new(vec![Coord::new(x, 3)]), 10 + x));
         }
-        m.ensure_occupancy_index();
         // Span [0, 0] holds nothing; [5, 7] certainly holds x=6.
         assert!(!m.xy_certainly_blocked(Coord::new(0, 3), Coord::new(0, 3)));
         assert!(m.xy_certainly_blocked(Coord::new(5, 3), Coord::new(7, 3)));
-        // Release the max boundary; the interval must re-tighten so the
-        // span [5, 7] is no longer provably blocked (x=6 freed)...
+        // Releasing x=6 frees the span [5, 7]...
         m.release(&Path::new(vec![Coord::new(6, 3)]), 16);
         assert!(!m.xy_certainly_blocked(Coord::new(5, 3), Coord::new(7, 3)));
-        // ...but the remaining min boundary still blocks its span.
+        // ...while x=1 still blocks [0, 2].
         assert!(m.xy_certainly_blocked(Coord::new(0, 3), Coord::new(2, 3)));
         m.release(&Path::new(vec![Coord::new(1, 3)]), 11);
         assert!(!m.xy_certainly_blocked(Coord::new(0, 3), Coord::new(2, 3)));
@@ -1398,112 +1381,67 @@ mod tests {
         let _ = m.row_claimed_count(4);
     }
 
-    #[test]
-    fn index_stays_dormant_until_a_claim_fails() {
-        let mut m = Mesh::new(6, 6);
-        assert!(!m.occupancy_index_active());
-        // Successful claims and releases never wake the index.
-        let p = m.route_xy(Coord::new(0, 0), Coord::new(5, 0));
-        assert!(m.try_claim(&p, 1));
-        m.release(&p, 1);
-        let q = m
-            .claim_route_yx(Coord::new(0, 1), Coord::new(5, 1), 2)
-            .unwrap();
-        m.release(&q, 2);
-        assert!(!m.occupancy_index_active());
-        // The first failed claim brings it live.
-        assert!(m.try_claim(&p, 1));
-        let crossing = m.route_xy(Coord::new(2, 0), Coord::new(2, 5));
-        assert!(!m.try_claim(&crossing, 3));
-        assert!(m.occupancy_index_active());
+    /// Checks every line read of the bitboards against a scan of
+    /// `node_claimed`.
+    fn assert_line_reads_match_scan(m: &Mesh) {
+        let span = |claimed: &[u32]| claimed.first().map(|&lo| (lo, claimed[claimed.len() - 1]));
+        for y in 0..m.height() {
+            let claimed: Vec<u32> = (0..m.width())
+                .filter(|&x| m.node_claimed(Coord::new(x, y)))
+                .collect();
+            assert_eq!(m.row_claimed_count(y), claimed.len() as u32, "row {y}");
+            assert_eq!(m.row_claimed_interval(y), span(&claimed), "row {y}");
+        }
+        for x in 0..m.width() {
+            let claimed: Vec<u32> = (0..m.height())
+                .filter(|&y| m.node_claimed(Coord::new(x, y)))
+                .collect();
+            assert_eq!(m.col_claimed_count(x), claimed.len() as u32, "column {x}");
+            assert_eq!(m.col_claimed_interval(x), span(&claimed), "column {x}");
+        }
     }
 
     #[test]
-    fn fused_claim_failure_also_wakes_the_index() {
-        let mut m = Mesh::new(5, 5);
-        let wall = m.route_xy(Coord::new(0, 2), Coord::new(4, 2));
-        assert!(m.try_claim(&wall, 1));
-        assert!(!m.occupancy_index_active());
-        let mut out = Path::empty();
-        assert!(!m.claim_route_xy_into(Coord::new(2, 0), Coord::new(2, 4), 2, &mut out));
-        assert!(m.occupancy_index_active());
-        // Once live, the separator proof fires.
-        assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
-    }
-
-    #[test]
-    fn rebuilt_index_matches_incremental_maintenance() {
-        // Claim a congested pattern on a dormant-index mesh, wake the
-        // index, and check every line summary against a twin mesh whose
-        // index was live from the start.
-        let mut lazy = Mesh::new(9, 9);
-        let mut eager = Mesh::new(9, 9);
-        eager.ensure_occupancy_index();
+    fn bitboard_line_reads_match_a_scan() {
+        // 70 x 67 routers: rows and columns take two words each, and the
+        // claims cross both word seams.
+        let mut m = Mesh::new(70, 67);
         let claims = [
-            (Coord::new(0, 0), Coord::new(8, 0)),
-            (Coord::new(2, 2), Coord::new(2, 7)),
-            (Coord::new(4, 4), Coord::new(7, 6)),
-            (Coord::new(0, 8), Coord::new(3, 8)),
+            (Coord::new(0, 0), Coord::new(69, 0)),
+            (Coord::new(62, 2), Coord::new(66, 66)),
+            (Coord::new(4, 63), Coord::new(64, 64)),
+            (Coord::new(63, 10), Coord::new(63, 10)),
         ];
-        for (i, &(a, b)) in claims.iter().enumerate() {
-            let p = lazy.route_xy(a, b);
-            assert!(lazy.try_claim(&p, i as u32 + 1));
-            assert!(eager.try_claim(&p, i as u32 + 1));
-        }
-        // Release one mid-pattern path so boundaries re-tighten on the
-        // eager side before the comparison.
-        let p = lazy.route_xy(claims[2].0, claims[2].1);
-        lazy.release(&p, 3);
-        eager.release(&p, 3);
-        lazy.ensure_occupancy_index();
-        for y in 0..9 {
-            assert_eq!(
-                lazy.row_claimed_count(y),
-                eager.row_claimed_count(y),
-                "row {y} count"
-            );
-            assert_eq!(
-                lazy.row_claimed_interval(y),
-                eager.row_claimed_interval(y),
-                "row {y} interval"
-            );
-        }
-        for x in 0..9 {
-            assert_eq!(lazy.col_claimed_count(x), eager.col_claimed_count(x));
-            assert_eq!(lazy.col_claimed_interval(x), eager.col_claimed_interval(x));
-        }
+        let paths: Vec<Path> = claims
+            .iter()
+            .zip(1..)
+            .map(|(&(a, b), owner)| m.claim_route_xy(a, b, owner).expect("disjoint claims"))
+            .collect();
+        assert_line_reads_match_scan(&m);
+        // Releasing a path re-tightens the intervals it bounded.
+        m.release(&paths[2], 3);
+        assert_line_reads_match_scan(&m);
+        m.release(&paths[0], 1);
+        assert_line_reads_match_scan(&m);
+        assert_eq!(m.row_claimed_interval(0), None);
     }
 
     #[test]
-    fn dormant_probes_still_catch_claimed_endpoints() {
-        let mut m = Mesh::new(5, 5);
-        assert!(m.try_claim(&Path::new(vec![Coord::new(2, 2)]), 1));
-        assert!(!m.occupancy_index_active());
-        assert!(m.xy_certainly_blocked(Coord::new(2, 2), Coord::new(4, 4)));
-        assert!(m.yx_certainly_blocked(Coord::new(0, 0), Coord::new(2, 2)));
-        assert!(m.route_certainly_blocked(Coord::new(2, 2), Coord::new(0, 0)));
-        // Corridor proofs need the live index: a wall mid-corridor is
-        // invisible while dormant (weaker verdict, still sound)...
-        let wall = m.route_xy(Coord::new(0, 3), Coord::new(4, 3));
-        assert!(m.try_claim(&wall, 2));
-        assert!(!m.xy_certainly_blocked(Coord::new(0, 0), Coord::new(0, 4)));
-        // ...and fires once the index is live.
-        m.ensure_occupancy_index();
-        assert!(m.xy_certainly_blocked(Coord::new(0, 0), Coord::new(0, 4)));
-    }
-
-    #[test]
-    fn dormant_line_accessors_scan_real_occupancy() {
-        let mut m = Mesh::new(6, 6);
-        let p = m.route_xy(Coord::new(1, 2), Coord::new(4, 2));
-        assert!(m.try_claim(&p, 3));
-        assert!(!m.occupancy_index_active());
-        assert_eq!(m.row_claimed_count(2), 4);
-        assert_eq!(m.row_claimed_interval(2), Some((1, 4)));
-        assert_eq!(m.col_claimed_count(4), 1);
-        assert_eq!(m.col_claimed_interval(4), Some((2, 2)));
-        assert_eq!(m.row_claimed_count(0), 0);
-        assert_eq!(m.col_claimed_interval(0), None);
+    fn defected_line_reads_match_a_scan() {
+        use crate::defect::DefectMap;
+        // Dead routers count as claimed; dead links claim no router.
+        let text = "dims 66 5\nnode 0 1\nnode 64 1\nnode 65 4\nlink 63 2 64 2\n";
+        let map = DefectMap::from_text(text).unwrap();
+        let mut m = Mesh::with_defects(66, 5, &map);
+        assert_line_reads_match_scan(&m);
+        assert_eq!(m.row_claimed_interval(1), Some((0, 64)));
+        assert_eq!(m.row_claimed_count(2), 0);
+        let p = m
+            .claim_route_xy(Coord::new(1, 3), Coord::new(65, 3), 3)
+            .unwrap();
+        assert_line_reads_match_scan(&m);
+        m.release(&p, 3);
+        assert_line_reads_match_scan(&m);
     }
 
     #[test]
@@ -1567,14 +1505,13 @@ mod tests {
     fn probes_stay_sound_with_defects() {
         use crate::defect::DefectMap;
         // A fully dead row separates the mesh; the probes must prove it
-        // once the index is live, and must never contradict the claims.
+        // and must never contradict the claims.
         let mut text = String::from("dims 5 5\n");
         for x in 0..5 {
             text.push_str(&format!("node {x} 2\n"));
         }
         let map = DefectMap::from_text(&text).unwrap();
         let mut m = Mesh::with_defects(5, 5, &map);
-        m.ensure_occupancy_index();
         assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
         assert!(m
             .route_adaptive(Coord::new(2, 0), Coord::new(2, 4), 1)

@@ -3,14 +3,259 @@
 //! and the calendar-queue event core must be indistinguishable from
 //! its `BinaryHeap` differential twin on every stream.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
-use scq_mesh::{CalendarQueue, Coord, DefectMap, EventQueue, HeapQueue, Mesh, Path, Topology};
+use scq_mesh::{
+    CalendarQueue, ClaimId, Coord, DefectMap, EventQueue, HeapQueue, Mesh, Path, RouteScratch,
+    Topology,
+};
 
 fn arb_mesh_and_endpoints() -> impl Strategy<Value = (u32, u32, Coord, Coord)> {
     (2u32..12, 2u32..12).prop_flat_map(|(w, h)| {
         ((0..w), (0..h), (0..w), (0..h))
             .prop_map(move |(x1, y1, x2, y2)| (w, h, Coord::new(x1, y1), Coord::new(x2, y2)))
     })
+}
+
+/// Mesh sides where the bitboards' word seams sit, drawn as often as a
+/// uniform side in `1..=140`.
+const SEAM_SIDES: [u32; 6] = [1, 63, 64, 65, 128, 129];
+
+fn arb_side() -> impl Strategy<Value = u32> {
+    (0usize..12, 1u32..141).prop_map(|(i, side)| SEAM_SIDES.get(i).copied().unwrap_or(side))
+}
+
+/// Who may use each router and link, for one owner, read through the
+/// public API: `is_path_free` on a one-router path and on each
+/// one-link path.
+struct FreeMap {
+    w: u32,
+    node: Vec<bool>,
+    /// Link from router `i` east to `i + 1` (with both routers).
+    east: Vec<bool>,
+    /// Link from router `i` south to `i + w` (with both routers).
+    south: Vec<bool>,
+}
+
+impl FreeMap {
+    fn new(mesh: &Mesh, owner: ClaimId) -> Self {
+        let (w, h) = (mesh.width(), mesh.height());
+        let free = |nodes: Vec<Coord>| mesh.is_path_free(&Path::new(nodes), owner);
+        let coords = || (0..h).flat_map(move |y| (0..w).map(move |x| Coord::new(x, y)));
+        FreeMap {
+            w,
+            node: coords().map(|c| free(vec![c])).collect(),
+            east: coords()
+                .map(|c| c.x + 1 < w && free(vec![c, Coord::new(c.x + 1, c.y)]))
+                .collect(),
+            south: coords()
+                .map(|c| c.y + 1 < h && free(vec![c, Coord::new(c.x, c.y + 1)]))
+                .collect(),
+        }
+    }
+
+    fn index(&self, c: Coord) -> usize {
+        (c.y * self.w + c.x) as usize
+    }
+
+    /// The adaptive search as first written, kept as the oracle of the
+    /// optimized kernel: a `VecDeque` BFS over free routers and links
+    /// that tries neighbors east, west, south, north and stops when
+    /// `dst` is first discovered. `None` when no route exists.
+    fn route(&self, src: Coord, dst: Coord) -> Option<Vec<Coord>> {
+        if !self.node[self.index(src)] || !self.node[self.index(dst)] {
+            return None;
+        }
+        let mut prev = vec![usize::MAX; self.node.len()];
+        let mut seen = vec![false; self.node.len()];
+        let mut queue = VecDeque::new();
+        seen[self.index(src)] = true;
+        queue.push_back(src);
+        'bfs: while let Some(cur) = queue.pop_front() {
+            let i = self.index(cur);
+            let neighbors = [
+                (self.east[i]).then(|| Coord::new(cur.x + 1, cur.y)),
+                (cur.x > 0 && self.east[i - 1]).then(|| Coord::new(cur.x - 1, cur.y)),
+                (self.south[i]).then(|| Coord::new(cur.x, cur.y + 1)),
+                (cur.y > 0 && self.south[i - self.w as usize])
+                    .then(|| Coord::new(cur.x, cur.y - 1)),
+            ];
+            for n in neighbors.into_iter().flatten() {
+                let j = self.index(n);
+                if seen[j] {
+                    continue;
+                }
+                seen[j] = true;
+                prev[j] = i;
+                if n == dst {
+                    break 'bfs;
+                }
+                queue.push_back(n);
+            }
+        }
+        if !seen[self.index(dst)] {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = self.index(dst);
+        while cur != self.index(src) {
+            cur = prev[cur];
+            path.push(Coord::new(cur as u32 % self.w, cur as u32 / self.w));
+        }
+        path.reverse();
+        Some(path)
+    }
+}
+
+/// A `w x h` mesh, dead routers and links sampled at `defect_rate`,
+/// congested by `claims` short dimension-ordered braids from owners
+/// 1..=4 (those that find every resource free), some of them released
+/// again. Returns the mesh and every path still held, with its owner.
+fn congested_mesh(
+    w: u32,
+    h: u32,
+    defect_rate: f64,
+    claims: usize,
+    rng: &mut TestRng,
+) -> (Mesh, Vec<(Path, ClaimId)>) {
+    let map = DefectMap::sample(Topology::new(w, h), defect_rate, rng.next_u64());
+    let mut mesh = Mesh::with_defects(w, h, &map);
+    let mut held = Vec::new();
+    let mut pick = |bound: u32| (rng.next_u64() % u64::from(bound)) as u32;
+    for _ in 0..claims {
+        let a = Coord::new(pick(w), pick(h));
+        let b = Coord::new((a.x + pick(12)).min(w - 1), (a.y + pick(12)).min(h - 1));
+        let path = if pick(2) == 0 {
+            mesh.route_xy(a, b)
+        } else {
+            mesh.route_yx(b, a)
+        };
+        // Owner 0 holds nothing, so a claim never overlaps its own
+        // owner's earlier paths and every path releases cleanly.
+        let owner = 1 + pick(4);
+        if mesh.is_path_free(&path, 0) && mesh.try_claim(&path, owner) {
+            held.push((path, owner));
+        }
+        if pick(5) == 0 && !held.is_empty() {
+            let (path, owner) = held.swap_remove(pick(held.len() as u32) as usize);
+            mesh.release(&path, owner);
+        }
+    }
+    (mesh, held)
+}
+
+fn random_coord(mesh: &Mesh, rng: &mut TestRng) -> Coord {
+    Coord::new(
+        (rng.next_u64() % u64::from(mesh.width())) as u32,
+        (rng.next_u64() % u64::from(mesh.height())) as u32,
+    )
+}
+
+/// Checks every line read of the bitboards against a `node_claimed`
+/// scan.
+fn assert_line_reads_match_scan(mesh: &Mesh) {
+    let span = |claimed: &[u32]| claimed.first().map(|&lo| (lo, claimed[claimed.len() - 1]));
+    for y in 0..mesh.height() {
+        let claimed: Vec<u32> = (0..mesh.width())
+            .filter(|&x| mesh.node_claimed(Coord::new(x, y)))
+            .collect();
+        assert_eq!(mesh.row_claimed_count(y), claimed.len() as u32, "row {y}");
+        assert_eq!(mesh.row_claimed_interval(y), span(&claimed), "row {y}");
+    }
+    for x in 0..mesh.width() {
+        let claimed: Vec<u32> = (0..mesh.height())
+            .filter(|&y| mesh.node_claimed(Coord::new(x, y)))
+            .collect();
+        assert_eq!(
+            mesh.col_claimed_count(x),
+            claimed.len() as u32,
+            "column {x}"
+        );
+        assert_eq!(mesh.col_claimed_interval(x), span(&claimed), "column {x}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn adaptive_routes_match_the_vecdeque_oracle_node_for_node(
+        sides in (arb_side(), arb_side(), arb_side(), arb_side()),
+        rate in (0u32..3).prop_map(|k| if k == 0 { 0.03 } else { 0.0 }),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Two meshes of different sizes share one scratch, and each is
+        // queried for owner 1 (which may hold resources that count as
+        // free for it), owner 3 and an owner holding nothing.
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut scratch = RouteScratch::new();
+        let mut out = Path::empty();
+        for (w, h) in [(sides.0, sides.1), (sides.2, sides.3)] {
+            let claims = (w * h / 12) as usize;
+            let (mesh, _) = congested_mesh(w, h, rate, claims, &mut rng);
+            for owner in [1, 3, 77] {
+                let free = FreeMap::new(&mesh, owner);
+                for _ in 0..6 {
+                    let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
+                    let expect = free.route(src, dst);
+                    let found = mesh.route_adaptive_into(src, dst, owner, &mut scratch, &mut out);
+                    prop_assert_eq!(found, expect.is_some(), "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
+                    if let Some(expect) = expect {
+                        prop_assert_eq!(out.nodes(), &expect[..], "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn congestion_probes_are_exact_where_promised(
+        (w, h) in (arb_side(), arb_side()).prop_map(|(w, h)| (w.min(80), h.min(80))),
+        rate in (0u32..2).prop_map(|k| if k == 0 { 0.05 } else { 0.0 }),
+        seed in 0u64..u64::MAX,
+    ) {
+        // The route probe equals a failed adaptive search for an owner
+        // holding nothing; the corridor probes never call a claimable
+        // walk blocked, and without defects they match the walk exactly.
+        let mut rng = TestRng::seed_from_u64(seed);
+        let (mesh, _) = congested_mesh(w, h, rate, (w * h / 8) as usize, &mut rng);
+        for _ in 0..40 {
+            let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
+            prop_assert_eq!(
+                mesh.route_certainly_blocked(src, dst),
+                mesh.route_adaptive(src, dst, 99).is_none(),
+                "route probe {} -> {} on {}x{}", src, dst, w, h
+            );
+            let xy_walks = mesh.clone().claim_route_xy(src, dst, 99).is_some();
+            let yx_walks = mesh.clone().claim_route_yx(src, dst, 99).is_some();
+            prop_assert!(!(xy_walks && mesh.xy_certainly_blocked(src, dst)), "xy {} -> {}", src, dst);
+            prop_assert!(!(yx_walks && mesh.yx_certainly_blocked(src, dst)), "yx {} -> {}", src, dst);
+            if rate == 0.0 {
+                prop_assert_eq!(mesh.xy_certainly_blocked(src, dst), !xy_walks, "xy {} -> {}", src, dst);
+                prop_assert_eq!(mesh.yx_certainly_blocked(src, dst), !yx_walks, "yx {} -> {}", src, dst);
+            }
+        }
+    }
+
+    #[test]
+    fn bitboard_line_reads_match_a_scan_after_claims_and_releases(
+        (w, h) in (arb_side(), arb_side()).prop_map(|(w, h)| (w.min(100), h.min(100))),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let (mut mesh, mut held) = congested_mesh(w, h, 0.02, (w * h / 10) as usize, &mut rng);
+        assert_line_reads_match_scan(&mesh);
+        // Release everything in a shuffled order, checking as we go.
+        while !held.is_empty() {
+            let (path, owner) = held.swap_remove((rng.next_u64() % held.len() as u64) as usize);
+            mesh.release(&path, owner);
+            if held.len() % 4 == 0 {
+                assert_line_reads_match_scan(&mesh);
+            }
+        }
+        prop_assert_eq!(mesh.busy_links(), 0);
+    }
 }
 
 proptest! {
