@@ -14,13 +14,12 @@
 use scq_apps::{ising, IsingParams};
 use scq_bench::{or_die, parallel_map};
 use scq_braid::{schedule, BraidConfig, Policy, TGateModel};
-use scq_core::{CommBackend, TeleportBackend};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
 use scq_mesh::FabricConfig;
 use scq_surface::surgery::SurgeryCost;
 use scq_teleport::{
-    schedule_planar_with, BaselinePlacement, CongestionAwarePlacement, FabricRun,
+    schedule_planar, schedule_planar_with, BaselinePlacement, CongestionAwarePlacement, FabricRun,
     PlacementStrategy, PlanarConfig,
 };
 
@@ -153,10 +152,9 @@ fn main() {
     println!("the point of use (no teleport prefetchability) — Section 8.2.");
 
     // 5. EPR fabric bandwidth ablation: the same workload scheduled on
-    // the planar backend (through the unified CommBackend interface)
-    // with progressively fewer swap lanes per link. Unlimited capacity
-    // reproduces the flow-level model; constrained lanes surface the
-    // contention it cannot express.
+    // the planar backend with progressively fewer swap lanes per link.
+    // Unlimited capacity reproduces the flow-level model; constrained
+    // lanes surface the contention it cannot express.
     println!("\n[5] EPR fabric bandwidth ablation (planar backend, d = 5)");
     println!(
         "{:<22} {:>10} {:>14} {:>14} {:>10}",
@@ -170,27 +168,20 @@ fn main() {
         ("1", 1),
     ];
     let results = parallel_map(&variants, |&(_, link_capacity)| {
-        let backend = TeleportBackend::new(PlanarConfig {
+        let config = PlanarConfig {
             code_distance: 5,
             link_capacity,
             ..Default::default()
-        });
-        or_die(backend.schedule(&circuit, &dag), "planar scheduling")
+        };
+        schedule_planar(&circuit, &dag, &config)
     });
-    for ((name, _), report) in variants.iter().zip(&results) {
-        let planar = or_die(
-            report
-                .detail
-                .as_teleport()
-                .ok_or("report carries no teleport detail"),
-            "planar ablation",
-        );
+    for ((name, _), planar) in variants.iter().zip(&results) {
         println!(
             "{name:<22} {:>10} {:>14} {:>14} {:>10.2}",
-            report.cycles,
+            planar.cycles,
             planar.link_stall_cycles,
             planar.hottest_link_busy_cycles,
-            report.overhead_ratio()
+            planar.cycles as f64 / planar.timesteps.max(1) as f64
         );
     }
     println!("\nFewer lanes -> more queued EPR halves -> measured added latency;");

@@ -19,14 +19,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use scq_bench::{fig6_workloads, parallel_map};
-use scq_braid::{braid_mesh_dims, schedule_with, BraidConfig, EventCollector, Policy};
-use scq_ir::{DependencyDag, InteractionGraph};
-use scq_layout::place;
-use scq_mesh::{DefectMap, Topology};
-use scq_teleport::{
-    schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig, PlanarMachine,
-};
-use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Severity};
+use scq_braid::Policy;
+use scq_core::{ArtifactContext, BackendKind, DefectSpec, PipelineRunner, ToolflowConfig};
+use scq_ir::Circuit;
+use scq_verify::{Finding, Severity};
 
 const CODE_DISTANCE: u32 = 5;
 const DEFECT_RATE: f64 = 0.02;
@@ -49,63 +45,34 @@ impl PointReport {
     }
 }
 
-fn braid_point(
-    circuit: &scq_ir::Circuit,
-    app: &str,
-    policy: Policy,
-    defective: bool,
-) -> PointReport {
+/// One traced pipeline run of a grid point — the braid backend under
+/// `policy`, or the planar backend when there is none — certified on
+/// the map it ran on.
+fn point(circuit: &Circuit, app: &str, policy: Option<Policy>, defective: bool) -> PointReport {
     let fabric = if defective { "2% defects" } else { "clean" };
-    let label = format!("braid/{app}/P{}/{fabric}", policy.index());
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
-    let config = BraidConfig {
-        policy,
-        code_distance: CODE_DISTANCE,
-        ..Default::default()
+    let (label, runner, backend) = match policy {
+        Some(p) => (
+            format!("braid/{app}/P{}/{fabric}", p.index()),
+            PipelineRunner::braid(),
+            BackendKind::Braid,
+        ),
+        None => (
+            format!("planar/{app}/{fabric}"),
+            PipelineRunner::planar(),
+            BackendKind::Planar,
+        ),
     };
-    let map = defective.then(|| {
-        let (mw, mh) = braid_mesh_dims(&layout, circuit);
-        DefectMap::sample(Topology::new(mw, mh), DEFECT_RATE, DEFECT_SEED)
-    });
-    let mut sink = EventCollector::default();
-    let outcome = match schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink) {
-        Ok(schedule) => {
-            let trace = sink.into_trace(&layout, circuit, &schedule);
-            Ok(certify_braid_trace(&trace, circuit, &dag, map.as_ref()))
-        }
-        Err(e) => Err(e.to_string()),
+    let rate = if defective { DEFECT_RATE } else { 0.0 }; // a zero rate is clean
+    let defects = DefectSpec::Sampled {
+        rate,
+        seed: DEFECT_SEED,
     };
-    PointReport { label, outcome }
-}
-
-fn planar_point(circuit: &scq_ir::Circuit, app: &str, defective: bool) -> PointReport {
-    let fabric = if defective { "2% defects" } else { "clean" };
-    let label = format!("planar/{app}/{fabric}");
-    let dag = DependencyDag::from_circuit(circuit);
-    let config = PlanarConfig {
-        code_distance: CODE_DISTANCE,
-        ..Default::default()
-    };
-    let map = defective.then(|| {
-        let (gw, gh) = PlanarMachine::grid_dims(circuit.num_qubits());
-        DefectMap::sample(Topology::new(gw, gh), DEFECT_RATE, DEFECT_SEED)
-    });
-    let run = FabricRun {
-        defects: map.as_ref(),
-        fault_seed: DEFECT_SEED,
-        transcript: true,
-    };
-    let outcome = match schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run) {
-        Ok((schedule, Some(transcript))) => Ok(certify_planar_schedule(
-            &schedule,
-            &transcript,
-            circuit,
-            &dag,
-            map.as_ref(),
-        )),
-        Ok((_, None)) => Err("the engine returned no transcript".into()),
+    let config = ToolflowConfig::pinned(policy.unwrap_or(Policy::P6), CODE_DISTANCE);
+    let mut cx = ArtifactContext::for_circuit(circuit, config)
+        .with_defects(defects)
+        .with_trace(true);
+    let outcome = match runner.run(&mut cx) {
+        Ok(_) => cx.certify(backend).ok_or_else(|| "no trace".to_string()),
         Err(e) => Err(e.to_string()),
     };
     PointReport { label, outcome }
@@ -129,10 +96,7 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let reports = parallel_map(&grid, |&(w, policy, defective)| {
         let (bench, circuit) = &workloads[w];
-        match policy {
-            Some(p) => braid_point(circuit, bench.name(), p, defective),
-            None => planar_point(circuit, bench.name(), defective),
-        }
+        point(circuit, bench.name(), policy, defective)
     });
     let certify_secs = t0.elapsed().as_secs_f64();
 

@@ -18,20 +18,19 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use scq_apps::Benchmark;
 use scq_bench::{
     fig6_workloads, or_die, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
 };
-use scq_braid::{schedule_with, BraidConfig, EventCollector, Policy};
-use scq_core::{run_toolflow_timed, ToolflowConfig};
-use scq_ir::{DependencyDag, InteractionGraph};
-use scq_layout::place;
+use scq_braid::Policy;
+use scq_core::{run_toolflow_timed, ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
+use scq_ir::{Circuit, DependencyDag};
 use scq_teleport::{
-    schedule_planar, schedule_planar_with, schedule_simd, simulate_epr_distribution,
-    simulate_epr_on_fabric, BaselinePlacement, CongestionAwarePlacement, DistributionPolicy,
-    EprConfig, EprDemand, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, SimdConfig,
+    schedule_planar, schedule_simd, simulate_epr_distribution, simulate_epr_on_fabric,
+    CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand, FabricEprConfig, FabricRun,
+    PlanarConfig, PlanarMachine, SimdConfig,
 };
-use scq_verify::{certify_braid_trace, certify_planar_schedule};
 
 const CODE_DISTANCE: u32 = 5;
 /// Timed runs per engine point; the median is reported.
@@ -81,6 +80,19 @@ impl Point {
     }
 }
 
+/// One traced run of a fig6 workload at the report's distance, for the
+/// certifier timings.
+fn traced(
+    (bench, circuit): &(Benchmark, Circuit),
+    policy: Policy,
+    runner: PipelineRunner,
+) -> (Benchmark, ArtifactContext<'_>) {
+    let config = ToolflowConfig::pinned(policy, CODE_DISTANCE);
+    let mut cx = ArtifactContext::for_circuit(circuit, config).with_trace(true);
+    or_die(runner.run(&mut cx), "fig6 workload failed to schedule");
+    (*bench, cx)
+}
+
 fn main() {
     let workloads = fig6_workloads();
     let mut points = Vec::new();
@@ -118,31 +130,15 @@ fn main() {
     // fast/ref timings above never run it.
     let traced: Vec<_> = grid
         .iter()
-        .map(|&(w, policy)| {
-            let circuit = &workloads[w].1;
-            let dag = DependencyDag::from_circuit(circuit);
-            let graph = InteractionGraph::from_circuit(circuit);
-            let layout = place(&graph, policy.layout_strategy(), None);
-            let config = BraidConfig {
-                policy,
-                code_distance: CODE_DISTANCE,
-                ..Default::default()
-            };
-            let mut sink = EventCollector::default();
-            let schedule = or_die(
-                schedule_with(circuit, &dag, &layout, &config, None, &mut sink),
-                "fig6 workload failed to schedule",
-            );
-            (w, dag, sink.into_trace(&layout, circuit, &schedule))
-        })
+        .map(|&(w, policy)| traced(&workloads[w], policy, PipelineRunner::braid()))
         .collect();
     let t0 = Instant::now();
-    for (w, dag, trace) in &traced {
-        let findings = certify_braid_trace(trace, &workloads[*w].1, dag, None);
+    for (bench, cx) in &traced {
+        let findings = cx.certify(BackendKind::Braid);
         assert!(
-            findings.is_empty(),
+            findings.as_ref().is_some_and(Vec::is_empty),
             "{}: braid trace failed certification: {findings:?}",
-            workloads[*w].0.name()
+            bench.name()
         );
     }
     let certify_secs = t0.elapsed().as_secs_f64();
@@ -565,28 +561,13 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
     // (untimed), then time only the independent transcript replay.
     let traced: Vec<_> = workloads
         .iter()
-        .map(|(_, circuit)| {
-            let dag = DependencyDag::from_circuit(circuit);
-            let config = PlanarConfig {
-                code_distance: CODE_DISTANCE,
-                ..Default::default()
-            };
-            let run = FabricRun {
-                transcript: true,
-                ..Default::default()
-            };
-            let scheduled = schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run);
-            match or_die(scheduled, "fig6 workload failed to schedule") {
-                (schedule, Some(transcript)) => (dag, schedule, transcript),
-                (_, None) => or_die(Err("no transcript recorded"), "fig6 planar run"),
-            }
-        })
+        .map(|workload| traced(workload, Policy::P6, PipelineRunner::planar()))
         .collect();
     let t0 = Instant::now();
-    for ((bench, circuit), (dag, schedule, transcript)) in workloads.iter().zip(&traced) {
-        let findings = certify_planar_schedule(schedule, transcript, circuit, dag, None);
+    for (bench, cx) in &traced {
+        let findings = cx.certify(BackendKind::Planar);
         assert!(
-            findings.is_empty(),
+            findings.as_ref().is_some_and(Vec::is_empty),
             "{}: planar schedule failed certification: {findings:?}",
             bench.name()
         );

@@ -26,17 +26,14 @@
 #![warn(missing_docs)]
 
 use scq_apps::{ising, sha1, square_root, Benchmark, IsingParams, Sha1Params, SqParams};
-use scq_braid::{
-    braid_mesh_dims, schedule_circuit, schedule_reference, schedule_with, BraidConfig,
-    BraidSchedule, NoTrace, Policy, ScheduleError,
-};
+use scq_braid::{schedule_circuit, schedule_reference, BraidConfig, BraidSchedule, Policy};
+use scq_core::{ArtifactContext, DefectSpec, PipelineRunner, ToolflowConfig, ToolflowError};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::place;
-use scq_mesh::{CommError, DefectMap, Topology};
+use scq_mesh::Topology;
 use scq_teleport::{
-    hop_cycles_for_distance, schedule_planar_with, schedule_simd, BaselinePlacement, EprConfig,
-    EprRequest, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, PlanarSchedule,
-    SimdConfig,
+    hop_cycles_for_distance, schedule_simd, EprConfig, EprRequest, FabricEprConfig, PlanarMachine,
+    PlanarSchedule, SimdConfig,
 };
 
 /// The standard toolflow pipeline's stages, in execution order — the
@@ -129,59 +126,62 @@ pub fn run_policy(circuit: &Circuit, policy: Policy, code_distance: u32) -> Brai
         .expect("figure 6 workloads schedule cleanly")
 }
 
+/// A pipeline context for `circuit` under `policy` at a pinned code
+/// distance, on defects sampled at `rate` from `seed`.
+fn on_defects(
+    circuit: &Circuit,
+    policy: Policy,
+    d: u32,
+    rate: f64,
+    seed: u64,
+) -> ArtifactContext<'_> {
+    let defects = DefectSpec::Sampled { rate, seed };
+    ArtifactContext::for_circuit(circuit, ToolflowConfig::pinned(policy, d)).with_defects(defects)
+}
+
 /// [`run_policy`] on a braid mesh with fabrication defects sampled at
 /// `rate` from `seed` (at the mesh dimensions this circuit's layout
-/// implies). Rate 0 is bit-identical to [`run_policy`].
+/// implies) — one [`PipelineRunner::braid`] run. Rate 0 is
+/// bit-identical to [`run_policy`].
 ///
 /// # Errors
 ///
-/// Forwards the scheduler's [`ScheduleError`]; circuits the defects cut
-/// off report [`ScheduleError::Unroutable`] rather than panicking.
+/// Forwards the scheduler's error; circuits the defects cut off report
+/// an unroutable diagnostic rather than panicking.
 pub fn run_policy_on_defects(
     circuit: &Circuit,
     policy: Policy,
     code_distance: u32,
     rate: f64,
     seed: u64,
-) -> Result<BraidSchedule, ScheduleError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
-    let (mw, mh) = braid_mesh_dims(&layout, circuit);
-    let map = DefectMap::sample(Topology::new(mw, mh), rate, seed);
-    let config = braid_config(policy, code_distance);
-    schedule_with(circuit, &dag, &layout, &config, Some(&map), &mut NoTrace)
+) -> Result<BraidSchedule, ToolflowError> {
+    let mut cx = on_defects(circuit, policy, code_distance, rate, seed);
+    PipelineRunner::braid().run(&mut cx)?;
+    let braid = cx.braid().cloned();
+    Ok(braid.expect("a braid run deposits a schedule"))
 }
 
-/// The planar counterpart of [`run_policy_on_defects`]: schedules the
-/// Multi-SIMD + EPR pipeline on a machine with defects sampled at
-/// `rate` from `seed` (at this circuit's own grid dimensions; `seed`
-/// also keys the transient-fault draws on flaky links). Rate 0 is
-/// bit-identical to the clean planar schedule.
+/// The planar counterpart of [`run_policy_on_defects`]: one
+/// [`PipelineRunner::planar`] run of the Multi-SIMD + EPR pipeline on a
+/// machine with defects sampled at `rate` from `seed` (at this
+/// circuit's own grid dimensions; `seed` also keys the transient-fault
+/// draws on flaky links). Rate 0 is bit-identical to the clean planar
+/// schedule.
 ///
 /// # Errors
 ///
-/// A structured [`CommError`] when the defects make the machine
+/// A structured communication error when the defects make the machine
 /// unbuildable or the demand unroutable.
 pub fn run_planar_on_defects(
     circuit: &Circuit,
     code_distance: u32,
     rate: f64,
     seed: u64,
-) -> Result<PlanarSchedule, CommError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    let config = PlanarConfig {
-        code_distance,
-        ..Default::default()
-    };
-    let (gw, gh) = PlanarMachine::grid_dims(circuit.num_qubits());
-    let map = DefectMap::sample(Topology::new(gw, gh), rate, seed);
-    let run = FabricRun {
-        defects: Some(&map),
-        fault_seed: seed,
-        transcript: false,
-    };
-    schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run).map(|(s, _)| s)
+) -> Result<PlanarSchedule, ToolflowError> {
+    let mut cx = on_defects(circuit, Policy::P6, code_distance, rate, seed);
+    PipelineRunner::planar().run(&mut cx)?;
+    let planar = cx.planar().cloned();
+    Ok(planar.expect("a planar run deposits a schedule"))
 }
 
 /// [`run_policy`] driven by the retained naive-stepping engine — the

@@ -12,15 +12,19 @@ use scq_bench::{
     fig6_workloads, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference,
 };
-use scq_braid::{schedule_with, BraidConfig, EventCollector, Policy};
-use scq_ir::{DependencyDag, InteractionGraph};
-use scq_layout::place;
-use scq_teleport::{
-    schedule_planar, schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig,
-};
-use scq_verify::{certify_braid_trace, certify_planar_schedule};
+use scq_braid::Policy;
+use scq_core::{ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
+use scq_ir::{Circuit, DependencyDag};
+use scq_teleport::{schedule_planar, PlanarConfig};
 
 const CODE_DISTANCE: u32 = 5;
+
+/// A traced pipeline context for `circuit` under `policy`, for the
+/// certifier.
+fn traced(circuit: &Circuit, policy: Policy) -> ArtifactContext<'_> {
+    let config = ToolflowConfig::pinned(policy, CODE_DISTANCE);
+    ArtifactContext::for_circuit(circuit, config).with_trace(true)
+}
 
 #[test]
 fn fast_path_matches_reference_on_fig6_grid() {
@@ -89,19 +93,11 @@ fn braid_traces_certify_clean_on_fig6_grid() {
         .collect();
     let violations: Vec<String> = parallel_map(&points, |&(w, policy)| {
         let (bench, circuit) = &workloads[w];
-        let dag = DependencyDag::from_circuit(circuit);
-        let graph = InteractionGraph::from_circuit(circuit);
-        let layout = place(&graph, policy.layout_strategy(), None);
-        let config = BraidConfig {
-            policy,
-            code_distance: CODE_DISTANCE,
-            ..Default::default()
-        };
-        let mut sink = EventCollector::default();
-        let schedule = schedule_with(circuit, &dag, &layout, &config, None, &mut sink)
+        let mut cx = traced(circuit, policy);
+        PipelineRunner::braid()
+            .run(&mut cx)
             .expect("figure 6 workloads schedule cleanly");
-        let trace = sink.into_trace(&layout, circuit, &schedule);
-        let findings = certify_braid_trace(&trace, circuit, &dag, None);
+        let findings = cx.certify(BackendKind::Braid).expect("traced");
         findings
             .into_iter()
             .map(|f| format!("{} under {policy}: {f}", bench.name()))
@@ -119,20 +115,11 @@ fn braid_traces_certify_clean_on_fig6_grid() {
 fn planar_schedules_certify_clean_on_fig6_workloads() {
     let workloads = fig6_workloads();
     let violations: Vec<String> = parallel_map(&workloads, |(bench, circuit)| {
-        let dag = DependencyDag::from_circuit(circuit);
-        let config = PlanarConfig {
-            code_distance: CODE_DISTANCE,
-            ..Default::default()
-        };
-        let run = FabricRun {
-            transcript: true,
-            ..Default::default()
-        };
-        let (schedule, transcript) =
-            schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run)
-                .expect("clean machines always schedule");
-        let transcript = transcript.expect("a transcript was requested");
-        let findings = certify_planar_schedule(&schedule, &transcript, circuit, &dag, None);
+        let mut cx = traced(circuit, Policy::P6);
+        PipelineRunner::planar()
+            .run(&mut cx)
+            .expect("clean machines always schedule");
+        let findings = cx.certify(BackendKind::Planar).expect("traced");
         findings
             .into_iter()
             .map(|f| format!("{}: {f}", bench.name()))

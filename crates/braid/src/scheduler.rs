@@ -99,7 +99,9 @@ pub struct BraidSchedule {
     pub total_ops: usize,
     /// Braid legs successfully placed.
     pub braids_placed: u64,
-    /// Braid legs routed adaptively after timeouts.
+    /// Adaptive routing *attempts* (claim attempts after `2 *
+    /// route_timeout` failed cycles), pruned ones included: several
+    /// times the legs actually routed adaptively.
     pub adaptive_routes: u64,
     /// Braids dropped and re-injected.
     pub drops: u64,

@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cachekey;
+mod defects;
 pub mod pipeline;
 
-pub use backend::{
-    default_backends, BraidBackend, CommBackend, CommDetail, CommReport, TeleportBackend,
-};
 pub use cachekey::{CacheKeyed, KeyHasher};
+pub use defects::{DefectError, DefectSpec};
 pub use pipeline::{ArtifactContext, ArtifactHash, PipelineRunner, PipelineTrace, ToolflowPass};
 
 use std::error::Error;
@@ -38,7 +36,7 @@ use std::fmt;
 use scq_apps::Benchmark;
 use scq_braid::{BraidSchedule, Policy, ScheduleError};
 use scq_estimate::{AppProfile, EstimateConfig, ResourceEstimate};
-use scq_ir::{analysis::CircuitStats, Circuit};
+use scq_ir::analysis::CircuitStats;
 use scq_layout::Layout;
 use scq_mesh::CommError;
 use scq_surface::{CodeDistanceModel, Encoding, Technology, ThresholdExceeded};
@@ -66,6 +64,18 @@ pub struct ToolflowConfig {
     pub estimate: EstimateConfig,
 }
 
+impl ToolflowConfig {
+    /// The default configuration under `policy` with the code distance
+    /// pinned, as the CLI, the batch service and the bench drivers run.
+    pub fn pinned(policy: Policy, code_distance: u32) -> Self {
+        ToolflowConfig {
+            policy,
+            code_distance: Some(code_distance),
+            ..Default::default()
+        }
+    }
+}
+
 impl Default for ToolflowConfig {
     fn default() -> Self {
         ToolflowConfig {
@@ -76,6 +86,25 @@ impl Default for ToolflowConfig {
             code_distance: None,
             estimate: EstimateConfig::default(),
         }
+    }
+}
+
+/// The communication backend a schedule runs on — the paper's two
+/// surface-code encodings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BackendKind {
+    /// Double-defect braid scheduling on the tiled mesh.
+    Braid,
+    /// Planar Multi-SIMD + route-aware EPR teleportation.
+    Planar,
+}
+
+impl fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            BackendKind::Braid => "braid",
+            BackendKind::Planar => "planar",
+        })
     }
 }
 
@@ -162,6 +191,9 @@ pub enum ToolflowError {
     /// Communication is structurally impossible on the (defective)
     /// fabric: no defect-free route, or nothing left to place on.
     Comm(CommError),
+    /// The run's defect spec cannot be materialized: a malformed map
+    /// file, or one that fits no mesh of the run.
+    Defects(DefectError),
 }
 
 impl fmt::Display for ToolflowError {
@@ -170,6 +202,7 @@ impl fmt::Display for ToolflowError {
             ToolflowError::Threshold(e) => write!(f, "{e}"),
             ToolflowError::Braid(e) => write!(f, "{e}"),
             ToolflowError::Comm(e) => write!(f, "{e}"),
+            ToolflowError::Defects(e) => write!(f, "{e}"),
         }
     }
 }
@@ -180,6 +213,7 @@ impl Error for ToolflowError {
             ToolflowError::Threshold(e) => Some(e),
             ToolflowError::Braid(e) => Some(e),
             ToolflowError::Comm(e) => Some(e),
+            ToolflowError::Defects(e) => Some(e),
         }
     }
 }
@@ -202,6 +236,12 @@ impl From<CommError> for ToolflowError {
     }
 }
 
+impl From<DefectError> for ToolflowError {
+    fn from(e: DefectError) -> Self {
+        ToolflowError::Defects(e)
+    }
+}
+
 /// Runs the complete toolflow on one benchmark.
 ///
 /// Pipeline stages (paper Figure 4): generate the application, analyze
@@ -221,23 +261,6 @@ pub fn run_toolflow(
     config: &ToolflowConfig,
 ) -> Result<ToolflowReport, ToolflowError> {
     run_toolflow_timed(benchmark, config).map(|(report, _)| report)
-}
-
-/// Like [`run_toolflow`] but on a caller-provided circuit (any program
-/// expressed in the `scq-ir` ISA, not just the bundled benchmarks) — a
-/// thin wrapper over [`PipelineRunner::standard`].
-///
-/// # Errors
-///
-/// As [`run_toolflow`].
-pub fn run_toolflow_on(
-    benchmark: Benchmark,
-    circuit: &Circuit,
-    config: &ToolflowConfig,
-) -> Result<ToolflowReport, ToolflowError> {
-    let mut cx = ArtifactContext::new(benchmark, circuit, *config);
-    PipelineRunner::standard().run(&mut cx)?;
-    Ok(cx.into_report())
 }
 
 /// Like [`run_toolflow`] but also returning the pipeline's per-pass
@@ -305,11 +328,13 @@ mod tests {
 
     #[test]
     fn custom_circuit_path() {
-        let mut b = Circuit::builder("custom", 4);
+        let mut b = scq_ir::Circuit::builder("custom", 4);
         b.h(0).cnot(0, 1).cnot(1, 2).t(3).cnot(2, 3);
         let c = b.finish();
-        let report = run_toolflow_on(Benchmark::Gse, &c, &ToolflowConfig::default()).unwrap();
-        assert_eq!(report.stats.total_ops, 5);
+        let mut cx = ArtifactContext::for_circuit(&c, ToolflowConfig::default());
+        PipelineRunner::schedules().run(&mut cx).unwrap();
+        assert_eq!(cx.stats().unwrap().total_ops, 5);
+        assert!(cx.braid().unwrap().braids_placed > 0);
     }
 
     #[test]

@@ -14,13 +14,8 @@
 
 use scq_apps::Benchmark;
 use scq_braid::Policy;
-use scq_core::{
-    run_toolflow, CommBackend, KeyHasher, TeleportBackend, ToolflowConfig, ToolflowError,
-    ToolflowReport,
-};
-use scq_ir::{Circuit, DependencyDag};
+use scq_core::{run_toolflow, KeyHasher, ToolflowConfig, ToolflowError, ToolflowReport};
 use scq_surface::Technology;
-use scq_teleport::{schedule_planar_with, CongestionAwarePlacement, FabricRun, PlanarConfig};
 
 /// The four fig6 applications.
 const FIG6: [Benchmark; 4] = [
@@ -150,41 +145,4 @@ fn threshold_errors_stop_at_code_distance() {
         let err = run_toolflow(app, &config).unwrap_err();
         assert!(matches!(err, ToolflowError::Threshold(_)), "{app}: {err}");
     }
-}
-
-#[test]
-fn optimized_teleport_backend_matches_the_direct_engine_call() {
-    // `TeleportBackend::schedule_optimized` must equal the planar
-    // engine run directly with the congestion-aware placement.
-    let mut b = Circuit::builder("opt", 12);
-    for q in 0..12u32 {
-        b.h(q);
-    }
-    for _ in 0..4 {
-        for q in [0u32, 3, 6, 9] {
-            b.cnot(q, (q + 3) % 12).t(q);
-        }
-    }
-    let c = b.finish();
-    let dag = DependencyDag::from_circuit(&c);
-    let config = PlanarConfig {
-        link_capacity: 1,
-        ..Default::default()
-    };
-    let via_backend = TeleportBackend::new(config)
-        .schedule_optimized(&c, &dag)
-        .unwrap();
-    let (direct, _) = schedule_planar_with(
-        &c,
-        &dag,
-        &config,
-        &CongestionAwarePlacement::default(),
-        &FabricRun::default(),
-    )
-    .unwrap();
-    assert_eq!(
-        format!("{:?}", via_backend.detail.as_teleport().unwrap()),
-        format!("{direct:?}"),
-        "schedule_optimized diverged from the direct engine call"
-    );
 }

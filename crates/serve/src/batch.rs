@@ -25,16 +25,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use scq_braid::{schedule_with, EventCollector, NoTrace};
-use scq_ir::{Circuit, DependencyDag, InteractionGraph};
-use scq_layout::{place, Layout};
-use scq_teleport::{schedule_planar_with, BaselinePlacement, FabricRun, PlanarMachine};
-use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, Severity};
+use scq_core::pipeline::{InteractionAnalysisPass, LayoutPass};
+use scq_core::{ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig, ToolflowPass};
+use scq_ir::Circuit;
+use scq_layout::Layout;
+use scq_verify::{Finding, Severity};
 
 use crate::cache::{CacheStats, Provenance, ScheduleCache};
 use crate::error::ServeError;
 use crate::pool::steal_map;
-use crate::request::{BackendKind, ScheduleRequest};
+use crate::request::ScheduleRequest;
 
 /// The memoized result of scheduling one normalized request.
 #[derive(Clone, Debug, PartialEq)]
@@ -193,120 +193,83 @@ impl BatchRunner {
     }
 }
 
-/// Runs the actual scheduling pipeline for one normalized request.
-/// `compute_secs` is left at 0 for the caller to stamp.
+/// Runs one normalized request as one pipeline run: braid or planar
+/// alone, on the request's defect spec, traced and certified when it
+/// asks for verification. `compute_secs` is left at 0 for the caller to
+/// stamp.
 fn compute(
     request: &ScheduleRequest,
     circuit: &Circuit,
     placements: &ScheduleCache<Layout>,
 ) -> Result<ScheduleOutcome, ServeError> {
-    match request.backend {
-        BackendKind::Braid => compute_braid(request, circuit, placements),
-        BackendKind::Planar => compute_planar(request, circuit),
-    }
-}
-
-fn compute_braid(
-    request: &ScheduleRequest,
-    circuit: &Circuit,
-    placements: &ScheduleCache<Layout>,
-) -> Result<ScheduleOutcome, ServeError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    // The placement artifact is memoized separately from the schedule:
-    // its key is coarser (no policy index, no code distance), so e.g. a
-    // P3@d5 request warms the placement for a later P6@d9 one.
-    let (placed, _placement_provenance) =
-        placements.get_or_compute(request.placement_key(circuit), || {
-            let graph = InteractionGraph::from_circuit(circuit);
-            Ok(place(&graph, request.policy.layout_strategy(), None))
-        });
-    let layout = placed?;
-    let config = request.braid_config();
-    let dims = scq_braid::braid_mesh_dims(&layout, circuit);
-    let map = request.defects.materialize(dims)?;
-
-    let schedule = if request.verify {
-        let mut sink = EventCollector::default();
-        let sched = schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink)
-            .map_err(ServeError::schedule)?;
-        let trace = sink.into_trace(&layout, circuit, &sched);
-        certified(certify_braid_trace(&trace, circuit, &dag, map.as_ref()))?;
-        sched
-    } else {
-        schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut NoTrace)
-            .map_err(ServeError::schedule)?
+    let config = ToolflowConfig::pinned(request.policy, request.code_distance);
+    let mut cx = ArtifactContext::for_circuit(circuit, config)
+        .with_defects(request.defects.clone())
+        .with_trace(request.verify);
+    let runner = match request.backend {
+        BackendKind::Braid => {
+            // The placement artifact is memoized separately from the
+            // schedule: its key is coarser (no policy index, no code
+            // distance), so e.g. a P3@d5 request warms the placement for
+            // a later P6@d9 one. Seeded into the context, it lets the
+            // run skip interaction-analysis and layout.
+            let (placed, _) = placements.get_or_compute(request.placement_key(circuit), || {
+                let mut lx = ArtifactContext::for_circuit(circuit, config);
+                InteractionAnalysisPass.run(&mut lx)?;
+                LayoutPass.run(&mut lx)?;
+                let layout = lx.layout().cloned();
+                Ok(layout.expect("the layout pass deposits a layout"))
+            });
+            cx = cx.with_layout(placed?.as_ref().clone());
+            PipelineRunner::braid()
+        }
+        BackendKind::Planar => PipelineRunner::planar(),
     };
-
-    let summary = format!(
-        "braid policy={} d={} cycles={} cp={} util={:.6} ops={} braids={} adaptive={} drops={} hops={}",
-        request.policy.index(),
-        config.code_distance,
-        schedule.cycles,
-        schedule.critical_path_cycles,
-        schedule.mesh_utilization,
-        schedule.total_ops,
-        schedule.braids_placed,
-        schedule.adaptive_routes,
-        schedule.drops,
-        schedule.total_braid_hops,
-    );
-    Ok(ScheduleOutcome {
-        backend: BackendKind::Braid,
-        cycles: schedule.cycles,
-        lower_bound_cycles: schedule.critical_path_cycles,
-        comm_events: schedule.braids_placed,
-        placement: Vec::new(),
-        verified: request.verify,
-        summary,
-        compute_secs: 0.0,
-    })
-}
-
-fn compute_planar(
-    request: &ScheduleRequest,
-    circuit: &Circuit,
-) -> Result<ScheduleOutcome, ServeError> {
-    let dag = DependencyDag::from_circuit(circuit);
-    let config = request.planar_config();
-    let dims = PlanarMachine::grid_dims(circuit.num_qubits());
-    let map = request.defects.materialize(dims)?;
-    let run = FabricRun {
-        defects: map.as_ref(),
-        fault_seed: request.defects.fault_seed(),
-        transcript: request.verify,
-    };
-
-    let (schedule, transcript) =
-        schedule_planar_with(circuit, &dag, &config, &BaselinePlacement, &run)
-            .map_err(ServeError::schedule)?;
-    if let Some(transcript) = &transcript {
-        certified(certify_planar_schedule(
-            &schedule,
-            transcript,
-            circuit,
-            &dag,
-            map.as_ref(),
-        ))?;
+    runner.run(&mut cx)?;
+    if request.verify {
+        certified(cx.certify(request.backend))?;
     }
-
-    let placement: Vec<(u32, u32)> = schedule.machine.tiles.iter().map(|c| (c.x, c.y)).collect();
-    let summary = format!(
-        "planar d={} cycles={} timesteps={} stalls={} peak={} hottest={} faults={} teleports={} tiles={:?}",
-        config.code_distance,
-        schedule.cycles,
-        schedule.timesteps,
-        schedule.link_stall_cycles,
-        schedule.peak_in_flight_eprs,
-        schedule.hottest_link_busy_cycles,
-        schedule.transient_faults,
-        schedule.epr.teleports,
-        placement,
-    );
+    let d = request.code_distance;
+    let (cycles, lower_bound_cycles, comm_events, placement, summary) = match (cx.braid(), cx.planar()) {
+        (Some(s), _) => (
+            s.cycles,
+            s.critical_path_cycles,
+            s.braids_placed,
+            Vec::new(),
+            format!(
+                "braid policy={} d={d} cycles={} cp={} util={:.6} ops={} braids={} adaptive={} drops={} hops={}",
+                request.policy.index(),
+                s.cycles,
+                s.critical_path_cycles,
+                s.mesh_utilization,
+                s.total_ops,
+                s.braids_placed,
+                s.adaptive_routes,
+                s.drops,
+                s.total_braid_hops,
+            ),
+        ),
+        (None, Some(s)) => {
+            let placement: Vec<(u32, u32)> = s.machine.tiles.iter().map(|c| (c.x, c.y)).collect();
+            let summary = format!(
+                "planar d={d} cycles={} timesteps={} stalls={} peak={} hottest={} faults={} teleports={} tiles={placement:?}",
+                s.cycles,
+                s.timesteps,
+                s.link_stall_cycles,
+                s.peak_in_flight_eprs,
+                s.hottest_link_busy_cycles,
+                s.transient_faults,
+                s.epr.teleports,
+            );
+            (s.cycles, s.timesteps, s.epr.teleports as u64, placement, summary)
+        }
+        (None, None) => return Err(ServeError::internal("the run deposited no schedule")),
+    };
     Ok(ScheduleOutcome {
-        backend: BackendKind::Planar,
-        cycles: schedule.cycles,
-        lower_bound_cycles: schedule.timesteps,
-        comm_events: schedule.epr.teleports as u64,
+        backend: request.backend,
+        cycles,
+        lower_bound_cycles,
+        comm_events,
         placement,
         verified: request.verify,
         summary,
@@ -314,9 +277,11 @@ fn compute_planar(
     })
 }
 
-/// Folds certifier findings into the serve result: error-severity
-/// findings fail the request (and are therefore never cached).
-fn certified(findings: Vec<Finding>) -> Result<(), ServeError> {
+/// Folds the certifier findings of a traced run into the serve result:
+/// error-severity findings fail the request (and are therefore never
+/// cached).
+fn certified(findings: Option<Vec<Finding>>) -> Result<(), ServeError> {
+    let findings = findings.ok_or_else(|| ServeError::internal("the run recorded no trace"))?;
     let errors: Vec<&Finding> = findings
         .iter()
         .filter(|f| f.severity == Severity::Error)
@@ -334,9 +299,9 @@ fn certified(findings: Vec<Finding>) -> Result<(), ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::DefectSpec;
     use crate::Policy;
     use scq_apps::Benchmark;
+    use scq_core::DefectSpec;
     use scq_ir::Circuit;
 
     fn tiny_request() -> ScheduleRequest {

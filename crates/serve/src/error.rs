@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use scq_core::ToolflowError;
+
 /// A failure serving one schedule request.
 ///
 /// `Clone` is load-bearing: the single-flight cache shares one
@@ -69,6 +71,17 @@ impl fmt::Display for ServeError {
 }
 
 impl Error for ServeError {}
+
+/// A pipeline failure: an unusable defect spec is an input error, any
+/// other failure a scheduling one.
+impl From<ToolflowError> for ServeError {
+    fn from(e: ToolflowError) -> Self {
+        match e {
+            ToolflowError::Defects(e) => ServeError::invalid(e.to_string()),
+            e => ServeError::schedule(e),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

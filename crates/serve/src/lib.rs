@@ -36,9 +36,11 @@ pub use cache::{CacheStats, Provenance, ScheduleCache};
 pub use error::ServeError;
 pub use pool::{steal_map, steal_map_stats, steal_map_workers, StealStats};
 pub use request::{
-    load_request_file, parse_request_line, parse_request_text, BackendKind, DefectSpec,
-    NormalizedRequest, RequestSource, ScheduleRequest, ENGINE_VERSION,
+    load_request_file, parse_request_line, parse_request_text, NormalizedRequest, RequestSource,
+    ScheduleRequest, ENGINE_VERSION,
 };
+/// A request's backend and defect spec: the pipeline's own inputs.
+pub use scq_core::{BackendKind, DefectSpec};
 
 /// Re-exported braid priority policy — the one knob request files spell
 /// numerically (`policy=0..6`).

@@ -38,7 +38,8 @@
 //! distance=<odd >= 3> surface code distance            (default 5)
 //! defect-rate=<R>     sample dead resources at R       (default clean)
 //! defect-seed=<S>     sampling / transient-fault seed  (default 0)
-//! defect-map=<file>   explicit defect map (excludes defect-rate)
+//! defect-map=<file>   explicit defect map (excludes defect-rate; it
+//!                     must fit the backend's mesh)
 //! verify              certify the schedule with scq-verify
 //! ```
 
@@ -46,9 +47,8 @@ use std::sync::Arc;
 
 use scq_apps::Benchmark;
 use scq_braid::BraidConfig;
-use scq_core::{CacheKeyed, KeyHasher};
+use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher};
 use scq_ir::{circuit_from_qasm, Circuit, CliError};
-use scq_mesh::{DefectMap, Topology};
 use scq_teleport::PlanarConfig;
 
 use crate::error::ServeError;
@@ -57,25 +57,7 @@ use crate::Policy;
 /// Version tag folded into every cache key. Bump on any change to the
 /// schedulers, the key recipe, or the memoized summary format: old keys
 /// must not alias new results.
-pub const ENGINE_VERSION: &str = "scq-serve/1";
-
-/// Which communication backend a request targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Double-defect braid scheduling on the tiled mesh.
-    Braid,
-    /// Planar Multi-SIMD + route-aware EPR teleportation.
-    Planar,
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BackendKind::Braid => "braid",
-            BackendKind::Planar => "planar",
-        })
-    }
-}
+pub const ENGINE_VERSION: &str = "scq-serve/2";
 
 /// Where a request's circuit comes from.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,92 +80,6 @@ pub enum RequestSource {
     },
     /// A programmatic circuit (bench harnesses, embedding callers).
     Circuit(Arc<Circuit>),
-}
-
-/// The defect specification of a request.
-///
-/// Sampled and file-loaded maps key differently *by construction* (a
-/// tag byte precedes the payload): the cache never has to decide
-/// whether a sample at some seed happens to equal an explicit map.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DefectSpec {
-    /// Pristine hardware.
-    Clean,
-    /// Dead resources sampled at `rate` from `seed` at the backend's
-    /// own mesh dimensions (`seed` also drives transient-fault draws).
-    Sampled {
-        /// Dead-resource rate in `[0, 1)`.
-        rate: f64,
-        /// PRNG seed.
-        seed: u64,
-    },
-    /// An explicit defect-map file (content keyed, not the path).
-    Map {
-        /// The map text in `scq_mesh::DefectMap` format.
-        text: String,
-    },
-}
-
-impl DefectSpec {
-    /// Materializes the spec for a backend whose mesh is `dims`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Invalid`] when a map file fails to parse or its
-    /// declared dimensions don't match this backend's mesh (batch
-    /// requests name exactly one backend, so a mismatched map is a
-    /// request error here, not a run-clean note as in single-shot
-    /// `scq schedule`).
-    pub fn materialize(&self, dims: (u32, u32)) -> Result<Option<DefectMap>, ServeError> {
-        match self {
-            DefectSpec::Clean => Ok(None),
-            DefectSpec::Sampled { rate, seed } => {
-                if *rate == 0.0 {
-                    return Ok(None);
-                }
-                let topo = Topology::new(dims.0, dims.1);
-                Ok(Some(DefectMap::sample(topo, *rate, *seed)))
-            }
-            DefectSpec::Map { text } => {
-                let map = DefectMap::from_text(text)
-                    .map_err(|e| ServeError::invalid(format!("defect map: {e}")))?;
-                let topo = map.topology();
-                if (topo.width(), topo.height()) != dims {
-                    return Err(ServeError::invalid(format!(
-                        "defect map is {}x{} but the requested backend's mesh is {}x{}",
-                        topo.width(),
-                        topo.height(),
-                        dims.0,
-                        dims.1
-                    )));
-                }
-                Ok(Some(map))
-            }
-        }
-    }
-
-    /// The transient-fault seed the planar pipeline should draw from.
-    pub fn fault_seed(&self) -> u64 {
-        match self {
-            DefectSpec::Sampled { seed, .. } => *seed,
-            _ => 0,
-        }
-    }
-
-    fn write_key(&self, h: &mut KeyHasher) {
-        match self {
-            DefectSpec::Clean => h.write_bytes(&[0]),
-            DefectSpec::Sampled { rate, seed } => {
-                h.write_bytes(&[1]);
-                h.write_f64(*rate);
-                h.write_u64(*seed);
-            }
-            DefectSpec::Map { text } => {
-                h.write_bytes(&[2]);
-                h.write_str(text);
-            }
-        }
-    }
 }
 
 /// One schedule request, as submitted.
@@ -349,7 +245,7 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
     let mut code_distance = 5u32;
     let mut rate: Option<f64> = None;
     let mut seed = 0u64;
-    let mut map_text: Option<String> = None;
+    let mut map: Option<(String, String)> = None;
     let mut verify = false;
 
     for token in line.split_whitespace() {
@@ -418,15 +314,11 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
                 code_distance = d;
             }
             "defect-rate" => {
-                let r: f64 = value
-                    .parse()
-                    .map_err(|_| CliError::invalid(format!("bad defect rate `{value}`")))?;
-                if !(0.0..1.0).contains(&r) {
-                    return Err(CliError::invalid(format!(
-                        "defect rate must be in [0, 1), got {r}"
-                    )));
-                }
-                rate = Some(r);
+                rate = Some(
+                    value
+                        .parse()
+                        .map_err(|_| CliError::invalid(format!("bad defect rate `{value}`")))?,
+                );
             }
             "defect-seed" => {
                 seed = value
@@ -435,7 +327,7 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
             }
             "defect-map" => {
                 let text = std::fs::read_to_string(value).map_err(|e| CliError::io(value, &e))?;
-                map_text = Some(text);
+                map = Some((value.to_string(), text));
             }
             "verify" if value.is_empty() => verify = true,
             _ => {
@@ -457,22 +349,12 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
             }
         }
     }
-    let defects = match (rate, map_text) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::invalid(
-                "defect-rate and defect-map are mutually exclusive".to_string(),
-            ))
-        }
-        (Some(rate), None) => DefectSpec::Sampled { rate, seed },
-        (None, Some(text)) => DefectSpec::Map { text },
-        (None, None) => DefectSpec::Clean,
-    };
     Ok(Some(ScheduleRequest {
         source,
         backend,
         policy,
         code_distance,
-        defects,
+        defects: DefectSpec::from_options(rate, seed, map)?,
         verify,
     }))
 }
@@ -621,7 +503,9 @@ mod tests {
         };
         let mapped = ScheduleRequest {
             defects: DefectSpec::Map {
+                label: "m.map".to_string(),
                 text: "dims 4 4\n".to_string(),
+                seed: 7,
             },
             ..base.clone()
         };
@@ -731,21 +615,5 @@ mod tests {
         let (lineno, err) = parse_request_text("app=gse\n\n# fine\napp=bogus\n").unwrap_err();
         assert_eq!(lineno, 4);
         assert!(err.to_string().contains("bogus"));
-    }
-
-    #[test]
-    fn dims_mismatched_map_is_an_error() {
-        let spec = DefectSpec::Map {
-            text: "dims 3 3\n".to_string(),
-        };
-        assert!(spec.materialize((3, 3)).unwrap().is_some());
-        let err = spec.materialize((5, 5)).unwrap_err();
-        assert!(err.to_string().contains("3x3"));
-    }
-
-    #[test]
-    fn zero_rate_sample_materializes_clean() {
-        let spec = DefectSpec::Sampled { rate: 0.0, seed: 3 };
-        assert!(spec.materialize((4, 4)).unwrap().is_none());
     }
 }

@@ -21,54 +21,60 @@
 //!
 //! `check`, `schedule`, and `heatmap` additionally accept the defect
 //! flags `--defect-rate R`, `--defect-seed S`, and `--defect-map FILE`
-//! to run the same circuit on non-ideal hardware. Sampled maps are
-//! drawn per backend at that backend's own mesh dimensions from the
-//! shared seed; a map file applies to whichever backend matches its
-//! declared dimensions (the other backend runs clean, with a note).
-//! Circuits that the defects make unroutable exit nonzero with a
-//! structured diagnostic — never a panic or a hang.
+//! (rate and map are mutually exclusive) to run the same circuit on
+//! non-ideal hardware. Sampled maps are drawn per backend at that
+//! backend's own mesh dimensions from the shared seed; a map file
+//! applies to each backend whose mesh matches its declared dimensions
+//! (another backend of the run runs clean, with a note), and is an
+//! error when it matches none. The seed also drives the transient
+//! faults of flaky links, sampled or from a file. Circuits that the
+//! defects make unroutable exit nonzero with a structured diagnostic —
+//! never a panic or a hang.
 //!
 //! `schedule --verify` additionally replays every emitted schedule
 //! through the independent `scq-verify` certifier and fails (nonzero
 //! exit) on any invariant violation.
 //!
-//! `schedule` and `check` route their frontend and mapping stages
-//! through the `scq-core` pass pipeline — the same passes `run_toolflow`
-//! executes — so `schedule --timings` can print a per-pass wall-clock
+//! `schedule`, `check` and `heatmap` are runs of the `scq-core` pass
+//! pipeline — the same passes `run_toolflow` executes — so
+//! `schedule --timings` prints the run's own per-pass wall-clock
 //! breakdown together with each artifact's content hash.
+//!
+//! Output goes through one locked stdout writer; a reader that closes
+//! the pipe early (`scq heatmap ... | head`) ends the command quietly,
+//! with exit 0.
 
 #![warn(clippy::disallowed_methods)]
 
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
-use std::time::Instant;
 
-use scq::braid::{braid_mesh_dims, schedule_with, BraidConfig, EventCollector, Policy};
-use scq::core::{ArtifactContext, PipelineRunner, ToolflowConfig};
-use scq::estimate::{estimate_both, AppProfile, EstimateConfig};
-use scq::ir::{
-    analysis, circuit_from_qasm, optimize, Circuit, CliError, DependencyDag, InteractionGraph,
+use scq::braid::Policy;
+use scq::core::{
+    ArtifactContext, BackendKind, DefectSpec, PipelineRunner, PipelineTrace, ToolflowConfig,
+    ToolflowError,
 };
-use scq::layout::place;
-use scq::mesh::{DefectMap, Topology};
+use scq::estimate::{estimate_both, AppProfile, EstimateConfig};
+use scq::ir::{analysis, circuit_from_qasm, optimize, Circuit, CliError, DependencyDag};
 use scq::serve::{load_request_file, BatchRunner};
 use scq::surface::Technology;
-use scq::teleport::{
-    schedule_planar_with, BaselinePlacement, FabricRun, PlanarConfig, PlanarMachine,
-};
-use scq::verify::{
-    certify_braid_trace, certify_planar_schedule, CheckContext, FabricView, Finding, PassRunner,
-    PassTiming, Severity,
-};
+use scq::teleport::PlanarMachine;
+use scq::verify::{CheckContext, FabricView, Finding, PassRunner, Severity};
+
+/// Standard output, locked once for the whole command.
+type Out = io::StdoutLock<'static>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("analyze") => with_circuit(&args, 1, cmd_analyze),
-        Some("check") => with_circuit(&args, 1, cmd_check),
-        Some("schedule") => with_circuit(&args, 1, cmd_schedule),
-        Some("compare") => with_circuit(&args, 1, cmd_compare),
-        Some("heatmap") => with_circuit(&args, 1, cmd_heatmap),
-        Some("batch") => cmd_batch(&args[1..]),
+        Some("analyze") => with_circuit(&args, &mut out, cmd_analyze),
+        Some("check") => with_circuit(&args, &mut out, cmd_check),
+        Some("schedule") => with_circuit(&args, &mut out, cmd_schedule),
+        Some("compare") => with_circuit(&args, &mut out, cmd_compare),
+        Some("heatmap") => with_circuit(&args, &mut out, cmd_heatmap),
+        Some("batch") => cmd_batch(&args[1..], &mut out),
         _ => {
             eprintln!(
                 "usage: scq <analyze|check|schedule|compare|heatmap|batch> <input> [options]"
@@ -95,8 +101,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match result {
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed stdout early (`| head`): it wanted no more.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -104,100 +117,45 @@ fn main() -> ExitCode {
     }
 }
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+type CliResult = Result<(), Box<dyn Error>>;
 
 fn with_circuit(
     args: &[String],
-    file_arg: usize,
-    run: fn(&Circuit, &[String]) -> CliResult,
+    out: &mut Out,
+    run: fn(&Circuit, &[String], &mut Out) -> CliResult,
 ) -> CliResult {
     let path = args
-        .get(file_arg)
+        .get(1)
         .ok_or_else(|| CliError::usage("missing <file.qasm> argument"))?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, &e))?;
     let circuit = circuit_from_qasm(&text)?;
-    run(&circuit, &args[file_arg + 1..])
+    run(&circuit, &args[2..], out)
 }
 
-/// Defect flags shared by `schedule` and `heatmap`.
-struct DefectOpts {
-    rate: f64,
-    seed: u64,
-    map_path: Option<String>,
+/// Parses one argument, or a usage error naming it.
+fn parse_arg<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
+    s.parse()
+        .map_err(|_| CliError::usage(format!("bad {what} `{s}`")))
 }
 
-impl DefectOpts {
-    /// Materializes the defect map for a backend whose mesh is `dims`.
-    ///
-    /// A `--defect-map` file only applies when its declared dimensions
-    /// match this backend; otherwise the backend runs clean and a note
-    /// says so. With `--defect-rate`, each backend samples at its own
-    /// dimensions from the shared seed.
-    fn map_for(&self, dims: (u32, u32), backend: &str) -> Result<Option<DefectMap>, CliError> {
-        if let Some(path) = &self.map_path {
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, &e))?;
-            let map = DefectMap::from_text(&text)
-                .map_err(|e| CliError::invalid(format!("{path}: {e}")))?;
-            let topo = map.topology();
-            if (topo.width(), topo.height()) == dims {
-                return Ok(Some(map));
-            }
-            eprintln!(
-                "note: defect map {path} is {}x{} but the {backend} mesh is {}x{}; \
-                 running the {backend} backend clean",
-                topo.width(),
-                topo.height(),
-                dims.0,
-                dims.1
-            );
-            return Ok(None);
-        }
-        if self.rate > 0.0 {
-            let topo = Topology::new(dims.0, dims.1);
-            return Ok(Some(DefectMap::sample(topo, self.rate, self.seed)));
-        }
-        Ok(None)
-    }
-}
-
-/// Splits `--defect-*` flags out of `rest`, leaving the positionals.
-fn parse_defect_opts(rest: &[String]) -> Result<(Vec<String>, DefectOpts), CliError> {
+/// Splits the `--defect-*` flags out of `rest` into the run's defect
+/// spec, leaving the positionals.
+fn parse_defect_opts(rest: &[String]) -> Result<(Vec<String>, DefectSpec), CliError> {
     let mut positionals = Vec::new();
-    let mut opts = DefectOpts {
-        rate: 0.0,
-        seed: 0,
-        map_path: None,
-    };
+    let (mut rate, mut seed, mut map) = (None, 0, None);
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .ok_or_else(|| CliError::usage(format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
-            "--defect-rate" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--defect-rate needs a value"))?;
-                let r: f64 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad defect rate `{v}`")))?;
-                if !(0.0..1.0).contains(&r) {
-                    return Err(CliError::invalid(format!(
-                        "defect rate must be in [0, 1), got {r}"
-                    )));
-                }
-                opts.rate = r;
-            }
-            "--defect-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--defect-seed needs a value"))?;
-                opts.seed = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad defect seed `{v}`")))?;
-            }
+            "--defect-rate" => rate = Some(parse_arg(value("a value")?, "defect rate")?),
+            "--defect-seed" => seed = parse_arg(value("a value")?, "defect seed")?,
             "--defect-map" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--defect-map needs a path"))?;
-                opts.map_path = Some(v.clone());
+                let path = value("a path")?;
+                let text = std::fs::read_to_string(path).map_err(|e| CliError::io(path, &e))?;
+                map = Some((path.clone(), text));
             }
             s if s.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{s}`")));
@@ -205,29 +163,31 @@ fn parse_defect_opts(rest: &[String]) -> Result<(Vec<String>, DefectOpts), CliEr
             _ => positionals.push(arg.clone()),
         }
     }
-    Ok((positionals, opts))
+    Ok((positionals, DefectSpec::from_options(rate, seed, map)?))
 }
 
-fn cmd_analyze(circuit: &Circuit, _rest: &[String]) -> CliResult {
+fn cmd_analyze(circuit: &Circuit, _rest: &[String], out: &mut Out) -> CliResult {
     let stats = analysis::analyze(circuit);
-    println!("{stats}");
+    writeln!(out, "{stats}")?;
     let (optimized, ostats) = optimize::peephole(circuit);
     if ostats.removed() > 0 {
         let after = analysis::analyze(&optimized);
-        println!(
+        writeln!(
+            out,
             "peephole: {} cancelled, {} fused over {} pass(es) -> {} ops (depth {})",
             ostats.cancelled, ostats.fused, ostats.passes, after.total_ops, after.depth
-        );
+        )?;
     } else {
-        println!("peephole: no redundancies found");
+        writeln!(out, "peephole: no redundancies found")?;
     }
     let dag = DependencyDag::from_circuit(circuit);
     let widths = dag.level_widths();
-    println!(
+    writeln!(
+        out,
         "width profile: peak {} parallel ops, {} levels",
         widths.iter().max().copied().unwrap_or(0),
         widths.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -235,9 +195,7 @@ fn parse_policy(rest: &[String]) -> Result<Policy, CliError> {
     match rest.first() {
         None => Ok(Policy::P6),
         Some(s) => {
-            let idx: usize = s
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad policy `{s}`")))?;
+            let idx: usize = parse_arg(s, "policy")?;
             Policy::from_index(idx)
                 .ok_or_else(|| CliError::invalid(format!("policy {idx} out of range")))
         }
@@ -248,9 +206,7 @@ fn parse_distance(rest: &[String], pos: usize) -> Result<u32, CliError> {
     match rest.get(pos) {
         None => Ok(5),
         Some(s) => {
-            let d: u32 = s
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad distance `{s}`")))?;
+            let d: u32 = parse_arg(s, "distance")?;
             if d.is_multiple_of(2) || d < 3 {
                 return Err(CliError::invalid(format!(
                     "distance must be odd and >= 3, got {d}"
@@ -261,23 +217,49 @@ fn parse_distance(rest: &[String], pos: usize) -> Result<u32, CliError> {
     }
 }
 
-fn describe_map(map: &DefectMap, backend: &str) {
+/// A pipeline context for `circuit` under `policy` at a pinned code
+/// distance, on the hardware `defects` names.
+fn context(circuit: &Circuit, policy: Policy, d: u32, defects: DefectSpec) -> ArtifactContext<'_> {
+    ArtifactContext::for_circuit(circuit, ToolflowConfig::pinned(policy, d)).with_defects(defects)
+}
+
+/// Prints the run's notes (defect-map files a backend ran clean of).
+fn print_notes(cx: &ArtifactContext) {
+    for note in cx.notes() {
+        eprintln!("note: {note}");
+    }
+}
+
+fn describe_defects(out: &mut Out, cx: &ArtifactContext, backend: BackendKind) -> io::Result<()> {
+    let Some(map) = cx.defect_map(backend) else {
+        return Ok(());
+    };
     let topo = map.topology();
-    println!(
+    writeln!(
+        out,
         "defects ({backend} mesh {}x{}): {} dead tiles, {} dead links, {} flaky links",
         topo.width(),
         topo.height(),
         map.dead_node_count(),
         map.dead_link_count(),
         map.flaky_link_count()
-    );
+    )
+}
+
+/// The error that stopped `run` before it deposited what the report
+/// needs next.
+fn stopped(run: Result<PipelineTrace, ToolflowError>) -> Box<dyn Error> {
+    match run {
+        Err(e) => e.into(),
+        Ok(_) => "the pipeline deposited no schedule".into(),
+    }
 }
 
 /// Prints findings and converts any error-severity one into a CLI
 /// failure naming the violated invariant.
-fn report_findings(findings: &[Finding], what: &str) -> Result<(), CliError> {
+fn report_findings(out: &mut Out, findings: &[Finding], what: &str) -> CliResult {
     for f in findings {
-        println!("  {f}");
+        writeln!(out, "  {f}")?;
     }
     let errors = findings
         .iter()
@@ -286,164 +268,116 @@ fn report_findings(findings: &[Finding], what: &str) -> Result<(), CliError> {
     if errors > 0 {
         return Err(CliError::invalid(format!(
             "{what} failed certification with {errors} finding(s)"
-        )));
+        ))
+        .into());
     }
     Ok(())
 }
 
-fn cmd_check(circuit: &Circuit, rest: &[String]) -> CliResult {
+fn cmd_check(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
-    let policy = parse_policy(&pos)?;
-    let code_distance = parse_distance(&pos, 1)?;
+    let (policy, code_distance) = (parse_policy(&pos)?, parse_distance(&pos, 1)?);
+    let mut cx = context(circuit, policy, code_distance, defects);
     // Frontend + mapping through the shared toolflow pass pipeline —
-    // the same stages `run_toolflow` runs — then the independent
-    // scq-verify check passes over the resulting artifacts.
-    let tf_config = ToolflowConfig {
-        policy,
-        code_distance: Some(code_distance),
-        ..Default::default()
-    };
-    let mut art = ArtifactContext::for_circuit(circuit, tf_config);
-    let pipeline = PipelineRunner::analysis().run(&mut art)?;
-    let (Some(dag), Some(layout)) = (art.dag(), art.layout()) else {
+    // the same stages `run_toolflow` runs — and the defect spec on both
+    // backends' meshes, then the independent scq-verify check passes
+    // over the resulting artifacts.
+    let pipeline = PipelineRunner::analysis().run(&mut cx)?;
+    cx.materialize_defects(&[BackendKind::Braid, BackendKind::Planar])?;
+    print_notes(&cx);
+    describe_defects(out, &cx, BackendKind::Braid)?;
+    describe_defects(out, &cx, BackendKind::Planar)?;
+    let (Some(dag), Some(layout)) = (cx.dag(), cx.layout()) else {
         return Err(CliError::invalid("analysis pipeline deposited no DAG/layout").into());
     };
-    let braid_map = defects.map_for(braid_mesh_dims(layout, circuit), "braid")?;
-    if let Some(map) = &braid_map {
-        describe_map(map, "braid");
-    }
     let machine = PlanarMachine::new(circuit.num_qubits(), None);
-    let planar_map = defects.map_for(PlanarMachine::grid_dims(circuit.num_qubits()), "planar")?;
-    if let Some(map) = &planar_map {
-        describe_map(map, "planar");
-    }
-    let cx = CheckContext {
+    let check = CheckContext {
         circuit,
         dag,
         fabrics: vec![
-            FabricView::braid(layout, circuit, None, braid_map.as_ref()),
-            FabricView::planar(&machine, circuit, planar_map.as_ref()),
+            FabricView::braid(layout, circuit, None, cx.defect_map(BackendKind::Braid)),
+            FabricView::planar(&machine, circuit, cx.defect_map(BackendKind::Planar)),
         ],
     };
-    let report = PassRunner::standard().run(&cx);
+    let report = PassRunner::standard().run(&check);
     for t in pipeline.timings.iter().chain(&report.timings) {
-        println!("pass {:<20} {:>9.1?}", t.pass, t.duration);
+        writeln!(out, "pass {:<20} {:>9.1?}", t.pass, t.duration)?;
     }
-    report_findings(&report.findings, circuit.name())?;
-    println!(
+    report_findings(out, &report.findings, circuit.name())?;
+    writeln!(
+        out,
         "check: {} passed ({} warning(s))",
         circuit.name(),
         report.warning_count()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_schedule(circuit: &Circuit, rest: &[String]) -> CliResult {
-    let mut rest = rest.to_vec();
-    let before = rest.len();
-    rest.retain(|a| a != "--verify");
-    let verify = rest.len() != before;
-    let before = rest.len();
-    rest.retain(|a| a != "--timings");
-    let timings = rest.len() != before;
+fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
+    let verify = rest.iter().any(|a| a == "--verify");
+    let timings = rest.iter().any(|a| a == "--timings");
+    let rest: Vec<String> = rest
+        .iter()
+        .filter(|a| *a != "--verify" && *a != "--timings")
+        .cloned()
+        .collect();
     let (pos, defects) = parse_defect_opts(&rest)?;
     let policy = parse_policy(&pos)?;
     let code_distance = parse_distance(&pos, 1)?;
-    // Frontend + mapping through the shared toolflow pass pipeline —
-    // the same stages `run_toolflow` runs, with per-pass wall clock and
-    // per-artifact content hashes. The backend schedulers run below
-    // with tracing enabled (which the pipeline passes do not), timed
-    // under the same stage names.
-    let tf_config = ToolflowConfig {
-        policy,
-        code_distance: Some(code_distance),
-        ..Default::default()
+    // Both backends in one traced run of the pass pipeline. The report
+    // follows the run as far as it got, so a failure still prints what
+    // preceded it.
+    let mut cx = context(circuit, policy, code_distance, defects).with_trace(true);
+    let run = PipelineRunner::schedules().run(&mut cx);
+    print_notes(&cx);
+    describe_defects(out, &cx, BackendKind::Braid)?;
+    let (Some(braid), Some(trace)) = (cx.braid(), cx.braid_trace()) else {
+        return Err(stopped(run));
     };
-    let mut art = ArtifactContext::for_circuit(circuit, tf_config);
-    let pipeline = PipelineRunner::analysis().run(&mut art)?;
-    let mut pass_timings = pipeline.timings.clone();
-    let (Some(dag), Some(layout)) = (art.dag(), art.layout()) else {
-        return Err(CliError::invalid("analysis pipeline deposited no DAG/layout").into());
-    };
-    let config = BraidConfig {
-        policy,
-        code_distance,
-        ..Default::default()
-    };
-    let braid_map = defects.map_for(braid_mesh_dims(layout, circuit), "braid")?;
-    if let Some(map) = &braid_map {
-        describe_map(map, "braid");
-    }
-    let braid_t0 = Instant::now();
-    let mut sink = EventCollector::default();
-    let braid = schedule_with(circuit, dag, layout, &config, braid_map.as_ref(), &mut sink)?;
-    let trace = sink.into_trace(layout, circuit, &braid);
-    pass_timings.push(PassTiming {
-        pass: "braid-schedule",
-        duration: braid_t0.elapsed(),
-    });
     trace.validate()?;
-    println!("double-defect ({policy}, d={code_distance}): {braid}");
-    println!(
-        "  static replay: conflict-free ({} braid legs)",
-        trace.events.len()
-    );
+    let legs = trace.events.len();
+    writeln!(out, "double-defect ({policy}, d={code_distance}): {braid}")?;
+    writeln!(out, "  static replay: conflict-free ({legs} braid legs)")?;
     if verify {
-        let findings = certify_braid_trace(&trace, circuit, dag, braid_map.as_ref());
-        report_findings(&findings, "braid schedule")?;
-        println!("  certified: {} braid invariants hold", trace.events.len());
+        let findings = cx.certify(BackendKind::Braid).ok_or("no braid trace")?;
+        report_findings(out, &findings, "braid schedule")?;
+        writeln!(out, "  certified: {legs} braid invariants hold")?;
     }
-    let planar_config = PlanarConfig {
-        code_distance,
-        ..Default::default()
+    describe_defects(out, &cx, BackendKind::Planar)?;
+    let Some(planar) = cx.planar() else {
+        return Err(stopped(run));
     };
-    let planar_map = defects.map_for(PlanarMachine::grid_dims(circuit.num_qubits()), "planar")?;
-    if let Some(map) = &planar_map {
-        describe_map(map, "planar");
+    if verify {
+        let findings = cx.certify(BackendKind::Planar).ok_or("no EPR transcript")?;
+        report_findings(out, &findings, "planar schedule")?;
     }
-    let planar_t0 = Instant::now();
-    let run = FabricRun {
-        defects: planar_map.as_ref(),
-        fault_seed: defects.seed,
-        transcript: verify,
-    };
-    let (planar, transcript) =
-        schedule_planar_with(circuit, dag, &planar_config, &BaselinePlacement, &run)?;
-    pass_timings.push(PassTiming {
-        pass: "planar-schedule",
-        duration: planar_t0.elapsed(),
-    });
-    if let Some(transcript) = &transcript {
-        let findings =
-            certify_planar_schedule(&planar, transcript, circuit, dag, planar_map.as_ref());
-        report_findings(&findings, "planar schedule")?;
-    }
-    println!(
+    writeln!(
+        out,
         "planar (Multi-SIMD): {} cycles, {} teleports, peak {} live EPR pairs",
         planar.cycles,
         planar.simd.total_teleports(),
         planar.epr.peak_live_eprs
-    );
+    )?;
     if verify {
-        println!(
-            "  certified: {} EPR flights replayed clean",
-            planar.epr.teleports
-        );
+        let flights = planar.epr.teleports;
+        writeln!(out, "  certified: {flights} EPR flights replayed clean")?;
     }
     if planar.transient_faults > 0 {
-        println!(
+        writeln!(
+            out,
             "  transient faults: {} hop retries absorbed by the EPR pipeline",
             planar.transient_faults
-        );
+        )?;
     }
     if timings {
-        println!("per-pass timings:");
-        for t in &pass_timings {
-            println!("  pass {:<20} {:>9.1?}", t.pass, t.duration);
+        let pipeline = run?;
+        writeln!(out, "per-pass timings:")?;
+        for t in &pipeline.timings {
+            writeln!(out, "  pass {:<20} {:>9.1?}", t.pass, t.duration)?;
         }
-        println!("artifact hashes:");
-        for h in art.hashes() {
-            println!("  {:<20} {:016x}  [{}]", h.artifact, h.hash, h.pass);
+        writeln!(out, "artifact hashes:")?;
+        for h in &pipeline.hashes {
+            writeln!(out, "  {:<20} {:016x}  [{}]", h.artifact, h.hash, h.pass)?;
         }
     }
     Ok(())
@@ -456,7 +390,7 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String]) -> CliResult {
 /// Any malformed line aborts before scheduling starts (the loader
 /// reports `path:lineno: ...`); any request that fails to schedule is
 /// reported in place and turns the whole batch into a nonzero exit.
-fn cmd_batch(args: &[String]) -> CliResult {
+fn cmd_batch(args: &[String], out: &mut Out) -> CliResult {
     let path = args
         .first()
         .ok_or_else(|| CliError::usage("missing <requests.txt> argument"))?;
@@ -472,23 +406,24 @@ fn cmd_batch(args: &[String]) -> CliResult {
     let mut failed = 0usize;
     for r in &responses {
         match &r.outcome {
-            Ok(outcome) => {
-                println!(
-                    "#{:<3} {:<24} [{}] {}",
-                    r.index, r.label, r.provenance, outcome.summary
-                )
-            }
+            Ok(outcome) => writeln!(
+                out,
+                "#{:<3} {:<24} [{}] {}",
+                r.index, r.label, r.provenance, outcome.summary
+            )?,
             Err(e) => {
                 failed += 1;
-                println!(
+                writeln!(
+                    out,
                     "#{:<3} {:<24} [{}] failed: {e}",
                     r.index, r.label, r.provenance
-                );
+                )?;
             }
         }
     }
     let stats = runner.cache_stats();
-    println!(
+    writeln!(
+        out,
         "served {} request(s): {} hits, {} misses, {} dedups, {} computes, hit rate {:.1}%",
         responses.len(),
         stats.hits,
@@ -496,19 +431,17 @@ fn cmd_batch(args: &[String]) -> CliResult {
         stats.inflight_dedups,
         stats.computes,
         stats.hit_rate() * 100.0
-    );
+    )?;
     if failed > 0 {
         return Err(CliError::invalid(format!("{failed} request(s) failed to schedule")).into());
     }
     Ok(())
 }
 
-fn cmd_compare(circuit: &Circuit, rest: &[String]) -> CliResult {
+fn cmd_compare(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let p_physical: f64 = match rest.first() {
         None => 1e-5,
-        Some(s) => s
-            .parse()
-            .map_err(|_| CliError::usage(format!("bad error rate `{s}`")))?,
+        Some(s) => parse_arg(s, "error rate")?,
     };
     let profile = AppProfile::from_circuit(circuit, circuit.name());
     let config = EstimateConfig {
@@ -517,44 +450,45 @@ fn cmd_compare(circuit: &Circuit, rest: &[String]) -> CliResult {
     };
     let kq = circuit.len().max(1) as f64;
     let (planar, dd) = estimate_both(&profile, kq, &config)?;
-    println!("at p_physical = {p_physical:.1e}, {kq:.0} logical ops:");
-    println!("  {planar}");
-    println!("  {dd}");
+    writeln!(
+        out,
+        "at p_physical = {p_physical:.1e}, {kq:.0} logical ops:"
+    )?;
+    writeln!(out, "  {planar}")?;
+    writeln!(out, "  {dd}")?;
     let ratio = dd.space_time() / planar.space_time();
     let verdict = if ratio > 1.0 {
         "planar"
     } else {
         "double-defect"
     };
-    println!("  space-time ratio (dd/planar): {ratio:.2} -> use {verdict} encoding");
+    writeln!(
+        out,
+        "  space-time ratio (dd/planar): {ratio:.2} -> use {verdict} encoding"
+    )?;
     Ok(())
 }
 
-fn cmd_heatmap(circuit: &Circuit, rest: &[String]) -> CliResult {
+fn cmd_heatmap(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
     let code_distance = parse_distance(&pos, 0)?;
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, Policy::P6.layout_strategy(), None);
-    let config = BraidConfig {
-        policy: Policy::P6,
-        code_distance,
-        ..Default::default()
+    let mut cx = context(circuit, Policy::P6, code_distance, defects).with_trace(true);
+    let run = PipelineRunner::braid().run(&mut cx);
+    describe_defects(out, &cx, BackendKind::Braid)?;
+    let (Some(braid), Some(trace)) = (cx.braid(), cx.braid_trace()) else {
+        return Err(stopped(run));
     };
-    let map = defects.map_for(braid_mesh_dims(&layout, circuit), "braid")?;
-    if let Some(map) = &map {
-        describe_map(map, "braid");
-    }
-    let mut sink = EventCollector::default();
-    let braid = schedule_with(circuit, &dag, &layout, &config, map.as_ref(), &mut sink)?;
-    let trace = sink.into_trace(&layout, circuit, &braid);
-    println!(
+    writeln!(
+        out,
         "{} braid legs over {} cycles, peak {} concurrent braids",
         trace.events.len(),
         braid.cycles,
         trace.peak_concurrent_braids()
-    );
-    println!("link congestion (0-9 = busy-cycles relative to hottest link):");
-    print!("{}", trace.render_heatmap());
+    )?;
+    writeln!(
+        out,
+        "link congestion (0-9 = busy-cycles relative to hottest link):"
+    )?;
+    write!(out, "{}", trace.render_heatmap())?;
     Ok(())
 }

@@ -2,7 +2,7 @@
 //! benchmarks, exercising every crate in one pipeline.
 
 use scq::apps::Benchmark;
-use scq::core::{run_toolflow, run_toolflow_on, ToolflowConfig, ToolflowError};
+use scq::core::{run_toolflow, ArtifactContext, PipelineRunner, ToolflowConfig, ToolflowError};
 use scq::ir::Circuit;
 use scq::surface::{Encoding, Technology};
 
@@ -103,10 +103,12 @@ fn custom_circuits_flow_through() {
         b.meas_z(i);
     }
     let c = b.finish();
-    let report = run_toolflow_on(Benchmark::Gse, &c, &ToolflowConfig::default()).unwrap();
-    assert_eq!(report.stats.total_ops, 20);
-    assert_eq!(report.stats.num_qubits, 10);
-    assert!(report.braid.braids_placed >= 18); // 9 cnots x 2 legs
+    let mut cx = ArtifactContext::for_circuit(&c, ToolflowConfig::default());
+    PipelineRunner::schedules().run(&mut cx).unwrap();
+    let stats = cx.stats().unwrap();
+    assert_eq!(stats.total_ops, 20);
+    assert_eq!(stats.num_qubits, 10);
+    assert!(cx.braid().unwrap().braids_placed >= 18); // 9 cnots x 2 legs
 }
 
 #[test]
