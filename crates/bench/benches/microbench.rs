@@ -155,8 +155,8 @@ fn bench_claim_release(c: &mut Criterion) {
 /// Adaptive routing on SHA-1's braid mesh at d = 3 (51 x 49 routers),
 /// congested by seeded short XY braids and cut in two by a staircase
 /// wall that claims no full row or column. Successful searches run the
-/// BFS kernel; pairs split by the wall run the exact unroutability
-/// probe's flood over the whole free region on one side.
+/// A* search and its route walk; pairs split by the wall run the exact
+/// unroutability probe's flood over the whole free region on one side.
 fn bench_adaptive_routing(c: &mut Criterion) {
     use scq_mesh::{Coord, Mesh, Path, RouteScratch};
     let (w, h) = (51u32, 49u32);

@@ -5,7 +5,7 @@
 //! 2. **Magic-state supply**: factory-braided vs locally-buffered T
 //!    gates — how much of the braid traffic is ancilla delivery.
 //! 3. **Adaptive routing**: the escalation ladder (XY -> YX -> adaptive
-//!    BFS) vs dimension-ordered-only routing under congestion.
+//!    search) vs dimension-ordered-only routing under congestion.
 //! 4. **Lattice surgery**: why the third communication method was set
 //!    aside (Section 8.2 unit costs).
 

@@ -236,11 +236,11 @@ pub fn factory_sites(mesh_w: u32, mesh_h: u32, count: u32) -> Vec<Coord> {
 /// Braids are simulated as circuit-switched messages: each braid leg
 /// atomically claims a route of routers and links on the mesh, holds it
 /// for `d` stabilization cycles, and releases it. Routing escalates from
-/// dimension-ordered XY to YX to fully adaptive BFS as a braid starves,
-/// and braids that starve past [`BraidConfig::drop_timeout`] are dropped
-/// and re-injected — the paper's forward-progress mechanisms, which are
-/// safe precisely because the resulting schedule is *static* (replayed
-/// verbatim on the machine, Section 6.1).
+/// dimension-ordered XY to YX to a fully adaptive search as a braid
+/// starves, and braids that starve past [`BraidConfig::drop_timeout`]
+/// are dropped and re-injected — the paper's forward-progress
+/// mechanisms, which are safe precisely because the resulting schedule
+/// is *static* (replayed verbatim on the machine, Section 6.1).
 ///
 /// This entry point runs the event-driven engine on a pristine mesh
 /// with the zero-cost [`NoTrace`] sink: no events are recorded and
@@ -357,7 +357,14 @@ impl Engine {
     /// bit-for-bit those of the naive reference: the same escalation
     /// ladder, the same failure accounting, the same drop rule — only
     /// the route materialization is fused and allocation-free.
-    fn try_issue(&mut self, env: &IssueEnv<'_>, op: usize, leg: u8, t: u64) -> bool {
+    fn try_issue(
+        &mut self,
+        env: &IssueEnv<'_>,
+        sink: &mut impl TraceSink,
+        op: usize,
+        leg: u8,
+        t: u64,
+    ) -> bool {
         let inst = &env.circuit.instructions()[op];
         let gate = inst.gate();
         let local = !gate.is_two_qubit()
@@ -446,9 +453,12 @@ impl Engine {
             self.mesh.claim_route_yx_into(src, dst, owner, &mut path)
         } else {
             self.stats.adaptive_routes += 1;
-            self.mesh
-                .route_adaptive_into(src, dst, owner, &mut self.route_scratch, &mut path)
-                && self.mesh.try_claim(&path, owner)
+            let scratch = &mut self.route_scratch;
+            let found = self
+                .mesh
+                .route_adaptive_into(src, dst, owner, scratch, &mut path);
+            sink.searched(scratch.expanded());
+            found && self.mesh.try_claim(&path, owner)
         };
         if claimed {
             self.stats.braids_placed += 1;
@@ -486,7 +496,8 @@ impl Engine {
 ///
 /// The sink decides what is recorded: [`NoTrace`] keeps the run
 /// monomorphized on the zero-cost path, while an [`EventCollector`]
-/// keeps every closed leg for [`EventCollector::into_trace`].
+/// keeps every closed leg for [`EventCollector::into_trace`]. A sink
+/// may also count the adaptive searches through [`TraceSink::searched`].
 ///
 /// Four mechanisms make this the fast path while preserving
 /// bit-identical schedules versus [`crate::schedule_reference`]:
@@ -518,7 +529,7 @@ impl Engine {
 ///    dimension-ordered corridor, or no free route at all, dooms the
 ///    claim for an owner holding nothing — which an issuing op always
 ///    is. The adaptive probe is exact, a bit-parallel flood of the free
-///    region, so an adaptive BFS runs only when it will find a route.
+///    region, so an adaptive search runs only when it will find a route.
 ///    Pruned attempts keep the exact bookkeeping of a walked failure —
 ///    no walk, same schedule.
 ///
@@ -808,11 +819,11 @@ pub fn schedule_with(
                     let issued = match eng.state[op] {
                         OpState::Ready => {
                             attempts += 1;
-                            eng.try_issue(&env, op, 1, t)
+                            eng.try_issue(&env, sink, op, 1, t)
                         }
                         OpState::Leg2Ready => {
                             attempts += 1;
-                            eng.try_issue(&env, op, 2, t)
+                            eng.try_issue(&env, sink, op, 2, t)
                         }
                         _ => false,
                     };
@@ -828,7 +839,7 @@ pub fn schedule_with(
                 leg2_ready.sort_unstable();
                 for &op in &leg2_ready {
                     attempts += 1;
-                    let _ = eng.try_issue(&env, op as usize, 2, t);
+                    let _ = eng.try_issue(&env, sink, op as usize, 2, t);
                 }
                 // Operations start in program order; stop at the first
                 // blocked or unplaceable op. The lowest blocked index is
@@ -852,7 +863,7 @@ pub fn schedule_with(
                         break;
                     }
                     attempts += 1;
-                    if !eng.try_issue(&env, op as usize, 1, t) {
+                    if !eng.try_issue(&env, sink, op as usize, 1, t) {
                         break;
                     }
                 }
@@ -878,7 +889,7 @@ pub fn schedule_with(
                 sort_candidates(config.policy, &mut candidates, crit_threshold);
                 for c in &candidates {
                     attempts += 1;
-                    let _ = eng.try_issue(&env, c.op as usize, c.leg, t);
+                    let _ = eng.try_issue(&env, sink, c.op as usize, c.leg, t);
                 }
             }
         }

@@ -16,7 +16,8 @@ use std::fmt;
 
 use scq_mesh::{Coord, Mesh, Path};
 
-/// Receiver for braid-leg events as the scheduler closes them.
+/// Receiver for braid-leg events as the scheduler closes them, and for
+/// the work of each adaptive route search it runs.
 ///
 /// The scheduling engine is generic over its sink so that the untraced
 /// entry point ([`schedule`](crate::schedule), which every benchmark
@@ -39,6 +40,13 @@ pub trait TraceSink {
         close_cycle: u64,
         path: Path,
     ) -> Option<Path>;
+
+    /// Notes one adaptive route search, which expanded `expanded`
+    /// routers ([`RouteScratch::expanded`](scq_mesh::RouteScratch::expanded)).
+    /// The default ignores it, so [`NoTrace`] and [`EventCollector`]
+    /// compile the call to nothing.
+    #[inline]
+    fn searched(&mut self, _expanded: u32) {}
 }
 
 /// The zero-cost sink: drops every event and recycles path buffers.

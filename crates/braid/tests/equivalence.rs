@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn engines_agree_under_routing_stress(c in arb_circuit()) {
         // Tiny timeouts force the full escalation ladder (YX, adaptive,
-        // drops) so the fused claim walks and scratch BFS are exercised.
+        // drops) so the fused claim walks and scratch search are exercised.
         for policy in [Policy::P1, Policy::P4, Policy::P6] {
             let config = BraidConfig {
                 policy,

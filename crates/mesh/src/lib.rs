@@ -27,7 +27,8 @@
 //! Three routing policies are provided, matching the braid scheduler's
 //! escalation ladder: dimension-ordered [`Mesh::route_xy`] /
 //! [`Mesh::route_yx`], and congestion-aware [`Mesh::route_adaptive`]
-//! (BFS over currently-free resources).
+//! (an A* search over currently-free resources, bounded by the route it
+//! returns).
 //!
 //! # The fault layer
 //!
@@ -52,7 +53,7 @@
 //! route (into a caller-provided [`Path`] buffer) when the claim
 //! succeeds — under contention most claims fail, so the failure path
 //! allocates nothing; [`Mesh::route_adaptive_into`] reuses one
-//! [`RouteScratch`] across BFS searches; and [`Mesh::tick_n`] advances
+//! [`RouteScratch`] across searches; and [`Mesh::tick_n`] advances
 //! the utilization clock over an idle stretch in one step so an
 //! event-driven scheduler can jump between wake times.
 //!
@@ -65,7 +66,7 @@
 //! a dimension-ordered corridor a word at a time, and
 //! [`Mesh::route_certainly_blocked`] floods the free region bit-parallel
 //! and says exactly whether any free route exists, so a scheduler that
-//! asks first never runs a failing BFS. The line reads
+//! asks first never runs a failing search. The line reads
 //! ([`Mesh::row_claimed_count`], [`Mesh::row_claimed_interval`] and
 //! their column twins) are popcounts and trailing/leading-zero counts.
 //!

@@ -17,23 +17,24 @@ const DEFECT: ClaimId = ClaimId::MAX - 1;
 
 /// Reusable buffers for [`Mesh::route_adaptive_into`].
 ///
-/// The adaptive BFS needs per-node predecessor and visited arrays plus a
-/// frontier queue; allocating them per call dominates the cost of short
+/// The adaptive search needs a distance label per router and two bucket
+/// queues; allocating them per call dominates the cost of short
 /// searches. One `RouteScratch` amortizes those allocations across every
-/// adaptive routing attempt of a scheduling run. Visited state is
-/// invalidated by a generation stamp, so reuse never requires clearing
-/// the arrays.
+/// adaptive routing attempt of a scheduling run. Each search raises the
+/// epoch its labels are written against, so reuse never requires
+/// clearing them.
 #[derive(Clone, Debug, Default)]
 pub struct RouteScratch {
-    /// BFS predecessor per node index (valid only when stamped).
-    prev: Vec<u32>,
-    /// Generation stamp per node index; equal to `stamp` means visited.
-    seen: Vec<u64>,
-    /// Current search generation.
-    stamp: u64,
-    /// BFS frontier as a flat FIFO of `[node index, x, y]` entries read
-    /// through a head cursor, so expanding a node never divides.
-    queue: Vec<[u32; 3]>,
+    /// `epoch - d` per node index for the best distance `d` to `dst` found
+    /// so far; labels of earlier searches are lower, so higher is closer.
+    label: Vec<u64>,
+    /// Grows by the node count plus one per search.
+    epoch: u64,
+    /// The A* buckets for the current f and for f + 2, in turn, of
+    /// `[node index, x, y]` entries, so expanding a node never divides.
+    buckets: [Vec<[u32; 3]>; 2],
+    /// Routers whose neighbors the last search examined.
+    expanded: u32,
 }
 
 impl RouteScratch {
@@ -43,14 +44,28 @@ impl RouteScratch {
         RouteScratch::default()
     }
 
-    fn begin(&mut self, nodes: usize) {
-        if self.prev.len() < nodes {
-            self.prev.resize(nodes, u32::MAX);
-            self.seen.resize(nodes, 0);
-        }
-        self.stamp += 1;
-        self.queue.clear();
+    /// How many routers the last search expanded.
+    pub fn expanded(&self) -> u32 {
+        self.expanded
     }
+
+    fn begin(&mut self, nodes: usize) {
+        if self.label.len() < nodes {
+            self.label.resize(nodes, 0);
+        }
+        self.epoch += nodes as u64 + 1;
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.expanded = 0;
+    }
+}
+
+/// Panics unless `owner` may hold resources: `ClaimId::MAX` marks free
+/// slots and `ClaimId::MAX - 1` defects.
+fn assert_owner(owner: ClaimId) {
+    assert!(
+        owner < DEFECT,
+        "ClaimId::MAX is reserved (and ClaimId::MAX - 1 marks defects)"
+    );
 }
 
 /// The bits of word `i` that fall within the first `len` bits of a line.
@@ -406,10 +421,7 @@ impl Mesh {
     /// reserved sentinels (`ClaimId::MAX` is reserved for free slots,
     /// `ClaimId::MAX - 1` marks defects).
     pub fn try_claim(&mut self, path: &Path, owner: ClaimId) -> bool {
-        assert!(
-            owner < DEFECT,
-            "ClaimId::MAX is reserved (and ClaimId::MAX - 1 marks defects)"
-        );
+        assert_owner(owner);
         if !self.is_path_free(path, owner) {
             return false;
         }
@@ -563,7 +575,7 @@ impl Mesh {
     /// runs of free routers joined by free links; between rows, it
     /// crosses free vertical links; rows are swept down and up until
     /// nothing changes or `dst` is reached. The flood costs a few word
-    /// operations per row and sweep instead of a BFS step per router.
+    /// operations per row and sweep instead of a search step per router.
     ///
     /// # Panics
     ///
@@ -711,10 +723,7 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
-        assert!(
-            owner < DEFECT,
-            "ClaimId::MAX is reserved (and ClaimId::MAX - 1 marks defects)"
-        );
+        assert_owner(owner);
         // Pass 1: availability check in place, touching nothing.
         let mut last: Option<Coord> = None;
         let free = Topology::walk_dim_ordered(src, dst, order, |c| {
@@ -808,11 +817,28 @@ impl Mesh {
     /// congestion leaves no free corridor.
     ///
     /// Resources held by `owner` itself count as free, so a braid may
-    /// re-route over its own footprint.
+    /// re-route over its own footprint. Among the shortest free routes
+    /// it returns the one whose moves from `src`, read as a sequence,
+    /// are lexicographically smallest under east < west < south < north,
+    /// so every route is reproducible.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use scq_mesh::{Coord, Mesh};
+    ///
+    /// let mesh = Mesh::new(4, 3);
+    /// let (src, dst) = (Coord::new(0, 0), Coord::new(3, 2));
+    /// // East before south: the route runs along row 0, then down.
+    /// let hops = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)];
+    /// let route = mesh.route_adaptive(src, dst, 1).expect("an open mesh routes");
+    /// assert_eq!(route.nodes(), hops.map(|(x, y)| Coord::new(x, y)));
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is off the mesh.
+    /// Panics if either endpoint is off the mesh or `owner` is one of
+    /// the reserved sentinels, as in [`Mesh::try_claim`].
     pub fn route_adaptive(&self, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
         let mut scratch = RouteScratch::new();
         let mut out = Path::empty();
@@ -820,14 +846,14 @@ impl Mesh {
             .then_some(out)
     }
 
-    /// Like [`Mesh::route_adaptive`], reusing the caller's BFS buffers
-    /// and writing the route into `out` — the allocation-free variant
-    /// for hot scheduling loops. Returns `false` (leaving `out`
+    /// Like [`Mesh::route_adaptive`], reusing the caller's search
+    /// buffers and writing the route into `out` — the allocation-free
+    /// variant for hot scheduling loops. Returns `false` (leaving `out`
     /// unspecified) when no free corridor exists.
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is off the mesh.
+    /// As [`Mesh::route_adaptive`].
     pub fn route_adaptive_into(
         &self,
         src: Coord,
@@ -840,21 +866,21 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
+        assert_owner(owner);
+        scratch.begin(self.nodes.len());
         let free = |o: ClaimId| (o == FREE) | (o == owner);
         let (src_i, dst_i) = (self.node_index(src), self.node_index(dst));
         if !free(self.nodes[src_i]) || !free(self.nodes[dst_i]) {
             return false;
         }
-        // BFS over free links/nodes; the fixed neighbor order (east,
-        // west, south, north) and the stop on first discovery of `dst`
-        // make every route reproducible. The flood is the hot loop of
-        // contention-bound scheduling runs, so it works on flat node
-        // indices carried with their coordinates: neighbors are `i ± 1`
-        // / `i ± width`, the vertical link below node `i` is
-        // `v_links[i]`, and the horizontal link east of it is
-        // `h_links[i - y]`.
-        let (w, h) = (self.width(), self.height());
-        let row = w as usize;
+        // A* from `dst` under the Manhattan distance to `src`: a step
+        // toward `src` keeps f = g + h and any other raises it by 2, so
+        // two FIFO buckets order the search. Once `src` pops at f = L,
+        // finishing that bucket leaves every router on a shortest route
+        // labelled with its exact distance to `dst`, having expanded only
+        // routers with |v - src| + |v - dst| <= L. A label can drop after
+        // its router was queued for f + 2, which turns that entry stale.
+        let row = self.width() as usize;
         // Index, x and y steps to the east/west/south/north neighbors.
         let steps = [
             (1, 1, 0),
@@ -862,65 +888,88 @@ impl Mesh {
             (row, 0, 1),
             (row.wrapping_neg(), 0, u32::MAX),
         ];
-        scratch.begin(self.nodes.len());
-        let RouteScratch {
-            prev,
-            seen,
-            stamp,
-            queue,
-        } = scratch;
-        let stamp = *stamp;
-        seen[src_i] = stamp;
-        queue.push([src_i as u32, src.x, src.y]);
-        let mut head = 0;
-        'bfs: while let Some(&[cur, x, y]) = queue.get(head) {
-            head += 1;
-            let i = cur as usize;
-            // Bit k of `open_mask` marks neighbor k unvisited with its
-            // router and link free. The tests combine without branching,
-            // so the mesh's occupancy never steers the branch predictor.
-            let open = |n: usize, link: ClaimId| {
-                u32::from((seen[n] != stamp) & free(self.nodes[n]) & free(link))
-            };
-            let mut open_mask = 0;
-            if x + 1 < w {
-                open_mask |= open(i + 1, self.h_links[i - y as usize]);
-            }
-            if x > 0 {
-                open_mask |= open(i - 1, self.h_links[i - y as usize - 1]) << 1;
-            }
-            if y + 1 < h {
-                open_mask |= open(i + row, self.v_links[i]) << 2;
-            }
-            if y > 0 {
-                open_mask |= open(i - row, self.v_links[i - row]) << 3;
-            }
-            while open_mask != 0 {
-                let (di, dx, dy) = steps[open_mask.trailing_zeros() as usize];
-                open_mask &= open_mask - 1;
-                let n = i.wrapping_add(di);
-                seen[n] = stamp;
-                prev[n] = cur;
-                if n == dst_i {
-                    break 'bfs;
+        let (label, buckets, epoch) = (&mut scratch.label, &mut scratch.buckets, scratch.epoch);
+        label[dst_i] = epoch;
+        buckets[0].push([dst_i as u32, dst.x, dst.y]);
+        let (mut f, mut b, mut found) = (src.manhattan(dst), 0, false);
+        // One pass per f; the pass that pops `src` is the last.
+        while !found && !buckets[b].is_empty() {
+            let mut head = 0;
+            while let Some(&[cur, x, y]) = buckets[b].get(head) {
+                head += 1;
+                let i = cur as usize;
+                // The label this entry was queued with, at g = f - h.
+                let key = epoch - u64::from(f - x.abs_diff(src.x) - y.abs_diff(src.y));
+                if label[i] != key {
+                    continue; // stale: relabelled nearer since
                 }
-                queue.push([n as u32, x.wrapping_add(dx), y.wrapping_add(dy)]);
+                found |= i == src_i; // its neighbors all go to f + 2
+                scratch.expanded += 1;
+                // The tests combine without branching, so the mesh's
+                // occupancy never steers the branch predictor.
+                let mut open = self.neighbors(i, x, y, |n, link| {
+                    (label[n] < key - 1) & free(self.nodes[n]) & free(link)
+                });
+                // Bit k marks neighbor k farther from `src`, due at f + 2.
+                let far = u32::from(x >= src.x)
+                    | u32::from(x <= src.x) << 1
+                    | u32::from(y >= src.y) << 2
+                    | u32::from(y <= src.y) << 3;
+                while open != 0 {
+                    let k = open.trailing_zeros();
+                    open &= open - 1;
+                    let (di, dx, dy) = steps[k as usize];
+                    let n = i.wrapping_add(di);
+                    label[n] = key - 1;
+                    let entry = [n as u32, x.wrapping_add(dx), y.wrapping_add(dy)];
+                    buckets[b ^ (far >> k & 1) as usize].push(entry);
+                }
             }
+            buckets[b].clear();
+            (f, b) = (f + 2, b ^ 1);
         }
-        if seen[dst_i] != stamp {
+        if !found {
             return false;
         }
+        // Walk from `src`, each step to the first neighbor in east, west,
+        // south, north order one hop nearer `dst`: of the shortest routes,
+        // the one whose moves are lexicographically smallest.
         let nodes = out.nodes_mut();
         nodes.clear();
-        nodes.push(dst);
-        let mut cur = dst;
-        while cur != src {
-            let p = prev[self.node_index(cur)];
-            cur = Coord::new(p % w, p / w);
-            nodes.push(cur);
+        nodes.push(src);
+        let (mut i, mut x, mut y) = (src_i, src.x, src.y);
+        while i != dst_i {
+            let want = label[i] + 1;
+            let next = self.neighbors(i, x, y, |n, link| (label[n] == want) & free(link));
+            debug_assert!(next != 0, "a router on a shortest route has a next hop");
+            let (di, dx, dy) = steps[next.trailing_zeros() as usize];
+            (i, x, y) = (i.wrapping_add(di), x.wrapping_add(dx), y.wrapping_add(dy));
+            nodes.push(Coord::new(x, y));
         }
-        nodes.reverse();
         true
+    }
+
+    /// Bit k (east, west, south, north) set for each neighbor of router
+    /// `i` at `(x, y)` whose index and link owner pass `ok`. Neighbors
+    /// are `i ± 1` / `i ± width`, the vertical link below router `i` is
+    /// `v_links[i]`, and the horizontal link east of it `h_links[i - y]`.
+    #[inline(always)]
+    fn neighbors(&self, i: usize, x: u32, y: u32, ok: impl Fn(usize, ClaimId) -> bool) -> u32 {
+        let row = self.width() as usize;
+        let mut mask = 0;
+        if x + 1 < self.width() {
+            mask |= u32::from(ok(i + 1, self.h_links[i - y as usize]));
+        }
+        if x > 0 {
+            mask |= u32::from(ok(i - 1, self.h_links[i - y as usize - 1])) << 1;
+        }
+        if y + 1 < self.height() {
+            mask |= u32::from(ok(i + row, self.v_links[i])) << 2;
+        }
+        if y > 0 {
+            mask |= u32::from(ok(i - row, self.v_links[i - row])) << 3;
+        }
+        mask
     }
 
     /// Advances the utilization clock by one cycle, accumulating the
@@ -1222,6 +1271,14 @@ mod tests {
         assert!(m.try_claim(&Path::new(vec![Coord::new(0, 0)]), 9));
         let mut scratch = RouteScratch::new();
         let mut out = Path::empty();
+        assert!(m.route_adaptive_into(
+            Coord::new(1, 1),
+            Coord::new(3, 3),
+            1,
+            &mut scratch,
+            &mut out
+        ));
+        assert!(scratch.expanded() > 0);
         assert!(!m.route_adaptive_into(
             Coord::new(0, 0),
             Coord::new(3, 3),
@@ -1229,6 +1286,8 @@ mod tests {
             &mut scratch,
             &mut out
         ));
+        // A search refused at its endpoints expands nothing.
+        assert_eq!(scratch.expanded(), 0);
     }
 
     #[test]
@@ -1528,6 +1587,17 @@ mod tests {
         let mut m = Mesh::new(3, 3);
         let p = m.route_xy(Coord::new(0, 0), Coord::new(2, 0));
         let _ = m.try_claim(&p, ClaimId::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn defect_sentinel_is_not_a_legal_search_owner() {
+        use crate::defect::DefectMap;
+        // Column 1 is dead; to the sentinel, every dead router and link
+        // would look like its own and the search would cross them.
+        let map = DefectMap::from_text("dims 3 3\nnode 1 0\nnode 1 1\nnode 1 2\n").unwrap();
+        let m = Mesh::with_defects(3, 3, &map);
+        let _ = m.route_adaptive(Coord::new(0, 0), Coord::new(2, 0), ClaimId::MAX - 1);
     }
 
     #[test]

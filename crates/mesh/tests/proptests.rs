@@ -60,9 +60,10 @@ impl FreeMap {
     }
 
     /// The adaptive search as first written, kept as the oracle of the
-    /// optimized kernel: a `VecDeque` BFS over free routers and links
-    /// that tries neighbors east, west, south, north and stops when
-    /// `dst` is first discovered. `None` when no route exists.
+    /// A* search: a `VecDeque` BFS over free routers and links that
+    /// tries neighbors east, west, south, north and stops when `dst` is
+    /// first discovered, which returns the shortest route whose moves
+    /// are lexicographically smallest. `None` when no route exists.
     fn route(&self, src: Coord, dst: Coord) -> Option<Vec<Coord>> {
         if !self.node[self.index(src)] || !self.node[self.index(dst)] {
             return None;
@@ -203,6 +204,20 @@ proptest! {
                     prop_assert_eq!(found, expect.is_some(), "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
                     if let Some(expect) = expect {
                         prop_assert_eq!(out.nodes(), &expect[..], "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
+                        // Only free routers that a route of this length
+                        // could pass, |v - src| + |v - dst| <= L, expand.
+                        let len = out.len_hops() as u32;
+                        let within = (0..w * h)
+                            .map(|i| Coord::new(i % w, i / w))
+                            .filter(|&v| {
+                                free.node[free.index(v)] && v.manhattan(src) + v.manhattan(dst) <= len
+                            })
+                            .count();
+                        prop_assert!(
+                            scratch.expanded() as usize <= within,
+                            "{}x{} {} -> {} owner {}: {} expanded, {} within reach",
+                            w, h, src, dst, owner, scratch.expanded(), within
+                        );
                     }
                 }
             }
