@@ -7,11 +7,19 @@
 //! Every braid point asserts bit-identical schedules before timing
 //! counts, and every EPR point asserts the unlimited-capacity fabric
 //! matches the flow oracle exactly, so the reported numbers are for
-//! *the same answer*. Every timed engine point is the median of three
-//! runs (`runs_per_point` in the JSON) so a one-off scheduler hiccup
-//! cannot masquerade as a regression. Fast-engine points are measured
-//! sequentially (stable wall-clocks), then re-run in parallel once to
-//! report the fan-out wall-clock of the whole grid.
+//! *the same answer*. Each braid engine time and each warm `e2e` time
+//! is the median of three runs (`runs_per_point` in the JSON) so a
+//! one-off scheduler hiccup cannot masquerade as a regression; the EPR
+//! `flow_secs`, `fabric_secs` and `place_secs` are single runs.
+//! Fast-engine points are measured sequentially (stable wall-clocks),
+//! then re-run in parallel once to report the fan-out wall-clock of the
+//! whole grid.
+//!
+//! Once both reports are written, five checks read the rows behind
+//! them, and the first that fails exits nonzero: the geomean speedup
+//! floor, the pipeline's pass order, the `e2e` warm-call ratios, the
+//! placement ablation's non-regression, and the degradation study
+//! (rate 0 equals clean, the envelope, at least one completed row).
 
 #![warn(clippy::disallowed_methods)]
 
@@ -44,9 +52,18 @@ const DEFECT_RATE: f64 = 0.02;
 /// `BENCH_epr.json` is machine-independent.
 const DEFECT_SEED: u64 = 20702;
 /// Committed ceiling on the makespan inflation any degradation row may
-/// show at [`DEFECT_RATE`]; `bench_guard` fails when a regenerated row
-/// exceeds it.
+/// show at [`DEFECT_RATE`].
 const DEGRADATION_ENVELOPE: f64 = 8.0;
+/// Floor on the geomean speedup over the reference engine (measured
+/// ~8x; a drop to 3x means the event-driven engine lost most of its
+/// edge, far beyond timing noise).
+const GEOMEAN_FLOOR: f64 = 3.0;
+/// Ceiling on the summed warm toolflow time over the summed first-call
+/// time (measured ~0.07: the first call pays each app's calibration).
+const E2E_WARM_OVER_FIRST: f64 = 0.25;
+/// Ceiling on the warm `estimate` pass's share of the warm toolflow
+/// (measured well under 0.1%: a memo hit plus the closed-form model).
+const E2E_ESTIMATE_SHARE: f64 = 0.01;
 
 struct Point {
     app: &'static str,
@@ -68,6 +85,8 @@ struct E2ePoint {
     warm_secs: f64,
     /// The `estimate` pass of one warm call.
     warm_estimate_secs: f64,
+    /// The first call's passes, in the order they ran.
+    passes: Vec<&'static str>,
 }
 
 impl Point {
@@ -78,6 +97,78 @@ impl Point {
     fn cycles_per_sec_fast(&self) -> f64 {
         self.cycles as f64 / self.fast_secs.max(1e-12)
     }
+}
+
+/// Checks the geomean speedup over the reference against
+/// [`GEOMEAN_FLOOR`].
+fn check_geomean(geomean: f64) -> Result<String, String> {
+    if geomean < GEOMEAN_FLOOR {
+        return Err(format!(
+            "{geomean:.2}x over the reference engine fell below the floor {GEOMEAN_FLOOR:.1}x"
+        ));
+    }
+    Ok(format!(
+        "{geomean:.2}x >= {GEOMEAN_FLOOR:.1}x over the reference engine"
+    ))
+}
+
+/// Checks that every app's first toolflow call ran exactly
+/// [`PIPELINE_STAGES`], in order: a renamed, dropped or reordered pass
+/// would silently shift the `pass_secs` trajectory.
+fn check_pass_order(rows: &[E2ePoint]) -> Result<String, String> {
+    for p in rows {
+        if p.passes != PIPELINE_STAGES {
+            return Err(format!(
+                "{}: the pipeline ran {:?}, not {PIPELINE_STAGES:?}",
+                p.app, p.passes
+            ));
+        }
+    }
+    Ok(format!(
+        "{} apps ran the {} stages in order",
+        rows.len(),
+        PIPELINE_STAGES.len()
+    ))
+}
+
+/// Checks the `e2e` rows: one for every fig6 app (the Table 2
+/// benchmarks), warm toolflow time within [`E2E_WARM_OVER_FIRST`] of
+/// the first calls', and the warm estimate within
+/// [`E2E_ESTIMATE_SHARE`] of the warm toolflow. Both bounds are ratios
+/// of times taken in one process, so a uniformly slower machine does
+/// not trip them; losing the calibration memo does.
+fn check_e2e(rows: &[E2ePoint]) -> Result<String, String> {
+    if let Some(bench) = Benchmark::TABLE2
+        .iter()
+        .find(|b| !rows.iter().any(|p| p.app == b.name()))
+    {
+        return Err(format!("no row for {}", bench.name()));
+    }
+    let first: f64 = rows.iter().map(|p| p.first_secs).sum();
+    let warm: f64 = rows.iter().map(|p| p.warm_secs).sum();
+    let estimate: f64 = rows.iter().map(|p| p.warm_estimate_secs).sum();
+    if warm > E2E_WARM_OVER_FIRST * first {
+        return Err(format!(
+            "warm toolflow {:.1}ms exceeds {E2E_WARM_OVER_FIRST} x the first calls' {:.1}ms \
+             (is calibration still memoized?)",
+            warm * 1e3,
+            first * 1e3
+        ));
+    }
+    if estimate > E2E_ESTIMATE_SHARE * warm {
+        return Err(format!(
+            "warm estimate {:.3}ms exceeds {E2E_ESTIMATE_SHARE} x the warm toolflow's {:.1}ms",
+            estimate * 1e3,
+            warm * 1e3
+        ));
+    }
+    Ok(format!(
+        "{} apps, warm/first {:.3} <= {E2E_WARM_OVER_FIRST}, warm estimate share {:.5} <= \
+         {E2E_ESTIMATE_SHARE}",
+        rows.len(),
+        warm / first,
+        estimate / warm
+    ))
 }
 
 /// One traced run of a fig6 workload at the report's distance, for the
@@ -145,8 +236,8 @@ fn main() {
 
     // Per-pass wall clock of the artifact pipeline: one timed toolflow
     // run per fig6 app at the report's pinned distance, durations
-    // summed per stage. `bench_guard` asserts every stage below is
-    // present and non-negative in the emitted `pass_secs` section.
+    // summed per stage under its `PIPELINE_STAGES` key (a pass outside
+    // that list fails `check_pass_order` once the reports are written).
     // That run is the app's first calibration in this process, so
     // `pass_secs` is the cold breakdown; three more runs give the warm
     // end-to-end time the `e2e` section records beside it.
@@ -168,9 +259,9 @@ fn main() {
         let trace = timed();
         let first_secs = t0.elapsed().as_secs_f64();
         for t in &trace.timings {
-            let slot = PIPELINE_STAGES.iter().position(|n| *n == t.pass);
-            let slot = or_die(slot.ok_or(t.pass), "pipeline emitted unknown pass");
-            pass_secs[slot] += t.duration.as_secs_f64();
+            if let Some(slot) = PIPELINE_STAGES.iter().position(|n| *n == t.pass) {
+                pass_secs[slot] += t.duration.as_secs_f64();
+            }
         }
         let (warm_trace, warm_secs) = timed_median3(timed);
         let warm_estimate_secs = warm_trace
@@ -184,6 +275,7 @@ fn main() {
             first_secs,
             warm_secs,
             warm_estimate_secs,
+            passes: trace.timings.iter().map(|t| t.pass).collect(),
         });
     }
 
@@ -293,7 +385,17 @@ fn main() {
     json.push('\n');
     write_report("BENCH_sched.json", &json);
 
-    epr_report(&workloads);
+    let (placement, degradation) = epr_report(&workloads);
+    println!();
+    for (what, verdict) in [
+        ("geomean scheduler speedup", check_geomean(geomean_speedup)),
+        ("pipeline pass order", check_pass_order(&e2e)),
+        ("end-to-end toolflow", check_e2e(&e2e)),
+        ("placement ablation", check_placement(&placement)),
+        ("degradation study", check_degradation(&degradation)),
+    ] {
+        println!("ok: {what}: {}", or_die(verdict, what));
+    }
 }
 
 /// One EPR point: an application's Multi-SIMD demand trace run through
@@ -332,12 +434,40 @@ impl EprPoint {
     }
 }
 
+/// Checks that the congestion-aware floorplan never regresses the
+/// baseline's makespan or lane stalls. The optimizer only accepts
+/// strictly improving moves, so this is an invariant of the algorithm,
+/// not of this machine's timing.
+fn check_placement(rows: &[PlacementPoint]) -> Result<String, String> {
+    if rows.is_empty() {
+        return Err("no placement rows".into());
+    }
+    for p in rows {
+        if p.optimized_makespan > p.baseline_makespan {
+            return Err(format!(
+                "{}: optimized makespan {} exceeds baseline {}",
+                p.app, p.optimized_makespan, p.baseline_makespan
+            ));
+        }
+        if p.optimized_lane_stalls > p.baseline_lane_stalls {
+            return Err(format!(
+                "{}: optimized lane stalls {} exceed baseline {}",
+                p.app, p.optimized_lane_stalls, p.baseline_lane_stalls
+            ));
+        }
+    }
+    Ok(format!("optimized <= baseline on all {} rows", rows.len()))
+}
+
 /// One degradation row: a fig6 application on one backend, clean versus
 /// 2%-defective hardware (same seed for sampling and transient faults).
 struct DegradationPoint {
     app: &'static str,
     backend: &'static str,
     clean_makespan: u64,
+    /// Whether the run on a rate-0 defect map reproduced the clean
+    /// schedule exactly: an empty map must be no map at all.
+    rate0_is_clean: bool,
     /// Degraded makespan, or the structured diagnostic when the
     /// defects cut the machine apart.
     outcome: Result<u64, String>,
@@ -352,9 +482,44 @@ impl DegradationPoint {
     }
 }
 
-/// Runs the (defect-rate x app) degradation study on both backends.
-/// Every row either completes with a bounded multiplier or reports a
-/// structured unroutable diagnostic — a panic or hang here is a bug.
+/// Checks the degradation study: every row's rate-0 run equals its
+/// clean schedule, every completed row stays within
+/// [`DEGRADATION_ENVELOPE`], and at least one row completed. Schedules
+/// are cycle-deterministic, so a failure is a routing or scheduling
+/// regression, never timing noise.
+fn check_degradation(rows: &[DegradationPoint]) -> Result<String, String> {
+    for p in rows {
+        if !p.rate0_is_clean {
+            return Err(format!(
+                "{} ({}): the rate-0 schedule differs from the clean one",
+                p.app, p.backend
+            ));
+        }
+        if let Some(m) = p.multiplier().filter(|&m| m > DEGRADATION_ENVELOPE) {
+            return Err(format!(
+                "{} ({}): degradation multiplier {m:.2}x exceeds the envelope \
+                 {DEGRADATION_ENVELOPE}x",
+                p.app, p.backend
+            ));
+        }
+    }
+    let completed = rows.iter().filter(|p| p.outcome.is_ok()).count();
+    if completed == 0 {
+        return Err(format!(
+            "no degradation row completed at rate {DEFECT_RATE} (all unroutable?)"
+        ));
+    }
+    Ok(format!(
+        "{} rows equal their clean schedules at rate 0, {completed} completed within \
+         {DEGRADATION_ENVELOPE}x at rate {DEFECT_RATE}",
+        rows.len()
+    ))
+}
+
+/// Runs the (defect-rate x app) degradation study on both backends,
+/// each row also on a rate-0 map. Every row either completes with a
+/// multiplier or reports a structured unroutable diagnostic — a panic
+/// or hang here is a bug.
 fn degradation_report(
     workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)],
 ) -> Vec<DegradationPoint> {
@@ -363,37 +528,42 @@ fn degradation_report(
         .collect();
     parallel_map(&grid, |&(w, backend)| {
         let (bench, circuit) = &workloads[w];
-        let (clean_makespan, outcome) = match backend {
-            "braid" => (
-                run_policy(circuit, Policy::P6, CODE_DISTANCE).cycles,
-                run_policy_on_defects(circuit, Policy::P6, CODE_DISTANCE, DEFECT_RATE, DEFECT_SEED)
-                    .map(|s| s.cycles)
-                    .map_err(|e| e.to_string()),
-            ),
+        let (clean_makespan, rate0_is_clean, outcome) = match backend {
+            "braid" => {
+                let clean = run_policy(circuit, Policy::P6, CODE_DISTANCE);
+                let on = |rate| {
+                    run_policy_on_defects(circuit, Policy::P6, CODE_DISTANCE, rate, DEFECT_SEED)
+                };
+                let degraded = on(DEFECT_RATE).map(|s| s.cycles);
+                (clean.cycles, on(0.0).is_ok_and(|s| s == clean), degraded)
+            }
             _ => {
                 let dag = DependencyDag::from_circuit(circuit);
                 let config = PlanarConfig {
                     code_distance: CODE_DISTANCE,
                     ..Default::default()
                 };
-                (
-                    schedule_planar(circuit, &dag, &config).cycles,
-                    run_planar_on_defects(circuit, CODE_DISTANCE, DEFECT_RATE, DEFECT_SEED)
-                        .map(|s| s.cycles)
-                        .map_err(|e| e.to_string()),
-                )
+                let clean = schedule_planar(circuit, &dag, &config);
+                let on = |rate| run_planar_on_defects(circuit, CODE_DISTANCE, rate, DEFECT_SEED);
+                let degraded = on(DEFECT_RATE).map(|s| s.cycles);
+                (clean.cycles, on(0.0).is_ok_and(|s| s == clean), degraded)
             }
         };
         DegradationPoint {
             app: bench.name(),
             backend,
             clean_makespan,
-            outcome,
+            rate0_is_clean,
+            outcome: outcome.map_err(|e| e.to_string()),
         }
     })
 }
 
-fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
+/// Measures and writes `BENCH_epr.json`, returning the placement and
+/// degradation rows for the checks.
+fn epr_report(
+    workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)],
+) -> (Vec<PlacementPoint>, Vec<DegradationPoint>) {
     let epr = EprConfig::default();
     let policy = DistributionPolicy::JustInTime { window: 64 };
     let mut points = Vec::new();
@@ -539,16 +709,6 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
             p.place_secs * 1e3,
         );
     }
-    // The optimizer only accepts strictly improving moves, so these are
-    // invariants of the algorithm, not of this machine's timing.
-    for p in &placement_points {
-        assert!(
-            p.optimized_makespan <= p.baseline_makespan
-                && p.optimized_lane_stalls <= p.baseline_lane_stalls,
-            "{}: congestion-aware placement regressed the baseline",
-            p.app
-        );
-    }
     assert!(
         placement_points
             .iter()
@@ -604,21 +764,6 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
             ),
         }
     }
-    for p in &degradation {
-        if let Some(m) = p.multiplier() {
-            assert!(
-                m <= DEGRADATION_ENVELOPE,
-                "{} ({}): degradation multiplier {m:.2}x exceeds the committed envelope \
-                 {DEGRADATION_ENVELOPE}x",
-                p.app,
-                p.backend
-            );
-        }
-    }
-    assert!(
-        degradation.iter().any(|p| p.outcome.is_ok()),
-        "every degradation row came back unroutable at {DEFECT_RATE}"
-    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"policy\": \"jit_window_64\",");
@@ -697,4 +842,185 @@ fn epr_report(workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)]) {
     json.push('}');
     json.push('\n');
     write_report("BENCH_epr.json", &json);
+    (placement_points, degradation)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn geomean_check_holds_the_floor() {
+        assert!(check_geomean(3.0).is_ok());
+        assert!(check_geomean(2.99).unwrap_err().contains("floor"));
+    }
+
+    /// One `e2e` row per fig6 app, in order, from `(first, warm, warm
+    /// estimate)` triples; every first call ran the standard pipeline.
+    fn e2e_rows(rows: &[(f64, f64, f64)]) -> Vec<E2ePoint> {
+        Benchmark::TABLE2
+            .iter()
+            .zip(rows)
+            .map(
+                |(b, &(first_secs, warm_secs, warm_estimate_secs))| E2ePoint {
+                    app: b.name(),
+                    first_secs,
+                    warm_secs,
+                    warm_estimate_secs,
+                    passes: PIPELINE_STAGES.to_vec(),
+                },
+            )
+            .collect()
+    }
+
+    /// The rows of a measured run with SHA-1's first call's passes
+    /// replaced by `passes`.
+    fn sha1_ran(passes: Vec<&'static str>) -> Vec<E2ePoint> {
+        let mut rows = e2e_rows(&[(0.1, 0.01, 1e-6); 4]);
+        rows[2].passes = passes;
+        rows
+    }
+
+    #[test]
+    fn pass_order_check_accepts_the_standard_pipeline() {
+        let verdict = check_pass_order(&sha1_ran(PIPELINE_STAGES.to_vec()));
+        assert_eq!(verdict, Ok("4 apps ran the 7 stages in order".to_string()));
+    }
+
+    #[test]
+    fn pass_order_check_rejects_a_missing_stage() {
+        let mut passes = PIPELINE_STAGES.to_vec();
+        passes.retain(|&s| s != "layout");
+        assert!(check_pass_order(&sha1_ran(passes))
+            .unwrap_err()
+            .starts_with("SHA-1:"));
+    }
+
+    #[test]
+    fn pass_order_check_rejects_a_swapped_pair() {
+        // `estimate` moved ahead of `planar-schedule`: every stage is
+        // present, so only the order can catch it.
+        let mut passes = PIPELINE_STAGES.to_vec();
+        passes.swap(5, 6);
+        assert_eq!(passes[5], "estimate");
+        assert!(check_pass_order(&sha1_ran(passes)).is_err());
+    }
+
+    #[test]
+    fn pass_order_check_rejects_an_unknown_pass() {
+        let mut passes = PIPELINE_STAGES.to_vec();
+        passes.push("route-epr");
+        assert!(check_pass_order(&sha1_ran(passes))
+            .unwrap_err()
+            .contains("route-epr"));
+    }
+
+    #[test]
+    fn e2e_check_accepts_a_memoized_toolflow() {
+        // Rows shaped like a measured run: SHA-1 pays ~0.3 s once.
+        let rows = e2e_rows(&[
+            (2.4e-3, 9.0e-4, 1.1e-6),
+            (7.5e-2, 8.1e-3, 1.3e-6),
+            (3.4e-1, 2.1e-2, 1.2e-6),
+            (2.9e-2, 4.0e-3, 1.0e-6),
+        ]);
+        let verdict = check_e2e(&rows);
+        assert!(
+            verdict.as_ref().is_ok_and(|s| s.starts_with("4 apps")),
+            "{verdict:?}"
+        );
+    }
+
+    #[test]
+    fn e2e_check_rejects_a_missing_app() {
+        let rows = e2e_rows(&[(0.1, 0.01, 1e-6); 3]);
+        let err = check_e2e(&rows).unwrap_err();
+        assert!(err.contains(Benchmark::TABLE2[3].name()), "{err}");
+    }
+
+    #[test]
+    fn e2e_check_rejects_an_estimate_dominated_warm_toolflow() {
+        // Calibration reruns on every call: warm costs what first did.
+        let rows = e2e_rows(&[(0.3, 0.29, 0.27); 4]);
+        assert!(check_e2e(&rows).unwrap_err().contains("warm toolflow"));
+        // Warm is cheap overall, yet estimate is a tenth of it.
+        let rows = e2e_rows(&[(0.3, 0.01, 1e-3); 4]);
+        assert!(check_e2e(&rows).unwrap_err().contains("warm estimate"));
+    }
+
+    /// Placement rows from `(baseline makespan, optimized makespan,
+    /// baseline stalls, optimized stalls)`.
+    fn placement_rows(rows: &[(u64, u64, u64, u64)]) -> Vec<PlacementPoint> {
+        rows.iter()
+            .map(|&(bm, om, bs, os)| PlacementPoint {
+                app: "x",
+                baseline_makespan: bm,
+                optimized_makespan: om,
+                baseline_lane_stalls: bs,
+                optimized_lane_stalls: os,
+                moves_accepted: 0,
+                evaluations: 0,
+                place_secs: 0.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn placement_check_accepts_non_regressions() {
+        let rows = placement_rows(&[(900, 900, 14, 14), (148, 141, 4709, 3200)]);
+        assert!(check_placement(&rows).is_ok());
+    }
+
+    #[test]
+    fn placement_check_rejects_regressions_and_empty_rows() {
+        let makespan = placement_rows(&[(900, 901, 14, 14)]);
+        assert!(check_placement(&makespan).unwrap_err().contains("makespan"));
+        let stalls = placement_rows(&[(900, 900, 14, 15)]);
+        assert!(check_placement(&stalls).unwrap_err().contains("stalls"));
+        assert!(check_placement(&[]).is_err());
+    }
+
+    /// Degradation rows on a clean makespan of 100: one completed row
+    /// per multiplier, then `unroutable` rows.
+    fn degradation_rows(multipliers: &[f64], unroutable: usize) -> Vec<DegradationPoint> {
+        let completed = multipliers.iter().map(|m| Ok((m * 100.0).round() as u64));
+        let failed = (0..unroutable).map(|_| Err("no defect-free route".to_string()));
+        completed
+            .chain(failed)
+            .map(|outcome| DegradationPoint {
+                app: "x",
+                backend: "braid",
+                clean_makespan: 100,
+                rate0_is_clean: true,
+                outcome,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn degradation_check_accepts_rows_within_the_envelope() {
+        let rows = degradation_rows(&[1.0, 2.5, 7.99], 1);
+        assert!(check_degradation(&rows).is_ok());
+    }
+
+    #[test]
+    fn degradation_check_rejects_an_envelope_breach() {
+        let rows = degradation_rows(&[1.0, 8.01], 0);
+        assert!(check_degradation(&rows).unwrap_err().contains("envelope"));
+    }
+
+    #[test]
+    fn degradation_check_rejects_all_rows_unroutable() {
+        let rows = degradation_rows(&[], 4);
+        assert!(check_degradation(&rows)
+            .unwrap_err()
+            .contains("no degradation row completed"));
+    }
+
+    #[test]
+    fn degradation_check_rejects_a_rate0_schedule_that_moved() {
+        let mut rows = degradation_rows(&[1.0, 1.5], 0);
+        rows[1].rate0_is_clean = false;
+        assert!(check_degradation(&rows).unwrap_err().contains("rate-0"));
+    }
 }

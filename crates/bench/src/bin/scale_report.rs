@@ -9,22 +9,38 @@
 //! A/B ratio compares *the same answer*. Timings are the median of
 //! three runs per side (`runs_per_point`).
 //!
+//! Once the report is written, the tier is checked, and the binary
+//! exits nonzero on a failure: at least four points at >= 10x fig6
+//! scale, every point at >= 50k events/sec on the calendar core, at
+//! least one million-event point, and on each of those a calendar/heap
+//! ratio <= 1.0 — the calendar queue may never be slower than its
+//! `BinaryHeap` twin exactly where it exists to win.
+//!
 //! `--reduced` shrinks the replication factors for CI while keeping
-//! every point at >= 10x fig6 scale; `bench_guard` then enforces the
-//! events/sec floor and the calendar-never-slower ratio ceiling on the
-//! regenerated report.
+//! every point at >= 10x fig6 scale, so every check still binds.
 
 #![warn(clippy::disallowed_methods)]
 
 use std::fmt::Write as _;
 
-use scq_bench::{scale_workloads, timed_median3, write_report, ScaleWorkload};
+use scq_bench::{or_die, scale_workloads, timed_median3, write_report, ScaleWorkload};
 use scq_teleport::{
     simulate_epr_on_fabric, simulate_epr_on_heap_fabric, DistributionPolicy, FabricEprResult,
 };
 
 /// Timed runs per side of every A/B point (the median is reported).
 const RUNS_PER_POINT: usize = 3;
+/// The tier keeps at least this many points at [`LARGE_POINT_SCALE`].
+const MIN_LARGE_POINTS: usize = 4;
+/// Demand size over the fig6 instance that makes a point large.
+const LARGE_POINT_SCALE: f64 = 10.0;
+/// Floor on every point's calendar-core throughput, far below the
+/// measured millions so only a real regression trips it.
+const EVENTS_PER_SEC_FLOOR: f64 = 50_000.0;
+/// Fabric events from which the calendar queue must win its race.
+const MILLION_EVENTS: u64 = 1_000_000;
+/// Ceiling on the calendar/heap ratio of a million-event point.
+const RATIO_CEILING: f64 = 1.0;
 
 /// One measured A/B point of the scale tier.
 struct ScalePoint {
@@ -48,6 +64,49 @@ impl ScalePoint {
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.calendar_secs.max(1e-12)
     }
+}
+
+/// Checks the tier: [`MIN_LARGE_POINTS`] at [`LARGE_POINT_SCALE`],
+/// [`EVENTS_PER_SEC_FLOOR`] on every point, and at least one point of
+/// [`MILLION_EVENTS`], each within [`RATIO_CEILING`].
+fn check_scale(points: &[ScalePoint]) -> Result<String, String> {
+    let large = points
+        .iter()
+        .filter(|p| p.scale_vs_fig6 >= LARGE_POINT_SCALE)
+        .count();
+    if large < MIN_LARGE_POINTS {
+        return Err(format!(
+            "only {large} points at >= {LARGE_POINT_SCALE:.0}x fig6 scale (need \
+             {MIN_LARGE_POINTS})"
+        ));
+    }
+    for p in points {
+        if p.events_per_sec() < EVENTS_PER_SEC_FLOOR {
+            return Err(format!(
+                "{}: {:.0} events/sec fell below the floor {EVENTS_PER_SEC_FLOOR:.0}",
+                p.name,
+                p.events_per_sec()
+            ));
+        }
+        if p.events >= MILLION_EVENTS && p.ab_ratio() > RATIO_CEILING {
+            return Err(format!(
+                "{}: calendar/heap ratio {:.3} exceeds {RATIO_CEILING} on a million-event \
+                 point ({:.2}M events) — the calendar queue lost its race",
+                p.name,
+                p.ab_ratio(),
+                p.events as f64 / 1e6
+            ));
+        }
+    }
+    let million = points.iter().filter(|p| p.events >= MILLION_EVENTS).count();
+    if million == 0 {
+        return Err("no point reached a million events — the tier is not at scale".into());
+    }
+    Ok(format!(
+        "{} points ({large} at >= {LARGE_POINT_SCALE:.0}x, {million} at >= 1M events), \
+         events/sec >= {EVENTS_PER_SEC_FLOOR:.0}, calendar never slower at scale",
+        points.len()
+    ))
 }
 
 fn measure(w: &ScaleWorkload, policy: DistributionPolicy) -> ScalePoint {
@@ -101,16 +160,6 @@ fn main() {
             p.events_per_sec(),
         );
     }
-    let million: Vec<&ScalePoint> = points.iter().filter(|p| p.events >= 1_000_000).collect();
-    println!(
-        "\n{} points, {} at >= 1M events (bit-identical results on every point)",
-        points.len(),
-        million.len()
-    );
-    assert!(
-        !million.is_empty(),
-        "no point reached a million events — the tier is not at scale"
-    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"policy\": \"jit_window_64\",");
@@ -138,4 +187,95 @@ fn main() {
     json.push('}');
     json.push('\n');
     write_report("BENCH_scale.json", &json);
+    println!(
+        "ok: scale tier: {}",
+        or_die(check_scale(&points), "scale tier")
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{check_scale, ScalePoint};
+
+    /// Points from `(scale_vs_fig6, events, calendar/heap ratio,
+    /// events/sec)`.
+    fn points(rows: &[(f64, u64, f64, f64)]) -> Vec<ScalePoint> {
+        rows.iter()
+            .map(|&(scale_vs_fig6, events, ratio, eps)| {
+                let calendar_secs = events as f64 / eps;
+                ScalePoint {
+                    name: "x".into(),
+                    requests: 10,
+                    scale_vs_fig6,
+                    events,
+                    peak_event_queue: 5,
+                    makespan: 100,
+                    calendar_secs,
+                    heap_secs: calendar_secs / ratio,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scale_check_accepts_a_healthy_tier() {
+        let tier = points(&[
+            (16.0, 2_100_000, 0.85, 9.0e6),
+            (16.0, 2_100_000, 0.9, 8.0e6),
+            (12.5, 1_400_000, 1.0, 7.0e6), // exactly on the ratio ceiling
+            (12.5, 500_000, 1.3, 6.0e6),   // a sub-million point may lose the race
+            (32.0, 1_800_000, 0.7, 9.5e6),
+        ]);
+        assert_eq!(tier[2].ab_ratio(), 1.0);
+        assert!(check_scale(&tier).is_ok());
+    }
+
+    #[test]
+    fn scale_check_rejects_a_slow_calendar_at_scale() {
+        let tier = points(&[
+            (16.0, 2_100_000, 1.02, 9.0e6),
+            (16.0, 2_100_000, 0.9, 8.0e6),
+            (12.5, 1_400_000, 1.0, 7.0e6),
+            (32.0, 1_800_000, 0.7, 9.5e6),
+        ]);
+        assert!(check_scale(&tier).unwrap_err().contains("lost its race"));
+    }
+
+    #[test]
+    fn scale_check_rejects_too_few_large_points() {
+        let tier = points(&[
+            (16.0, 2_100_000, 0.9, 9.0e6),
+            (16.0, 2_100_000, 0.9, 8.0e6),
+            (9.9, 1_400_000, 0.9, 7.0e6),
+            (8.0, 1_800_000, 0.7, 9.5e6),
+        ]);
+        assert!(check_scale(&tier).unwrap_err().contains(">= 10x"));
+    }
+
+    #[test]
+    fn scale_check_rejects_a_throughput_collapse() {
+        let tier = points(&[
+            (16.0, 2_100_000, 0.9, 9.0e6),
+            (16.0, 2_100_000, 0.9, 30_000.0),
+            (12.5, 1_400_000, 0.9, 7.0e6),
+            (32.0, 1_800_000, 0.7, 9.5e6),
+        ]);
+        assert!(check_scale(&tier).unwrap_err().contains("events/sec"));
+    }
+
+    #[test]
+    fn scale_check_rejects_a_tier_with_no_million_event_point() {
+        let tier = points(&[
+            (16.0, 900_000, 0.9, 9.0e6),
+            (16.0, 900_000, 0.9, 8.0e6),
+            (12.5, 900_000, 0.9, 7.0e6),
+            (32.0, 900_000, 0.7, 9.5e6),
+        ]);
+        assert!(check_scale(&tier).unwrap_err().contains("million"));
+    }
+
+    #[test]
+    fn scale_check_rejects_empty_points() {
+        assert!(check_scale(&[]).is_err());
+    }
 }

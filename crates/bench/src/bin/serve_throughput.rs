@@ -4,7 +4,8 @@
 //! — sustained schedules/sec, cache hit rate, warm/cold latency per
 //! app, and work-stealing pool counters.
 //!
-//! Two properties are asserted here and re-checked by `bench_guard`:
+//! Once the report is written, two floors are checked, and the binary
+//! exits nonzero when either fails:
 //!
 //! 1. **Hit rate** on the duplicate stream >= 0.5 (each unique request
 //!    appears three times, so the cache should serve two of three).
@@ -30,8 +31,9 @@ use scq_serve::{
 const CODE_DISTANCE: u32 = 5;
 /// Times every unique request appears in the duplicate-laden stream.
 const REPEATS: usize = 3;
-/// Floors mirrored by `bench_guard` on the committed report.
+/// Floor on the duplicate stream's cache hit rate.
 const HIT_RATE_FLOOR: f64 = 0.5;
+/// Floor on the best warm/cold latency ratio over the apps.
 const WARM_SPEEDUP_FLOOR: f64 = 10.0;
 
 struct WarmCold {
@@ -45,6 +47,28 @@ impl WarmCold {
     fn speedup(&self) -> f64 {
         self.cold_secs / self.warm_secs.max(1e-9)
     }
+}
+
+/// Checks the serve floors: the stream's hit rate against
+/// [`HIT_RATE_FLOOR`] and the best warm/cold ratio against
+/// [`WARM_SPEEDUP_FLOOR`].
+fn check_serve(hit_rate: f64, max_warm_speedup: f64) -> Result<String, String> {
+    if hit_rate < HIT_RATE_FLOOR {
+        return Err(format!(
+            "cache hit rate {hit_rate:.3} fell below the floor {HIT_RATE_FLOOR} on the \
+             duplicate-laden stream"
+        ));
+    }
+    if max_warm_speedup < WARM_SPEEDUP_FLOOR {
+        return Err(format!(
+            "best warm/cold ratio {max_warm_speedup:.1}x fell below the floor \
+             {WARM_SPEEDUP_FLOOR}x"
+        ));
+    }
+    Ok(format!(
+        "hit rate {hit_rate:.2} >= {HIT_RATE_FLOOR}, warm/cold {max_warm_speedup:.0}x >= \
+         {WARM_SPEEDUP_FLOOR:.0}x"
+    ))
 }
 
 fn response_summary(resp: &ScheduleResponse) -> String {
@@ -111,10 +135,6 @@ fn main() {
         unique.len(),
         "each unique request must compute exactly once"
     );
-    assert!(
-        hit_rate >= HIT_RATE_FLOOR,
-        "hit rate {hit_rate:.3} fell below {HIT_RATE_FLOOR} on a duplicate-laden stream"
-    );
 
     // Warm/cold latency: cold cost is memoized with each outcome;
     // warm cost is the best of three repeat requests against the
@@ -144,10 +164,6 @@ fn main() {
         .iter()
         .map(WarmCold::speedup)
         .fold(0.0f64, f64::max);
-    assert!(
-        max_warm_speedup >= WARM_SPEEDUP_FLOOR,
-        "best warm/cold ratio {max_warm_speedup:.1}x fell below {WARM_SPEEDUP_FLOOR}x"
-    );
 
     // Pool counters on a heterogeneous grid (explicitly multi-worker so
     // the steal machinery is exercised even on single-core CI boxes).
@@ -238,4 +254,28 @@ fn main() {
     json.push('}');
     json.push('\n');
     write_report("BENCH_serve.json", &json);
+    let verdict = check_serve(hit_rate, max_warm_speedup);
+    println!("ok: serving layer: {}", or_die(verdict, "serving layer"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_serve;
+
+    #[test]
+    fn serve_check_accepts_a_healthy_report() {
+        assert!(check_serve(0.667, 120.0).is_ok());
+        // Exactly on the committed bounds is still healthy.
+        assert!(check_serve(0.5, 10.0).is_ok());
+    }
+
+    #[test]
+    fn serve_check_rejects_a_low_hit_rate() {
+        assert!(check_serve(0.3, 120.0).unwrap_err().contains("hit rate"));
+    }
+
+    #[test]
+    fn serve_check_rejects_a_weak_warm_speedup() {
+        assert!(check_serve(0.667, 4.0).unwrap_err().contains("warm/cold"));
+    }
 }

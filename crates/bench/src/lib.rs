@@ -1,7 +1,9 @@
 //! Shared harness code for the table/figure regeneration binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see ARCHITECTURE.md for where each artifact comes from):
+//! Each binary under `src/bin/` regenerates one table, figure, study
+//! or bench report (see ARCHITECTURE.md for where each artifact comes
+//! from). The report binaries check their own numbers after writing
+//! them and exit nonzero when a committed bound fails:
 //!
 //! | Binary | Regenerates |
 //! |--------|-------------|
@@ -12,8 +14,12 @@
 //! | `fig8` | Figure 8 — normalized ratios and cross-over points |
 //! | `fig9` | Figure 9 — favorability boundaries over error rates |
 //! | `epr_pipelining` | Section 8.1 — JIT EPR window study (route-aware) |
+//! | `ablations` | Layout, magic-state, routing and lattice-surgery ablations |
+//! | `sensitivity` | Figure 9 boundaries under perturbed constants; defect sweep |
 //! | `perf_report` | `BENCH_sched.json` + `BENCH_epr.json` — perf trajectories |
-//! | `bench_guard` | CI regression guard on the scheduler geomean speedup |
+//! | `serve_throughput` | `BENCH_serve.json` — schedule cache and steal pool |
+//! | `scale_report` | `BENCH_scale.json` — calendar vs heap event core at scale |
+//! | `certify_grid` | The fig6 grid through the `scq-verify` certifier |
 //!
 //! Run them individually via
 //! `cargo run --release -p scq-bench --bin <name>`.
@@ -37,8 +43,8 @@ use scq_teleport::{
 };
 
 /// The standard toolflow pipeline's stages, in execution order — the
-/// keys of `BENCH_sched.json`'s `pass_secs` section, which `perf_report`
-/// writes and `bench_guard` checks.
+/// keys of `BENCH_sched.json`'s `pass_secs` section, and the pass order
+/// `perf_report` checks each fig6 app's toolflow against.
 pub const PIPELINE_STAGES: [&str; 7] = [
     "normalize-ir",
     "code-distance",
@@ -265,7 +271,7 @@ fn scale_config(code_distance: u32) -> FabricEprConfig {
 /// wide-parallel demand (wider Ising), long serial chains (SQ), and
 /// code distances up to 21 (wide timestamp ranges). `reduced` shrinks
 /// the replication factors for CI while keeping every point at >= 10x
-/// fig6 scale, so `bench_guard`'s scale checks still bind.
+/// fig6 scale, so `scale_report`'s checks still bind.
 pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
     let mut points = Vec::new();
 
@@ -278,7 +284,7 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
         rounds: 8,
     }));
     // 12 reduced blocks keep the point above a million fabric events,
-    // so CI still exercises the guard's million-event ratio ceiling.
+    // so CI still exercises `scale_report`'s million-event ratio ceiling.
     let sha_blocks = if reduced { 12 } else { 16 };
     let sha_requests = replicate_blocks(&sha1_block.1, sha_blocks);
     for d in [5u32, 15] {
@@ -467,10 +473,10 @@ mod tests {
 
     #[test]
     fn scale_workloads_reduced_grid_is_guard_worthy() {
-        // The CI (reduced) grid must still satisfy everything
-        // bench_guard's scale check enforces on the committed artifact:
-        // at least four points, all at >= 10x fig6 scale, each sorted
-        // as the fabric entry points require.
+        // The CI (reduced) grid must still satisfy the point-count
+        // and scale bounds `scale_report` checks: at least four points,
+        // all at >= 10x fig6 scale, each sorted as the fabric entry
+        // points require.
         let points = scale_workloads(true);
         assert!(points.len() >= 4, "only {} scale points", points.len());
         for p in &points {

@@ -17,6 +17,13 @@ use crate::circuit::Circuit;
 use crate::error::QasmParseError;
 use crate::gate::Gate;
 
+/// The widest `qubits N` header [`circuit_from_qasm`] accepts. Every
+/// pass downstream sizes its tables by the declared width, whatever
+/// the gates touch: a 2-gate circuit of this width schedules in a few
+/// seconds, while a 4-billion-qubit header would ask the dependency
+/// DAG for 32 GB.
+const MAX_QUBITS: u32 = 1 << 16;
+
 /// Serializes a circuit to the textual QASM dump.
 ///
 /// The output round-trips through [`circuit_from_qasm`].
@@ -58,9 +65,10 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
 /// # Errors
 ///
 /// Returns [`QasmParseError`] with a line number when the header is
-/// missing or malformed, a gate mnemonic is unknown, an operand is not of
-/// the form `qN`, or an instruction violates circuit invariants (operand
-/// out of range, duplicate operands, wrong arity).
+/// missing or malformed or declares more than 65,536 qubits, a gate
+/// mnemonic is unknown, an operand is not of the form `qN`, or an
+/// instruction violates circuit invariants (operand out of range,
+/// duplicate operands, wrong arity).
 pub fn circuit_from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
     let mut name = String::from("unnamed");
     let mut builder = None;
@@ -81,6 +89,12 @@ pub fn circuit_from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
                 .trim()
                 .parse()
                 .map_err(|_| QasmParseError::new(lineno, "invalid qubit count"))?;
+            if n > MAX_QUBITS {
+                return Err(QasmParseError::new(
+                    lineno,
+                    format!("{n} qubits exceed the limit of {MAX_QUBITS}"),
+                ));
+            }
             builder = Some(Circuit::builder(name.clone(), n));
             continue;
         }
@@ -177,6 +191,16 @@ mod tests {
     fn parse_rejects_out_of_range_operand() {
         let err = circuit_from_qasm("qubits 1\nh q5\n").unwrap_err();
         assert!(err.message().contains("out of range"));
+    }
+
+    #[test]
+    fn parse_caps_the_declared_width() {
+        let at_cap = circuit_from_qasm(&format!("qubits {MAX_QUBITS}\nh q0\n")).unwrap();
+        assert_eq!(at_cap.num_qubits(), MAX_QUBITS);
+        let text = format!("# circuit wide\nqubits {}\nh q0\n", MAX_QUBITS + 1);
+        let err = circuit_from_qasm(&text).unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert_eq!(err.message(), "65537 qubits exceed the limit of 65536");
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl PlacementCost {
     /// one strictly improves. A move is only accepted when this
     /// returns `true`, so optimization can never worsen the makespan
     /// *or* the lane stalls — the non-regression invariant
-    /// `bench_guard` asserts holds for both metrics by construction.
+    /// `perf_report` checks holds for both metrics by construction.
     pub fn improves_on(&self, other: &PlacementCost) -> bool {
         self.makespan <= other.makespan
             && self.lane_stalls <= other.lane_stalls

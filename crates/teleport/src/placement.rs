@@ -20,8 +20,8 @@
 //!
 //! Only strictly improving moves are accepted, so the optimized
 //! placement never has a longer makespan or more lane stalls than the
-//! baseline — the invariant `bench_guard` enforces on the committed
-//! `BENCH_epr.json`.
+//! baseline — the invariant `perf_report` checks on every row of the
+//! `BENCH_epr.json` it writes.
 
 use scq_layout::{optimize_placement, CongestionPlacerConfig, PlacementCost, PlacementOutcome};
 use scq_mesh::{CommError, Coord, LinkHeatmap};

@@ -1,6 +1,6 @@
 //! The `scq` binary end to end, beside the batch service it fronts: one
-//! defect-spec rule in both, and a quiet exit when the reader of its
-//! output goes away.
+//! defect-spec rule and one QASM width cap in both, and a quiet exit
+//! when the reader of its output goes away.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -143,4 +143,28 @@ fn served_map_requests_draw_transient_faults_from_their_seed_like_the_cli() {
         assert!(served > 0, "seed {seed}: the flaky map drew no faults");
         assert_eq!(served, cli_planar_faults(&qasm, &map, seed), "seed {seed}");
     }
+}
+
+#[test]
+fn an_over_wide_qubits_header_is_an_error_in_schedule_and_serve() {
+    // Scheduling this header would allocate 32 GB in the dependency
+    // DAG; the parser turns it away first.
+    let qasm = scratch_file("over-wide.qasm", "qubits 4000000000\nh q0\n");
+    let out = scq(&["schedule", &qasm]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("line 1: 4000000000 qubits exceed the limit of 65536"),
+        "{stderr}"
+    );
+    let request = parse_request_line(&format!("qasm={qasm}"))
+        .unwrap()
+        .unwrap();
+    let outcome = BatchRunner::new(4).run_one(&request).outcome;
+    assert!(
+        matches!(&outcome, Err(ServeError::Invalid(m)) if m.contains("exceed the limit")),
+        "{outcome:?}"
+    );
 }
