@@ -12,11 +12,12 @@
 #![warn(clippy::disallowed_methods)]
 
 use scq_apps::{ising, IsingParams};
-use scq_bench::{or_die, parallel_map};
+use scq_bench::or_die;
 use scq_braid::{schedule, BraidConfig, Policy, TGateModel};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
 use scq_mesh::FabricConfig;
+use scq_serve::parallel_map;
 use scq_surface::surgery::SurgeryCost;
 use scq_teleport::{
     schedule_planar, schedule_planar_with, BaselinePlacement, CongestionAwarePlacement, FabricRun,

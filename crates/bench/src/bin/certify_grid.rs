@@ -18,10 +18,11 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use scq_bench::{fig6_workloads, parallel_map};
+use scq_bench::fig6_workloads;
 use scq_braid::Policy;
 use scq_core::{ArtifactContext, BackendKind, DefectSpec, PipelineRunner, ToolflowConfig};
 use scq_ir::Circuit;
+use scq_serve::parallel_map;
 use scq_verify::{Finding, Severity};
 
 const CODE_DISTANCE: u32 = 5;

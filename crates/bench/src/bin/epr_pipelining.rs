@@ -11,9 +11,9 @@
 //! threads via `parallel_map`.
 
 use scq_apps::Benchmark;
-use scq_bench::parallel_map;
 use scq_ir::DependencyDag;
 use scq_mesh::FabricConfig;
+use scq_serve::parallel_map;
 use scq_teleport::{
     schedule_simd, simulate_epr_on_fabric, DistributionPolicy, EprConfig, EprRequest,
     FabricEprConfig, FabricEprResult, PlanarMachine, SimdConfig,

@@ -6,8 +6,9 @@
 //! All 28 (workload × policy) points are independent scheduling runs, so
 //! they fan out across the machine with [`parallel_map`].
 
-use scq_bench::{fig6_workloads, parallel_map, run_policy};
+use scq_bench::{fig6_workloads, run_policy};
 use scq_braid::Policy;
+use scq_serve::parallel_map;
 
 fn main() {
     let workloads = fig6_workloads();

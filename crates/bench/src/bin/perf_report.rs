@@ -28,12 +28,13 @@ use std::time::Instant;
 
 use scq_apps::Benchmark;
 use scq_bench::{
-    fig6_workloads, or_die, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
+    fig6_workloads, or_die, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
 };
 use scq_braid::Policy;
 use scq_core::{run_toolflow_timed, ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
+use scq_serve::parallel_map;
 use scq_teleport::{
     schedule_planar, schedule_simd, simulate_epr_distribution, simulate_epr_on_fabric,
     CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand, FabricEprConfig, FabricRun,

@@ -15,10 +15,11 @@
 //! apart). This is the paper's comparison asked on degraded fabric.
 
 use scq_apps::Benchmark;
-use scq_bench::{parallel_map, run_planar_on_defects, run_policy_on_defects};
+use scq_bench::{run_planar_on_defects, run_policy_on_defects};
 use scq_braid::Policy;
 use scq_estimate::{AppProfile, EstimateConfig};
 use scq_explore::crossover_size;
+use scq_serve::parallel_map;
 use scq_surface::FactoryConfig;
 
 /// Defect rates for the scheduler-level degradation sweep.

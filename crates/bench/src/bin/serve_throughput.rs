@@ -2,7 +2,7 @@
 //! request stream (fig6 grid x both backends, every request submitted
 //! three times) through a [`BatchRunner`] and writes `BENCH_serve.json`
 //! — sustained schedules/sec, cache hit rate, warm/cold latency per
-//! app, and work-stealing pool counters.
+//! app, and the number of workers the batch was served on.
 //!
 //! Once the report is written, two floors are checked, and the binary
 //! exits nonzero when either fails:
@@ -19,14 +19,13 @@
 #![warn(clippy::disallowed_methods)]
 
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
-use scq_bench::{fig6_workloads, or_die, run_policy, write_report};
+use scq_bench::{fig6_workloads, or_die, write_report};
 use scq_braid::Policy;
-use scq_serve::{
-    steal_map_stats, BackendKind, BatchRunner, RequestSource, ScheduleRequest, ScheduleResponse,
-};
+use scq_serve::{BackendKind, BatchRunner, RequestSource, ScheduleRequest, ScheduleResponse};
 
 const CODE_DISTANCE: u32 = 5;
 /// Times every unique request appears in the duplicate-laden stream.
@@ -115,6 +114,11 @@ fn main() {
     let responses = runner.run(&owned_stream);
     let batch_secs = t0.elapsed().as_secs_f64();
     let schedules_per_sec = responses.len() as f64 / batch_secs.max(1e-9);
+    // The workers `parallel_map` started for the batch: one per core,
+    // at most one per request.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(owned_stream.len());
 
     let stats = runner.cache_stats();
     let hit_rate = stats.hit_rate();
@@ -165,15 +169,6 @@ fn main() {
         .map(WarmCold::speedup)
         .fold(0.0f64, f64::max);
 
-    // Pool counters on a heterogeneous grid (explicitly multi-worker so
-    // the steal machinery is exercised even on single-core CI boxes).
-    let grid: Vec<(usize, Policy)> = (0..workloads.len())
-        .flat_map(|w| Policy::ALL.iter().map(move |&p| (w, p)))
-        .collect();
-    let (_, steal_stats) = steal_map_stats(&grid, |&(w, policy)| {
-        run_policy(&workloads[w].1, policy, CODE_DISTANCE)
-    });
-
     println!(
         "Serve throughput report ({} requests, {} unique, d = {CODE_DISTANCE})",
         responses.len(),
@@ -181,7 +176,7 @@ fn main() {
     );
     println!();
     println!(
-        "stream: {:.1} schedules/sec over {:.3}s (hits {}, misses {}, dedups {}, hit rate {:.1}%)",
+        "stream: {:.1} schedules/sec over {:.3}s on {workers} workers (hits {}, misses {}, dedups {}, hit rate {:.1}%)",
         schedules_per_sec,
         batch_secs,
         stats.hits,
@@ -204,14 +199,6 @@ fn main() {
             wc.speedup()
         );
     }
-    println!();
-    println!(
-        "pool: {} workers, {} steal ops, {} items migrated ({:.1}% of grid)",
-        steal_stats.workers,
-        steal_stats.steal_ops,
-        steal_stats.executed_stolen,
-        steal_stats.steal_fraction() * 100.0
-    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"code_distance\": {CODE_DISTANCE},");
@@ -239,18 +226,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"max_warm_speedup\": {max_warm_speedup:.1},");
-    let _ = writeln!(json, "  \"steal_workers\": {},", steal_stats.workers);
-    let _ = writeln!(json, "  \"steal_ops\": {},", steal_stats.steal_ops);
-    let _ = writeln!(
-        json,
-        "  \"executed_stolen\": {},",
-        steal_stats.executed_stolen
-    );
-    let _ = writeln!(
-        json,
-        "  \"steal_fraction\": {:.4}",
-        steal_stats.steal_fraction()
-    );
+    let _ = writeln!(json, "  \"workers\": {workers}");
     json.push('}');
     json.push('\n');
     write_report("BENCH_serve.json", &json);

@@ -17,7 +17,7 @@
 //! | `ablations` | Layout, magic-state, routing and lattice-surgery ablations |
 //! | `sensitivity` | Figure 9 boundaries under perturbed constants; defect sweep |
 //! | `perf_report` | `BENCH_sched.json` + `BENCH_epr.json` — perf trajectories |
-//! | `serve_throughput` | `BENCH_serve.json` — schedule cache and steal pool |
+//! | `serve_throughput` | `BENCH_serve.json` — schedule cache and batch throughput |
 //! | `scale_report` | `BENCH_scale.json` — calendar vs heap event core at scale |
 //! | `certify_grid` | The fig6 grid through the `scq-verify` certifier |
 //!
@@ -25,8 +25,9 @@
 //! `cargo run --release -p scq-bench --bin <name>`.
 //!
 //! Binaries that sweep a (workload × policy) grid fan the points out
-//! across OS threads with [`parallel_map`]; every point is an
-//! independent scheduling run, so the sweeps scale to the machine.
+//! with [`scq_serve::parallel_map`], the same fan-out that serves
+//! batches; every point is an independent scheduling run, so the
+//! sweeps scale to the machine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -365,26 +366,6 @@ pub fn timed_median3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (result, secs[1])
 }
 
-/// Maps `f` over `items` on a scoped thread pool, preserving input
-/// order in the result.
-///
-/// This is the fan-out primitive for the (workload × policy) sweep
-/// grids: each point is an independent scheduling run, so the sweep's
-/// wall-clock collapses to roughly its longest single point. Dispatch
-/// runs on `scq-serve`'s work-stealing deque pool: each worker is
-/// seeded with a contiguous chunk of the grid (uncontended while the
-/// load stays balanced) and steals the back half of a victim's deque
-/// when its own runs dry, so long points (e.g. SHA-1 under policy 0)
-/// do not convoy short ones *and* balanced sweeps pay no shared-cursor
-/// traffic.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the pool joins all workers first).
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    scq_serve::steal_map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,24 +491,6 @@ mod tests {
         assert_eq!(result, 1);
         assert_eq!(calls, 3);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..97).collect();
-        let out = parallel_map(&items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        assert!(parallel_map(&[] as &[u64], |&x| x).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "deliberate")]
-    fn parallel_map_propagates_panics() {
-        let items: Vec<u32> = (0..8).collect();
-        let _ = parallel_map(&items, |&x| {
-            assert!(x != 5, "deliberate");
-            x
-        });
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! workloads.)
 
 use scq_bench::{
-    fig6_workloads, parallel_map, run_planar_on_defects, run_policy, run_policy_on_defects,
-    run_policy_reference,
+    fig6_workloads, run_planar_on_defects, run_policy, run_policy_on_defects, run_policy_reference,
 };
 use scq_braid::Policy;
 use scq_core::{ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
+use scq_serve::parallel_map;
 use scq_teleport::{schedule_planar, PlanarConfig};
 
 const CODE_DISTANCE: u32 = 5;

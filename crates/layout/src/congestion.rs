@@ -16,7 +16,8 @@
 //! strictly improves the cost, re-profile, and repeat until no proposal
 //! helps or the iteration cap is hit. Because every accepted move must
 //! improve on the incumbent, the result is never worse than the
-//! starting placement — the property the bench guard asserts.
+//! starting placement — the property `perf_report` checks on every
+//! placement row it writes.
 //!
 //! Determinism: proposals are ranked with total orders (load, demand,
 //! then position), so the same heatmap always yields the same moves and

@@ -26,7 +26,8 @@ pub struct PartitionConfig {
     /// Maximum FM refinement passes per level.
     pub fm_passes: usize,
     /// Fraction of total vertex weight targeted for side 0 (0.5 for an
-    /// even split; recursive k-way bisection uses other fractions).
+    /// even split; `scq_layout::place`'s recursive bisection uses other
+    /// fractions).
     pub target_left_fraction: f64,
 }
 

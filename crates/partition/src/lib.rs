@@ -6,8 +6,8 @@
 //! substrate, built from scratch: a multilevel two-way partitioner
 //! ([`bisect`]) in the same algorithm family as METIS — heavy-edge
 //! matching coarsening, greedy initial bisection, Fiduccia–Mattheyses
-//! refinement with rollback — plus recursive k-way partitioning
-//! ([`partition_kway`]).
+//! refinement with rollback. `scq_layout::place` runs it recursively
+//! to place qubits on the mesh.
 //!
 //! All operations are deterministic for a fixed [`PartitionConfig::seed`].
 //!
@@ -28,8 +28,6 @@
 
 mod bisect;
 mod graph;
-mod kway;
 
 pub use bisect::{bisect, Bisection, PartitionConfig};
 pub use graph::{cut_weight, Graph, GraphError};
-pub use kway::{kway_cut, partition_kway, KwayPartition};

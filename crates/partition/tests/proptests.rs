@@ -2,7 +2,7 @@
 //! partitions on arbitrary graphs.
 
 use proptest::prelude::*;
-use scq_partition::{bisect, cut_weight, kway_cut, partition_kway, Graph, PartitionConfig};
+use scq_partition::{bisect, cut_weight, Graph, PartitionConfig};
 
 /// Strategy generating an arbitrary connected-ish weighted graph.
 fn arb_graph(max_n: u32, max_extra_edges: usize) -> impl Strategy<Value = Graph> {
@@ -66,31 +66,6 @@ proptest! {
     fn bisection_is_deterministic(g in arb_graph(30, 40)) {
         let cfg = PartitionConfig::default();
         prop_assert_eq!(bisect(&g, &cfg), bisect(&g, &cfg));
-    }
-
-    #[test]
-    fn kway_parts_are_in_range(g in arb_graph(40, 60), k in 1u32..6) {
-        let p = partition_kway(&g, k, &PartitionConfig::default());
-        prop_assert_eq!(p.assignment.len(), g.num_vertices());
-        prop_assert!(p.assignment.iter().all(|&a| a < k));
-        prop_assert_eq!(p.cut, kway_cut(&g, &p.assignment));
-    }
-
-    #[test]
-    fn kway_parts_are_roughly_balanced(g in arb_graph(60, 40), k in 2u32..5) {
-        let p = partition_kway(&g, k, &PartitionConfig::default());
-        let n = g.num_vertices() as f64;
-        let mut sizes = vec![0usize; k as usize];
-        for &a in &p.assignment {
-            sizes[a as usize] += 1;
-        }
-        let ideal = n / f64::from(k);
-        for (part, &s) in sizes.iter().enumerate() {
-            prop_assert!(
-                (s as f64) <= 2.0 * ideal + 2.0,
-                "part {} has {} of {} vertices (ideal {})", part, s, n, ideal
-            );
-        }
     }
 
     #[test]

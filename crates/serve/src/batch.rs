@@ -1,7 +1,7 @@
 //! The batch driver: normalized requests in, cached responses out.
 //!
 //! [`BatchRunner`] owns one [`ScheduleCache`] and fans request batches
-//! out on the work-stealing pool ([`steal_map`]). Every compute path —
+//! out with [`parallel_map`]. Every compute path —
 //! braid or planar, clean or defected, certified or not — funnels
 //! through [`ScheduleCache::get_or_compute`], so identical requests
 //! anywhere in a batch (or across batches on the same runner) schedule
@@ -33,7 +33,7 @@ use scq_verify::{Finding, Severity};
 
 use crate::cache::{CacheStats, Provenance, ScheduleCache};
 use crate::error::ServeError;
-use crate::pool::steal_map;
+use crate::pool::parallel_map;
 use crate::request::ScheduleRequest;
 
 /// The memoized result of scheduling one normalized request.
@@ -100,8 +100,8 @@ impl ScheduleResponse {
     }
 }
 
-/// A batch scheduling service: one content-addressed cache plus the
-/// work-stealing pool.
+/// A batch scheduling service: one content-addressed cache, with
+/// batches fanned out by [`parallel_map`].
 ///
 /// ```
 /// use scq_serve::{BatchRunner, ScheduleRequest};
@@ -134,13 +134,13 @@ impl BatchRunner {
         }
     }
 
-    /// Serves a whole batch on the work-stealing pool, preserving
+    /// Serves a whole batch through [`parallel_map`], preserving
     /// request order in the responses. Duplicate requests — common in
     /// sweep workloads — are deduplicated by the cache whether they run
     /// sequentially (hit) or concurrently (single-flight).
     pub fn run(&self, requests: &[ScheduleRequest]) -> Vec<ScheduleResponse> {
         let indexed: Vec<(usize, &ScheduleRequest)> = requests.iter().enumerate().collect();
-        steal_map(&indexed, |&(i, req)| self.serve(i, req))
+        parallel_map(&indexed, |&(i, req)| self.serve(i, req))
     }
 
     /// Serves one request against the shared cache.
@@ -360,6 +360,17 @@ mod tests {
         let b0 = out[0].outcome.as_ref().unwrap();
         let b2 = out[2].outcome.as_ref().unwrap();
         assert!(Arc::ptr_eq(b0, b2));
+        // Whichever worker served it, each response carries exactly
+        // what a sequential run on a fresh runner computes.
+        for (resp, req) in out.iter().zip(&batch) {
+            let alone = BatchRunner::new(16).run_one(req).outcome.unwrap();
+            assert_eq!(
+                resp.outcome.as_ref().unwrap().summary.as_bytes(),
+                alone.summary.as_bytes(),
+                "request {} served differently from a sequential run",
+                resp.index
+            );
+        }
     }
 
     #[test]
@@ -549,6 +560,19 @@ mod tests {
             runner.placement_stats().hits >= 1,
             "the retry reused the placement artifact"
         );
+    }
+
+    #[test]
+    fn a_planar_request_past_distance_2_pow_31_costs_more_than_distance_3() {
+        let at = |code_distance| {
+            let req = ScheduleRequest {
+                backend: BackendKind::Planar,
+                code_distance,
+                ..tiny_request()
+            };
+            BatchRunner::new(4).run_one(&req).outcome.unwrap().cycles
+        };
+        assert!(at(2_147_483_649) > at(3));
     }
 
     #[test]

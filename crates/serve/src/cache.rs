@@ -48,7 +48,8 @@ impl std::fmt::Display for Provenance {
     }
 }
 
-/// Counter snapshot exported for reports and the bench guard.
+/// Counter snapshot for reports: `scq batch`'s totals line and
+/// `serve_throughput`'s hit-rate check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests served from a completed entry.

@@ -15,10 +15,10 @@
 //!    memoizes schedule outcomes under single-flight discipline — N
 //!    concurrent requesters of one key cost one compute — with LRU
 //!    eviction and full hit/miss/dedup/eviction counters.
-//! 3. **Work-stealing pool** ([`pool`]): [`steal_map`] fans batches out
-//!    over per-worker deques with back-half stealing, so heterogeneous
-//!    request costs don't convoy. `scq_bench::parallel_map` dispatches
-//!    on this pool.
+//! 3. **Fan-out** ([`pool`]): [`parallel_map`] runs a batch on one
+//!    scoped worker per core, each claiming the next request from one
+//!    shared atomic cursor, and returns the results in request order.
+//!    The bench binaries fan their sweep grids out through it too.
 //!
 //! [`BatchRunner`] composes the three: requests in, order-preserved
 //! [`ScheduleResponse`]s (with cache provenance and timing) out. The
@@ -34,7 +34,7 @@ pub mod request;
 pub use batch::{BatchRunner, ScheduleOutcome, ScheduleResponse};
 pub use cache::{CacheStats, Provenance, ScheduleCache};
 pub use error::ServeError;
-pub use pool::{steal_map, steal_map_stats, steal_map_workers, StealStats};
+pub use pool::parallel_map;
 pub use request::{
     load_request_file, parse_request_line, parse_request_text, NormalizedRequest, RequestSource,
     ScheduleRequest, ENGINE_VERSION,

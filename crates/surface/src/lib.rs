@@ -13,8 +13,6 @@
 //!   (Section 4.3),
 //! - [`CommMethod`] / [`comm_tradeoff_table`]: the Table 1 communication
 //!   tradeoffs,
-//! - [`decoder`]: a reference greedy syndrome matcher (Section 2.3's
-//!   minimum-weight matching, in its test-scale form),
 //! - [`surgery`]: lattice-surgery geometry and unit costs (Section 8.2,
 //!   modeled but deliberately unscheduled, as in the paper).
 //!
@@ -37,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod comm;
-pub mod decoder;
 mod distance;
 mod factory;
 pub mod surgery;

@@ -84,7 +84,9 @@ impl PlanarConfig {
 /// qubit positions, each crossed by one SWAP (3 CNOTs = 3 physical gate
 /// steps), at 8 physical steps per EC cycle.
 pub fn hop_cycles_for_distance(code_distance: u32) -> u64 {
-    (3 * u64::from(2 * code_distance - 1)).div_ceil(8).max(1)
+    (3 * (2 * u64::from(code_distance)).saturating_sub(1))
+        .div_ceil(8)
+        .max(1)
 }
 
 /// The planar machine floorplan for a circuit: a near-square block of
@@ -474,6 +476,15 @@ mod tests {
         assert_eq!(hop_cycles_for_distance(9), 7); // ceil(3*17/8)
         assert_eq!(hop_cycles_for_distance(25), 19); // ceil(3*49/8)
         assert!(hop_cycles_for_distance(25) > hop_cycles_for_distance(5));
+    }
+
+    #[test]
+    fn hop_cycles_never_wrap_at_huge_distances() {
+        let hops: Vec<u64> = [3, (1 << 31) - 1, (1 << 31) + 1, u32::MAX]
+            .into_iter()
+            .map(hop_cycles_for_distance)
+            .collect();
+        assert!(hops.windows(2).all(|w| w[0] < w[1]), "{hops:?}");
     }
 
     #[test]

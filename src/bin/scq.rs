@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `batch` drives the `scq-serve` layer: one request per line, served
-//! through the content-addressed schedule cache on the work-stealing
-//! pool, with per-request cache provenance (hit / miss / dedup) in the
+//! through the content-addressed schedule cache, one worker per core,
+//! with per-request cache provenance (hit / miss / dedup) in the
 //! output. Request lines are whitespace-separated `key=value` tokens —
 //! `app=<gse|sq|sha1|im|im-semi>` or `qasm=<file>`, plus optional
 //! `scale=`, `backend=<braid|planar>`, `policy=`, `distance=`,
