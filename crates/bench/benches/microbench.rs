@@ -370,24 +370,20 @@ fn bench_fabric_throughput(c: &mut Criterion) {
             })
             .collect();
         c.bench_function(&format!("fabric/inject-run-{msgs}"), |b| {
-            b.iter_batched(
-                || routes.clone(),
-                |routes| {
-                    let mut f = Fabric::new(
-                        topo,
-                        FabricConfig {
-                            hop_cycles: 1,
-                            link_capacity: 4,
-                        },
-                    );
-                    for (i, route) in routes.into_iter().enumerate() {
-                        f.inject(route, (i / 8) as u64);
-                    }
-                    f.run_to_completion();
-                    f.stats().delivered
-                },
-                BatchSize::SmallInput,
-            )
+            b.iter(|| {
+                let mut f = Fabric::new(
+                    topo,
+                    FabricConfig {
+                        hop_cycles: 1,
+                        link_capacity: 4,
+                    },
+                );
+                for (i, route) in routes.iter().enumerate() {
+                    f.inject(route, (i / 8) as u64);
+                }
+                f.run_to_completion();
+                f.stats().delivered
+            })
         });
     }
 }

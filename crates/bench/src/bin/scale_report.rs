@@ -1,20 +1,13 @@
-//! Scale-tier proof of the shared event core: races the calendar-queue
-//! fabric against its `BinaryHeap`-backed twin on demand traces 10–100x
-//! the fig6 grid (multi-block SHA-1, wider Ising, SQ chains, code
-//! distances up to 21) and writes `BENCH_scale.json`.
-//!
-//! Every point asserts the two event cores produce a **bit-identical**
-//! [`scq_teleport::FabricEprResult`] before timing counts — events
-//! processed, peak queue depth, makespan, heatmap, everything — so the
-//! A/B ratio compares *the same answer*. Timings are the median of
-//! three runs per side (`runs_per_point`).
+//! Scale-tier report of the route-aware EPR fabric: runs
+//! `simulate_epr_on_fabric` on demand traces 10–100x the fig6 grid
+//! (multi-block SHA-1, wider Ising, SQ chains, code distances up to 21)
+//! and writes `BENCH_scale.json`. Each point's `fabric_secs` is the
+//! median of three runs (`runs_per_point`).
 //!
 //! Once the report is written, the tier is checked, and the binary
 //! exits nonzero on a failure: at least four points at >= 10x fig6
-//! scale, every point at >= 50k events/sec on the calendar core, at
-//! least one million-event point, and on each of those a calendar/heap
-//! ratio <= 1.0 — the calendar queue may never be slower than its
-//! `BinaryHeap` twin exactly where it exists to win.
+//! scale, every point at >= 50k events/sec, and at least one
+//! million-event point.
 //!
 //! `--reduced` shrinks the replication factors for CI while keeping
 //! every point at >= 10x fig6 scale, so every check still binds.
@@ -24,25 +17,21 @@
 use std::fmt::Write as _;
 
 use scq_bench::{or_die, scale_workloads, timed_median3, write_report, ScaleWorkload};
-use scq_teleport::{
-    simulate_epr_on_fabric, simulate_epr_on_heap_fabric, DistributionPolicy, FabricEprResult,
-};
+use scq_teleport::{simulate_epr_on_fabric, DistributionPolicy};
 
-/// Timed runs per side of every A/B point (the median is reported).
+/// Timed runs of every point (the median is reported).
 const RUNS_PER_POINT: usize = 3;
 /// The tier keeps at least this many points at [`LARGE_POINT_SCALE`].
 const MIN_LARGE_POINTS: usize = 4;
 /// Demand size over the fig6 instance that makes a point large.
 const LARGE_POINT_SCALE: f64 = 10.0;
-/// Floor on every point's calendar-core throughput, far below the
-/// measured millions so only a real regression trips it.
+/// Floor on every point's fabric throughput, far below the measured
+/// millions so only a real regression trips it.
 const EVENTS_PER_SEC_FLOOR: f64 = 50_000.0;
-/// Fabric events from which the calendar queue must win its race.
+/// Fabric events of the largest point the tier must reach.
 const MILLION_EVENTS: u64 = 1_000_000;
-/// Ceiling on the calendar/heap ratio of a million-event point.
-const RATIO_CEILING: f64 = 1.0;
 
-/// One measured A/B point of the scale tier.
+/// One measured point of the scale tier.
 struct ScalePoint {
     name: String,
     requests: usize,
@@ -50,25 +39,18 @@ struct ScalePoint {
     events: u64,
     peak_event_queue: usize,
     makespan: u64,
-    calendar_secs: f64,
-    heap_secs: f64,
+    fabric_secs: f64,
 }
 
 impl ScalePoint {
-    /// Calendar wall-clock over heap wall-clock: <= 1.0 means the
-    /// calendar queue is no slower on this point.
-    fn ab_ratio(&self) -> f64 {
-        self.calendar_secs / self.heap_secs.max(1e-12)
-    }
-
     fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.calendar_secs.max(1e-12)
+        self.events as f64 / self.fabric_secs.max(1e-12)
     }
 }
 
 /// Checks the tier: [`MIN_LARGE_POINTS`] at [`LARGE_POINT_SCALE`],
 /// [`EVENTS_PER_SEC_FLOOR`] on every point, and at least one point of
-/// [`MILLION_EVENTS`], each within [`RATIO_CEILING`].
+/// [`MILLION_EVENTS`].
 fn check_scale(points: &[ScalePoint]) -> Result<String, String> {
     let large = points
         .iter()
@@ -88,15 +70,6 @@ fn check_scale(points: &[ScalePoint]) -> Result<String, String> {
                 p.events_per_sec()
             ));
         }
-        if p.events >= MILLION_EVENTS && p.ab_ratio() > RATIO_CEILING {
-            return Err(format!(
-                "{}: calendar/heap ratio {:.3} exceeds {RATIO_CEILING} on a million-event \
-                 point ({:.2}M events) — the calendar queue lost its race",
-                p.name,
-                p.ab_ratio(),
-                p.events as f64 / 1e6
-            ));
-        }
     }
     let million = points.iter().filter(|p| p.events >= MILLION_EVENTS).count();
     if million == 0 {
@@ -104,30 +77,22 @@ fn check_scale(points: &[ScalePoint]) -> Result<String, String> {
     }
     Ok(format!(
         "{} points ({large} at >= {LARGE_POINT_SCALE:.0}x, {million} at >= 1M events), \
-         events/sec >= {EVENTS_PER_SEC_FLOOR:.0}, calendar never slower at scale",
+         events/sec >= {EVENTS_PER_SEC_FLOOR:.0}",
         points.len()
     ))
 }
 
 fn measure(w: &ScaleWorkload, policy: DistributionPolicy) -> ScalePoint {
-    let (cal, calendar_secs): (FabricEprResult, f64) =
+    let (result, fabric_secs) =
         timed_median3(|| simulate_epr_on_fabric(&w.requests, policy, &w.config, w.topology));
-    let (heap, heap_secs) =
-        timed_median3(|| simulate_epr_on_heap_fabric(&w.requests, policy, &w.config, w.topology));
-    assert_eq!(
-        cal, heap,
-        "{}: calendar and heap event cores diverged — the ordering contract is broken",
-        w.name
-    );
     ScalePoint {
         name: w.name.clone(),
         requests: w.requests.len(),
         scale_vs_fig6: w.scale_vs_fig6,
-        events: cal.events_processed,
-        peak_event_queue: cal.peak_event_queue,
-        makespan: cal.pipeline.makespan,
-        calendar_secs,
-        heap_secs,
+        events: result.events_processed,
+        peak_event_queue: result.peak_event_queue,
+        makespan: result.pipeline.makespan,
+        fabric_secs,
     }
 }
 
@@ -138,25 +103,23 @@ fn main() {
     let points: Vec<ScalePoint> = workloads.iter().map(|w| measure(w, policy)).collect();
 
     println!(
-        "Event-core scale report ({} grid, JIT window 64, median of {RUNS_PER_POINT} runs)",
+        "Fabric scale report ({} grid, JIT window 64, median of {RUNS_PER_POINT} runs)",
         if reduced { "reduced" } else { "full" }
     );
     println!();
     println!(
-        "{:<16} {:>9} {:>7} {:>10} {:>10} {:>10} {:>10} {:>7} {:>12}",
-        "point", "requests", "scale", "events", "peak q", "calendar", "heap", "ratio", "events/s"
+        "{:<16} {:>9} {:>7} {:>10} {:>10} {:>10} {:>12}",
+        "point", "requests", "scale", "events", "peak q", "fabric", "events/s"
     );
     for p in &points {
         println!(
-            "{:<16} {:>9} {:>6.1}x {:>10} {:>10} {:>9.1}ms {:>9.1}ms {:>7.3} {:>12.2e}",
+            "{:<16} {:>9} {:>6.1}x {:>10} {:>10} {:>9.1}ms {:>12.2e}",
             p.name,
             p.requests,
             p.scale_vs_fig6,
             p.events,
             p.peak_event_queue,
-            p.calendar_secs * 1e3,
-            p.heap_secs * 1e3,
-            p.ab_ratio(),
+            p.fabric_secs * 1e3,
             p.events_per_sec(),
         );
     }
@@ -170,16 +133,14 @@ fn main() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"scale_vs_fig6\": {:.2}, \"events\": {}, \"peak_event_queue\": {}, \"makespan\": {}, \"calendar_secs\": {:.6}, \"heap_secs\": {:.6}, \"ab_ratio\": {:.4}, \"events_per_sec\": {:.3e}}}{comma}",
+            "    {{\"name\": \"{}\", \"requests\": {}, \"scale_vs_fig6\": {:.2}, \"events\": {}, \"peak_event_queue\": {}, \"makespan\": {}, \"fabric_secs\": {:.6}, \"events_per_sec\": {:.3e}}}{comma}",
             p.name,
             p.requests,
             p.scale_vs_fig6,
             p.events,
             p.peak_event_queue,
             p.makespan,
-            p.calendar_secs,
-            p.heap_secs,
-            p.ab_ratio(),
+            p.fabric_secs,
             p.events_per_sec(),
         );
     }
@@ -197,22 +158,17 @@ fn main() {
 mod tests {
     use super::{check_scale, ScalePoint};
 
-    /// Points from `(scale_vs_fig6, events, calendar/heap ratio,
-    /// events/sec)`.
-    fn points(rows: &[(f64, u64, f64, f64)]) -> Vec<ScalePoint> {
+    /// Points from `(scale_vs_fig6, events, events/sec)`.
+    fn points(rows: &[(f64, u64, f64)]) -> Vec<ScalePoint> {
         rows.iter()
-            .map(|&(scale_vs_fig6, events, ratio, eps)| {
-                let calendar_secs = events as f64 / eps;
-                ScalePoint {
-                    name: "x".into(),
-                    requests: 10,
-                    scale_vs_fig6,
-                    events,
-                    peak_event_queue: 5,
-                    makespan: 100,
-                    calendar_secs,
-                    heap_secs: calendar_secs / ratio,
-                }
+            .map(|&(scale_vs_fig6, events, eps)| ScalePoint {
+                name: "x".into(),
+                requests: 10,
+                scale_vs_fig6,
+                events,
+                peak_event_queue: 5,
+                makespan: 100,
+                fabric_secs: events as f64 / eps,
             })
             .collect()
     }
@@ -220,34 +176,22 @@ mod tests {
     #[test]
     fn scale_check_accepts_a_healthy_tier() {
         let tier = points(&[
-            (16.0, 2_100_000, 0.85, 9.0e6),
-            (16.0, 2_100_000, 0.9, 8.0e6),
-            (12.5, 1_400_000, 1.0, 7.0e6), // exactly on the ratio ceiling
-            (12.5, 500_000, 1.3, 6.0e6),   // a sub-million point may lose the race
-            (32.0, 1_800_000, 0.7, 9.5e6),
+            (16.0, 2_100_000, 9.0e6),
+            (16.0, 2_100_000, 8.0e6),
+            (12.5, 1_400_000, 7.0e6),
+            (12.5, 500_000, 50_000.0), // exactly on the throughput floor
+            (32.0, 1_800_000, 9.5e6),
         ]);
-        assert_eq!(tier[2].ab_ratio(), 1.0);
         assert!(check_scale(&tier).is_ok());
-    }
-
-    #[test]
-    fn scale_check_rejects_a_slow_calendar_at_scale() {
-        let tier = points(&[
-            (16.0, 2_100_000, 1.02, 9.0e6),
-            (16.0, 2_100_000, 0.9, 8.0e6),
-            (12.5, 1_400_000, 1.0, 7.0e6),
-            (32.0, 1_800_000, 0.7, 9.5e6),
-        ]);
-        assert!(check_scale(&tier).unwrap_err().contains("lost its race"));
     }
 
     #[test]
     fn scale_check_rejects_too_few_large_points() {
         let tier = points(&[
-            (16.0, 2_100_000, 0.9, 9.0e6),
-            (16.0, 2_100_000, 0.9, 8.0e6),
-            (9.9, 1_400_000, 0.9, 7.0e6),
-            (8.0, 1_800_000, 0.7, 9.5e6),
+            (16.0, 2_100_000, 9.0e6),
+            (16.0, 2_100_000, 8.0e6),
+            (9.9, 1_400_000, 7.0e6),
+            (8.0, 1_800_000, 9.5e6),
         ]);
         assert!(check_scale(&tier).unwrap_err().contains(">= 10x"));
     }
@@ -255,10 +199,10 @@ mod tests {
     #[test]
     fn scale_check_rejects_a_throughput_collapse() {
         let tier = points(&[
-            (16.0, 2_100_000, 0.9, 9.0e6),
-            (16.0, 2_100_000, 0.9, 30_000.0),
-            (12.5, 1_400_000, 0.9, 7.0e6),
-            (32.0, 1_800_000, 0.7, 9.5e6),
+            (16.0, 2_100_000, 9.0e6),
+            (16.0, 2_100_000, 30_000.0),
+            (12.5, 1_400_000, 7.0e6),
+            (32.0, 1_800_000, 9.5e6),
         ]);
         assert!(check_scale(&tier).unwrap_err().contains("events/sec"));
     }
@@ -266,10 +210,10 @@ mod tests {
     #[test]
     fn scale_check_rejects_a_tier_with_no_million_event_point() {
         let tier = points(&[
-            (16.0, 900_000, 0.9, 9.0e6),
-            (16.0, 900_000, 0.9, 8.0e6),
-            (12.5, 900_000, 0.9, 7.0e6),
-            (32.0, 900_000, 0.7, 9.5e6),
+            (16.0, 900_000, 9.0e6),
+            (16.0, 900_000, 8.0e6),
+            (12.5, 900_000, 7.0e6),
+            (32.0, 900_000, 9.5e6),
         ]);
         assert!(check_scale(&tier).unwrap_err().contains("million"));
     }

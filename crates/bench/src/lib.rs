@@ -18,7 +18,7 @@
 //! | `sensitivity` | Figure 9 boundaries under perturbed constants; defect sweep |
 //! | `perf_report` | `BENCH_sched.json` + `BENCH_epr.json` — perf trajectories |
 //! | `serve_throughput` | `BENCH_serve.json` — schedule cache and batch throughput |
-//! | `scale_report` | `BENCH_scale.json` — calendar vs heap event core at scale |
+//! | `scale_report` | `BENCH_scale.json` — the EPR fabric at 10–100x scale |
 //! | `certify_grid` | The fig6 grid through the `scq-verify` certifier |
 //!
 //! Run them individually via
@@ -208,7 +208,7 @@ pub fn run_policy_reference(
 
 /// One point of the 10–100x scale tier (`scale_report` /
 /// `BENCH_scale.json`): a located EPR demand trace large enough to
-/// stress the shared event core with millions of fabric events, plus
+/// stress the fabric's event loop with millions of events, plus
 /// the fabric parameters it runs under.
 pub struct ScaleWorkload {
     /// Point label, e.g. `SHA-1 x16 d=5`.
@@ -277,15 +277,15 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
     let mut points = Vec::new();
 
     // Multi-block SHA-1: the fig6 SHA-1 instance (the most contended
-    // fig6 app) replayed back to back. Every block injects ~15k halves
-    // whose launch events all sit in the queue at once, so this is the
-    // deep-queue stress.
+    // fig6 app) replayed back to back. Every block injects ~15k halves,
+    // all pending before the run starts, so this is the deep-queue
+    // stress.
     let sha1_block = located_requests(&sha1(&Sha1Params {
         word_bits: 16,
         rounds: 8,
     }));
     // 12 reduced blocks keep the point above a million fabric events,
-    // so CI still exercises `scale_report`'s million-event ratio ceiling.
+    // so CI still exercises `scale_report`'s million-event check.
     let sha_blocks = if reduced { 12 } else { 16 };
     let sha_requests = replicate_blocks(&sha1_block.1, sha_blocks);
     for d in [5u32, 15] {
@@ -327,9 +327,9 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
     }
 
     // Long serial chain (full tier only): the fig6 SQ instance,
-    // replayed many times. Near-serial demand keeps the queue shallow,
-    // stressing the calendar's cursor-advance path instead of its
-    // bucket depth.
+    // replayed many times. Near-serial demand keeps few halves in
+    // flight at once, so the run is a long walk through the launch
+    // list rather than a contended one.
     if !reduced {
         let sq_block = located_requests(&square_root(&SqParams {
             bits: 5,

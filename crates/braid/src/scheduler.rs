@@ -693,9 +693,9 @@ pub fn schedule_with(
     // in-order policies issue up to the lowest blocked index. Runs on
     // the shared payload-less event core — the "time" is the op index,
     // pushed in increasing order at init and popped monotonically, so
-    // the strict calendar queue's contract holds and its pop order is
-    // bit-identical to the `BinaryHeap<Reverse<u32>>` it replaced
-    // (proven differentially in `tests/blocked_queue.rs`).
+    // the calendar queue's monotone-push contract holds and its pop
+    // order is bit-identical to the `BinaryHeap<Reverse<u32>>` it
+    // replaced (proven differentially in `tests/blocked_queue.rs`).
     let mut blocked_queue: CalendarQueue<()> = CalendarQueue::new();
     let mut remaining = vec![0u32; n];
     for (i, rem) in remaining.iter_mut().enumerate() {

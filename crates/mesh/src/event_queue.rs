@@ -1,14 +1,17 @@
-//! Shared event-queue core for the repo's discrete-event engines.
+//! The calendar-queue event core of the braid engine.
 //!
-//! All three hot loops — the fabric's hop/retry events, the braid
-//! engine's release times, and the teleport pipeline's in-flight
-//! arrivals — pop the globally minimum `(time, payload)` pair from a
-//! priority queue whose delays are drawn from a narrow, near-uniform
-//! band (hop latencies, hold times, EPR travel times). A binary heap
-//! pays O(log n) per event for that access pattern; a bucketed
+//! The braid scheduler's two queues — its release times and its
+//! blocked-op index — pop the globally minimum `(time, payload)` pair
+//! from a priority queue whose delays are drawn from a narrow,
+//! near-uniform band (hold times in multiples of `d + 1`). A binary
+//! heap pays O(log n) per event for that access pattern; a bucketed
 //! **calendar queue** (Brown, CACM 1988) pays O(1) amortized by
 //! hashing each event into a ring of time buckets and walking a
 //! cursor through them in time order.
+//!
+//! The EPR fabric does not use it: its launches are all known before a
+//! run, so it sorts them once, and its in-flight events fit a shallow
+//! binary heap (see [`Fabric`](crate::Fabric)).
 //!
 //! # Structure
 //!
@@ -49,11 +52,11 @@
 //! # Monotonicity
 //!
 //! The engines only ever push events at or after the last popped time
-//! (a hop completion schedules `t + hop`, a release schedules
-//! `t + hold`, a launch planner's pruned arrivals are ≥ every earlier
-//! prune point). [`CalendarQueue`] debug-asserts this on every push
-//! and pop, so a violated assumption fails loudly in test builds
-//! instead of silently reordering a schedule.
+//! (a release schedules `t + hold`; blocked-op indices are pushed in
+//! increasing order before the first pop). [`CalendarQueue`]
+//! debug-asserts this on every push and pop, so a violated assumption
+//! fails loudly in test builds instead of silently reordering a
+//! schedule.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,11 +87,6 @@ pub trait EventQueue<P: Copy + Ord> {
     /// migrates overflow events) to locate the minimum.
     fn peek(&mut self) -> Option<(u64, P)>;
 
-    /// Read-only scan for the minimum pending time, for callers that
-    /// only hold a shared borrow. O(buckets) worst case — use
-    /// [`EventQueue::peek`] on hot paths.
-    fn next_time(&self) -> Option<u64>;
-
     /// Number of pending events.
     fn len(&self) -> usize;
 
@@ -102,7 +100,7 @@ pub trait EventQueue<P: Copy + Ord> {
 ///
 /// Byte-for-byte the pre-calendar-queue behavior of the engines; the
 /// differential suites drain it in lockstep with the calendar queue,
-/// and `scale_report` uses it as the A/B baseline.
+/// and the event-queue microbenchmark races the two.
 #[derive(Clone, Debug)]
 pub struct HeapQueue<P: Ord> {
     heap: BinaryHeap<Reverse<(u64, P)>>,
@@ -134,10 +132,6 @@ impl<P: Copy + Ord> EventQueue<P> for HeapQueue<P> {
 
     fn peek(&mut self) -> Option<(u64, P)> {
         self.heap.peek().map(|&Reverse(e)| e)
-    }
-
-    fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((t, _))| t)
     }
 
     fn len(&self) -> usize {
@@ -174,14 +168,8 @@ pub struct CalendarQueue<P: Ord> {
     cal_len: usize,
     /// Total pending events.
     len: usize,
-    /// Largest time popped so far; strict-mode pushes must not
-    /// precede it.
+    /// Largest time popped so far; pushes must not precede it.
     last_pop: u64,
-    /// Whether to debug-assert push/pop monotonicity. The queue is
-    /// exact either way (the cursor clamp absorbs regressions);
-    /// strict mode just turns a violated engine assumption into a
-    /// loud test failure instead of a silent slow path.
-    strict: bool,
     /// Ring rebuilds performed (grow, shrink, or width re-estimate).
     rebuilds: u64,
     /// Events that ever landed in the overflow heap — the slow path a
@@ -193,49 +181,6 @@ impl<P: Copy + Ord> CalendarQueue<P> {
     /// Create an empty calendar queue that debug-asserts the engines'
     /// monotone-push contract (see the module docs).
     pub fn new() -> Self {
-        Self::with_strictness(true)
-    }
-
-    /// Create an empty calendar queue that tolerates pushes earlier
-    /// than the last popped time.
-    ///
-    /// The teleport launch planner needs this: a slack-saturated
-    /// just-in-time target can legally launch a later demand below an
-    /// arrival that was already pruned. Ordering stays exact — such
-    /// stragglers take the cursor-clamp path — but the monotonicity
-    /// debug-asserts are off, so prefer [`CalendarQueue::new`]
-    /// wherever the contract does hold.
-    pub fn new_relaxed() -> Self {
-        Self::with_strictness(false)
-    }
-
-    /// Create an empty strict queue whose initial bucket width is
-    /// seeded with the workload's known event quantum (clamped to at
-    /// least 1) instead of the 1-cycle default.
-    ///
-    /// The engines know their inter-event gap up front — the braid
-    /// scheduler's hold quantum is `code_distance + 1` cycles, the
-    /// fabric's is [`hop_cycles`](crate::FabricConfig::hop_cycles) —
-    /// and seeding it means the first fill hashes straight into the
-    /// ring at the right granularity: no events detour through the
-    /// overflow heap and no early rebuild has to re-estimate the width
-    /// the caller already knew. Ordering is unaffected (the queue is
-    /// exact at any width); only the constant factor moves.
-    pub fn with_width(quantum: u64) -> Self {
-        let mut q = Self::with_strictness(true);
-        q.width = quantum.max(1);
-        q
-    }
-
-    /// [`CalendarQueue::with_width`] with the monotonicity
-    /// debug-asserts off, as in [`CalendarQueue::new_relaxed`].
-    pub fn with_width_relaxed(quantum: u64) -> Self {
-        let mut q = Self::with_strictness(false);
-        q.width = quantum.max(1);
-        q
-    }
-
-    fn with_strictness(strict: bool) -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             mask: MIN_BUCKETS - 1,
@@ -248,10 +193,26 @@ impl<P: Copy + Ord> CalendarQueue<P> {
             cal_len: 0,
             len: 0,
             last_pop: 0,
-            strict,
             rebuilds: 0,
             overflow_events: 0,
         }
+    }
+
+    /// Create an empty queue whose initial bucket width is seeded with
+    /// the workload's known event quantum (clamped to at least 1)
+    /// instead of the 1-cycle default.
+    ///
+    /// The braid scheduler knows its inter-event gap up front — its
+    /// hold quantum is `code_distance + 1` cycles — and seeding it
+    /// means the first fill hashes straight into the ring at the right
+    /// granularity: no events detour through the overflow heap and no
+    /// early rebuild has to re-estimate the width the caller already
+    /// knew. Ordering is unaffected (the queue is exact at any width);
+    /// only the constant factor moves.
+    pub fn with_width(quantum: u64) -> Self {
+        let mut q = Self::new();
+        q.width = quantum.max(1);
+        q
     }
 
     /// Current cycles-per-bucket window (≥ 1). Starts at the seeded
@@ -446,7 +407,7 @@ impl<P: Copy + Ord> Default for CalendarQueue<P> {
 impl<P: Copy + Ord> EventQueue<P> for CalendarQueue<P> {
     fn push(&mut self, time: u64, payload: P) {
         debug_assert!(
-            !self.strict || time >= self.last_pop,
+            time >= self.last_pop,
             "event pushed at t={time} before last popped t={}",
             self.last_pop
         );
@@ -472,7 +433,7 @@ impl<P: Copy + Ord> EventQueue<P> for CalendarQueue<P> {
         self.cal_len -= 1;
         self.len -= 1;
         debug_assert!(
-            !self.strict || t >= self.last_pop,
+            t >= self.last_pop,
             "event popped at t={t} before last popped t={}",
             self.last_pop
         );
@@ -495,26 +456,6 @@ impl<P: Copy + Ord> EventQueue<P> for CalendarQueue<P> {
         }
     }
 
-    fn next_time(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.activated {
-            if let Some(&Reverse((t, _))) = self.active.peek() {
-                return Some(t);
-            }
-        }
-        if self.cal_len > 0 {
-            for k in 0..self.nbuckets() {
-                let b = &self.buckets[(self.cursor + k) & self.mask];
-                if let Some(t) = b.iter().map(|&(t, _)| t).min() {
-                    return Some(t);
-                }
-            }
-        }
-        self.overflow.peek().map(|&Reverse((t, _))| t)
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -534,7 +475,6 @@ mod tests {
         }
         assert_eq!(cal.len(), heap.len());
         loop {
-            assert_eq!(cal.next_time(), heap.next_time());
             assert_eq!(cal.peek(), heap.peek());
             let (a, b) = (cal.pop(), heap.pop());
             assert_eq!(a, b);
@@ -551,7 +491,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek(), None);
-        assert_eq!(q.next_time(), None);
     }
 
     #[test]
@@ -671,30 +610,6 @@ mod tests {
         assert_eq!(count, n);
     }
 
-    #[test]
-    fn relaxed_mode_absorbs_regressing_pushes_exactly() {
-        // The teleport planner's pattern: prune a large arrival, then
-        // launch a later demand below it. The clamp path must keep
-        // the pop order identical to a heap's.
-        let mut cal = CalendarQueue::new_relaxed();
-        let mut heap = HeapQueue::new();
-        let ops: &[(u64, u32)] = &[(100, 0), (250, 1), (40, 2), (90, 3), (400, 4), (41, 5)];
-        for chunk in ops.chunks(2) {
-            for &(t, p) in chunk {
-                cal.push(t, p);
-                heap.push(t, p);
-            }
-            assert_eq!(cal.pop(), heap.pop()); // pops interleave with low pushes
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
     /// The braid engine's fig6 release pattern at code distance 5: a
     /// bounded window of in-flight ops whose releases land exactly one
     /// hold quantum (`d + 1 = 6` cycles) after issue. This is the
@@ -770,8 +685,6 @@ mod tests {
         q.push(0, 0u32);
         assert_eq!(q.pop(), Some((0, 0)));
         assert_eq!(q.pop(), Some((3, 1)));
-        let relaxed: CalendarQueue<u32> = CalendarQueue::with_width_relaxed(0);
-        assert_eq!(relaxed.width(), 1);
     }
 
     #[test]

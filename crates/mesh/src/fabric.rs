@@ -12,10 +12,20 @@
 //! [`FabricConfig::hop_cycles`].
 //!
 //! The simulation is fully event-driven: every in-flight message keeps
-//! a route cursor and a pending hop-completion event; [`Fabric::advance_to`]
-//! pops events in `(time, message)` order and jumps straight across
-//! idle stretches, exactly like the braid engine's `tick_n` jumps (PR 1)
-//! — there is no per-cycle stepping anywhere.
+//! a route cursor and a pending hop-completion event;
+//! [`Fabric::run_to_completion`] processes events in `(time, message)`
+//! order and jumps straight across idle stretches, exactly like the
+//! braid engine's `tick_n` jumps — there is no per-cycle stepping
+//! anywhere.
+//!
+//! The event structures follow the traffic. Every launch is known
+//! before the run starts, so launches wait in one list that the run
+//! sorts once; only in-flight events — hop completions and retry
+//! wakeups, at most one per message in transit — go through a binary
+//! heap, which stays shallow. The run pops the `(time, message)`
+//! minimum of the two. Routes live in one node arena: a message is an
+//! offset, a length and a cursor into it, not a heap-allocated
+//! [`Path`].
 //!
 //! # Examples
 //!
@@ -25,20 +35,20 @@
 //! let topo = Topology::new(8, 8);
 //! let mut fabric = Fabric::new(topo, FabricConfig::default());
 //! let route = topo.route_xy(Coord::new(0, 0), Coord::new(5, 0));
-//! let id = fabric.inject(route, 10);
+//! let id = fabric.inject(&route, 10);
 //! fabric.run_to_completion();
 //! // 5 hops at 1 cycle each, launched at t = 10.
 //! assert_eq!(fabric.arrival_time(id), Some(15));
 //! ```
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coord::{Coord, Path};
 use crate::defect::DefectMap;
-use crate::event_queue::{CalendarQueue, EventQueue, HeapQueue};
 use crate::heatmap::LinkHeatmap;
 use crate::topology::Topology;
 
@@ -105,9 +115,9 @@ pub struct HopRecord {
 }
 
 /// Where a message is in its journey.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum MsgState {
-    /// Injected; the launch event has not fired yet.
+    /// Injected; the launch has not fired yet.
     Scheduled,
     /// Crossing `link`; a completion event is pending.
     Traversing { link: usize },
@@ -120,15 +130,18 @@ enum MsgState {
     Arrived { at: u64 },
 }
 
-/// One message in the fabric: its route, how far along it is, and what
-/// it is currently doing.
-#[derive(Clone, Debug)]
+/// One message in the fabric: where its route sits in the node arena,
+/// how far along it is, and what it is currently doing.
+#[derive(Clone, Copy, Debug)]
 struct InFlightMessage {
-    route: Path,
-    /// Index into `route.nodes()` of the router the message last
-    /// departed (while traversing link `cursor -> cursor + 1`) or sits
-    /// at (while waiting).
-    cursor: usize,
+    /// Arena index of the route's first node.
+    start: usize,
+    /// Nodes on the route (hops + 1).
+    len: u32,
+    /// Index into the route of the router the message last departed
+    /// (while traversing link `cursor -> cursor + 1`) or sits at (while
+    /// waiting).
+    cursor: u32,
     state: MsgState,
 }
 
@@ -147,12 +160,11 @@ pub struct FabricStats {
     /// Maximum simultaneously in-flight messages (launched, not yet
     /// delivered).
     pub peak_in_flight: usize,
-    /// Events popped from the event queue (launches, hop completions,
-    /// retry wakeups) — the denominator of events/sec at scale.
+    /// Events processed (launches, hop completions, retry wakeups) —
+    /// the denominator of events/sec at scale.
     pub events_processed: u64,
-    /// Maximum pending events in the event queue at any point —
-    /// queue-implementation-independent, so a calendar-vs-heap A/B run
-    /// must report identical depths.
+    /// Maximum pending events at any point: launches that have not
+    /// fired plus in-flight events (hop completions and retry wakeups).
     pub peak_event_queue: usize,
     /// Hops that failed on a flaky link and were retried after backoff
     /// (always zero without a [`DefectMap`]; see
@@ -174,19 +186,17 @@ struct FaultState {
     retries: Vec<u32>,
 }
 
+/// See [`Fabric::MAX_HOP_RETRIES`].
+const MAX_HOP_RETRIES: u32 = 8;
+
 /// A 2D packet fabric over a [`Topology`].
 ///
-/// See the module docs at the top of this file for the model. Determinism: events are
-/// processed in `(time, MsgId)` order and link wait-queues are FIFO, so
-/// identical injection sequences always produce identical timelines.
-///
-/// The pending-event container is pluggable: by default the fabric
-/// runs on the O(1)-amortized [`CalendarQueue`]; [`Fabric::with_queue`]
-/// swaps in any [`EventQueue`] (e.g. the [`HeapQueue`] twin for A/B
-/// benchmarking). Every implementation pops the same `(time, MsgId)`
-/// order, so the choice cannot change a timeline — only its cost.
+/// See the module docs at the top of this file for the model and its
+/// event structures. Determinism: events are processed in `(time,
+/// MsgId)` order and link wait-queues are FIFO, so identical injection
+/// sequences always produce identical timelines.
 #[derive(Clone, Debug)]
-pub struct Fabric<Q = CalendarQueue<MsgId>> {
+pub struct Fabric {
     topo: Topology,
     config: FabricConfig,
     /// Messages currently occupying each link.
@@ -206,43 +216,54 @@ pub struct Fabric<Q = CalendarQueue<MsgId>> {
     /// FIFO wait queue per link.
     waiters: Vec<VecDeque<MsgId>>,
     msgs: Vec<InFlightMessage>,
-    /// Pending launch/hop-completion events, min-ordered by (time, id).
-    events: Q,
+    /// Every injected route, node by node, in injection order.
+    nodes: Vec<Coord>,
+    /// `(launch, id)` of every message whose launch has not fired.
+    /// [`Fabric::run_to_completion`] sorts it latest first and pops the
+    /// next launch off the end.
+    launches: Vec<(u64, MsgId)>,
+    /// In-flight events (hop completions and retry wakeups, at most one
+    /// per launched message), min-ordered by `(time, id)`.
+    events: BinaryHeap<Reverse<(u64, MsgId)>>,
     now: u64,
     in_flight: usize,
     stats: FabricStats,
 }
 
 impl Fabric {
-    /// Creates an idle fabric on the default [`CalendarQueue`] event
-    /// core, with the queue's bucket width seeded to the fabric's hop
-    /// quantum ([`FabricConfig::hop_cycles`]) — launches, hop
-    /// completions, and retry wakeups are all spaced in multiples of
-    /// it, so the seeded ring absorbs them without the width
-    /// re-estimation an unseeded queue would need.
+    /// Creates an idle fabric.
     ///
     /// # Panics
     ///
     /// Panics if `config.link_capacity` is zero or `config.hop_cycles`
     /// is zero.
     pub fn new(topo: Topology, config: FabricConfig) -> Self {
-        Fabric::with_queue(topo, config, CalendarQueue::with_width(config.hop_cycles))
+        assert!(config.link_capacity > 0, "link capacity must be positive");
+        assert!(config.hop_cycles > 0, "hop latency must be positive");
+        Fabric {
+            topo,
+            config,
+            load: vec![0; topo.num_links()],
+            link_busy: vec![0; topo.num_links()],
+            link_stalls: vec![0; topo.num_links()],
+            link_faults: vec![0; topo.num_links()],
+            fault_state: None,
+            hop_log: None,
+            waiters: vec![VecDeque::new(); topo.num_links()],
+            msgs: Vec::new(),
+            nodes: Vec::new(),
+            launches: Vec::new(),
+            events: BinaryHeap::new(),
+            now: 0,
+            in_flight: 0,
+            stats: FabricStats::default(),
+        }
     }
 
     /// Maximum consecutive failures of one hop before the traversal is
     /// forced through — modeling escalation to a slower, fully
     /// error-corrected retransmission so delivery always terminates.
     pub const MAX_HOP_RETRIES: u32 = MAX_HOP_RETRIES;
-
-    /// Creates an idle fabric on the [`HeapQueue`] twin — the A/B
-    /// baseline `scale_report` races against the calendar queue.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Fabric::new`].
-    pub fn new_heap_backed(topo: Topology, config: FabricConfig) -> Fabric<HeapQueue<MsgId>> {
-        Fabric::with_queue(topo, config, HeapQueue::new())
-    }
 
     /// Creates a fabric that injects transient faults on the defect
     /// map's flaky links.
@@ -293,41 +314,6 @@ impl Fabric {
         }
         fabric
     }
-}
-
-/// See [`Fabric::MAX_HOP_RETRIES`].
-const MAX_HOP_RETRIES: u32 = 8;
-
-impl<Q: EventQueue<MsgId>> Fabric<Q> {
-    /// Creates an idle fabric driven by the given event queue. The
-    /// queue choice cannot affect timelines (see [`EventQueue`]'s
-    /// ordering contract) — only the cost per event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.link_capacity` is zero, `config.hop_cycles`
-    /// is zero, or `events` is not empty.
-    pub fn with_queue(topo: Topology, config: FabricConfig, events: Q) -> Self {
-        assert!(config.link_capacity > 0, "link capacity must be positive");
-        assert!(config.hop_cycles > 0, "hop latency must be positive");
-        assert!(events.is_empty(), "the event queue must start empty");
-        Fabric {
-            topo,
-            config,
-            load: vec![0; topo.num_links()],
-            link_busy: vec![0; topo.num_links()],
-            link_stalls: vec![0; topo.num_links()],
-            link_faults: vec![0; topo.num_links()],
-            fault_state: None,
-            hop_log: None,
-            waiters: vec![VecDeque::new(); topo.num_links()],
-            msgs: Vec::new(),
-            events,
-            now: 0,
-            in_flight: 0,
-            stats: FabricStats::default(),
-        }
-    }
 
     /// The fabric's geometry.
     pub fn topology(&self) -> Topology {
@@ -337,12 +323,6 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
     /// Current simulation time (the time of the last processed event).
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Messages launched (their launch event has fired) but not yet
-    /// delivered.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Aggregate statistics so far.
@@ -389,10 +369,22 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
         self.hop_log.as_deref().unwrap_or(&[])
     }
 
+    /// Reserves room for `messages` more messages whose routes hold
+    /// `nodes` routers in total, so a caller that knows its traffic
+    /// up front injects it without reallocating.
+    pub fn reserve(&mut self, messages: usize, nodes: usize) {
+        self.msgs.reserve_exact(messages);
+        self.launches.reserve_exact(messages);
+        self.nodes.reserve_exact(nodes);
+        if let Some(f) = &mut self.fault_state {
+            f.retries.reserve_exact(messages);
+        }
+    }
+
     /// Injects a message that starts traversing `route` at cycle
-    /// `launch`. Returns its id (ids are dense and ordered by
-    /// injection). Injection itself costs O(log events); all movement
-    /// happens as events are processed.
+    /// `launch`, copying the route into the fabric. Returns its id (ids
+    /// are dense and ordered by injection). Injection costs O(route
+    /// length); all movement happens in [`Fabric::run_to_completion`].
     ///
     /// # Panics
     ///
@@ -401,7 +393,7 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
     /// event), or — on a fault-injected fabric — if the route
     /// traverses a dead node or link (routes must be planned around
     /// permanent defects; see [`DefectMap::route_avoiding`]).
-    pub fn inject(&mut self, route: Path, launch: u64) -> MsgId {
+    pub fn inject(&mut self, route: &Path, launch: u64) -> MsgId {
         assert!(!route.is_empty(), "cannot inject an empty route");
         for &n in route.nodes() {
             assert!(self.topo.contains(n), "route node {n} off the topology");
@@ -413,7 +405,7 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
         );
         if let Some(f) = &mut self.fault_state {
             assert!(
-                f.defects.path_clear(&route),
+                f.defects.path_clear(route),
                 "route {} -> {} traverses a defective node or link",
                 route.source(),
                 route.dest()
@@ -422,19 +414,29 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
         }
         let id = u32::try_from(self.msgs.len()).expect("fabric message ids fit in u32");
         self.msgs.push(InFlightMessage {
-            route,
+            start: self.nodes.len(),
+            len: u32::try_from(route.nodes().len()).expect("route lengths fit in u32"),
             cursor: 0,
             state: MsgState::Scheduled,
         });
+        self.nodes.extend_from_slice(route.nodes());
         self.stats.injected += 1;
-        self.push_event(launch, id);
+        self.launches.push((launch, id));
+        self.note_queue_depth();
         id
     }
 
-    /// Schedule an event, tracking the peak queue depth.
+    /// Tracks the peak of pending events: unfired launches plus
+    /// in-flight events.
+    fn note_queue_depth(&mut self) {
+        let pending = self.launches.len() + self.events.len();
+        self.stats.peak_event_queue = self.stats.peak_event_queue.max(pending);
+    }
+
+    /// Schedules an in-flight event.
     fn push_event(&mut self, t: u64, id: MsgId) {
-        self.events.push(t, id);
-        self.stats.peak_event_queue = self.stats.peak_event_queue.max(self.events.len());
+        self.events.push(Reverse((t, id)));
+        self.note_queue_depth();
     }
 
     /// Arrival time of message `id`, if it has been delivered.
@@ -445,50 +447,37 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
         }
     }
 
-    /// Time of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<u64> {
-        self.events.next_time()
+    /// The route message `id` was injected with.
+    pub fn route(&self, id: MsgId) -> &[Coord] {
+        let m = &self.msgs[id as usize];
+        &self.nodes[m.start..m.start + m.len as usize]
     }
 
-    /// Processes every event up to and including time `t`, jumping the
-    /// clock straight across idle gaps.
-    pub fn advance_to(&mut self, t: u64) {
-        while let Some((et, id)) = self.events.peek() {
-            if et > t {
-                break;
-            }
-            self.events.pop();
-            self.process_event(et, id);
-        }
-        self.now = self.now.max(t);
-    }
-
-    /// Runs until message `id` is delivered and returns its arrival
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric runs out of events first (which would mean
-    /// the message was never injected — injected messages always make
-    /// progress, since link holds expire after `hop_cycles`).
-    pub fn run_until_arrival(&mut self, id: MsgId) -> u64 {
-        loop {
-            if let MsgState::Arrived { at } = self.msgs[id as usize].state {
-                return at;
-            }
-            let (et, eid) = self
-                .events
-                .pop()
-                .expect("fabric drained with a message still in flight");
-            self.process_event(et, eid);
-        }
-    }
-
-    /// Drains every pending event; afterwards all injected messages
+    /// Processes every pending event; afterwards all injected messages
     /// have arrived.
     pub fn run_to_completion(&mut self) {
-        while let Some((et, id)) = self.events.pop() {
-            self.process_event(et, id);
+        // Latest first, so the next launch is the last element. Ids are
+        // unique, so `(launch, id)` orders the list totally.
+        self.launches.sort_unstable_by(|a, b| b.cmp(a));
+        loop {
+            let launch = self.launches.last().copied();
+            let event = self.events.peek().map(|&Reverse(e)| e);
+            let (t, id) = match (launch, event) {
+                (Some(l), Some(e)) if e < l => {
+                    self.events.pop();
+                    e
+                }
+                (Some(l), _) => {
+                    self.launches.pop();
+                    l
+                }
+                (None, Some(e)) => {
+                    self.events.pop();
+                    e
+                }
+                (None, None) => break,
+            };
+            self.process_event(t, id);
         }
         debug_assert_eq!(self.in_flight, 0);
     }
@@ -497,7 +486,7 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
         debug_assert!(t >= self.now, "events must be processed in order");
         self.now = t;
         self.stats.events_processed += 1;
-        let state = self.msgs[id as usize].state.clone();
+        let state = self.msgs[id as usize].state;
         match state {
             MsgState::Scheduled => {
                 // The message enters the fabric now, not at injection
@@ -536,10 +525,11 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
                 };
                 if let Some(log) = &mut self.hop_log {
                     let m = &self.msgs[id as usize];
+                    let here = m.start + m.cursor as usize;
                     log.push(HopRecord {
                         msg: id,
-                        from: m.route.nodes()[m.cursor],
-                        to: m.route.nodes()[m.cursor + 1],
+                        from: self.nodes[here],
+                        to: self.nodes[here + 1],
                         enter: t - self.config.hop_cycles,
                         exit: t,
                         failed,
@@ -577,16 +567,14 @@ impl<Q: EventQueue<MsgId>> Fabric<Q> {
     /// move it onto its next link (queueing if the link is saturated).
     fn try_advance(&mut self, t: u64, id: MsgId) {
         let msg = &self.msgs[id as usize];
-        let cursor = msg.cursor;
-        if cursor + 1 == msg.route.nodes().len() {
+        if msg.cursor + 1 == msg.len {
             self.msgs[id as usize].state = MsgState::Arrived { at: t };
             self.in_flight -= 1;
             self.stats.delivered += 1;
             return;
         }
-        let link = self
-            .topo
-            .link_index(msg.route.nodes()[cursor], msg.route.nodes()[cursor + 1]);
+        let here = msg.start + msg.cursor as usize;
+        let link = self.topo.link_index(self.nodes[here], self.nodes[here + 1]);
         if self.load[link] < self.config.link_capacity {
             self.enter_link(t, id, link);
         } else {
@@ -616,8 +604,9 @@ mod tests {
         let topo = Topology::new(10, 3);
         for hop in [1u64, 3, 7] {
             let mut f = Fabric::new(topo, FabricConfig::unlimited(hop));
-            let id = f.inject(row_route(topo, 0, 0, 6), 5);
-            assert_eq!(f.run_until_arrival(id), 5 + 6 * hop);
+            let id = f.inject(&row_route(topo, 0, 0, 6), 5);
+            f.run_to_completion();
+            assert_eq!(f.arrival_time(id), Some(5 + 6 * hop));
             assert_eq!(f.stats().link_stall_cycles, 0);
         }
     }
@@ -626,7 +615,7 @@ mod tests {
     fn single_node_route_arrives_at_launch() {
         let topo = Topology::new(3, 3);
         let mut f = Fabric::new(topo, FabricConfig::default());
-        let id = f.inject(Path::new(vec![Coord::new(1, 1)]), 9);
+        let id = f.inject(&Path::new(vec![Coord::new(1, 1)]), 9);
         f.run_to_completion();
         assert_eq!(f.arrival_time(id), Some(9));
         assert_eq!(f.stats().hops_completed, 0);
@@ -641,8 +630,8 @@ mod tests {
         };
         let mut f = Fabric::new(topo, cfg);
         // Two messages over the same 3-link row, launched together.
-        let a = f.inject(row_route(topo, 0, 0, 3), 0);
-        let b = f.inject(row_route(topo, 0, 0, 3), 0);
+        let a = f.inject(&row_route(topo, 0, 0, 3), 0);
+        let b = f.inject(&row_route(topo, 0, 0, 3), 0);
         f.run_to_completion();
         // a proceeds unimpeded: 3 hops x 2 cycles.
         assert_eq!(f.arrival_time(a), Some(6));
@@ -657,7 +646,7 @@ mod tests {
         let topo = Topology::new(8, 8);
         let mut f = Fabric::new(topo, FabricConfig::unlimited(1));
         let ids: Vec<MsgId> = (0..32)
-            .map(|i| f.inject(row_route(topo, 0, 0, 7), i % 3))
+            .map(|i| f.inject(&row_route(topo, 0, 0, 7), i % 3))
             .collect();
         f.run_to_completion();
         for (i, id) in ids.iter().enumerate() {
@@ -675,9 +664,9 @@ mod tests {
             link_capacity: 1,
         };
         let mut f = Fabric::new(topo, cfg);
-        let a = f.inject(row_route(topo, 0, 0, 2), 0);
-        let b = f.inject(row_route(topo, 0, 0, 2), 1);
-        let c = f.inject(row_route(topo, 0, 0, 2), 2);
+        let a = f.inject(&row_route(topo, 0, 0, 2), 0);
+        let b = f.inject(&row_route(topo, 0, 0, 2), 1);
+        let c = f.inject(&row_route(topo, 0, 0, 2), 2);
         f.run_to_completion();
         // a: enters link0 at 0, link1 at 5, arrives 10.
         // b: queued on link0 at 1, enters at 5, link1 at 10, arrives 15.
@@ -690,18 +679,42 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_processes_only_due_events() {
-        let topo = Topology::new(6, 1);
-        let mut f = Fabric::new(topo, FabricConfig::unlimited(1));
-        let id = f.inject(row_route(topo, 0, 0, 5), 0);
-        f.advance_to(3);
-        assert_eq!(f.arrival_time(id), None);
-        assert_eq!(f.in_flight(), 1);
-        f.advance_to(5);
-        assert_eq!(f.arrival_time(id), Some(5));
-        assert_eq!(f.in_flight(), 0);
-        // The clock jumped idle gaps without per-cycle stepping.
-        assert_eq!(f.now(), 5);
+    fn launches_are_served_in_launch_then_id_order() {
+        let topo = Topology::new(3, 1);
+        let cfg = FabricConfig {
+            hop_cycles: 2,
+            link_capacity: 1,
+        };
+        let mut f = Fabric::new(topo, cfg);
+        // Injected out of time order, with two pairs of equal launches.
+        let ids: Vec<MsgId> = [6u64, 2, 6, 2, 0]
+            .into_iter()
+            .map(|launch| f.inject(&row_route(topo, 0, 0, 2), launch))
+            .collect();
+        f.run_to_completion();
+        // One lane per link, so the messages leave in (launch, id)
+        // order, 4 -> 1 -> 3 -> 0 -> 2, each one hop behind the last.
+        let arrivals: Vec<Option<u64>> = ids.iter().map(|&id| f.arrival_time(id)).collect();
+        assert_eq!(
+            arrivals,
+            [Some(10), Some(6), Some(12), Some(8), Some(4)].to_vec()
+        );
+        // Message 3 and message 2 each queued one hop behind a leader.
+        assert_eq!(f.stats().link_stall_cycles, 4);
+    }
+
+    #[test]
+    fn peak_event_queue_counts_unlaunched_launches() {
+        let topo = Topology::new(4, 1);
+        let mut f = Fabric::new(topo, FabricConfig::default());
+        for _ in 0..3 {
+            f.inject(&row_route(topo, 0, 0, 3), 100);
+        }
+        assert_eq!(f.stats().peak_event_queue, 3);
+        f.run_to_completion();
+        // Each launch that fires leaves one hop completion pending.
+        assert_eq!(f.stats().peak_event_queue, 3);
+        assert_eq!(f.stats().delivered, 3);
     }
 
     #[test]
@@ -715,7 +728,7 @@ mod tests {
             },
         );
         for _ in 0..4 {
-            f.inject(row_route(topo, 0, 0, 3), 0);
+            f.inject(&row_route(topo, 0, 0, 3), 0);
         }
         f.run_to_completion();
         // 4 messages x 3 links x 3 cycles.
@@ -732,8 +745,8 @@ mod tests {
             link_capacity: 1,
         };
         let mut f = Fabric::new(topo, cfg);
-        f.inject(row_route(topo, 0, 0, 3), 0);
-        f.inject(row_route(topo, 0, 0, 3), 0);
+        f.inject(&row_route(topo, 0, 0, 3), 0);
+        f.inject(&row_route(topo, 0, 0, 3), 0);
         f.run_to_completion();
         let h = f.heatmap();
         assert_eq!(h.topology(), topo);
@@ -745,34 +758,10 @@ mod tests {
         assert_eq!(h.stall_cycles()[1], 0);
         // The snapshot is detached from the live fabric.
         let before = h.clone();
-        f.inject(row_route(topo, 0, 0, 3), f.now());
+        f.inject(&row_route(topo, 0, 0, 3), f.now());
         f.run_to_completion();
         assert_eq!(h, before);
         assert_ne!(f.heatmap(), before);
-    }
-
-    #[test]
-    fn heap_and_calendar_backed_fabrics_agree_bit_for_bit() {
-        let topo = Topology::new(8, 8);
-        let cfg = FabricConfig {
-            hop_cycles: 2,
-            link_capacity: 2,
-        };
-        let mut cal = Fabric::new(topo, cfg);
-        let mut heap = Fabric::new_heap_backed(topo, cfg);
-        for i in 0..64u64 {
-            let y = (i % 8) as u32;
-            let r = topo.route_xy(Coord::new(0, y), Coord::new(7, (y + 3) % 8));
-            cal.inject(r.clone(), i / 4);
-            heap.inject(r, i / 4);
-        }
-        cal.run_to_completion();
-        heap.run_to_completion();
-        assert_eq!(cal.stats(), heap.stats());
-        assert_eq!(cal.heatmap(), heap.heatmap());
-        for id in 0..64 {
-            assert_eq!(cal.arrival_time(id), heap.arrival_time(id));
-        }
     }
 
     #[test]
@@ -792,9 +781,9 @@ mod tests {
     fn injection_into_the_past_rejected() {
         let topo = Topology::new(4, 1);
         let mut f = Fabric::new(topo, FabricConfig::default());
-        f.inject(row_route(topo, 0, 0, 2), 10);
+        f.inject(&row_route(topo, 0, 0, 2), 10);
         f.run_to_completion();
-        let _ = f.inject(row_route(topo, 0, 0, 2), 3);
+        let _ = f.inject(&row_route(topo, 0, 0, 2), 3);
     }
 
     #[test]
@@ -805,8 +794,8 @@ mod tests {
         let mut clean = Fabric::new(topo, FabricConfig::default());
         let mut faulty = Fabric::with_defects(topo, FabricConfig::default(), &map, 42);
         for launch in [0u64, 0, 3] {
-            clean.inject(row_route(topo, 0, 0, 3), launch);
-            faulty.inject(row_route(topo, 0, 0, 3), launch);
+            clean.inject(&row_route(topo, 0, 0, 3), launch);
+            faulty.inject(&row_route(topo, 0, 0, 3), launch);
         }
         clean.run_to_completion();
         faulty.run_to_completion();
@@ -823,7 +812,7 @@ mod tests {
         let topo = Topology::new(4, 1);
         let map = DefectMap::from_text("dims 4 1\nflaky 1 0 2 0 1.0\n").unwrap();
         let mut f = Fabric::with_defects(topo, FabricConfig::unlimited(1), &map, 7);
-        let id = f.inject(row_route(topo, 0, 0, 3), 0);
+        let id = f.inject(&row_route(topo, 0, 0, 3), 0);
         f.run_to_completion();
         // The hop over the flaky link fails exactly MAX_HOP_RETRIES
         // times, then is forced through; the message still arrives.
@@ -850,7 +839,7 @@ mod tests {
         let run = |seed: u64| {
             let mut f = Fabric::with_defects(topo, FabricConfig::default(), &map, seed);
             let ids: Vec<MsgId> = (0..8)
-                .map(|i| f.inject(row_route(topo, 0, 0, 5), i))
+                .map(|i| f.inject(&row_route(topo, 0, 0, 5), i))
                 .collect();
             f.run_to_completion();
             let arrivals: Vec<Option<u64>> = ids.iter().map(|&i| f.arrival_time(i)).collect();
@@ -869,6 +858,6 @@ mod tests {
         let topo = Topology::new(4, 1);
         let map = DefectMap::from_text("dims 4 1\nnode 2 0\n").unwrap();
         let mut f = Fabric::with_defects(topo, FabricConfig::default(), &map, 1);
-        let _ = f.inject(row_route(topo, 0, 0, 3), 0);
+        let _ = f.inject(&row_route(topo, 0, 0, 3), 0);
     }
 }

@@ -392,20 +392,26 @@ proptest! {
 
     #[test]
     fn calendar_queue_matches_its_heap_twin_on_arbitrary_streams(
-        ops in proptest::collection::vec((0u64..50_000, 0u32..4, 0u32..2), 1..300),
+        ops in proptest::collection::vec((0u64..50_000, 0u32..4, 0u32..3), 1..300),
     ) {
-        // Interleaved pushes and pops in any order (the relaxed
-        // contract: pushes may regress below the last pop, as the
-        // teleport planner's do). After every step the two cores must
-        // agree on length, next_time, and every popped (time, payload).
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new_relaxed();
+        // Pushes interleaved with peeks and pops, every push at or
+        // after the last popped time (the engines' contract). A peek
+        // may walk the cursor past quiet windows, so a later push
+        // between the last pop and the cursor takes the cursor-clamp
+        // path. After every step the two cores must agree on length,
+        // the peeked minimum, and every popped (time, payload).
+        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         let mut heap: HeapQueue<u32> = HeapQueue::new();
-        for (t, p, pop_now) in ops {
-            cal.push(t, p);
-            heap.push(t, p);
-            prop_assert_eq!(cal.next_time(), heap.next_time());
-            if pop_now == 1 {
-                prop_assert_eq!(cal.pop(), heap.pop());
+        let mut last_pop = 0u64;
+        for (delay, p, step) in ops {
+            cal.push(last_pop + delay, p);
+            heap.push(last_pop + delay, p);
+            if step == 1 {
+                prop_assert_eq!(cal.peek(), heap.peek());
+            } else if step == 2 {
+                let popped = cal.pop();
+                prop_assert_eq!(popped, heap.pop());
+                last_pop = popped.map_or(last_pop, |(t, _)| t);
             }
             prop_assert_eq!(cal.len(), heap.len());
         }
@@ -425,13 +431,15 @@ proptest! {
         // path; outliers near u64::MAX land beyond any calendar horizon
         // and must ride the overflow heap without reordering — the two
         // regimes the fig6-scale traces never mix this aggressively.
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new_relaxed();
+        // Every push precedes the first pop, and peeks interleave.
+        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         let mut heap: HeapQueue<u32> = HeapQueue::new();
         for &(t, p) in &ties {
             for _ in 0..2 {
                 cal.push(t, p);
                 heap.push(t, p);
             }
+            prop_assert_eq!(cal.peek(), heap.peek());
         }
         for &t in &outliers {
             cal.push(t, 9);
@@ -451,9 +459,9 @@ proptest! {
     fn strict_calendar_queue_survives_monotone_event_loops(
         delays in proptest::collection::vec((1u64..64, 0u32..2), 1..200),
     ) {
-        // The fabric/braid usage pattern: every push is now + delay for
-        // a popped now — legal under the strict (debug-asserted)
-        // constructor. The drain order must be globally sorted.
+        // The braid usage pattern: every push is now + delay for a
+        // popped now — the queue's debug-asserted contract. The drain
+        // order must be globally sorted.
         let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         let mut heap: HeapQueue<u32> = HeapQueue::new();
         cal.push(0, 0);

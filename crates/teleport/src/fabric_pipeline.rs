@@ -29,8 +29,8 @@
 //! paper's planar numbers were missing.
 
 use scq_mesh::{
-    CommError, Coord, DefectMap, EventQueue, Fabric, FabricConfig, HopRecord, LinkHeatmap, MsgId,
-    Path, Topology,
+    CommError, Coord, DefectMap, Fabric, FabricConfig, HopRecord, LinkHeatmap, MsgId, Path,
+    Topology,
 };
 
 use crate::pipeline::{
@@ -106,9 +106,8 @@ pub struct FabricEprResult {
     /// Events the fabric processed (launches + hop completions +
     /// retries) — the denominator of `scale_report`'s events/sec.
     pub events_processed: u64,
-    /// Peak pending events in the fabric's queue. Queue-implementation
-    /// independent: a calendar-vs-heap A/B run must report the same
-    /// depth.
+    /// Peak pending events in the fabric: launches not yet fired plus
+    /// in-flight hop completions and retry wakeups.
     pub peak_event_queue: usize,
 }
 
@@ -198,9 +197,8 @@ pub fn simulate_epr_on_fabric(
     config: &FabricEprConfig,
     topology: Topology,
 ) -> FabricEprResult {
-    let routes = xy_routes(requests, topology);
     let fabric = Fabric::new(topology, fabric_config(config));
-    run_epr_phases(requests, routes, policy, config, fabric, false).0
+    run_epr_phases(requests, Routes::Xy, policy, config, fabric, false).0
 }
 
 /// [`simulate_epr_on_fabric`] under a [`FabricRun`]: on a defect-laden
@@ -231,18 +229,19 @@ pub fn simulate_epr_on_fabric_with(
 ) -> Result<(FabricEprResult, Option<EprTranscript>), CommError> {
     let run = run.normalized();
     let (routes, fabric) = match run.defects {
-        None => (
-            xy_routes(requests, topology),
-            Fabric::new(topology, fabric_config(config)),
-        ),
+        None => (Routes::Xy, Fabric::new(topology, fabric_config(config))),
         Some(defects) => (
-            plan_defect_routes(requests, topology, defects)?,
+            Routes::Planned(plan_defect_routes(requests, topology, defects)?),
             Fabric::with_defects(topology, fabric_config(config), defects, run.fault_seed),
         ),
     };
-    let record = run.transcript;
     Ok(run_epr_phases(
-        requests, routes, policy, config, fabric, record,
+        requests,
+        routes,
+        policy,
+        config,
+        fabric,
+        run.transcript,
     ))
 }
 
@@ -254,32 +253,13 @@ fn fabric_config(config: &FabricEprConfig) -> FabricConfig {
     }
 }
 
-/// The dimension-ordered route of every request on a clean machine.
-fn xy_routes(requests: &[EprRequest], topology: Topology) -> Vec<Path> {
-    requests
-        .iter()
-        .map(|r| topology.route_xy(r.src, r.dst))
-        .collect()
-}
-
-/// [`simulate_epr_on_fabric`] on the `BinaryHeap`-backed event queue
-/// instead of the default calendar queue. Produces a bit-identical
-/// [`FabricEprResult`] (the ordering contract guarantees it; the scale
-/// suite asserts it) — this entry point exists so `scale_report` can
-/// race the two event cores on the same workload.
-///
-/// # Panics
-///
-/// As [`simulate_epr_on_fabric`].
-pub fn simulate_epr_on_heap_fabric(
-    requests: &[EprRequest],
-    policy: DistributionPolicy,
-    config: &FabricEprConfig,
-    topology: Topology,
-) -> FabricEprResult {
-    let routes = xy_routes(requests, topology);
-    let fabric = Fabric::new_heap_backed(topology, fabric_config(config));
-    run_epr_phases(requests, routes, policy, config, fabric, false).0
+/// Where a run's routes come from.
+enum Routes {
+    /// The dimension-ordered route of every request on a clean
+    /// machine, written into the fabric one at a time.
+    Xy,
+    /// One defect-avoiding route per request.
+    Planned(Vec<Path>),
 }
 
 /// Defect-avoiding route planning: checks the map's shape, then detours
@@ -314,13 +294,13 @@ fn plan_defect_routes(
 /// uncontended route estimates, fly every half through the given
 /// fabric, account measured arrivals. `record` keeps the planned
 /// routes/launches, measured arrivals, and the fabric's hop log as an
-/// [`EprTranscript`]; without it nothing is cloned or logged.
-fn run_epr_phases<Q: EventQueue<MsgId>>(
+/// [`EprTranscript`]; without it nothing is copied or logged.
+fn run_epr_phases(
     requests: &[EprRequest],
-    routes: Vec<Path>,
+    routes: Routes,
     policy: DistributionPolicy,
     config: &FabricEprConfig,
-    mut fabric: Fabric<Q>,
+    mut fabric: Fabric,
     record: bool,
 ) -> (FabricEprResult, Option<EprTranscript>) {
     let times: Vec<u64> = requests.iter().map(|r| r.time).collect();
@@ -328,14 +308,28 @@ fn run_epr_phases<Q: EventQueue<MsgId>>(
     if record {
         fabric.record_hops();
     }
-    let kept_routes = record.then(|| routes.clone());
+    let topology = fabric.topology();
 
     // Phase 1: plan launches at the flow level (uncontended estimates).
-    let total_route_hops: u64 = routes.iter().map(|r| r.len_hops() as u64).sum();
+    // A clean XY route is exactly as long as the Manhattan distance.
+    let hops: Vec<u64> = match &routes {
+        Routes::Xy => requests
+            .iter()
+            .map(|r| {
+                assert!(
+                    topology.contains(r.src) && topology.contains(r.dst),
+                    "endpoints must be on the mesh"
+                );
+                u64::from(r.src.manhattan(r.dst))
+            })
+            .collect(),
+        Routes::Planned(paths) => paths.iter().map(|p| p.len_hops() as u64).collect(),
+    };
+    let total_route_hops: u64 = hops.iter().sum();
     let timed: Vec<(u64, u64)> = requests
         .iter()
-        .zip(&routes)
-        .map(|(r, route)| (r.time, route.len_hops() as u64 * config.epr.hop_cycles))
+        .zip(&hops)
+        .map(|(r, &h)| (r.time, h * config.epr.hop_cycles))
         .collect();
     let plan = plan_launches(
         &timed,
@@ -344,12 +338,29 @@ fn run_epr_phases<Q: EventQueue<MsgId>>(
         config.epr.lead_slack_cycles,
     );
 
-    // Phase 2: fly every half through the fabric.
-    let ids: Vec<_> = routes
-        .into_iter()
-        .zip(&plan)
-        .map(|(route, &(launch, _))| fabric.inject(route, launch))
-        .collect();
+    // Phase 2: fly every half through the fabric. A route has one
+    // node more than it has hops, so the fabric's arena is sized
+    // exactly.
+    let route_nodes = usize::try_from(total_route_hops).expect("route nodes fit in memory");
+    fabric.reserve(requests.len(), route_nodes + requests.len());
+    let ids: Vec<MsgId> = match routes {
+        Routes::Xy => {
+            let mut route = Path::empty();
+            requests
+                .iter()
+                .zip(&plan)
+                .map(|(r, &(launch, _))| {
+                    topology.route_xy_into(r.src, r.dst, &mut route);
+                    fabric.inject(&route, launch)
+                })
+                .collect()
+        }
+        Routes::Planned(paths) => paths
+            .iter()
+            .zip(&plan)
+            .map(|(route, &(launch, _))| fabric.inject(route, launch))
+            .collect(),
+    };
     fabric.run_to_completion();
 
     // Phase 3: teleports consume the measured arrival events.
@@ -368,12 +379,15 @@ fn run_epr_phases<Q: EventQueue<MsgId>>(
     let pipeline = account_arrivals(&times, &measured, config.epr.teleport_cycles);
 
     let stats = fabric.stats();
-    let transcript = kept_routes.map(|routes| EprTranscript {
-        topology: fabric.topology(),
+    let transcript = record.then(|| EprTranscript {
+        topology,
         link_capacity: config.link_capacity,
         hop_cycles: config.epr.hop_cycles,
         requests: requests.to_vec(),
-        routes,
+        routes: ids
+            .iter()
+            .map(|&id| Path::new(fabric.route(id).to_vec()))
+            .collect(),
         launches: plan.iter().map(|&(launch, _)| launch).collect(),
         arrivals: measured.iter().map(|&(_, arrival)| arrival).collect(),
         hops: fabric.hop_records().to_vec(),

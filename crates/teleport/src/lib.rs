@@ -60,8 +60,8 @@ mod planar;
 mod simd;
 
 pub use fabric_pipeline::{
-    simulate_epr_on_fabric, simulate_epr_on_fabric_with, simulate_epr_on_heap_fabric, EprRequest,
-    EprTranscript, FabricEprConfig, FabricEprResult, FabricRun,
+    simulate_epr_on_fabric, simulate_epr_on_fabric_with, EprRequest, EprTranscript,
+    FabricEprConfig, FabricEprResult, FabricRun,
 };
 pub use pipeline::{
     simulate_epr_distribution, window_sweep, DistributionPolicy, EprConfig, EprDemand,

@@ -13,7 +13,8 @@
 //! bandwidth. Outputs are the two §8.1 metrics: peak live EPR pairs
 //! (qubit cost) and added latency.
 
-use scq_mesh::{CalendarQueue, EventQueue};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// When EPR pairs are launched relative to their use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,11 +131,9 @@ pub(crate) fn plan_launches(
     lead_slack_cycles: u64,
 ) -> Vec<(u64, u64)> {
     let mut slip: u64 = 0;
-    // Arrival times, on the shared calendar-queue event core. Relaxed
-    // mode: a slack-saturated just-in-time target may launch demand j
-    // below an arrival already pruned at demand i < j, so pushes are
-    // not globally monotone here (unlike the fabric/braid engines).
-    let mut in_flight: CalendarQueue<()> = CalendarQueue::new_relaxed();
+    // Arrival times of the pairs in flight: at most `bandwidth` of
+    // them, so a binary heap stays shallow.
+    let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
     let mut consume_times: Vec<u64> = Vec::with_capacity(demands.len());
     let mut plan: Vec<(u64, u64)> = Vec::with_capacity(demands.len());
 
@@ -155,7 +154,7 @@ pub(crate) fn plan_launches(
         // Bandwidth constraint: wait for a free swap lane.
         let mut launch = target.max(window_gate);
         loop {
-            while let Some((a, ())) = in_flight.peek() {
+            while let Some(&Reverse(a)) = in_flight.peek() {
                 if a <= launch {
                     in_flight.pop();
                 } else {
@@ -165,13 +164,13 @@ pub(crate) fn plan_launches(
             if in_flight.len() < bandwidth {
                 break;
             }
-            let Some((earliest, ())) = in_flight.peek() else {
+            let Some(&Reverse(earliest)) = in_flight.peek() else {
                 break;
             };
             launch = launch.max(earliest);
         }
         let arrive = launch + travel;
-        in_flight.push(arrive, ());
+        in_flight.push(Reverse(arrive));
 
         let stall = arrive.saturating_sub(need);
         slip += stall;
@@ -212,7 +211,7 @@ pub(crate) fn account_arrivals(
 
     // Sweep for peak live EPR pairs (consume before launch at equal
     // times: an EPR freed this cycle can be recycled).
-    live_events.sort_by_key(|&(t, delta)| (t, delta));
+    live_events.sort_unstable();
     let mut live = 0i64;
     let mut peak = 0i64;
     for (_, delta) in live_events {
@@ -445,99 +444,5 @@ mod tests {
             DistributionPolicy::JustInTime { window: 0 },
             &EprConfig::default(),
         );
-    }
-
-    /// The pre-calendar-queue `plan_launches`, verbatim on a
-    /// `BinaryHeap` — the byte-identity oracle for the queue swap.
-    fn plan_launches_heap_reference(
-        demands: &[(u64, u64)],
-        policy: DistributionPolicy,
-        bandwidth: usize,
-        lead_slack_cycles: u64,
-    ) -> Vec<(u64, u64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut slip: u64 = 0;
-        let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-        let mut consume_times: Vec<u64> = Vec::with_capacity(demands.len());
-        let mut plan: Vec<(u64, u64)> = Vec::with_capacity(demands.len());
-        for (j, &(time, travel)) in demands.iter().enumerate() {
-            let need = time + slip;
-            let target = match policy {
-                DistributionPolicy::EagerPrefetch => 0,
-                DistributionPolicy::JustInTime { .. } => {
-                    need.saturating_sub(travel + lead_slack_cycles)
-                }
-            };
-            let window_gate = match policy {
-                DistributionPolicy::JustInTime { window } if j >= window => {
-                    consume_times[j - window]
-                }
-                _ => 0,
-            };
-            let mut launch = target.max(window_gate);
-            loop {
-                while let Some(&Reverse(a)) = in_flight.peek() {
-                    if a <= launch {
-                        in_flight.pop();
-                    } else {
-                        break;
-                    }
-                }
-                if in_flight.len() < bandwidth {
-                    break;
-                }
-                let Some(&Reverse(earliest)) = in_flight.peek() else {
-                    break;
-                };
-                launch = launch.max(earliest);
-            }
-            let arrive = launch + travel;
-            in_flight.push(Reverse(arrive));
-            let stall = arrive.saturating_sub(need);
-            slip += stall;
-            consume_times.push(need + stall);
-            plan.push((launch, arrive));
-        }
-        plan
-    }
-
-    #[test]
-    fn calendar_planner_is_byte_identical_to_heap_reference() {
-        // Random demand streams over the regimes that stress the
-        // queue differently: tight bandwidth (backpressure pops),
-        // slack larger than short travels (regressing pushes), and
-        // mixed near/far distances (scattered arrival times).
-        let mut seed: u64 = 0x7e1e_9067;
-        let mut rng = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 33
-        };
-        for case in 0..40 {
-            let n = 1 + (rng() % 300) as usize;
-            let mut t = 0u64;
-            let demands: Vec<(u64, u64)> = (0..n)
-                .map(|_| {
-                    t += rng() % 6;
-                    (t, 1 + rng() % 40) // travel 1..=40, often < slack
-                })
-                .collect();
-            let policy = if case % 3 == 0 {
-                DistributionPolicy::EagerPrefetch
-            } else {
-                DistributionPolicy::JustInTime {
-                    window: 1 + (rng() % 32) as usize,
-                }
-            };
-            let bandwidth = 1 + (rng() % 8) as usize;
-            let slack = rng() % 24; // frequently exceeds short travels
-            assert_eq!(
-                plan_launches(&demands, policy, bandwidth, slack),
-                plan_launches_heap_reference(&demands, policy, bandwidth, slack),
-                "case {case}: policy {policy:?} bandwidth {bandwidth} slack {slack}"
-            );
-        }
     }
 }
