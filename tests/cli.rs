@@ -168,3 +168,131 @@ fn an_over_wide_qubits_header_is_an_error_in_schedule_and_serve() {
         "{outcome:?}"
     );
 }
+
+/// `text` with each `pass` line cut after the pass name: the padding
+/// before a duration varies with the duration's width.
+fn without_durations(text: &str) -> String {
+    let mut kept = String::new();
+    for line in text.lines() {
+        let body = line.trim_start();
+        match body.strip_prefix("pass ") {
+            Some(rest) => {
+                let indent = &line[..line.len() - body.len()];
+                let name = rest.split_whitespace().next().unwrap_or_default();
+                kept.push_str(&format!("{indent}pass {name}"));
+            }
+            None => kept.push_str(line),
+        }
+        kept.push('\n');
+    }
+    kept
+}
+
+/// `scq check` on [`CHAIN`].
+const CHECK_CLEAN: &str = "\
+pass normalize-ir
+pass code-distance
+pass interaction-analysis
+pass layout
+pass dag-acyclicity
+pass def-use
+pass duplicate-anchor
+pass static-admission
+check: unnamed passed (0 warning(s))
+";
+
+/// `scq check` on [`CHAIN`] with `--defect-rate 0.05 --defect-seed 3`.
+const CHECK_DEFECTED: &str = "\
+defects (braid mesh 7x5): 0 dead tiles, 3 dead links, 3 flaky links
+defects (planar mesh 3x4): 0 dead tiles, 0 dead links, 0 flaky links
+pass normalize-ir
+pass code-distance
+pass interaction-analysis
+pass layout
+pass dag-acyclicity
+pass def-use
+pass duplicate-anchor
+pass static-admission
+check: unnamed passed (0 warning(s))
+";
+
+/// `scq schedule --verify --timings` on [`CHAIN`] with
+/// `--defect-rate 0.02 --defect-seed 7`.
+const SCHEDULE_CERTIFIED: &str = "\
+defects (braid mesh 7x5): 1 dead tiles, 0 dead links, 1 flaky links
+double-defect (Policy 6, d=5): 90 cycles (CP 90, ratio 1.00), utilization 4.5%
+  static replay: conflict-free (15 braid legs)
+  certified: 15 braid invariants hold
+defects (planar mesh 3x4): 1 dead tiles, 0 dead links, 0 flaky links
+planar (Multi-SIMD): 23 cycles, 10 teleports, peak 10 live EPR pairs
+  certified: 10 EPR flights replayed clean
+per-pass timings:
+  pass normalize-ir
+  pass code-distance
+  pass interaction-analysis
+  pass layout
+  pass braid-schedule
+  pass planar-schedule
+artifact hashes:
+  normalized-ir        4c73514c89e0c775  [normalize-ir]
+  circuit-stats        6d616e95c9a3e1d6  [normalize-ir]
+  code-distance        9a341bb97c5488c9  [code-distance]
+  interaction-graph    b15a3d5b9d2979dc  [interaction-analysis]
+  layout               4f4ae02145f986f0  [layout]
+  braid-schedule       971b4f6c020bd1b3  [braid-schedule]
+  planar-schedule      45d2510cc8021d67  [planar-schedule]
+";
+
+/// `scq schedule --timings` on [`CHAIN`].
+const SCHEDULE_CLEAN: &str = "\
+double-defect (Policy 6, d=5): 90 cycles (CP 90, ratio 1.00), utilization 4.5%
+  static replay: conflict-free (15 braid legs)
+planar (Multi-SIMD): 19 cycles, 10 teleports, peak 10 live EPR pairs
+per-pass timings:
+  pass normalize-ir
+  pass code-distance
+  pass interaction-analysis
+  pass layout
+  pass braid-schedule
+  pass planar-schedule
+artifact hashes:
+  normalized-ir        4c73514c89e0c775  [normalize-ir]
+  circuit-stats        6d616e95c9a3e1d6  [normalize-ir]
+  code-distance        9a341bb97c5488c9  [code-distance]
+  interaction-graph    b15a3d5b9d2979dc  [interaction-analysis]
+  layout               4f4ae02145f986f0  [layout]
+  braid-schedule       971b4f6c020bd1b3  [braid-schedule]
+  planar-schedule      c5811c910b55ff7f  [planar-schedule]
+";
+
+#[test]
+fn check_and_schedule_print_their_pinned_reports() {
+    let qasm = scratch_file("chain-pinned.qasm", CHAIN);
+    for (args, expected) in [
+        (vec!["check"], CHECK_CLEAN),
+        (
+            vec!["check", "--defect-rate", "0.05", "--defect-seed", "3"],
+            CHECK_DEFECTED,
+        ),
+        (
+            vec![
+                "schedule",
+                "--verify",
+                "--timings",
+                "--defect-rate",
+                "0.02",
+                "--defect-seed",
+                "7",
+            ],
+            SCHEDULE_CERTIFIED,
+        ),
+        (vec!["schedule", "--timings"], SCHEDULE_CLEAN),
+    ] {
+        let mut argv = vec![args[0], qasm.as_str()];
+        argv.extend(&args[1..]);
+        let out = scq(&argv);
+        assert!(out.status.success(), "{argv:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert_eq!(without_durations(&stdout), expected, "{argv:?}");
+    }
+}
