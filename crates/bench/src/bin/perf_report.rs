@@ -32,7 +32,7 @@ use scq_bench::{
     run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
 };
 use scq_braid::Policy;
-use scq_core::{run_toolflow_timed, ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
+use scq_core::{run_toolflow_timed, ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
 use scq_serve::parallel_map;
 use scq_teleport::{
@@ -172,17 +172,21 @@ fn check_e2e(rows: &[E2ePoint]) -> Result<String, String> {
     ))
 }
 
-/// One traced run of a fig6 workload at the report's distance, for the
-/// certifier timings.
-fn traced(
+/// One certified run of `runner` on a fig6 workload at the report's
+/// distance: the seconds its certify pass took. Any finding fails the
+/// report.
+fn certified(
     (bench, circuit): &(Benchmark, Circuit),
     policy: Policy,
     runner: PipelineRunner,
-) -> (Benchmark, ArtifactContext<'_>) {
+) -> f64 {
     let config = ToolflowConfig::pinned(policy, CODE_DISTANCE);
-    let mut cx = ArtifactContext::for_circuit(circuit, config).with_trace(true);
-    or_die(runner.run(&mut cx), "fig6 workload failed to schedule");
-    (*bench, cx)
+    let mut cx = ArtifactContext::for_circuit(circuit, config);
+    let run = runner.certified().run(&mut cx);
+    let trace = or_die(run, "fig6 workload failed to schedule");
+    let findings = cx.findings();
+    assert!(findings.is_empty(), "{}: {findings:?}", bench.name());
+    trace.pass_secs("certify-")
 }
 
 fn main() {
@@ -215,25 +219,14 @@ fn main() {
     });
     let parallel_grid_secs = t0.elapsed().as_secs_f64();
 
-    // Certifier wall-time over the same grid: emit every traced braid
-    // schedule first (untimed), then time only the independent replay,
-    // so the figure is the cost of *verification*, not of scheduling
-    // twice. Certification stays off the hot path — the guarded
-    // fast/ref timings above never run it.
-    let traced: Vec<_> = grid
+    // Certifier time over the same grid: each certified run times its
+    // certify-braid pass apart from the scheduling before it, so the
+    // figure is the cost of *verification* alone. The guarded fast/ref
+    // timings above run lists that never certify.
+    let certify_secs: f64 = grid
         .iter()
-        .map(|&(w, policy)| traced(&workloads[w], policy, PipelineRunner::braid()))
-        .collect();
-    let t0 = Instant::now();
-    for (bench, cx) in &traced {
-        let findings = cx.certify(BackendKind::Braid);
-        assert!(
-            findings.as_ref().is_some_and(Vec::is_empty),
-            "{}: braid trace failed certification: {findings:?}",
-            bench.name()
-        );
-    }
-    let certify_secs = t0.elapsed().as_secs_f64();
+        .map(|&(w, policy)| certified(&workloads[w], policy, PipelineRunner::braid()))
+        .sum();
 
     // Per-pass wall clock of the artifact pipeline: one timed toolflow
     // run per fig6 app at the report's pinned distance, durations
@@ -265,12 +258,7 @@ fn main() {
             }
         }
         let (warm_trace, warm_secs) = timed_median3(timed);
-        let warm_estimate_secs = warm_trace
-            .timings
-            .iter()
-            .filter(|t| t.pass == "estimate")
-            .map(|t| t.duration.as_secs_f64())
-            .sum::<f64>();
+        let warm_estimate_secs = warm_trace.pass_secs("estimate");
         e2e.push(E2ePoint {
             app: bench.name(),
             first_secs,
@@ -718,22 +706,12 @@ fn epr_report(
         "congestion-aware placement improved no contended point"
     );
 
-    // Planar certifier wall-time: schedule every workload traced
-    // (untimed), then time only the independent transcript replay.
-    let traced: Vec<_> = workloads
+    // Planar certifier time: the certify-planar pass of each
+    // workload's certified run, apart from its scheduling.
+    let certify_secs: f64 = workloads
         .iter()
-        .map(|workload| traced(workload, Policy::P6, PipelineRunner::planar()))
-        .collect();
-    let t0 = Instant::now();
-    for (bench, cx) in &traced {
-        let findings = cx.certify(BackendKind::Planar);
-        assert!(
-            findings.as_ref().is_some_and(Vec::is_empty),
-            "{}: planar schedule failed certification: {findings:?}",
-            bench.name()
-        );
-    }
-    let certify_secs = t0.elapsed().as_secs_f64();
+        .map(|workload| certified(workload, Policy::P6, PipelineRunner::planar()))
+        .sum();
     println!(
         "\nplanar certification wall-clock (scq-verify replay): {:.1}ms",
         certify_secs * 1e3

@@ -12,18 +12,26 @@ use scq_bench::{
     fig6_workloads, run_planar_on_defects, run_policy, run_policy_on_defects, run_policy_reference,
 };
 use scq_braid::Policy;
-use scq_core::{ArtifactContext, BackendKind, PipelineRunner, ToolflowConfig};
+use scq_core::{ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
 use scq_serve::parallel_map;
 use scq_teleport::{schedule_planar, PlanarConfig};
 
 const CODE_DISTANCE: u32 = 5;
 
-/// A traced pipeline context for `circuit` under `policy`, for the
-/// certifier.
-fn traced(circuit: &Circuit, policy: Policy) -> ArtifactContext<'_> {
+/// The findings of a certified run of `runner` on `circuit` under
+/// `policy`, each prefixed with `what`.
+fn certified(circuit: &Circuit, policy: Policy, runner: PipelineRunner, what: &str) -> Vec<String> {
     let config = ToolflowConfig::pinned(policy, CODE_DISTANCE);
-    ArtifactContext::for_circuit(circuit, config).with_trace(true)
+    let mut cx = ArtifactContext::for_circuit(circuit, config);
+    runner
+        .certified()
+        .run(&mut cx)
+        .expect("figure 6 workloads schedule cleanly");
+    cx.findings()
+        .iter()
+        .map(|(_, f)| format!("{what}: {f}"))
+        .collect()
 }
 
 #[test]
@@ -93,15 +101,8 @@ fn braid_traces_certify_clean_on_fig6_grid() {
         .collect();
     let violations: Vec<String> = parallel_map(&points, |&(w, policy)| {
         let (bench, circuit) = &workloads[w];
-        let mut cx = traced(circuit, policy);
-        PipelineRunner::braid()
-            .run(&mut cx)
-            .expect("figure 6 workloads schedule cleanly");
-        let findings = cx.certify(BackendKind::Braid).expect("traced");
-        findings
-            .into_iter()
-            .map(|f| format!("{} under {policy}: {f}", bench.name()))
-            .collect::<Vec<_>>()
+        let what = format!("{} under {policy}", bench.name());
+        certified(circuit, policy, PipelineRunner::braid(), &what)
     })
     .into_iter()
     .flatten()
@@ -115,15 +116,7 @@ fn braid_traces_certify_clean_on_fig6_grid() {
 fn planar_schedules_certify_clean_on_fig6_workloads() {
     let workloads = fig6_workloads();
     let violations: Vec<String> = parallel_map(&workloads, |(bench, circuit)| {
-        let mut cx = traced(circuit, Policy::P6);
-        PipelineRunner::planar()
-            .run(&mut cx)
-            .expect("clean machines always schedule");
-        let findings = cx.certify(BackendKind::Planar).expect("traced");
-        findings
-            .into_iter()
-            .map(|f| format!("{}: {f}", bench.name()))
-            .collect::<Vec<_>>()
+        certified(circuit, Policy::P6, PipelineRunner::planar(), bench.name())
     })
     .into_iter()
     .flatten()

@@ -28,7 +28,9 @@ pub mod pipeline;
 
 pub use cachekey::{CacheKeyed, KeyHasher};
 pub use defects::{DefectError, DefectSpec};
-pub use pipeline::{ArtifactContext, ArtifactHash, PipelineRunner, PipelineTrace, ToolflowPass};
+pub use pipeline::{
+    ArtifactContext, ArtifactHash, PassTiming, PipelineRunner, PipelineTrace, ToolflowPass,
+};
 
 use std::error::Error;
 use std::fmt;

@@ -2,7 +2,7 @@
 //!
 //! Historically `run_toolflow` was a hard-wired call chain; this module
 //! restructures it into named, individually timeable passes over a
-//! shared [`ArtifactContext`] (modeled on `scq-verify`'s `PassRunner`):
+//! shared [`ArtifactContext`]:
 //!
 //! ```text
 //! normalize-ir ──► code-distance ──► interaction-analysis ──► layout
@@ -23,16 +23,17 @@
 //! artifacts (e.g. a placement) separately from whole schedules. The
 //! [`PipelineRunner`] times every pass.
 //!
-//! Every caller that schedules is a run: `run_toolflow` of
-//! [`PipelineRunner::standard`], the CLI, the batch service and the
-//! bench drivers of shorter lists. The context also carries the run's
-//! [`DefectSpec`] and a trace request, under which the scheduling
-//! passes deposit what [`ArtifactContext::certify`] audits.
+//! Every caller that schedules, checks or certifies is a run:
+//! `run_toolflow` of [`PipelineRunner::standard`], the CLI, the batch
+//! service and the bench drivers of shorter lists. The context also
+//! carries the run's [`DefectSpec`], a trace request, and the findings
+//! of `scq-verify`'s checks ([`PipelineRunner::check`]) and certifiers
+//! ([`PipelineRunner::certified`]); no other list calls `scq-verify`.
 //!
 //! `tests/differential_pipeline.rs` pins `run_toolflow`'s reports to
 //! committed golden digests.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use scq_apps::Benchmark;
 use scq_braid::{
@@ -46,7 +47,7 @@ use scq_teleport::{
     schedule_planar_with, BaselinePlacement, EprTranscript, FabricRun, PlanarConfig, PlanarMachine,
     PlanarSchedule,
 };
-use scq_verify::{certify_braid_trace, certify_planar_schedule, Finding, PassTiming};
+use scq_verify::{certify_braid_trace, certify_planar_schedule, FabricView, Finding, StaticCheck};
 
 use crate::cachekey::{CacheKeyed, KeyHasher};
 use crate::{BackendKind, DefectSpec, ToolflowConfig, ToolflowError, ToolflowReport};
@@ -91,6 +92,7 @@ pub struct ArtifactContext<'a> {
     transcript: Option<EprTranscript>,
     profile: Option<AppProfile>,
     estimates: Option<(ResourceEstimate, ResourceEstimate)>,
+    findings: Vec<(&'static str, Finding)>,
     hashes: Vec<ArtifactHash>,
 }
 
@@ -129,6 +131,7 @@ impl<'a> ArtifactContext<'a> {
             transcript: None,
             profile: None,
             estimates: None,
+            findings: Vec::new(),
             hashes: Vec::new(),
         }
     }
@@ -230,6 +233,12 @@ impl<'a> ArtifactContext<'a> {
         &self.hashes
     }
 
+    /// The findings of the check and certify passes that ran, each
+    /// beside the name of the pass that reported it, in pass order.
+    pub fn findings(&self) -> &[(&'static str, Finding)] {
+        &self.findings
+    }
+
     /// Materializes the defect spec on the meshes of `backends`, every
     /// backend of one run, once per context (later calls keep the first
     /// result). The runner calls it before its first scheduling pass; a
@@ -263,27 +272,6 @@ impl<'a> ArtifactContext<'a> {
         self.defect_maps = Some(backends.iter().copied().zip(maps).collect());
         self.notes = notes;
         Ok(())
-    }
-
-    /// Certifies the schedule a traced run deposited for `backend` with
-    /// the independent `scq-verify` certifier, on the defect map it ran
-    /// on. `None` when the run was untraced or did not schedule
-    /// `backend`.
-    pub fn certify(&self, backend: BackendKind) -> Option<Vec<Finding>> {
-        let dag = self.dag.as_ref()?;
-        let defects = self.defect_map(backend);
-        Some(match backend {
-            BackendKind::Braid => {
-                certify_braid_trace(self.braid_trace.as_ref()?, self.circuit, dag, defects)
-            }
-            BackendKind::Planar => certify_planar_schedule(
-                self.planar.as_ref()?,
-                self.transcript.as_ref()?,
-                self.circuit,
-                dag,
-                defects,
-            ),
-        })
     }
 
     fn record(&mut self, artifact: &'static str, pass: &'static str, hash: u64) {
@@ -533,20 +521,101 @@ impl ToolflowPass for EstimatePass {
     }
 }
 
+/// One `scq-verify` static check over the circuit, its DAG and both
+/// backends' fabrics, on the defect spec materialized on both meshes.
+/// [`PipelineRunner::check`] runs the four of them after `layout`.
+pub struct StaticCheckPass(pub StaticCheck);
+
+impl ToolflowPass for StaticCheckPass {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<(), ToolflowError> {
+        cx.materialize_defects(&[BackendKind::Braid, BackendKind::Planar])?;
+        let dag = cx.dag.as_ref().expect("normalize-ir runs first");
+        let layout = cx.layout.as_ref().expect("layout runs first");
+        let machine = PlanarMachine::new(cx.circuit.num_qubits(), None);
+        let fabrics = [
+            FabricView::braid(layout, cx.circuit, None, cx.defect_map(BackendKind::Braid)),
+            FabricView::planar(&machine, cx.circuit, cx.defect_map(BackendKind::Planar)),
+        ];
+        let mut findings = Vec::new();
+        self.0.run(cx.circuit, dag, &fabrics, &mut findings);
+        cx.findings
+            .extend(findings.into_iter().map(|f| (self.name(), f)));
+        Ok(())
+    }
+}
+
+/// Certifies the schedule a traced scheduling pass deposited for its
+/// backend with the independent `scq-verify` certifier, on the defect
+/// map it ran on. [`PipelineRunner::certified`] puts one right after
+/// each scheduling pass.
+pub struct CertifyPass(pub BackendKind);
+
+impl ToolflowPass for CertifyPass {
+    fn name(&self) -> &'static str {
+        match self.0 {
+            BackendKind::Braid => "certify-braid",
+            BackendKind::Planar => "certify-planar",
+        }
+    }
+
+    fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<(), ToolflowError> {
+        let dag = cx.dag.as_ref().expect("normalize-ir runs first");
+        let defects = cx.defect_map(self.0);
+        let traced = "a traced scheduling pass runs first";
+        let findings = match self.0 {
+            BackendKind::Braid => {
+                let trace = cx.braid_trace.as_ref().expect(traced);
+                certify_braid_trace(trace, cx.circuit, dag, defects)
+            }
+            BackendKind::Planar => {
+                let (planar, transcript) = (cx.planar.as_ref(), cx.transcript.as_ref());
+                let (planar, transcript) = (planar.expect(traced), transcript.expect(traced));
+                certify_planar_schedule(planar, transcript, cx.circuit, dag, defects)
+            }
+        };
+        cx.findings
+            .extend(findings.into_iter().map(|f| (self.name(), f)));
+        Ok(())
+    }
+}
+
+/// Wall-time of one pass within a [`PipelineTrace`].
+#[derive(Clone, Copy, Debug)]
+pub struct PassTiming {
+    /// The pass name.
+    pub pass: &'static str,
+    /// How long the pass ran.
+    pub duration: Duration,
+}
+
 /// The wall-clock and provenance record of one pipeline run.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineTrace {
-    /// Per-pass wall time, in execution order (shares `scq-verify`'s
-    /// [`PassTiming`] shape).
+    /// Per-pass wall time, in execution order.
     pub timings: Vec<PassTiming>,
     /// Artifact provenance records, in deposit order.
     pub hashes: Vec<ArtifactHash>,
+}
+
+impl PipelineTrace {
+    /// Seconds the passes whose names start with `prefix` took, summed
+    /// (`certify-` for every certify pass, a whole name for one pass).
+    pub fn pass_secs(&self, prefix: &str) -> f64 {
+        let passes = self.timings.iter().filter(|t| t.pass.starts_with(prefix));
+        passes.map(|t| t.duration.as_secs_f64()).sum()
+    }
 }
 
 /// Runs a sequence of [`ToolflowPass`]es over one [`ArtifactContext`],
 /// timing each pass and recording artifact hashes.
 pub struct PipelineRunner {
     passes: Vec<Box<dyn ToolflowPass>>,
+    /// Sets the context's trace request ([`PipelineRunner::certified`]).
+    trace: bool,
 }
 
 impl Default for PipelineRunner {
@@ -563,11 +632,18 @@ impl PipelineRunner {
 
     /// The frontend-and-mapping half of the standard pipeline —
     /// `normalize-ir` through `layout` — for callers that need the
-    /// analysis artifacts but no schedule, like `scq check`.
+    /// analysis artifacts but no schedule.
     pub fn analysis() -> Self {
         Self::frontend()
             .then(InteractionAnalysisPass)
             .then(LayoutPass)
+    }
+
+    /// [`PipelineRunner::analysis`] then one [`StaticCheckPass`] per
+    /// [`StaticCheck`], in [`StaticCheck::ALL`] order: `scq check`.
+    pub fn check() -> Self {
+        let checks = StaticCheck::ALL.into_iter().map(StaticCheckPass);
+        checks.fold(Self::analysis(), Self::then)
     }
 
     /// [`PipelineRunner::analysis`] then `braid-schedule`: the braid
@@ -588,10 +664,32 @@ impl PipelineRunner {
         Self::braid().then(PlanarSchedulePass)
     }
 
+    /// The same list with a [`CertifyPass`] right after each scheduling
+    /// pass. The run traces its scheduling passes itself, whatever the
+    /// context's trace request.
+    #[must_use]
+    pub fn certified(self) -> Self {
+        let mut passes: Vec<Box<dyn ToolflowPass>> = Vec::new();
+        for pass in self.passes {
+            let backend = pass.backend();
+            passes.push(pass);
+            if let Some(backend) = backend {
+                passes.push(Box::new(CertifyPass(backend)));
+            }
+        }
+        PipelineRunner {
+            passes,
+            trace: true,
+        }
+    }
+
     fn frontend() -> Self {
-        PipelineRunner { passes: Vec::new() }
-            .then(NormalizeIrPass)
-            .then(CodeDistancePass)
+        PipelineRunner {
+            passes: Vec::new(),
+            trace: false,
+        }
+        .then(NormalizeIrPass)
+        .then(CodeDistancePass)
     }
 
     fn then(mut self, pass: impl ToolflowPass + 'static) -> Self {
@@ -606,8 +704,9 @@ impl PipelineRunner {
     ///
     /// # Errors
     ///
-    /// Whatever the failing pass returns.
+    /// Whatever the failing pass returns (a finding is not an error).
     pub fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<PipelineTrace, ToolflowError> {
+        cx.trace |= self.trace;
         let backends: Vec<BackendKind> = self.passes.iter().filter_map(|p| p.backend()).collect();
         let mut trace = PipelineTrace::default();
         for pass in &self.passes {
@@ -773,24 +872,49 @@ mod tests {
         assert!(braid_only.braid().is_none(), "nothing scheduled");
     }
 
+    fn pass_names(trace: &PipelineTrace) -> Vec<&'static str> {
+        trace.timings.iter().map(|t| t.pass).collect()
+    }
+
     #[test]
-    fn traced_runs_deposit_certifiable_artifacts_and_schedule_identically() {
+    fn certified_runs_certify_clean_and_schedule_identically() {
         let c = small();
         let spec = DefectSpec::Sampled {
             rate: 0.02,
             seed: 7,
         };
-        let mut untraced =
+        let mut plain =
             ArtifactContext::for_circuit(&c, ToolflowConfig::default()).with_defects(spec);
-        let mut traced = untraced.clone().with_trace(true);
-        PipelineRunner::schedules().run(&mut traced).unwrap();
-        PipelineRunner::schedules().run(&mut untraced).unwrap();
-        for backend in [BackendKind::Braid, BackendKind::Planar] {
-            assert_eq!(traced.certify(backend), Some(Vec::new()), "{backend}");
-            assert_eq!(untraced.certify(backend), None, "{backend}");
-        }
-        assert_eq!(traced.braid(), untraced.braid());
-        assert_eq!(traced.planar(), untraced.planar());
+        let mut certified = plain.clone();
+        let trace = PipelineRunner::schedules()
+            .certified()
+            .run(&mut certified)
+            .unwrap();
+        let plain_trace = PipelineRunner::schedules().run(&mut plain).unwrap();
+        let names = pass_names(&trace);
+        let at = |pass| names.iter().position(|n| *n == pass).unwrap();
+        assert_eq!(at("certify-braid"), at("braid-schedule") + 1);
+        assert_eq!(at("certify-planar"), at("planar-schedule") + 1);
+        assert_eq!(names.len(), plain_trace.timings.len() + 2);
+        assert_eq!(certified.findings(), []);
+        assert!(certified.braid_trace().is_some(), "certified runs trace");
+        assert_eq!(certified.braid(), plain.braid());
+        assert_eq!(certified.planar(), plain.planar());
+        assert_eq!(trace.hashes, plain_trace.hashes, "no artifact is added");
+    }
+
+    #[test]
+    fn check_runs_the_static_checks_after_the_analysis() {
+        let c = small();
+        let mut cx = ArtifactContext::for_circuit(&c, ToolflowConfig::default());
+        let trace = PipelineRunner::check().run(&mut cx).unwrap();
+        assert_eq!(
+            pass_names(&trace).join(" "),
+            "normalize-ir code-distance interaction-analysis layout \
+             dag-acyclicity def-use duplicate-anchor static-admission"
+        );
+        assert_eq!(cx.findings(), []);
+        assert!(cx.braid().is_none() && cx.planar().is_none());
     }
 
     #[test]

@@ -194,18 +194,16 @@ impl BatchRunner {
 }
 
 /// Runs one normalized request as one pipeline run: braid or planar
-/// alone, on the request's defect spec, traced and certified when it
-/// asks for verification. `compute_secs` is left at 0 for the caller to
-/// stamp.
+/// alone, on the request's defect spec, certified when it asks for
+/// verification. `compute_secs` is left at 0 for the caller to stamp.
 fn compute(
     request: &ScheduleRequest,
     circuit: &Circuit,
     placements: &ScheduleCache<Layout>,
 ) -> Result<ScheduleOutcome, ServeError> {
     let config = ToolflowConfig::pinned(request.policy, request.code_distance);
-    let mut cx = ArtifactContext::for_circuit(circuit, config)
-        .with_defects(request.defects.clone())
-        .with_trace(request.verify);
+    let mut cx =
+        ArtifactContext::for_circuit(circuit, config).with_defects(request.defects.clone());
     let runner = match request.backend {
         BackendKind::Braid => {
             // The placement artifact is memoized separately from the
@@ -225,10 +223,13 @@ fn compute(
         }
         BackendKind::Planar => PipelineRunner::planar(),
     };
+    let runner = if request.verify {
+        runner.certified()
+    } else {
+        runner
+    };
     runner.run(&mut cx)?;
-    if request.verify {
-        certified(cx.certify(request.backend))?;
-    }
+    certified(cx.findings())?;
     let d = request.code_distance;
     let (cycles, lower_bound_cycles, comm_events, placement, summary) = match (cx.braid(), cx.planar()) {
         (Some(s), _) => (
@@ -277,13 +278,13 @@ fn compute(
     })
 }
 
-/// Folds the certifier findings of a traced run into the serve result:
-/// error-severity findings fail the request (and are therefore never
-/// cached).
-fn certified(findings: Option<Vec<Finding>>) -> Result<(), ServeError> {
-    let findings = findings.ok_or_else(|| ServeError::internal("the run recorded no trace"))?;
+/// Folds the certifier findings of a certified run into the serve
+/// result: error-severity findings fail the request (and are therefore
+/// never cached).
+fn certified(findings: &[(&str, Finding)]) -> Result<(), ServeError> {
     let errors: Vec<&Finding> = findings
         .iter()
+        .map(|(_, f)| f)
         .filter(|f| f.severity == Severity::Error)
         .collect();
     match errors.first() {

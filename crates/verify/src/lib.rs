@@ -11,14 +11,14 @@
 //! in `scq-mesh` or the schedulers therefore cannot certify its own
 //! output.
 //!
-//! Two layers:
+//! Two layers, both run as passes of `scq-core`'s pipeline (the crate
+//! holds the checks, not a runner):
 //!
-//! - **IR check passes** ([`PassRunner`], [`CheckPass`]): static
-//!   analyses over a circuit, its dependency DAG, and the fabric(s) it
-//!   is destined for — DAG acyclicity, def-use consistency, duplicate
-//!   anchors, and static admission (is the circuit routable at all on
-//!   this possibly-defective fabric?) — with per-pass timing in the
-//!   returned [`CheckReport`].
+//! - **Static checks** ([`StaticCheck`]): analyses over a circuit, its
+//!   dependency DAG, and the fabric(s) it is destined for — DAG
+//!   acyclicity, def-use consistency, duplicate anchors, and static
+//!   admission (is the circuit routable at all on this
+//!   possibly-defective fabric?).
 //! - **Schedule certifiers** ([`certify_braid_trace`],
 //!   [`certify_planar_schedule`]): replay validators over an emitted
 //!   [`scq_braid::BraidTrace`] or a [`scq_teleport::PlanarSchedule`]
@@ -41,8 +41,5 @@ mod planar_cert;
 
 pub use braid_cert::certify_braid_trace;
 pub use finding::{Finding, Invariant, Severity};
-pub use passes::{
-    live_components, AcyclicityPass, AdmissionPass, CheckContext, CheckPass, CheckReport,
-    DefUsePass, DuplicateAnchorPass, FabricView, PassRunner, PassTiming,
-};
+pub use passes::{live_components, FabricView, StaticCheck};
 pub use planar_cert::certify_planar_schedule;

@@ -1,9 +1,9 @@
-//! IR check passes: static analyses over the circuit, its dependency
-//! DAG, and the target fabric(s), run under a minimal pass manager.
+//! Static checks: analyses over the circuit, its dependency DAG, and
+//! the target fabric(s), run as passes of `scq-core`'s pipeline.
 //!
 //! These are *pre-schedule* checks — everything here is decidable from
 //! the circuit, the [`DependencyDag`], a [`Topology`] and a
-//! [`DefectMap`] alone, with no simulation. The passes deliberately
+//! [`DefectMap`] alone, with no simulation. The checks deliberately
 //! re-derive what they check (def-use chains, ASAP levels, connected
 //! components) instead of calling the engines' own routines, so a bug
 //! in an engine cannot hide behind the same bug in its checker: the
@@ -11,7 +11,6 @@
 //! resources rather than reusing [`DefectMap::route_avoiding`].
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
 
 use scq_braid::{braid_mesh_dims, factory_sites};
 use scq_ir::{Circuit, DependencyDag};
@@ -115,336 +114,254 @@ impl<'a> FabricView<'a> {
     }
 }
 
-/// Everything a check pass may look at.
-#[derive(Clone, Debug)]
-pub struct CheckContext<'a> {
-    /// The circuit under check.
-    pub circuit: &'a Circuit,
-    /// Its dependency DAG.
-    pub dag: &'a DependencyDag,
-    /// The fabric(s) the circuit targets (may be empty for pure IR
-    /// checks).
-    pub fabrics: Vec<FabricView<'a>>,
+/// The four static checks, in the order `scq check` runs them. Each
+/// reports violations of the [`Invariant`] it is named after.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StaticCheck {
+    /// The dependency DAG is a well-formed acyclic graph: it has one
+    /// node per instruction, every edge points backwards in program
+    /// order (program order being a topological order makes any forward
+    /// or self edge a cycle), preds/succs mirror each other, and the
+    /// precomputed ASAP levels match a fresh recomputation.
+    Acyclicity,
+    /// Operands and def-use chains: every operand is in range,
+    /// two-qubit gates touch two distinct qubits, and the DAG's edges
+    /// are exactly the circuit's last-touch chains (recomputed here
+    /// from scratch). Unused qubits are reported as warnings.
+    DefUse,
+    /// Each fabric's anchor map: anchors and factory sites lie on the
+    /// topology and are pairwise distinct (two qubits sharing one
+    /// anchor would silently braid against themselves). An anchor
+    /// coinciding with a factory site is reported as a warning.
+    DuplicateAnchor,
+    /// Static admission: decides from the topology and defect map alone
+    /// — no routing, no simulation — whether the circuit's
+    /// communication demand is satisfiable. Runs its own flood fill
+    /// over live nodes and links ([`live_components`], never
+    /// [`DefectMap::route_avoiding`]), then checks that every used
+    /// anchor is alive, that two-qubit partners share a component
+    /// (braid fabrics), and that every factory consumer's component
+    /// contains a live factory.
+    Admission,
 }
 
-/// One static analysis over a [`CheckContext`].
-pub trait CheckPass {
-    /// Stable display name of the pass.
-    fn name(&self) -> &'static str;
-    /// Runs the analysis, appending findings to `out`.
-    fn run(&self, cx: &CheckContext<'_>, out: &mut Vec<Finding>);
-}
+impl StaticCheck {
+    /// Every check, in run order.
+    pub const ALL: [StaticCheck; 4] = [
+        StaticCheck::Acyclicity,
+        StaticCheck::DefUse,
+        StaticCheck::DuplicateAnchor,
+        StaticCheck::Admission,
+    ];
 
-/// Wall-time of one pass within a [`CheckReport`].
-#[derive(Clone, Copy, Debug)]
-pub struct PassTiming {
-    /// The pass name.
-    pub pass: &'static str,
-    /// How long the pass ran.
-    pub duration: Duration,
-}
-
-/// The outcome of a [`PassRunner`] run: every finding plus per-pass
-/// wall time.
-#[derive(Clone, Debug, Default)]
-pub struct CheckReport {
-    /// All findings, in pass order.
-    pub findings: Vec<Finding>,
-    /// Per-pass timing, in execution order.
-    pub timings: Vec<PassTiming>,
-}
-
-impl CheckReport {
-    /// `true` when no finding has error severity.
-    pub fn is_clean(&self) -> bool {
-        self.error_count() == 0
+    /// Stable display name: the name of its [`Invariant`].
+    pub fn name(self) -> &'static str {
+        let invariant = match self {
+            StaticCheck::Acyclicity => Invariant::Acyclicity,
+            StaticCheck::DefUse => Invariant::DefUse,
+            StaticCheck::DuplicateAnchor => Invariant::DuplicateAnchor,
+            StaticCheck::Admission => Invariant::Admission,
+        };
+        invariant.name()
     }
 
-    /// Number of error-severity findings.
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == crate::finding::Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.findings.len() - self.error_count()
-    }
-}
-
-/// A minimal sequential pass manager: runs each registered
-/// [`CheckPass`] in order, timing it, and collects everything into one
-/// [`CheckReport`].
-#[derive(Default)]
-pub struct PassRunner {
-    passes: Vec<Box<dyn CheckPass>>,
-}
-
-impl PassRunner {
-    /// An empty runner.
-    pub fn new() -> Self {
-        PassRunner::default()
-    }
-
-    /// The standard pipeline: DAG acyclicity, def-use, duplicate
-    /// anchors, static admission.
-    pub fn standard() -> Self {
-        let mut r = PassRunner::new();
-        r.push(Box::new(AcyclicityPass));
-        r.push(Box::new(DefUsePass));
-        r.push(Box::new(DuplicateAnchorPass));
-        r.push(Box::new(AdmissionPass));
-        r
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn push(&mut self, pass: Box<dyn CheckPass>) {
-        self.passes.push(pass);
-    }
-
-    /// Runs every pass over `cx`.
-    pub fn run(&self, cx: &CheckContext<'_>) -> CheckReport {
-        let mut report = CheckReport::default();
-        for pass in &self.passes {
-            let start = Instant::now();
-            pass.run(cx, &mut report.findings);
-            report.timings.push(PassTiming {
-                pass: pass.name(),
-                duration: start.elapsed(),
-            });
+    /// Runs the check over `circuit`, its `dag` and the `fabrics` it
+    /// targets (which may be empty for the IR checks), appending
+    /// findings to `out`.
+    pub fn run(
+        self,
+        circuit: &Circuit,
+        dag: &DependencyDag,
+        fabrics: &[FabricView<'_>],
+        out: &mut Vec<Finding>,
+    ) {
+        match self {
+            StaticCheck::Acyclicity => check_acyclicity(circuit, dag, out),
+            StaticCheck::DefUse => check_def_use(circuit, dag, out),
+            StaticCheck::DuplicateAnchor => check_anchors(fabrics, out),
+            StaticCheck::Admission => check_admission(circuit, fabrics, out),
         }
-        report
     }
 }
 
-/// Verifies the dependency DAG is a well-formed acyclic graph: it has
-/// one node per instruction, every edge points backwards in program
-/// order (program order being a topological order makes any forward or
-/// self edge a cycle), preds/succs mirror each other, and the
-/// precomputed ASAP levels match a fresh recomputation.
-pub struct AcyclicityPass;
-
-impl CheckPass for AcyclicityPass {
-    fn name(&self) -> &'static str {
-        "dag-acyclicity"
+fn check_acyclicity(circuit: &Circuit, dag: &DependencyDag, out: &mut Vec<Finding>) {
+    if dag.len() != circuit.len() {
+        out.push(Finding::error(
+            Invariant::Acyclicity,
+            format!(
+                "dag has {} nodes but the circuit has {} instructions",
+                dag.len(),
+                circuit.len()
+            ),
+        ));
+        return;
     }
-
-    fn run(&self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        let dag = cx.dag;
-        if dag.len() != cx.circuit.len() {
-            out.push(Finding::error(
-                Invariant::Acyclicity,
-                format!(
-                    "dag has {} nodes but the circuit has {} instructions",
-                    dag.len(),
-                    cx.circuit.len()
-                ),
-            ));
-            return;
-        }
-        for i in 0..dag.len() {
-            let mut level = 0u32;
-            for &p in dag.preds(i) {
-                if p as usize >= i {
-                    out.push(
-                        Finding::error(
-                            Invariant::Acyclicity,
-                            format!("edge {p} -> {i} does not point backwards in program order"),
-                        )
-                        .with_op(i as u32),
-                    );
-                    continue;
-                }
-                if !dag.succs(p as usize).contains(&(i as u32)) {
-                    out.push(
-                        Finding::error(
-                            Invariant::Acyclicity,
-                            format!("pred edge {p} -> {i} has no mirroring succ edge"),
-                        )
-                        .with_op(i as u32),
-                    );
-                }
-                level = level.max(dag.asap_level(p as usize) + 1);
-            }
-            if dag.asap_level(i) != level {
+    for i in 0..dag.len() {
+        let mut level = 0u32;
+        for &p in dag.preds(i) {
+            if p as usize >= i {
                 out.push(
                     Finding::error(
                         Invariant::Acyclicity,
-                        format!(
-                            "asap level of op {i} is {} but its preds imply {level}",
-                            dag.asap_level(i)
-                        ),
+                        format!("edge {p} -> {i} does not point backwards in program order"),
+                    )
+                    .with_op(i as u32),
+                );
+                continue;
+            }
+            if !dag.succs(p as usize).contains(&(i as u32)) {
+                out.push(
+                    Finding::error(
+                        Invariant::Acyclicity,
+                        format!("pred edge {p} -> {i} has no mirroring succ edge"),
                     )
                     .with_op(i as u32),
                 );
             }
+            level = level.max(dag.asap_level(p as usize) + 1);
+        }
+        if dag.asap_level(i) != level {
+            out.push(
+                Finding::error(
+                    Invariant::Acyclicity,
+                    format!(
+                        "asap level of op {i} is {} but its preds imply {level}",
+                        dag.asap_level(i)
+                    ),
+                )
+                .with_op(i as u32),
+            );
         }
     }
 }
 
-/// Verifies operands and def-use chains: every operand is in range,
-/// two-qubit gates touch two distinct qubits, and the DAG's edges are
-/// exactly the circuit's last-touch chains (recomputed here from
-/// scratch). Unused qubits are reported as warnings.
-pub struct DefUsePass;
-
-impl CheckPass for DefUsePass {
-    fn name(&self) -> &'static str {
-        "def-use"
-    }
-
-    fn run(&self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        let circuit = cx.circuit;
-        let n_qubits = circuit.num_qubits() as usize;
-        let mut touched = vec![false; n_qubits];
-        let mut last_touch: Vec<Option<u32>> = vec![None; n_qubits];
-        for (i, inst) in circuit.iter().enumerate() {
-            let qs = inst.qubits();
-            if qs.len() == 2 && qs[0] == qs[1] {
+fn check_def_use(circuit: &Circuit, dag: &DependencyDag, out: &mut Vec<Finding>) {
+    let n_qubits = circuit.num_qubits() as usize;
+    let mut touched = vec![false; n_qubits];
+    let mut last_touch: Vec<Option<u32>> = vec![None; n_qubits];
+    for (i, inst) in circuit.iter().enumerate() {
+        let qs = inst.qubits();
+        if qs.len() == 2 && qs[0] == qs[1] {
+            out.push(
+                Finding::error(
+                    Invariant::DefUse,
+                    format!(
+                        "two-qubit {} has identical operands {}",
+                        inst.gate().mnemonic(),
+                        qs[0]
+                    ),
+                )
+                .with_op(i as u32),
+            );
+        }
+        let mut expected: Vec<u32> = Vec::with_capacity(2);
+        for &q in qs {
+            if q.index() >= n_qubits {
+                out.push(
+                    Finding::error(
+                        Invariant::DefUse,
+                        format!("operand {q} out of range for a {n_qubits}-qubit circuit"),
+                    )
+                    .with_op(i as u32),
+                );
+                continue;
+            }
+            touched[q.index()] = true;
+            if let Some(p) = last_touch[q.index()] {
+                if !expected.contains(&p) {
+                    expected.push(p);
+                }
+            }
+            last_touch[q.index()] = Some(i as u32);
+        }
+        if dag.len() == circuit.len() {
+            let mut actual: Vec<u32> = dag.preds(i).to_vec();
+            actual.sort_unstable();
+            expected.sort_unstable();
+            if actual != expected {
                 out.push(
                     Finding::error(
                         Invariant::DefUse,
                         format!(
-                            "two-qubit {} has identical operands {}",
-                            inst.gate().mnemonic(),
-                            qs[0]
+                            "dag preds of op {i} are {actual:?} but def-use chains imply {expected:?}"
                         ),
                     )
                     .with_op(i as u32),
                 );
             }
-            let mut expected: Vec<u32> = Vec::with_capacity(2);
-            for &q in qs {
-                if q.index() >= n_qubits {
-                    out.push(
-                        Finding::error(
-                            Invariant::DefUse,
-                            format!("operand {q} out of range for a {n_qubits}-qubit circuit"),
-                        )
-                        .with_op(i as u32),
-                    );
-                    continue;
-                }
-                touched[q.index()] = true;
-                if let Some(p) = last_touch[q.index()] {
-                    if !expected.contains(&p) {
-                        expected.push(p);
-                    }
-                }
-                last_touch[q.index()] = Some(i as u32);
-            }
-            if cx.dag.len() == circuit.len() {
-                let mut actual: Vec<u32> = cx.dag.preds(i).to_vec();
-                actual.sort_unstable();
-                expected.sort_unstable();
-                if actual != expected {
-                    out.push(
-                        Finding::error(
-                            Invariant::DefUse,
-                            format!(
-                                "dag preds of op {i} are {actual:?} but def-use chains imply {expected:?}"
-                            ),
-                        )
-                        .with_op(i as u32),
-                    );
-                }
-            }
         }
-        for (q, &used) in touched.iter().enumerate() {
-            if !used && !circuit.is_empty() {
-                out.push(Finding::warning(
-                    Invariant::DefUse,
-                    format!("qubit q{q} is declared but never used"),
-                ));
-            }
+    }
+    for (q, &used) in touched.iter().enumerate() {
+        if !used && !circuit.is_empty() {
+            out.push(Finding::warning(
+                Invariant::DefUse,
+                format!("qubit q{q} is declared but never used"),
+            ));
         }
     }
 }
 
-/// Verifies each fabric's anchor map: anchors and factory sites lie on
-/// the topology and are pairwise distinct (two qubits sharing one
-/// anchor would silently braid against themselves). An anchor
-/// coinciding with a factory site is reported as a warning.
-pub struct DuplicateAnchorPass;
-
-impl CheckPass for DuplicateAnchorPass {
-    fn name(&self) -> &'static str {
-        "duplicate-anchor"
-    }
-
-    fn run(&self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        for fabric in &cx.fabrics {
-            let mut seen: HashSet<Coord> = HashSet::new();
-            for (q, &a) in fabric.anchors.iter().enumerate() {
-                if !fabric.topology.contains(a) {
-                    out.push(
-                        Finding::error(
-                            Invariant::DuplicateAnchor,
-                            format!("{}: anchor of q{q} is off the fabric", fabric.name),
-                        )
-                        .with_node(a),
-                    );
-                }
-                if !seen.insert(a) {
-                    out.push(
-                        Finding::error(
-                            Invariant::DuplicateAnchor,
-                            format!(
-                                "{}: two qubits anchor at the same node (q{q} collides)",
-                                fabric.name
-                            ),
-                        )
-                        .with_node(a),
-                    );
-                }
+fn check_anchors(fabrics: &[FabricView<'_>], out: &mut Vec<Finding>) {
+    for fabric in fabrics {
+        let mut seen: HashSet<Coord> = HashSet::new();
+        for (q, &a) in fabric.anchors.iter().enumerate() {
+            if !fabric.topology.contains(a) {
+                out.push(
+                    Finding::error(
+                        Invariant::DuplicateAnchor,
+                        format!("{}: anchor of q{q} is off the fabric", fabric.name),
+                    )
+                    .with_node(a),
+                );
             }
-            let mut fseen: HashSet<Coord> = HashSet::new();
-            for &f in &fabric.factories {
-                if !fabric.topology.contains(f) {
-                    out.push(
-                        Finding::error(
-                            Invariant::DuplicateAnchor,
-                            format!("{}: factory site off the fabric", fabric.name),
-                        )
-                        .with_node(f),
-                    );
-                }
-                if !fseen.insert(f) {
-                    out.push(
-                        Finding::error(
-                            Invariant::DuplicateAnchor,
-                            format!("{}: duplicate factory site", fabric.name),
-                        )
-                        .with_node(f),
-                    );
-                }
-                if seen.contains(&f) {
-                    out.push(
-                        Finding::warning(
-                            Invariant::DuplicateAnchor,
-                            format!(
-                                "{}: factory site coincides with a qubit anchor",
-                                fabric.name
-                            ),
-                        )
-                        .with_node(f),
-                    );
-                }
+            if !seen.insert(a) {
+                out.push(
+                    Finding::error(
+                        Invariant::DuplicateAnchor,
+                        format!(
+                            "{}: two qubits anchor at the same node (q{q} collides)",
+                            fabric.name
+                        ),
+                    )
+                    .with_node(a),
+                );
+            }
+        }
+        let mut fseen: HashSet<Coord> = HashSet::new();
+        for &f in &fabric.factories {
+            if !fabric.topology.contains(f) {
+                out.push(
+                    Finding::error(
+                        Invariant::DuplicateAnchor,
+                        format!("{}: factory site off the fabric", fabric.name),
+                    )
+                    .with_node(f),
+                );
+            }
+            if !fseen.insert(f) {
+                out.push(
+                    Finding::error(
+                        Invariant::DuplicateAnchor,
+                        format!("{}: duplicate factory site", fabric.name),
+                    )
+                    .with_node(f),
+                );
+            }
+            if seen.contains(&f) {
+                out.push(
+                    Finding::warning(
+                        Invariant::DuplicateAnchor,
+                        format!(
+                            "{}: factory site coincides with a qubit anchor",
+                            fabric.name
+                        ),
+                    )
+                    .with_node(f),
+                );
             }
         }
     }
 }
-
-/// Static admission: decides from the topology and defect map alone —
-/// no routing, no simulation — whether the circuit's communication
-/// demand is satisfiable. Runs its own flood fill over live nodes and
-/// links (never [`DefectMap::route_avoiding`]) to find connected
-/// components, then checks that every used anchor is alive, that
-/// two-qubit partners share a component (braid fabrics), and that every
-/// factory consumer's component contains a live factory.
-pub struct AdmissionPass;
 
 /// Connected components over the live sub-mesh, computed independently
 /// of any engine routing code: nodes indexed `y * width + x`, flood
@@ -494,104 +411,98 @@ pub fn live_components(topology: Topology, defects: Option<&DefectMap>) -> Vec<O
     comp
 }
 
-impl CheckPass for AdmissionPass {
-    fn name(&self) -> &'static str {
-        "static-admission"
-    }
-
-    fn run(&self, cx: &CheckContext<'_>, out: &mut Vec<Finding>) {
-        for fabric in &cx.fabrics {
-            let w = fabric.topology.width();
-            let comp = live_components(fabric.topology, fabric.defects);
-            let comp_of = |c: Coord| -> Option<u32> {
-                if !fabric.topology.contains(c) {
-                    return None;
-                }
-                comp[(c.y * w + c.x) as usize]
-            };
-            // Which components hold a live factory.
-            let factory_comps: HashSet<u32> = fabric
-                .factories
-                .iter()
-                .filter_map(|&f| comp_of(f))
-                .collect();
-            if factory_comps.is_empty() && !fabric.factory_users.is_empty() {
-                out.push(Finding::error(
-                    Invariant::Admission,
-                    format!(
-                        "{}: every factory site is dead or off the fabric",
-                        fabric.name
-                    ),
-                ));
+fn check_admission(circuit: &Circuit, fabrics: &[FabricView<'_>], out: &mut Vec<Finding>) {
+    for fabric in fabrics {
+        let w = fabric.topology.width();
+        let comp = live_components(fabric.topology, fabric.defects);
+        let comp_of = |c: Coord| -> Option<u32> {
+            if !fabric.topology.contains(c) {
+                return None;
             }
-            // Anchors of qubits the circuit actually touches must live.
-            let mut used: Vec<bool> = vec![false; fabric.anchors.len()];
-            for inst in cx.circuit.iter() {
-                for &q in inst.qubits() {
-                    if q.index() < used.len() {
-                        used[q.index()] = true;
-                    }
+            comp[(c.y * w + c.x) as usize]
+        };
+        // Which components hold a live factory.
+        let factory_comps: HashSet<u32> = fabric
+            .factories
+            .iter()
+            .filter_map(|&f| comp_of(f))
+            .collect();
+        if factory_comps.is_empty() && !fabric.factory_users.is_empty() {
+            out.push(Finding::error(
+                Invariant::Admission,
+                format!(
+                    "{}: every factory site is dead or off the fabric",
+                    fabric.name
+                ),
+            ));
+        }
+        // Anchors of qubits the circuit actually touches must live.
+        let mut used: Vec<bool> = vec![false; fabric.anchors.len()];
+        for inst in circuit.iter() {
+            for &q in inst.qubits() {
+                if q.index() < used.len() {
+                    used[q.index()] = true;
                 }
             }
-            for (q, &is_used) in used.iter().enumerate() {
-                if is_used && comp_of(fabric.anchors[q]).is_none() {
-                    out.push(
-                        Finding::error(
-                            Invariant::Admission,
-                            format!("{}: anchor of q{q} sits on a dead node", fabric.name),
-                        )
-                        .with_node(fabric.anchors[q]),
-                    );
-                }
+        }
+        for (q, &is_used) in used.iter().enumerate() {
+            if is_used && comp_of(fabric.anchors[q]).is_none() {
+                out.push(
+                    Finding::error(
+                        Invariant::Admission,
+                        format!("{}: anchor of q{q} sits on a dead node", fabric.name),
+                    )
+                    .with_node(fabric.anchors[q]),
+                );
             }
-            // Two-qubit partners must share a component on fabrics that
-            // communicate anchor-to-anchor.
-            if fabric.pair_connectivity {
-                for (i, inst) in cx.circuit.iter().enumerate() {
-                    let qs = inst.qubits();
-                    if qs.len() != 2 {
-                        continue;
-                    }
-                    let (a, b) = (qs[0].index(), qs[1].index());
-                    if a >= fabric.anchors.len() || b >= fabric.anchors.len() {
-                        continue;
-                    }
-                    let (ca, cb) = (comp_of(fabric.anchors[a]), comp_of(fabric.anchors[b]));
-                    if let (Some(ca), Some(cb)) = (ca, cb) {
-                        if ca != cb {
-                            out.push(
-                                Finding::error(
-                                    Invariant::Admission,
-                                    format!(
-                                        "{}: {} q{a}, q{b} spans a fabric cut (no live route exists)",
-                                        fabric.name,
-                                        inst.gate().mnemonic()
-                                    ),
-                                )
-                                .with_op(i as u32)
-                                .with_node(fabric.anchors[a]),
-                            );
-                        }
-                    }
-                }
-            }
-            // Factory consumers must reach a live factory.
-            for &q in &fabric.factory_users {
-                let Some(&anchor) = fabric.anchors.get(q as usize) else {
+        }
+        // Two-qubit partners must share a component on fabrics that
+        // communicate anchor-to-anchor.
+        if fabric.pair_connectivity {
+            for (i, inst) in circuit.iter().enumerate() {
+                let qs = inst.qubits();
+                if qs.len() != 2 {
                     continue;
-                };
-                match comp_of(anchor) {
-                    Some(c) if factory_comps.contains(&c) => {}
-                    Some(_) => out.push(
-                        Finding::error(
-                            Invariant::Admission,
-                            format!("{}: q{q} cannot reach any live factory", fabric.name),
-                        )
-                        .with_node(anchor),
-                    ),
-                    // Dead anchor already reported above.
-                    None => {}
                 }
+                let (a, b) = (qs[0].index(), qs[1].index());
+                if a >= fabric.anchors.len() || b >= fabric.anchors.len() {
+                    continue;
+                }
+                let (ca, cb) = (comp_of(fabric.anchors[a]), comp_of(fabric.anchors[b]));
+                if let (Some(ca), Some(cb)) = (ca, cb) {
+                    if ca != cb {
+                        out.push(
+                            Finding::error(
+                                Invariant::Admission,
+                                format!(
+                                    "{}: {} q{a}, q{b} spans a fabric cut (no live route exists)",
+                                    fabric.name,
+                                    inst.gate().mnemonic()
+                                ),
+                            )
+                            .with_op(i as u32)
+                            .with_node(fabric.anchors[a]),
+                        );
+                    }
+                }
+            }
+        }
+        // Factory consumers must reach a live factory.
+        for &q in &fabric.factory_users {
+            let Some(&anchor) = fabric.anchors.get(q as usize) else {
+                continue;
+            };
+            match comp_of(anchor) {
+                Some(c) if factory_comps.contains(&c) => {}
+                Some(_) => out.push(
+                    Finding::error(
+                        Invariant::Admission,
+                        format!("{}: q{q} cannot reach any live factory", fabric.name),
+                    )
+                    .with_node(anchor),
+                ),
+                // Dead anchor already reported above.
+                None => {}
             }
         }
     }
@@ -600,6 +511,7 @@ impl CheckPass for AdmissionPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::Severity;
 
     fn t_chain(n: u32) -> Circuit {
         let mut b = Circuit::builder("chk", n);
@@ -612,20 +524,24 @@ mod tests {
         b.finish()
     }
 
-    fn context_for<'a>(
-        circuit: &'a Circuit,
-        dag: &'a DependencyDag,
-        fabrics: Vec<FabricView<'a>>,
-    ) -> CheckContext<'a> {
-        CheckContext {
-            circuit,
-            dag,
-            fabrics,
+    /// Every static check's findings, in check order.
+    fn checked(circuit: &Circuit, dag: &DependencyDag, fabrics: &[FabricView<'_>]) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for check in StaticCheck::ALL {
+            check.run(circuit, dag, fabrics, &mut out);
         }
+        out
+    }
+
+    fn errors(findings: &[Finding]) -> usize {
+        findings
+            .iter()
+            .filter(|f| f.severity == Severity::Error)
+            .count()
     }
 
     #[test]
-    fn clean_circuit_certifies_clean_with_timings() {
+    fn clean_circuit_checks_clean() {
         let c = t_chain(6);
         let dag = DependencyDag::from_circuit(&c);
         let layout = scq_layout::place(
@@ -634,18 +550,12 @@ mod tests {
             None,
         );
         let machine = PlanarMachine::new(c.num_qubits(), None);
-        let cx = context_for(
-            &c,
-            &dag,
-            vec![
-                FabricView::braid(&layout, &c, None, None),
-                FabricView::planar(&machine, &c, None),
-            ],
-        );
-        let report = PassRunner::standard().run(&cx);
-        assert!(report.is_clean(), "{:?}", report.findings);
-        assert_eq!(report.timings.len(), 4);
-        assert_eq!(report.timings[0].pass, "dag-acyclicity");
+        let fabrics = [
+            FabricView::braid(&layout, &c, None, None),
+            FabricView::planar(&machine, &c, None),
+        ];
+        let findings = checked(&c, &dag, &fabrics);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -653,11 +563,9 @@ mod tests {
         let c = t_chain(4);
         let other = t_chain(3);
         let dag = DependencyDag::from_circuit(&other);
-        let cx = context_for(&c, &dag, Vec::new());
-        let report = PassRunner::standard().run(&cx);
-        assert!(!report.is_clean());
-        assert!(report
-            .findings
+        let findings = checked(&c, &dag, &[]);
+        assert!(errors(&findings) > 0);
+        assert!(findings
             .iter()
             .any(|f| f.invariant == Invariant::Acyclicity));
     }
@@ -668,9 +576,9 @@ mod tests {
         b.h(0).cnot(0, 2);
         let c = b.finish();
         let dag = DependencyDag::from_circuit(&c);
-        let report = PassRunner::standard().run(&context_for(&c, &dag, Vec::new()));
-        assert!(report.is_clean());
-        assert_eq!(report.warning_count(), 1);
+        let findings = checked(&c, &dag, &[]);
+        assert_eq!(errors(&findings), 0);
+        assert_eq!(findings.len(), 1);
     }
 
     #[test]
@@ -687,14 +595,9 @@ mod tests {
         let map =
             DefectMap::from_text(&format!("dims {mw} {mh}\nnode {} {}\n", anchor.x, anchor.y))
                 .unwrap();
-        let cx = context_for(
-            &c,
-            &dag,
-            vec![FabricView::braid(&layout, &c, None, Some(&map))],
-        );
-        let report = PassRunner::standard().run(&cx);
-        assert!(report
-            .findings
+        let fabrics = [FabricView::braid(&layout, &c, None, Some(&map))];
+        let findings = checked(&c, &dag, &fabrics);
+        assert!(findings
             .iter()
             .any(|f| f.invariant == Invariant::Admission && f.node == Some(anchor)));
     }
@@ -730,19 +633,11 @@ mod tests {
             }
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let cx = context_for(
-            &c,
-            &dag,
-            vec![FabricView::braid(&layout, &c, None, Some(&map))],
-        );
-        let report = PassRunner::standard().run(&cx);
+        let fabrics = [FabricView::braid(&layout, &c, None, Some(&map))];
+        let findings = checked(&c, &dag, &fabrics);
         assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.invariant == Invariant::Admission),
-            "{:?}",
-            report.findings
+            findings.iter().any(|f| f.invariant == Invariant::Admission),
+            "{findings:?}"
         );
     }
 }

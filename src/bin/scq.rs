@@ -36,9 +36,10 @@
 //! exit) on any invariant violation.
 //!
 //! `schedule`, `check` and `heatmap` are runs of the `scq-core` pass
-//! pipeline — the same passes `run_toolflow` executes — so
-//! `schedule --timings` prints the run's own per-pass wall-clock
-//! breakdown together with each artifact's content hash.
+//! pipeline — the same passes `run_toolflow` executes, with the checks
+//! and certifiers as passes too — so `check` and `schedule --timings`
+//! print the run's own per-pass wall-clock breakdown, the latter
+//! together with each artifact's content hash.
 //!
 //! Output goes through one locked stdout writer; a reader that closes
 //! the pipe early (`scq heatmap ... | head`) ends the command quietly,
@@ -59,8 +60,7 @@ use scq::estimate::{estimate_both, AppProfile, EstimateConfig};
 use scq::ir::{analysis, circuit_from_qasm, optimize, Circuit, CliError, DependencyDag};
 use scq::serve::{load_request_file, BatchRunner};
 use scq::surface::Technology;
-use scq::teleport::PlanarMachine;
-use scq::verify::{CheckContext, FabricView, Finding, PassRunner, Severity};
+use scq::verify::Severity;
 
 /// Standard output, locked once for the whole command.
 type Out = io::StdoutLock<'static>;
@@ -255,60 +255,51 @@ fn stopped(run: Result<PipelineTrace, ToolflowError>) -> Box<dyn Error> {
     }
 }
 
-/// Prints findings and converts any error-severity one into a CLI
-/// failure naming the violated invariant.
-fn report_findings(out: &mut Out, findings: &[Finding], what: &str) -> CliResult {
-    for f in findings {
+/// Prints the findings of the run's passes that `reported` accepts by
+/// name and converts any error-severity one into a CLI failure naming
+/// `what`; returns the number of warnings otherwise.
+fn report_findings(
+    out: &mut Out,
+    cx: &ArtifactContext,
+    reported: impl Fn(&str) -> bool,
+    what: &str,
+) -> Result<usize, Box<dyn Error>> {
+    let (mut errors, mut warnings) = (0, 0);
+    for (_, f) in cx.findings().iter().filter(|(pass, _)| reported(pass)) {
         writeln!(out, "  {f}")?;
+        match f.severity {
+            Severity::Error => errors += 1,
+            Severity::Warning => warnings += 1,
+        }
     }
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .count();
     if errors > 0 {
         return Err(CliError::invalid(format!(
             "{what} failed certification with {errors} finding(s)"
         ))
         .into());
     }
-    Ok(())
+    Ok(warnings)
 }
 
 fn cmd_check(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
     let (policy, code_distance) = (parse_policy(&pos)?, parse_distance(&pos, 1)?);
+    // Frontend + mapping, the same stages `run_toolflow` runs, then
+    // the independent scq-verify checks on the defect spec
+    // materialized on both backends' meshes.
     let mut cx = context(circuit, policy, code_distance, defects);
-    // Frontend + mapping through the shared toolflow pass pipeline —
-    // the same stages `run_toolflow` runs — and the defect spec on both
-    // backends' meshes, then the independent scq-verify check passes
-    // over the resulting artifacts.
-    let pipeline = PipelineRunner::analysis().run(&mut cx)?;
-    cx.materialize_defects(&[BackendKind::Braid, BackendKind::Planar])?;
+    let pipeline = PipelineRunner::check().run(&mut cx)?;
     print_notes(&cx);
     describe_defects(out, &cx, BackendKind::Braid)?;
     describe_defects(out, &cx, BackendKind::Planar)?;
-    let (Some(dag), Some(layout)) = (cx.dag(), cx.layout()) else {
-        return Err(CliError::invalid("analysis pipeline deposited no DAG/layout").into());
-    };
-    let machine = PlanarMachine::new(circuit.num_qubits(), None);
-    let check = CheckContext {
-        circuit,
-        dag,
-        fabrics: vec![
-            FabricView::braid(layout, circuit, None, cx.defect_map(BackendKind::Braid)),
-            FabricView::planar(&machine, circuit, cx.defect_map(BackendKind::Planar)),
-        ],
-    };
-    let report = PassRunner::standard().run(&check);
-    for t in pipeline.timings.iter().chain(&report.timings) {
+    for t in &pipeline.timings {
         writeln!(out, "pass {:<20} {:>9.1?}", t.pass, t.duration)?;
     }
-    report_findings(out, &report.findings, circuit.name())?;
+    let warnings = report_findings(out, &cx, |_| true, circuit.name())?;
     writeln!(
         out,
-        "check: {} passed ({} warning(s))",
-        circuit.name(),
-        report.warning_count()
+        "check: {} passed ({warnings} warning(s))",
+        circuit.name()
     )?;
     Ok(())
 }
@@ -324,11 +315,16 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult 
     let (pos, defects) = parse_defect_opts(&rest)?;
     let policy = parse_policy(&pos)?;
     let code_distance = parse_distance(&pos, 1)?;
-    // Both backends in one traced run of the pass pipeline. The report
-    // follows the run as far as it got, so a failure still prints what
-    // preceded it.
+    // Both backends in one traced run of the pass pipeline, certified
+    // under --verify. The report follows the run as far as it got, so
+    // a failure still prints what preceded it.
+    let runner = if verify {
+        PipelineRunner::schedules().certified()
+    } else {
+        PipelineRunner::schedules()
+    };
     let mut cx = context(circuit, policy, code_distance, defects).with_trace(true);
-    let run = PipelineRunner::schedules().run(&mut cx);
+    let run = runner.run(&mut cx);
     print_notes(&cx);
     describe_defects(out, &cx, BackendKind::Braid)?;
     let (Some(braid), Some(trace)) = (cx.braid(), cx.braid_trace()) else {
@@ -339,8 +335,7 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult 
     writeln!(out, "double-defect ({policy}, d={code_distance}): {braid}")?;
     writeln!(out, "  static replay: conflict-free ({legs} braid legs)")?;
     if verify {
-        let findings = cx.certify(BackendKind::Braid).ok_or("no braid trace")?;
-        report_findings(out, &findings, "braid schedule")?;
+        report_findings(out, &cx, |p| p == "certify-braid", "braid schedule")?;
         writeln!(out, "  certified: {legs} braid invariants hold")?;
     }
     describe_defects(out, &cx, BackendKind::Planar)?;
@@ -348,8 +343,7 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult 
         return Err(stopped(run));
     };
     if verify {
-        let findings = cx.certify(BackendKind::Planar).ok_or("no EPR transcript")?;
-        report_findings(out, &findings, "planar schedule")?;
+        report_findings(out, &cx, |p| p == "certify-planar", "planar schedule")?;
     }
     writeln!(
         out,

@@ -232,7 +232,9 @@ per-pass timings:
   pass interaction-analysis
   pass layout
   pass braid-schedule
+  pass certify-braid
   pass planar-schedule
+  pass certify-planar
 artifact hashes:
   normalized-ir        4c73514c89e0c775  [normalize-ir]
   circuit-stats        6d616e95c9a3e1d6  [normalize-ir]
