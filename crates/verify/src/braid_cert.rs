@@ -16,7 +16,7 @@ use scq_braid::BraidTrace;
 use scq_ir::{Circuit, DependencyDag};
 use scq_mesh::{Coord, DefectMap};
 
-use crate::finding::{Finding, Invariant};
+use crate::finding::{sort_findings, Finding, Invariant};
 
 /// A spatial resource a braid can hold: a router, or the link between
 /// two adjacent routers (normalized so either traversal direction maps
@@ -37,7 +37,7 @@ fn link_key(a: Coord, b: Coord) -> Resource {
 
 /// Certifies a braid schedule trace against the circuit and DAG it was
 /// scheduled from, reporting every invariant violation as a located
-/// [`Finding`] (empty = certified clean).
+/// [`Finding`] (empty = certified clean), in one reproducible order.
 ///
 /// Checks, per the invariants in [`Invariant`]:
 ///
@@ -132,6 +132,7 @@ pub fn certify_braid_trace(
 
     check_exclusivity(trace, &mut out);
     check_dependencies(trace, circuit, dag, &mut out);
+    sort_findings(&mut out);
     out
 }
 

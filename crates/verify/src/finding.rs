@@ -152,6 +152,17 @@ impl Finding {
     }
 }
 
+/// Puts a certifier's findings in one reproducible order — by cycle,
+/// op, invariant, location, then message — whatever order the
+/// `HashMap`s behind them iterated in.
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
+    fn key(f: &Finding) -> impl Ord + '_ {
+        let place = (f.node, f.link, f.message.as_str());
+        (f.cycle, f.op, f.invariant.name(), place)
+    }
+    findings.sort_by(|a, b| key(a).cmp(&key(b)));
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tag = match self.severity {

@@ -14,11 +14,12 @@ use scq_ir::{Circuit, DependencyDag};
 use scq_mesh::{Coord, DefectMap, FabricConfig, HopRecord};
 use scq_teleport::{EprTranscript, PlanarSchedule};
 
-use crate::finding::{Finding, Invariant};
+use crate::finding::{sort_findings, Finding, Invariant};
 
 /// Certifies a planar schedule and its EPR transcript against the
 /// circuit and DAG they were scheduled from, reporting every invariant
-/// violation as a located [`Finding`] (empty = certified clean).
+/// violation as a located [`Finding`] (empty = certified clean), in one
+/// reproducible order.
 ///
 /// Checks, per the invariants in [`Invariant`]:
 ///
@@ -62,6 +63,7 @@ pub fn certify_planar_schedule(
     }
     check_lanes(transcript, &mut out);
     check_dependencies(schedule, circuit, dag, &mut out);
+    sort_findings(&mut out);
     out
 }
 

@@ -263,3 +263,40 @@ fn planar_transient_fault_on_clean_fabric_flags_defect_avoidance() {
     let findings = certify_planar_schedule(&s, &t, &c, &dag, None);
     assert_flags(&findings, Invariant::DefectAvoidance);
 }
+
+// ------------------------------------------------------ reproducibility
+
+/// Certifies twenty times over and requires the same findings in the
+/// same order every time: serve's certification error quotes the first.
+fn assert_one_order(certify: impl Fn() -> Vec<Finding>) {
+    let first = certify();
+    assert!(first.len() > 1, "the mutant must draw several findings");
+    for run in 1..=20 {
+        assert!(certify() == first, "run {run}: the findings changed order");
+    }
+}
+
+#[test]
+fn braid_findings_come_back_in_one_order() {
+    let (c, dag, mut trace) = braid_fixture();
+    // Every event into [0, 10): exclusivity findings on many resources
+    // and dependency findings on many ops, the two checks that collect
+    // through hash maps.
+    for ev in &mut trace.events {
+        ev.open_cycle = 0;
+        ev.close_cycle = 10;
+    }
+    assert_one_order(|| certify_braid_trace(&trace, &c, &dag, None));
+}
+
+#[test]
+fn planar_findings_come_back_in_one_order() {
+    let (c, dag, s, mut t) = planar_fixture();
+    // Every hop held once more than its link has lanes: a lane-capacity
+    // finding on every link the transcript uses.
+    let hops = t.hops.clone();
+    for _ in 0..t.link_capacity {
+        t.hops.extend_from_slice(&hops);
+    }
+    assert_one_order(|| certify_planar_schedule(&s, &t, &c, &dag, None));
+}
