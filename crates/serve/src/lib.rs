@@ -36,8 +36,8 @@ pub use cache::{CacheStats, Provenance, ScheduleCache};
 pub use error::ServeError;
 pub use pool::parallel_map;
 pub use request::{
-    load_request_file, parse_request_line, parse_request_text, NormalizedRequest, RequestSource,
-    ScheduleRequest, ENGINE_VERSION,
+    load_request_file, parse_distance, parse_policy, parse_request_line, parse_request_text,
+    NormalizedRequest, RequestSource, ScheduleRequest, ENGINE_VERSION,
 };
 /// A request's backend and defect spec: the pipeline's own inputs.
 pub use scq_core::{BackendKind, DefectSpec};

@@ -35,7 +35,7 @@
 //! scale=<0..4>        problem size for app= sources    (default 0)
 //! backend=<braid|planar>                               (default braid)
 //! policy=<0..6>       braid priority policy            (default 6)
-//! distance=<odd >= 3> surface code distance            (default 5)
+//! distance=<odd 3..1001> surface code distance         (default 5)
 //! defect-rate=<R>     sample dead resources at R       (default clean)
 //! defect-seed=<S>     sampling / transient-fault seed  (default 0)
 //! defect-map=<file>   explicit defect map (excludes defect-rate; it
@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use scq_apps::Benchmark;
 use scq_braid::BraidConfig;
-use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher};
+use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher, ToolflowConfig};
 use scq_ir::{circuit_from_qasm, Circuit, CliError};
 use scq_teleport::PlanarConfig;
 
@@ -295,24 +295,8 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
                     }
                 };
             }
-            "policy" => {
-                let idx: usize = value
-                    .parse()
-                    .map_err(|_| CliError::invalid(format!("bad policy `{value}`")))?;
-                policy = Policy::from_index(idx)
-                    .ok_or_else(|| CliError::invalid(format!("policy {idx} out of range")))?;
-            }
-            "distance" => {
-                let d: u32 = value
-                    .parse()
-                    .map_err(|_| CliError::invalid(format!("bad distance `{value}`")))?;
-                if d.is_multiple_of(2) || d < 3 {
-                    return Err(CliError::invalid(format!(
-                        "distance must be odd and >= 3, got {d}"
-                    )));
-                }
-                code_distance = d;
-            }
+            "policy" => policy = parse_policy(value)?,
+            "distance" => code_distance = parse_distance(value)?,
             "defect-rate" => {
                 rate = Some(
                     value
@@ -357,6 +341,46 @@ pub fn parse_request_line(line: &str) -> Result<Option<ScheduleRequest>, CliErro
         defects: DefectSpec::from_options(rate, seed, map)?,
         verify,
     }))
+}
+
+/// Parses a braid policy index, `0..=6` — the rule of a request's
+/// `policy=` and of the `scq` CLI's policy argument.
+///
+/// # Errors
+///
+/// [`CliError::Invalid`] for a non-number or an index out of range.
+pub fn parse_policy(value: &str) -> Result<Policy, CliError> {
+    let idx: usize = value
+        .parse()
+        .map_err(|_| CliError::invalid(format!("bad policy `{value}`")))?;
+    Policy::from_index(idx).ok_or_else(|| CliError::invalid(format!("policy {idx} out of range")))
+}
+
+/// Parses a surface code distance — the rule of a request's
+/// `distance=` and of the `scq` CLI's distance argument: odd, at least
+/// 3, and at most the `max_distance` of the default code-distance
+/// model (1001), the largest distance the toolflow ever derives.
+///
+/// # Errors
+///
+/// [`CliError::Invalid`] for a non-number, an even distance, one below
+/// 3, or one past the limit (named in the message).
+pub fn parse_distance(value: &str) -> Result<u32, CliError> {
+    let d: u32 = value
+        .parse()
+        .map_err(|_| CliError::invalid(format!("bad distance `{value}`")))?;
+    if d.is_multiple_of(2) || d < 3 {
+        return Err(CliError::invalid(format!(
+            "distance must be odd and >= 3, got {d}"
+        )));
+    }
+    let limit = ToolflowConfig::default().distance_model.max_distance;
+    if d > limit {
+        return Err(CliError::invalid(format!(
+            "distance {d} exceeds the limit of {limit}"
+        )));
+    }
+    Ok(d)
 }
 
 fn set_source(

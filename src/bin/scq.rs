@@ -58,7 +58,7 @@ use scq::core::{
 };
 use scq::estimate::{estimate_both, AppProfile, EstimateConfig};
 use scq::ir::{analysis, circuit_from_qasm, optimize, Circuit, CliError, DependencyDag};
-use scq::serve::{load_request_file, BatchRunner};
+use scq::serve::{load_request_file, parse_distance, parse_policy, BatchRunner};
 use scq::surface::Technology;
 use scq::verify::Severity;
 
@@ -87,7 +87,7 @@ fn main() -> ExitCode {
             eprintln!("  batch    <requests.txt>               cached batch scheduling service");
             eprintln!("request-file lines (batch): key=value tokens, one request per line");
             eprintln!("  app=<gse|sq|sha1|im|im-semi> | qasm=<file>   circuit source (required)");
-            eprintln!("  scale=<0..4> backend=<braid|planar> policy=<0..6> distance=<odd >= 3>");
+            eprintln!("  scale=<0..4> backend=<braid|planar> policy=<0..6> distance=<odd 3..1001>");
             eprintln!("  defect-rate=R defect-seed=S | defect-map=FILE, bare `verify` to certify");
             eprintln!("  blank lines and # comments are skipped");
             eprintln!("defect flags (check, schedule, heatmap):");
@@ -191,30 +191,14 @@ fn cmd_analyze(circuit: &Circuit, _rest: &[String], out: &mut Out) -> CliResult 
     Ok(())
 }
 
-fn parse_policy(rest: &[String]) -> Result<Policy, CliError> {
-    match rest.first() {
-        None => Ok(Policy::P6),
-        Some(s) => {
-            let idx: usize = parse_arg(s, "policy")?;
-            Policy::from_index(idx)
-                .ok_or_else(|| CliError::invalid(format!("policy {idx} out of range")))
-        }
-    }
+/// The policy, the first positional; P6 when absent.
+fn policy_arg(pos: &[String]) -> Result<Policy, CliError> {
+    pos.first().map_or(Ok(Policy::P6), |s| parse_policy(s))
 }
 
-fn parse_distance(rest: &[String], pos: usize) -> Result<u32, CliError> {
-    match rest.get(pos) {
-        None => Ok(5),
-        Some(s) => {
-            let d: u32 = parse_arg(s, "distance")?;
-            if d.is_multiple_of(2) || d < 3 {
-                return Err(CliError::invalid(format!(
-                    "distance must be odd and >= 3, got {d}"
-                )));
-            }
-            Ok(d)
-        }
-    }
+/// The code distance, positional `at`; 5 when absent.
+fn distance_arg(pos: &[String], at: usize) -> Result<u32, CliError> {
+    pos.get(at).map_or(Ok(5), |s| parse_distance(s))
 }
 
 /// A pipeline context for `circuit` under `policy` at a pinned code
@@ -283,7 +267,7 @@ fn report_findings(
 
 fn cmd_check(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
-    let (policy, code_distance) = (parse_policy(&pos)?, parse_distance(&pos, 1)?);
+    let (policy, code_distance) = (policy_arg(&pos)?, distance_arg(&pos, 1)?);
     // Frontend + mapping, the same stages `run_toolflow` runs, then
     // the independent scq-verify checks on the defect spec
     // materialized on both backends' meshes.
@@ -313,8 +297,7 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult 
         .cloned()
         .collect();
     let (pos, defects) = parse_defect_opts(&rest)?;
-    let policy = parse_policy(&pos)?;
-    let code_distance = parse_distance(&pos, 1)?;
+    let (policy, code_distance) = (policy_arg(&pos)?, distance_arg(&pos, 1)?);
     // Both backends in one traced run of the pass pipeline, certified
     // under --verify. The report follows the run as far as it got, so
     // a failure still prints what preceded it.
@@ -465,7 +448,7 @@ fn cmd_compare(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
 
 fn cmd_heatmap(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
-    let code_distance = parse_distance(&pos, 0)?;
+    let code_distance = distance_arg(&pos, 0)?;
     let mut cx = context(circuit, Policy::P6, code_distance, defects).with_trace(true);
     let run = PipelineRunner::braid().run(&mut cx);
     describe_defects(out, &cx, BackendKind::Braid)?;

@@ -169,6 +169,27 @@ fn an_over_wide_qubits_header_is_an_error_in_schedule_and_serve() {
     );
 }
 
+#[test]
+fn a_distance_past_the_cap_is_the_same_error_in_schedule_and_serve() {
+    let qasm = scratch_file("chain-distance.qasm", CHAIN);
+    let expected = "distance 2147483649 exceeds the limit of 1001";
+    let out = scq(&["schedule", &qasm, "6", "2147483649"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim_end(), format!("error: {expected}"));
+    for backend in ["braid", "planar"] {
+        let line = format!("app=gse backend={backend} distance=2147483649");
+        let err = parse_request_line(&line).unwrap_err();
+        assert_eq!(err.to_string(), expected, "{line}");
+    }
+    // The cap itself still schedules, on both surfaces.
+    let out = scq(&["schedule", &qasm, "6", "1001"]);
+    assert!(out.status.success(), "{out:?}");
+    let line = format!("qasm={qasm} backend=planar distance=1001");
+    let request = parse_request_line(&line).unwrap().unwrap();
+    assert!(BatchRunner::new(4).run_one(&request).outcome.is_ok());
+}
+
 /// `text` with each `pass` line cut after the pass name: the padding
 /// before a duration varies with the duration's width.
 fn without_durations(text: &str) -> String {
