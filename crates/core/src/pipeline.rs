@@ -241,8 +241,9 @@ impl<'a> ArtifactContext<'a> {
 
     /// Materializes the defect spec on the meshes of `backends`, every
     /// backend of one run, once per context (later calls keep the first
-    /// result). The runner calls it before its first scheduling pass; a
-    /// pass run on its own covers just its backend.
+    /// result). The runner calls it before its first scheduling pass,
+    /// and a static check pass for both backends; a scheduling pass run
+    /// on its own covers just its backend.
     ///
     /// # Errors
     ///
@@ -309,7 +310,8 @@ pub trait ToolflowPass {
     fn name(&self) -> &'static str;
     /// The backend whose mesh the pass schedules on, if it is a
     /// scheduling pass: the runner materializes the defect spec on all
-    /// of its passes' meshes at once.
+    /// of its passes' meshes at once, and [`PipelineRunner::certified`]
+    /// puts a certify pass after it.
     fn backend(&self) -> Option<BackendKind> {
         None
     }

@@ -190,6 +190,29 @@ fn a_distance_past_the_cap_is_the_same_error_in_schedule_and_serve() {
     assert!(BatchRunner::new(4).run_one(&request).outcome.is_ok());
 }
 
+#[test]
+fn check_fails_on_a_dead_anchor_of_its_materialized_map() {
+    // The 6-qubit chain fills its 3x2 braid tile grid, so the router
+    // at (1, 1) anchors a used qubit. The map fits only the braid mesh:
+    // the check passes materialize it there and run planar clean.
+    let qasm = scratch_file("chain-dead-anchor.qasm", CHAIN);
+    let map = scratch_file("dead-anchor.map", "dims 7 5\nnode 1 1\n");
+    let out = scq(&["check", &qasm, "--defect-map", &map]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("pass static-admission"), "{stdout}");
+    assert!(
+        stdout.contains("[static-admission] braid: anchor of q"),
+        "{stdout}"
+    );
+    assert!(stderr.starts_with("note: "), "{stderr}");
+    assert!(
+        stderr.contains("error: unnamed failed certification"),
+        "{stderr}"
+    );
+}
+
 /// `text` with each `pass` line cut after the pass name: the padding
 /// before a duration varies with the duration's width.
 fn without_durations(text: &str) -> String {
