@@ -295,67 +295,6 @@ fn bench_epr_pipeline(c: &mut Criterion) {
     });
 }
 
-/// The shared event core head to head: calendar queue vs the
-/// `BinaryHeap` twin on identical streams at 1k/100k/1M events, under
-/// near-uniform inter-arrival gaps (the fabric's hop/release pattern —
-/// where the calendar's O(1) buckets should win) and under bursty
-/// same-timestamp clumps separated by long gaps (the worst case for a
-/// naive bucket scan — covered by the activation heap).
-fn bench_event_queue(c: &mut Criterion) {
-    use scq_mesh::{CalendarQueue, EventQueue, HeapQueue};
-
-    fn stream(n: usize, bursty: bool) -> Vec<u64> {
-        let mut t = 0u64;
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        (0..n)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if bursty {
-                    // 64-event bursts on one timestamp, then a long gap.
-                    if i % 64 == 0 {
-                        t += 500 + (state >> 58);
-                    }
-                } else {
-                    t += state % 8;
-                }
-                t
-            })
-            .collect()
-    }
-
-    // Push/pop interleaved 2:1 so the queue stays about half as deep as
-    // the stream, then drain — the fabric's inject/run shape.
-    fn drive<Q: EventQueue<u32>>(mut q: Q, times: &[u64]) -> u64 {
-        let mut acc = 0u64;
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i as u32);
-            if i % 2 == 1 {
-                if let Some((popped, _)) = q.pop() {
-                    acc ^= popped;
-                }
-            }
-        }
-        while let Some((popped, _)) = q.pop() {
-            acc ^= popped;
-        }
-        acc
-    }
-
-    for &n in &[1_000usize, 100_000, 1_000_000] {
-        for &(tag, bursty) in &[("uniform", false), ("bursty", true)] {
-            let times = stream(n, bursty);
-            c.bench_function(&format!("event_queue/calendar-{tag}-{n}"), |b| {
-                b.iter(|| drive(CalendarQueue::new(), std::hint::black_box(&times)))
-            });
-            c.bench_function(&format!("event_queue/heap-{tag}-{n}"), |b| {
-                b.iter(|| drive(HeapQueue::new(), std::hint::black_box(&times)))
-            });
-        }
-    }
-}
-
 /// Fabric inject + event-driven advance throughput as the in-flight
 /// population grows: the packet layer's hot loop is the event heap and
 /// the per-link load/waiter bookkeeping.
@@ -399,7 +338,6 @@ criterion_group!(
     bench_adaptive_routing,
     bench_ready_sets_vs_rescan,
     bench_traced_vs_untraced,
-    bench_event_queue,
     bench_epr_pipeline,
     bench_fabric_throughput
 );

@@ -1,12 +1,14 @@
 //! The braid scheduling engine: message-passing simulation of braids on
 //! the circuit-switched tile mesh (paper Section 6.1).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
 use scq_ir::{Circuit, DependencyDag, Gate};
 use scq_layout::Layout;
-use scq_mesh::{CalendarQueue, CommError, Coord, DefectMap, EventQueue, Mesh, Path, RouteScratch};
+use scq_mesh::{CommError, Coord, DefectMap, Mesh, Path, RouteScratch};
 
 use crate::policy::{sort_candidates, Candidate, Policy};
 use crate::trace::{BraidTrace, EventCollector, NoTrace, TraceSink};
@@ -312,10 +314,9 @@ struct Engine {
     state: Vec<OpState>,
     fail_count: Vec<u32>,
     held_paths: Vec<Option<Path>>,
-    /// (time, (op, is_final_release)), min-ordered. The calendar queue
-    /// pops the exact `(time, payload)` order the old release heap did
-    /// (see [`EventQueue`]) at O(1) amortized instead of O(log n).
-    releases: CalendarQueue<(u32, bool)>,
+    /// (time, op, is_final_release), min-ordered: the reference
+    /// engine's release heap, at most one entry per in-flight op.
+    releases: BinaryHeap<Reverse<(u64, u32, bool)>>,
     factory_free_at: Vec<u64>,
     stats: BraidSchedule,
     /// Recycled route buffers: refilled by the sink on release, drained
@@ -371,7 +372,7 @@ impl Engine {
             && (!gate.needs_magic_state() || env.config.t_gate_model != TGateModel::FactoryBraids);
         if local {
             self.state[op] = OpState::Running;
-            self.releases.push(t + 1, (op as u32, true));
+            self.releases.push(Reverse((t + 1, op as u32, true)));
             return true;
         }
         // Determine endpoints.
@@ -469,7 +470,8 @@ impl Engine {
                 self.factory_free_at[fi] = t + u64::from(env.config.magic_production_cycles);
             }
             let is_final = leg == 2 || !gate.is_two_qubit();
-            self.releases.push(t + env.hold, (op as u32, is_final));
+            self.releases
+                .push(Reverse((t + env.hold, op as u32, is_final)));
             self.state[op] = if leg == 1 && gate.is_two_qubit() {
                 OpState::Leg1Held
             } else {
@@ -669,11 +671,7 @@ pub fn schedule_with(
         state: vec![OpState::Blocked; n],
         fail_count: vec![0u32; n],
         held_paths: vec![None; n],
-        // Release times land in multiples of the hold quantum
-        // (`d + 1` cycles), so seed the calendar ring's bucket width
-        // with it instead of making the queue rediscover it by
-        // rebuilding (see `CalendarQueue::with_width`).
-        releases: CalendarQueue::with_width(u64::from(d) + 1),
+        releases: BinaryHeap::new(),
         factory_free_at: vec![0; factories.len()],
         stats,
         path_pool: Vec::new(),
@@ -683,20 +681,10 @@ pub fn schedule_with(
     // Incremental ready-sets: ops enter on state transitions and are
     // compacted lazily, replacing the per-cycle full state scan. Policy
     // 0 walks its issue pointer directly and never consults them, so it
-    // skips the bookkeeping entirely; the blocked-index heap is only
-    // consulted by the in-order interleaving policies (1-2).
+    // skips the bookkeeping entirely.
     let track_sets = config.policy != Policy::P0;
-    let track_blocked = matches!(config.policy, Policy::P1 | Policy::P2);
     let mut ready: Vec<u32> = Vec::new();
     let mut leg2_ready: Vec<u32> = Vec::new();
-    // Min-queue of still-blocked op indices (lazy deletion): the
-    // in-order policies issue up to the lowest blocked index. Runs on
-    // the shared payload-less event core — the "time" is the op index,
-    // pushed in increasing order at init and popped monotonically, so
-    // the calendar queue's monotone-push contract holds and its pop
-    // order is bit-identical to the `BinaryHeap<Reverse<u32>>` it
-    // replaced (proven differentially in `tests/blocked_queue.rs`).
-    let mut blocked_queue: CalendarQueue<()> = CalendarQueue::new();
     let mut remaining = vec![0u32; n];
     for (i, rem) in remaining.iter_mut().enumerate() {
         *rem = dag.preds(i).len() as u32;
@@ -705,8 +693,6 @@ pub fn schedule_with(
             if track_sets {
                 ready.push(i as u32);
             }
-        } else if track_blocked {
-            blocked_queue.push(i as u64, ());
         }
     }
     let mut done_count = 0usize;
@@ -727,8 +713,15 @@ pub fn schedule_with(
         })
         .collect();
 
-    // Issue pointer for the in-order policies (0-2).
+    // Issue pointer for the strict in-order policy (0).
     let mut next_start = 0usize;
+    // Lowest still-blocked op index, the issue barrier of the in-order
+    // interleaving policies (1-2); `n` once nothing is blocked. Every op
+    // that is ever Blocked is Blocked from the start and never re-enters
+    // it, so the barrier only moves forward, and resuming the
+    // reference's "stop at the first blocked op" walk where it last
+    // stopped is exact.
+    let mut first_blocked = 0usize;
     // Criticality threshold for Policy 6's split length ordering: half
     // the maximum criticality in the program.
     let crit_threshold = criticality.iter().copied().max().unwrap_or(0).div_ceil(2);
@@ -755,7 +748,7 @@ pub fn schedule_with(
         }
 
         // ---- Release phase: closings are timer-driven. ----
-        while let Some((rt, (op, is_final))) = eng.releases.peek() {
+        while let Some(&Reverse((rt, op, is_final))) = eng.releases.peek() {
             if rt > t {
                 break;
             }
@@ -842,24 +835,14 @@ pub fn schedule_with(
                     let _ = eng.try_issue(&env, sink, op as usize, 2, t);
                 }
                 // Operations start in program order; stop at the first
-                // blocked or unplaceable op. The lowest blocked index is
-                // the issue barrier (ops never re-enter Blocked).
-                while next_start < n && eng.state[next_start].started() {
-                    next_start += 1;
+                // blocked or unplaceable op.
+                while first_blocked < n && eng.state[first_blocked] != OpState::Blocked {
+                    first_blocked += 1;
                 }
-                let barrier = loop {
-                    match blocked_queue.peek() {
-                        Some((i, ())) if eng.state[i as usize] != OpState::Blocked => {
-                            blocked_queue.pop();
-                        }
-                        Some((i, ())) => break i as u32,
-                        None => break n as u32,
-                    }
-                };
                 ready.retain(|&op| eng.state[op as usize] == OpState::Ready);
                 ready.sort_unstable();
                 for &op in &ready {
-                    if op >= barrier {
+                    if op as usize >= first_blocked {
                         break;
                     }
                     attempts += 1;
@@ -900,7 +883,10 @@ pub fn schedule_with(
             // and account the skipped idle cycles in bulk. (When a T
             // gate is waiting on a factory it shows up as a failed
             // attempt, so factory wake times never gate this jump.)
-            let wake = eng.releases.peek().map_or(t + 1, |(rt, _)| rt.max(t + 1));
+            let wake = eng
+                .releases
+                .peek()
+                .map_or(t + 1, |&Reverse((rt, _, _))| rt.max(t + 1));
             eng.mesh.tick_n(wake - t);
             t = wake;
         } else {

@@ -89,7 +89,6 @@
 
 mod coord;
 mod defect;
-pub mod event_queue;
 mod fabric;
 mod heatmap;
 #[allow(clippy::module_inception)]
@@ -98,7 +97,6 @@ mod topology;
 
 pub use coord::{Coord, Path};
 pub use defect::{CommError, DefectMap, DefectParseError, FLAKY_FAILURE_PROB};
-pub use event_queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use fabric::{Fabric, FabricConfig, FabricStats, HopRecord, MsgId};
 pub use heatmap::LinkHeatmap;
 pub use mesh::{ClaimId, Mesh, RouteScratch};

@@ -1,15 +1,13 @@
 //! Property-based tests: mesh claims must be atomic, exclusive, and
-//! fully reversible; routes must be valid and shortest where promised;
-//! and the calendar-queue event core must be indistinguishable from
-//! its `BinaryHeap` differential twin on every stream.
+//! fully reversible; routes must be valid, shortest where promised, and
+//! node for node those of a `VecDeque` BFS oracle; the occupancy
+//! bitboards and congestion probes must agree with a scan; and defect
+//! maps must be avoided by their routes and sampled deterministically.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use scq_mesh::{
-    CalendarQueue, ClaimId, Coord, DefectMap, EventQueue, HeapQueue, Mesh, Path, RouteScratch,
-    Topology,
-};
+use scq_mesh::{ClaimId, Coord, DefectMap, Mesh, Path, RouteScratch, Topology};
 
 fn arb_mesh_and_endpoints() -> impl Strategy<Value = (u32, u32, Coord, Coord)> {
     (2u32..12, 2u32..12).prop_flat_map(|(w, h)| {
@@ -388,93 +386,6 @@ proptest! {
         prop_assert_eq!(a.dead_node_count(), b.dead_node_count());
         prop_assert_eq!(a.dead_link_count(), b.dead_link_count());
         prop_assert_eq!(a.flaky_link_count(), b.flaky_link_count());
-    }
-
-    #[test]
-    fn calendar_queue_matches_its_heap_twin_on_arbitrary_streams(
-        ops in proptest::collection::vec((0u64..50_000, 0u32..4, 0u32..3), 1..300),
-    ) {
-        // Pushes interleaved with peeks and pops, every push at or
-        // after the last popped time (the engines' contract). A peek
-        // may walk the cursor past quiet windows, so a later push
-        // between the last pop and the cursor takes the cursor-clamp
-        // path. After every step the two cores must agree on length,
-        // the peeked minimum, and every popped (time, payload).
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        let mut last_pop = 0u64;
-        for (delay, p, step) in ops {
-            cal.push(last_pop + delay, p);
-            heap.push(last_pop + delay, p);
-            if step == 1 {
-                prop_assert_eq!(cal.peek(), heap.peek());
-            } else if step == 2 {
-                let popped = cal.pop();
-                prop_assert_eq!(popped, heap.pop());
-                last_pop = popped.map_or(last_pop, |(t, _)| t);
-            }
-            prop_assert_eq!(cal.len(), heap.len());
-        }
-        while let Some(expect) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expect));
-        }
-        prop_assert!(cal.is_empty());
-        prop_assert_eq!(cal.pop(), None);
-    }
-
-    #[test]
-    fn calendar_queue_orders_ties_and_far_future_outliers_like_the_heap(
-        ties in proptest::collection::vec((0u64..50, 0u32..3), 1..80),
-        outliers in proptest::collection::vec((u64::MAX - 1_000_000)..=u64::MAX, 0..20),
-    ) {
-        // Dense duplicate (time, payload) pairs force the tie-breaking
-        // path; outliers near u64::MAX land beyond any calendar horizon
-        // and must ride the overflow heap without reordering — the two
-        // regimes the fig6-scale traces never mix this aggressively.
-        // Every push precedes the first pop, and peeks interleave.
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        for &(t, p) in &ties {
-            for _ in 0..2 {
-                cal.push(t, p);
-                heap.push(t, p);
-            }
-            prop_assert_eq!(cal.peek(), heap.peek());
-        }
-        for &t in &outliers {
-            cal.push(t, 9);
-            heap.push(t, 9);
-        }
-        prop_assert_eq!(cal.len(), heap.len());
-        let mut last = None;
-        while let Some(expect) = heap.pop() {
-            prop_assert!(last <= Some(expect));
-            prop_assert_eq!(cal.pop(), Some(expect));
-            last = Some(expect);
-        }
-        prop_assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn strict_calendar_queue_survives_monotone_event_loops(
-        delays in proptest::collection::vec((1u64..64, 0u32..2), 1..200),
-    ) {
-        // The braid usage pattern: every push is now + delay for a
-        // popped now — the queue's debug-asserted contract. The drain
-        // order must be globally sorted.
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        cal.push(0, 0);
-        heap.push(0, 0);
-        let mut reinjections = delays.into_iter();
-        while let Some((now, p)) = cal.pop() {
-            prop_assert_eq!(heap.pop(), Some((now, p)));
-            if let Some((delay, q)) = reinjections.next() {
-                cal.push(now + delay, q);
-                heap.push(now + delay, q);
-            }
-        }
-        prop_assert!(heap.is_empty());
     }
 
     #[test]
