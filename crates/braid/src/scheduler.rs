@@ -159,9 +159,20 @@ pub enum ScheduleError {
         /// Qubits in the layout.
         layout_qubits: usize,
     },
+    /// A qubit that some instruction uses sits on a tile whose anchor
+    /// router is dead.
+    DeadAnchor {
+        /// The qubit.
+        qubit: u32,
+        /// The qubit's tile in the layout.
+        tile: Coord,
+        /// The tile's anchor router on the braid mesh.
+        router: Coord,
+    },
     /// Fabrication defects cut the mesh so the circuit cannot be
-    /// scheduled: a braid endpoint sits on a dead tile, a required
-    /// qubit pair has no defect-free route, or every factory site died.
+    /// scheduled: a required qubit pair has no defect-free route, a
+    /// T-gate target is unreachable from every live factory, or every
+    /// factory site died.
     Unroutable(CommError),
 }
 
@@ -177,6 +188,14 @@ impl fmt::Display for ScheduleError {
             } => write!(
                 f,
                 "layout places {layout_qubits} qubits but the circuit uses {circuit_qubits}"
+            ),
+            ScheduleError::DeadAnchor {
+                qubit,
+                tile,
+                router,
+            } => write!(
+                f,
+                "anchor of q{qubit} sits on a dead node (router {router} of tile {tile})"
             ),
             ScheduleError::Unroutable(e) => write!(f, "{e}"),
         }
@@ -537,10 +556,11 @@ impl Engine {
 ///
 /// # Errors
 ///
-/// As [`schedule`], plus [`ScheduleError::Unroutable`] when the defects
-/// cut the mesh: a circuit qubit's tile is dead, a two-qubit pair has
-/// no defect-free route, a T-gate target is unreachable from every live
-/// factory, or all factory sites died.
+/// As [`schedule`], plus [`ScheduleError::DeadAnchor`] when a qubit some
+/// instruction uses sits on a dead anchor router (unused qubits may), and
+/// [`ScheduleError::Unroutable`] when the defects cut the mesh: a
+/// two-qubit pair has no defect-free route, a T-gate target is
+/// unreachable from every live factory, or all factory sites died.
 ///
 /// # Panics
 ///
@@ -608,11 +628,20 @@ pub fn schedule_with(
             dw == mesh_w && dh == mesh_h,
             "defect map is {dw}x{dh} but the braid mesh is {mesh_w}x{mesh_h}"
         );
-        for q in 0..circuit.num_qubits() {
-            let a = anchors[q as usize];
-            if map.node_dead(a) {
-                return Err(CommError::Unroutable { src: a, dst: a }.into());
+        // Only qubits that some instruction uses need a live anchor: an
+        // unused one never opens a braid.
+        let mut used = vec![false; anchors.len()];
+        for inst in circuit.instructions() {
+            for q in inst.qubits() {
+                used[q.raw() as usize] = true;
             }
+        }
+        if let Some(q) = (0..anchors.len()).find(|&q| used[q] && map.node_dead(anchors[q])) {
+            return Err(ScheduleError::DeadAnchor {
+                qubit: q as u32,
+                tile: layout.tile(q as u32),
+                router: anchors[q],
+            });
         }
         let full_factory_count = factories.len();
         factories.retain(|&f| !map.node_dead(f));
@@ -1264,7 +1293,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_anchor_is_reported_as_unroutable() {
+    fn dead_anchor_of_a_used_qubit_is_reported_as_a_dead_anchor() {
         let c = single_cnot();
         let dag = DependencyDag::from_circuit(&c);
         let config = BraidConfig::default();
@@ -1273,10 +1302,38 @@ mod tests {
         // Tile (0, 0) anchors at router (1, 1).
         let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode 1 1\n")).unwrap();
         let err = on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
-        assert!(matches!(
+        let qubit = (0..2)
+            .find(|&q| layout.tile(q) == Coord::new(0, 0))
+            .unwrap();
+        assert_eq!(
             err,
-            ScheduleError::Unroutable(CommError::Unroutable { src, dst }) if src == dst
-        ));
+            ScheduleError::DeadAnchor {
+                qubit,
+                tile: Coord::new(0, 0),
+                router: Coord::new(1, 1),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("anchor of q{qubit} sits on a dead node (router (1, 1) of tile (0, 0))")
+        );
+    }
+
+    #[test]
+    fn dead_anchor_of_an_unused_qubit_is_harmless() {
+        // Three declared qubits, and no gate touches q2.
+        let mut b = Circuit::builder("unused", 3);
+        b.cnot(0, 1).t(0);
+        let c = b.finish();
+        let dag = DependencyDag::from_circuit(&c);
+        let config = BraidConfig::default();
+        let layout = layout_for(&c, config.policy);
+        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let tile = layout.tile(2);
+        let (x, y) = (2 * tile.x + 1, 2 * tile.y + 1);
+        let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode {x} {y}\n")).unwrap();
+        let defected = on_defects(&c, &dag, &layout, &config, &map).unwrap();
+        assert_eq!(defected.total_ops, 2);
     }
 
     #[test]

@@ -213,6 +213,27 @@ fn check_fails_on_a_dead_anchor_of_its_materialized_map() {
     );
 }
 
+#[test]
+fn a_dead_anchor_of_an_unused_qubit_fails_neither_check_nor_schedule() {
+    // The chain without its q5 gates: q5 is declared but unused, and
+    // the router at (5, 1) anchors it on the 3x2 braid tile grid. The
+    // check and the braid engine both judge only the qubits gates use.
+    let qasm = scratch_file(
+        "chain-unused-q5.qasm",
+        "qubits 6\nh q0\nt q1\ncnot q0, q1\ncnot q1, q2\ncnot q2, q3\nt q3\ncnot q3, q4\n",
+    );
+    let map = scratch_file("unused-anchor.map", "dims 7 5\nnode 5 1\n");
+    for command in ["check", "schedule"] {
+        let out = scq(&[command, &qasm, "--defect-map", &map]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{command}: {out:?}");
+        assert!(
+            stdout.contains("defects (braid mesh 7x5): 1 dead tiles"),
+            "{command}: {stdout}"
+        );
+    }
+}
+
 /// `text` with each `pass` line cut after the pass name: the padding
 /// before a duration varies with the duration's width.
 fn without_durations(text: &str) -> String {
