@@ -199,8 +199,10 @@ fn bench_adaptive_routing(c: &mut Criterion) {
     found.truncate(64);
     cut.truncate(64);
     assert_eq!((found.len(), cut.len()), (64, 64), "too few endpoint pairs");
-    assert!(cut.iter().all(|&(a, b)| mesh.route_certainly_blocked(a, b)));
     let mut scratch = RouteScratch::new();
+    assert!(cut
+        .iter()
+        .all(|&(a, b)| mesh.route_certainly_blocked(a, b, &mut scratch)));
     let mut out = Path::empty();
     c.bench_function("mesh/route-adaptive-found", |b| {
         b.iter(|| {
@@ -216,7 +218,7 @@ fn bench_adaptive_routing(c: &mut Criterion) {
     c.bench_function("mesh/route-certainly-blocked-cut", |b| {
         b.iter(|| {
             cut.iter()
-                .filter(|&&(src, dst)| mesh.route_certainly_blocked(src, dst))
+                .filter(|&&(src, dst)| mesh.route_certainly_blocked(src, dst, &mut scratch))
                 .count()
         })
     });

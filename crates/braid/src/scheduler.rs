@@ -457,7 +457,8 @@ impl Engine {
         } else if !adaptive {
             self.mesh.yx_certainly_blocked(src, dst)
         } else {
-            self.mesh.route_certainly_blocked(src, dst)
+            self.mesh
+                .route_certainly_blocked(src, dst, &mut self.route_scratch)
         };
         if certainly_blocked {
             if adaptive {
@@ -540,7 +541,8 @@ impl Engine {
 ///    semantics.
 /// 3. **Allocation-free routing.** Dimension-ordered attempts use the
 ///    fused [`Mesh::claim_route_xy_into`] walks (no route object on
-///    failure) and adaptive attempts reuse one [`RouteScratch`];
+///    failure) and adaptive attempts, flood and search, reuse one
+///    [`RouteScratch`];
 ///    successful routes land in pooled buffers that the sink returns on
 ///    release.
 /// 4. **Claim-walk pruning.** Before any walk, each attempt consults

@@ -15,14 +15,16 @@ const FREE: ClaimId = ClaimId::MAX;
 /// occupied without any defect-specific logic.
 const DEFECT: ClaimId = ClaimId::MAX - 1;
 
-/// Reusable buffers for [`Mesh::route_adaptive_into`].
+/// Reusable buffers for [`Mesh::route_adaptive_into`] and
+/// [`Mesh::route_certainly_blocked`].
 ///
 /// The adaptive search needs a distance label per router and two bucket
-/// queues; allocating them per call dominates the cost of short
-/// searches. One `RouteScratch` amortizes those allocations across every
-/// adaptive routing attempt of a scheduling run. Each search raises the
-/// epoch its labels are written against, so reuse never requires
-/// clearing them.
+/// queues, and the blocked-route flood a row of reach bits and a dirty
+/// flag per mesh row; allocating them per call dominates the cost of
+/// short searches and floods. One `RouteScratch` amortizes those
+/// allocations across every adaptive routing attempt of a scheduling
+/// run. Each search raises the epoch its labels are written against, so
+/// reuse never requires clearing them.
 #[derive(Clone, Debug, Default)]
 pub struct RouteScratch {
     /// `epoch - d` per node index for the best distance `d` to `dst` found
@@ -35,6 +37,10 @@ pub struct RouteScratch {
     buckets: [Vec<[u32; 3]>; 2],
     /// Routers whose neighbors the last search examined.
     expanded: u32,
+    /// The flood's reach bits, laid out like the free-router bitboard.
+    reach: Vec<u64>,
+    /// The flood's rows whose reach grew since they last spread.
+    dirty: Vec<bool>,
 }
 
 impl RouteScratch {
@@ -577,11 +583,21 @@ impl Mesh {
     /// nothing changes or `dst` is reached. The flood costs a few word
     /// operations per row and sweep instead of a search step per router.
     ///
+    /// The flood's buffers come from `scratch`, which the caller reuses
+    /// across calls as for [`Mesh::route_adaptive_into`].
+    ///
     /// # Panics
     ///
     /// Panics if either endpoint is off the mesh.
-    pub fn route_certainly_blocked(&self, src: Coord, dst: Coord) -> bool {
-        self.node_claimed(src) || self.node_claimed(dst) || !self.free_region_reaches(src, dst)
+    pub fn route_certainly_blocked(
+        &self,
+        src: Coord,
+        dst: Coord,
+        scratch: &mut RouteScratch,
+    ) -> bool {
+        self.node_claimed(src)
+            || self.node_claimed(dst)
+            || !self.free_region_reaches(src, dst, scratch)
     }
 
     /// The flood behind [`Mesh::route_certainly_blocked`], from the free
@@ -589,11 +605,14 @@ impl Mesh {
     /// visits its dirty rows in order, spreads them and pushes into both
     /// neighbour rows. A neighbour ahead of the sweep is visited in the
     /// same sweep, one behind it in the next, which runs the other way.
-    fn free_region_reaches(&self, src: Coord, dst: Coord) -> bool {
+    fn free_region_reaches(&self, src: Coord, dst: Coord, scratch: &mut RouteScratch) -> bool {
         let (h, rw) = (self.height() as usize, self.row_words);
-        let mut reach = vec![0u64; h * rw];
-        let mut dirty = vec![false; h];
-        set_bit(&mut reach, src.y as usize * rw, src.x, true);
+        let RouteScratch { reach, dirty, .. } = scratch;
+        reach.clear();
+        reach.resize(h * rw, 0);
+        dirty.clear();
+        dirty.resize(h, false);
+        set_bit(reach, src.y as usize * rw, src.x, true);
         dirty[src.y as usize] = true;
         // Dirty rows of the coming sweep lie in `lo..=hi`.
         let (mut lo, mut hi, mut down) = (src.y as usize, src.y as usize, true);
@@ -607,7 +626,7 @@ impl Mesh {
                         return true;
                     }
                     for (ny, link_row) in [(y + 1, y), (y.wrapping_sub(1), y.wrapping_sub(1))] {
-                        if ny >= h || !self.push_reach(&mut reach, y, ny, link_row) {
+                        if ny >= h || !self.push_reach(reach, y, ny, link_row) {
                             continue;
                         }
                         dirty[ny] = true;
@@ -1317,6 +1336,7 @@ mod tests {
         // fresh owner holding nothing, and the route probe must agree
         // with the adaptive search exactly.
         let mut m = Mesh::new(7, 7);
+        let mut s = RouteScratch::new();
         let wall_v = m.route_xy(Coord::new(3, 1), Coord::new(3, 5));
         assert!(m.try_claim(&wall_v, 90));
         let wall_h = m.route_xy(Coord::new(0, 6), Coord::new(6, 6));
@@ -1341,7 +1361,7 @@ mod tests {
                             );
                         }
                         assert_eq!(
-                            m.route_certainly_blocked(src, dst),
+                            m.route_certainly_blocked(src, dst, &mut s),
                             m.route_adaptive(src, dst, 7).is_none(),
                             "route probe inexact for {src}->{dst}"
                         );
@@ -1354,48 +1374,51 @@ mod tests {
     #[test]
     fn full_wall_blocks_all_routes() {
         let mut m = Mesh::new(5, 5);
+        let mut s = RouteScratch::new();
         let wall = m.route_xy(Coord::new(0, 2), Coord::new(4, 2));
         assert!(m.try_claim(&wall, 1));
         // Row 2 is fully claimed: anything crossing it is provably
         // unroutable, even adaptively.
-        assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
+        assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4), &mut s));
         assert!(m.xy_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
         assert!(m.yx_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
         // Endpoints on the same side are not separated by it.
-        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 1)));
+        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 1), &mut s));
         // Releasing the wall clears every verdict.
         m.release(&wall, 1);
-        assert!(!m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
+        assert!(!m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4), &mut s));
         assert!(!m.xy_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
     }
 
     #[test]
     fn enclosed_endpoint_blocks_all_routes() {
         let mut m = Mesh::new(5, 5);
+        let mut s = RouteScratch::new();
         // Wall the corner router (0, 0) in with its two neighbors.
         assert!(m.try_claim(&Path::new(vec![Coord::new(1, 0)]), 1));
         assert!(m.try_claim(&Path::new(vec![Coord::new(0, 1)]), 2));
-        assert!(m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 4)));
+        assert!(m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 4), &mut s));
         assert!(m
             .route_adaptive(Coord::new(0, 0), Coord::new(4, 4), 9)
             .is_none());
         // The zero-hop route to the enclosed-but-free router itself is
         // fine, so enclosure must not fire on src == dst.
-        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(0, 0)));
+        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(0, 0), &mut s));
         // Freeing one exit clears the verdict.
         m.release(&Path::new(vec![Coord::new(1, 0)]), 1);
-        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 4)));
+        assert!(!m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 4), &mut s));
     }
 
     #[test]
     fn claimed_endpoint_blocks_everything() {
         let mut m = Mesh::new(4, 4);
+        let mut s = RouteScratch::new();
         assert!(m.try_claim(&Path::new(vec![Coord::new(1, 1)]), 5));
         assert!(m.node_claimed(Coord::new(1, 1)));
         assert!(!m.node_claimed(Coord::new(0, 0)));
         assert!(m.xy_certainly_blocked(Coord::new(1, 1), Coord::new(3, 3)));
         assert!(m.yx_certainly_blocked(Coord::new(0, 0), Coord::new(1, 1)));
-        assert!(m.route_certainly_blocked(Coord::new(1, 1), Coord::new(3, 3)));
+        assert!(m.route_certainly_blocked(Coord::new(1, 1), Coord::new(3, 3), &mut s));
     }
 
     #[test]
@@ -1571,7 +1594,8 @@ mod tests {
         }
         let map = DefectMap::from_text(&text).unwrap();
         let mut m = Mesh::with_defects(5, 5, &map);
-        assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
+        let mut s = RouteScratch::new();
+        assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4), &mut s));
         assert!(m
             .route_adaptive(Coord::new(2, 0), Coord::new(2, 4), 1)
             .is_none());

@@ -233,10 +233,11 @@ proptest! {
         // walk blocked, and without defects they match the walk exactly.
         let mut rng = TestRng::seed_from_u64(seed);
         let (mesh, _) = congested_mesh(w, h, rate, (w * h / 8) as usize, &mut rng);
+        let mut scratch = RouteScratch::new();
         for _ in 0..40 {
             let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
             prop_assert_eq!(
-                mesh.route_certainly_blocked(src, dst),
+                mesh.route_certainly_blocked(src, dst, &mut scratch),
                 mesh.route_adaptive(src, dst, 99).is_none(),
                 "route probe {} -> {} on {}x{}", src, dst, w, h
             );
