@@ -74,6 +74,17 @@ impl Path {
         Path { nodes }
     }
 
+    /// Creates a path from a node sequence without checking it: the
+    /// sequence may be empty, leave any mesh, jump between non-adjacent
+    /// routers or revisit one.
+    ///
+    /// No router emits such a path. It exists so the malformed routes a
+    /// buggy router *could* emit can be built for an independent
+    /// certifier to reject; a mesh must never claim one.
+    pub fn new_unchecked(nodes: Vec<Coord>) -> Self {
+        Path { nodes }
+    }
+
     /// Creates an empty scratch path for the `*_into` routing APIs on
     /// [`Mesh`](crate::Mesh), which overwrite it with a valid route.
     ///

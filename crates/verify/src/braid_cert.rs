@@ -5,22 +5,38 @@
 //! every invariant the machine's replay depends on. It shares *no* code
 //! with the engine that produced the trace: where the engine's own
 //! `BraidTrace::validate` replays claims through [`scq_mesh::Mesh`]
-//! (the same claiming code the scheduler used), this certifier keys an
-//! interval race detector on raw coordinates — a scheduler bug that
-//! corrupted the mesh's occupancy bookkeeping would fool the replay
-//! validator but not this check.
+//! (the same claiming code the scheduler used), this certifier numbers
+//! routers and links itself from raw coordinates and runs an interval
+//! race detector over them — a scheduler bug that corrupted the mesh's
+//! occupancy bookkeeping would fool the replay validator but not this
+//! check.
+//!
+//! Every table is dense: resources are indexed by [`Numbering`], holds
+//! are bucketed by a counting sort, revisits are caught by generation
+//! stamps and the dependency check indexes by op. Only what has no
+//! dense index — a router off the declared mesh, a "link" between
+//! routers that are not adjacent, or any resource of a mesh too large
+//! for the table budget — goes through a small fallback map.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use scq_braid::BraidTrace;
+use scq_braid::{BraidEvent, BraidTrace};
 use scq_ir::{Circuit, DependencyDag};
 use scq_mesh::{Coord, DefectMap};
 
 use crate::finding::{sort_findings, Finding, Invariant};
 
+/// Table slots a trace may spend per hold, past [`SLOT_ALLOWANCE`]: the
+/// dense tables stay within a few words per hold whatever mesh the
+/// trace declares.
+const SLOTS_PER_HOLD: u128 = 4;
+/// Table slots every trace may spend, so small traces on small meshes
+/// stay dense.
+const SLOT_ALLOWANCE: u128 = 4096;
+
 /// A spatial resource a braid can hold: a router, or the link between
-/// two adjacent routers (normalized so either traversal direction maps
-/// to the same key).
+/// two routers (normalized so either traversal direction maps to the
+/// same key).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Resource {
     Node(Coord),
@@ -32,6 +48,94 @@ fn link_key(a: Coord, b: Coord) -> Resource {
         Resource::Link(a, b)
     } else {
         Resource::Link(b, a)
+    }
+}
+
+/// Dense indices of a `w x h` mesh's resources, from the declared
+/// dimensions alone: router `(x, y)` is `y·w + x`; the horizontal link
+/// from `(x, y)` to `(x + 1, y)` follows at `w·h + y·(w − 1) + x`; the
+/// vertical link from `(x, y)` to `(x, y + 1)` at
+/// `w·h + (w − 1)·h + y·w + x`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Numbering {
+    w: u32,
+    h: u32,
+    /// Index of the first horizontal link (the router count).
+    h_base: usize,
+    /// Index of the first vertical link.
+    v_base: usize,
+    /// Routers plus links: the size of every table indexed by resource.
+    len: usize,
+}
+
+impl Numbering {
+    /// The numbering of a `w x h` mesh whose trace holds `holds`
+    /// resources. A mesh with more resources than
+    /// `SLOTS_PER_HOLD · holds + SLOT_ALLOWANCE` gets the empty
+    /// numbering, which indexes nothing: all its holds go to the
+    /// fallback map, and no table is sized by its dimensions.
+    fn new(w: u32, h: u32, holds: usize) -> Self {
+        let (wide, high) = (u128::from(w), u128::from(h));
+        let routers = wide * high;
+        let v_base = routers + wide.saturating_sub(1) * high;
+        let len = v_base + wide * high.saturating_sub(1);
+        if len > SLOTS_PER_HOLD * holds as u128 + SLOT_ALLOWANCE {
+            return Numbering::default();
+        }
+        // Within the budget every count fits a `usize`: the holds are
+        // in memory, at least 4 bytes each.
+        Numbering {
+            w,
+            h,
+            h_base: routers as usize,
+            v_base: v_base as usize,
+            len: len as usize,
+        }
+    }
+
+    fn node(&self, c: Coord) -> Option<usize> {
+        (c.x < self.w && c.y < self.h).then(|| c.y as usize * self.w as usize + c.x as usize)
+    }
+
+    /// The index of the link between `a` and `b`: `None` unless both
+    /// are indexed routers one step apart.
+    fn link(&self, a: Coord, b: Coord) -> Option<usize> {
+        self.node(a)?;
+        self.node(b)?;
+        let w = self.w as usize;
+        if a.y == b.y && a.x.abs_diff(b.x) == 1 {
+            Some(self.h_base + a.y as usize * (w - 1) + a.x.min(b.x) as usize)
+        } else if a.x == b.x && a.y.abs_diff(b.y) == 1 {
+            Some(self.v_base + a.y.min(b.y) as usize * w + a.x as usize)
+        } else {
+            None
+        }
+    }
+
+    /// The resource behind index `i`, keyed as the fallback map keys it.
+    fn resource(&self, i: usize) -> Resource {
+        let w = self.w as usize;
+        let at = |x: usize, y: usize| Coord::new(x as u32, y as u32);
+        if i < self.h_base {
+            Resource::Node(at(i % w, i / w))
+        } else if i < self.v_base {
+            let (x, y) = ((i - self.h_base) % (w - 1), (i - self.h_base) / (w - 1));
+            Resource::Link(at(x, y), at(x + 1, y))
+        } else {
+            let (x, y) = ((i - self.v_base) % w, (i - self.v_base) / w);
+            Resource::Link(at(x, y), at(x, y + 1))
+        }
+    }
+
+    /// Calls `f` on every router and link `nodes` holds: the dense index
+    /// when there is one, else the fallback key.
+    fn for_each_hold(&self, nodes: &[Coord], mut f: impl FnMut(Result<usize, Resource>)) {
+        for &n in nodes {
+            f(self.node(n).ok_or(Resource::Node(n)));
+        }
+        for w in nodes.windows(2) {
+            f(self.link(w[0], w[1]).ok_or_else(|| link_key(w[0], w[1])));
+        }
     }
 }
 
@@ -63,6 +167,13 @@ pub fn certify_braid_trace(
     defects: Option<&DefectMap>,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
+    let holds = trace
+        .events
+        .iter()
+        .map(|ev| (2 * ev.path.nodes().len()).saturating_sub(1))
+        .sum();
+    let numbering = Numbering::new(trace.mesh_width, trace.mesh_height, holds);
+    let mut visits = Visits::new(&numbering);
 
     // Per-event structural checks.
     for ev in &trace.events {
@@ -124,19 +235,60 @@ pub fn certify_braid_trace(
                 .with_cycle(ev.close_cycle),
             );
         }
-        check_path(trace, ev, &mut out);
+        check_path(trace, ev, &numbering, &mut visits, &mut out);
         if let Some(map) = defects {
             check_defects(ev, map, &mut out);
         }
     }
 
-    check_exclusivity(trace, &mut out);
+    check_exclusivity(trace, &numbering, &mut out);
     check_dependencies(trace, circuit, dag, &mut out);
     sort_findings(&mut out);
     out
 }
 
-fn check_path(trace: &BraidTrace, ev: &scq_braid::BraidEvent, out: &mut Vec<Finding>) {
+/// The routers the current event has visited: a generation stamp per
+/// indexed router, and a set, emptied per event, for the rest.
+struct Visits {
+    stamp: Vec<u32>,
+    /// The current event's generation; stamps start at 0, before it.
+    event: u32,
+    unindexed: HashSet<Coord>,
+}
+
+impl Visits {
+    fn new(numbering: &Numbering) -> Self {
+        Visits {
+            stamp: vec![0; numbering.h_base],
+            event: 0,
+            unindexed: HashSet::new(),
+        }
+    }
+
+    fn next_event(&mut self) {
+        self.event += 1;
+        if !self.unindexed.is_empty() {
+            self.unindexed.clear();
+        }
+    }
+
+    /// Marks router `n` (dense index `index`) visited; `false` if the
+    /// current event already visited it.
+    fn insert(&mut self, index: Option<usize>, n: Coord) -> bool {
+        match index {
+            Some(i) => std::mem::replace(&mut self.stamp[i], self.event) != self.event,
+            None => self.unindexed.insert(n),
+        }
+    }
+}
+
+fn check_path(
+    trace: &BraidTrace,
+    ev: &BraidEvent,
+    numbering: &Numbering,
+    visits: &mut Visits,
+    out: &mut Vec<Finding>,
+) {
     let on_mesh = |c: Coord| c.x < trace.mesh_width && c.y < trace.mesh_height;
     let nodes = ev.path.nodes();
     if nodes.is_empty() {
@@ -146,7 +298,7 @@ fn check_path(trace: &BraidTrace, ev: &scq_braid::BraidEvent, out: &mut Vec<Find
         );
         return;
     }
-    let mut seen = std::collections::HashSet::with_capacity(nodes.len());
+    visits.next_event();
     for &n in nodes {
         if !on_mesh(n) {
             out.push(
@@ -161,7 +313,7 @@ fn check_path(trace: &BraidTrace, ev: &scq_braid::BraidEvent, out: &mut Vec<Find
                 .with_node(n),
             );
         }
-        if !seen.insert(n) {
+        if !visits.insert(numbering.node(n), n) {
             out.push(
                 Finding::error(Invariant::RouteWellFormed, "path revisits a router")
                     .with_op(ev.op)
@@ -183,9 +335,13 @@ fn check_path(trace: &BraidTrace, ev: &scq_braid::BraidEvent, out: &mut Vec<Find
     }
 }
 
-fn check_defects(ev: &scq_braid::BraidEvent, map: &DefectMap, out: &mut Vec<Finding>) {
+/// Dead routers and links on the event's path. A jump between routers
+/// that are not adjacent is no link of the map, and is left to the
+/// route check.
+fn check_defects(ev: &BraidEvent, map: &DefectMap, out: &mut Vec<Finding>) {
+    let on_map = |c: Coord| map.topology().contains(c);
     for &n in ev.path.nodes() {
-        if map.topology().contains(n) && map.node_dead(n) {
+        if on_map(n) && map.node_dead(n) {
             out.push(
                 Finding::error(
                     Invariant::DefectAvoidance,
@@ -198,7 +354,7 @@ fn check_defects(ev: &scq_braid::BraidEvent, map: &DefectMap, out: &mut Vec<Find
         }
     }
     for (a, b) in ev.path.links() {
-        if map.topology().contains(a) && map.topology().contains(b) && map.link_dead(a, b) {
+        if a.is_adjacent(b) && on_map(a) && on_map(b) && map.link_dead(a, b) {
             out.push(
                 Finding::error(
                     Invariant::DefectAvoidance,
@@ -213,51 +369,93 @@ fn check_defects(ev: &scq_braid::BraidEvent, map: &DefectMap, out: &mut Vec<Find
 }
 
 /// The interval race detector: every event holds each router and link
-/// of its path for `[open, close)`; for each resource, sort the holds
-/// by open cycle and flag any hold that begins before the previous
-/// maximum close.
-fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
-    // (open, close, op) per resource.
-    let mut holds: HashMap<Resource, Vec<(u64, u64, u32)>> = HashMap::new();
+/// of its path for `[open, close)`; for each resource, sweep its holds
+/// in (open, close, op) order and flag any hold that begins before the
+/// previous maximum close.
+///
+/// Holds are bucketed by resource with a two-pass counting sort: count
+/// the holds per index, then place each event's rank in the order above
+/// at its index's next slot. Events are placed in that order, so every
+/// bucket comes out sorted. A slot is a `u32` rank; the fallback map
+/// holds the same ranks for the resources [`Numbering`] cannot index.
+fn check_exclusivity(trace: &BraidTrace, numbering: &Numbering, out: &mut Vec<Finding>) {
+    let mut order: Vec<(u64, u64, u32, u32)> = (0u32..)
+        .zip(&trace.events)
+        .map(|(i, ev)| (ev.open_cycle, ev.close_cycle, ev.op, i))
+        .collect();
+    order.sort_unstable();
+
+    // Pass 1: `next[i + 1]` counts index i's holds; the prefix sum then
+    // makes `next[i]` the first slot of index i's bucket.
+    let mut next = vec![0usize; numbering.len + 1];
     for ev in &trace.events {
-        for &n in ev.path.nodes() {
-            holds.entry(Resource::Node(n)).or_default().push((
-                ev.open_cycle,
-                ev.close_cycle,
-                ev.op,
-            ));
-        }
-        for (a, b) in ev.path.links() {
-            holds
-                .entry(link_key(a, b))
-                .or_default()
-                .push((ev.open_cycle, ev.close_cycle, ev.op));
+        numbering.for_each_hold(ev.path.nodes(), |r| {
+            if let Ok(i) = r {
+                next[i + 1] += 1;
+            }
+        });
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+
+    // Pass 2: place the ranks. Afterwards `next[i]` is the end of index
+    // i's bucket, which is where bucket i + 1 starts.
+    let mut slots = vec![0u32; next[numbering.len]];
+    let mut fallback: HashMap<Resource, Vec<u32>> = HashMap::new();
+    for (rank, &(.., event)) in (0u32..).zip(&order) {
+        let nodes = trace.events[event as usize].path.nodes();
+        numbering.for_each_hold(nodes, |r| match r {
+            Ok(i) => {
+                slots[next[i]] = rank;
+                next[i] += 1;
+            }
+            Err(resource) => fallback.entry(resource).or_default().push(rank),
+        });
+    }
+
+    let mut start = 0;
+    for (i, &end) in next[..numbering.len].iter().enumerate() {
+        let bucket = &slots[start..end];
+        start = end;
+        if bucket.len() >= 2 {
+            sweep(bucket, &order, numbering.resource(i), out);
         }
     }
-    for (resource, mut intervals) in holds {
-        if intervals.len() < 2 {
-            continue;
+    for (resource, bucket) in &fallback {
+        sweep(bucket, &order, *resource, out);
+    }
+}
+
+/// The max-close sweep over one resource's holds, given as ranks into
+/// `order` in ascending order.
+fn sweep(
+    bucket: &[u32],
+    order: &[(u64, u64, u32, u32)],
+    resource: Resource,
+    out: &mut Vec<Finding>,
+) {
+    let Some((&first, rest)) = bucket.split_first() else {
+        return;
+    };
+    let (_, mut max_close, mut owner, _) = order[first as usize];
+    for &rank in rest {
+        let (open, close, op, _) = order[rank as usize];
+        if open < max_close {
+            let f = Finding::error(
+                Invariant::SpatialExclusivity,
+                format!("ops {owner} and {op} hold the same resource at cycle {open}"),
+            )
+            .with_op(op)
+            .with_cycle(open);
+            out.push(match resource {
+                Resource::Node(n) => f.with_node(n),
+                Resource::Link(a, b) => f.with_link(a, b),
+            });
         }
-        intervals.sort_unstable();
-        let (mut max_close, mut owner) = (intervals[0].1, intervals[0].2);
-        for &(open, close, op) in &intervals[1..] {
-            if open < max_close {
-                let mut f = Finding::error(
-                    Invariant::SpatialExclusivity,
-                    format!("ops {owner} and {op} hold the same resource at cycle {open}"),
-                )
-                .with_op(op)
-                .with_cycle(open);
-                f = match resource {
-                    Resource::Node(n) => f.with_node(n),
-                    Resource::Link(a, b) => f.with_link(a, b),
-                };
-                out.push(f);
-            }
-            if close > max_close {
-                max_close = close;
-                owner = op;
-            }
+        if close > max_close {
+            max_close = close;
+            owner = op;
         }
     }
 }
@@ -265,6 +463,11 @@ fn check_exclusivity(trace: &BraidTrace, out: &mut Vec<Finding>) {
 /// Dependency-order preservation: with braids released before new ones
 /// are issued within a cycle, a dependent op may open exactly at its
 /// predecessor's close but never before it.
+///
+/// Four tables indexed by op: its first open and last close, leg 2's
+/// first open and leg 1's last close. An op with no braid (or no braid
+/// of that leg) keeps `u64::MAX` as its opens and 0 as its closes, so
+/// no comparison below can flag it.
 fn check_dependencies(
     trace: &BraidTrace,
     circuit: &Circuit,
@@ -275,56 +478,51 @@ fn check_dependencies(
         // Reported by the acyclicity pass; nothing sound to check here.
         return;
     }
-    let mut first_open: HashMap<u32, u64> = HashMap::new();
-    let mut last_close: HashMap<u32, u64> = HashMap::new();
-    let mut leg_bounds: HashMap<(u32, u8), (u64, u64)> = HashMap::new();
+    let n = circuit.len();
+    let (mut first_open, mut last_close) = (vec![u64::MAX; n], vec![0u64; n]);
+    let (mut leg2_open, mut leg1_close) = (vec![u64::MAX; n], vec![0u64; n]);
     for ev in &trace.events {
         // Phantom ops are already a demand-consistency finding; keep
         // them out of the DAG lookups below.
-        if (ev.op as usize) >= circuit.len() {
+        let op = ev.op as usize;
+        if op >= n {
             continue;
         }
-        let fo = first_open.entry(ev.op).or_insert(u64::MAX);
-        *fo = (*fo).min(ev.open_cycle);
-        let lc = last_close.entry(ev.op).or_insert(0);
-        *lc = (*lc).max(ev.close_cycle);
-        let lb = leg_bounds.entry((ev.op, ev.leg)).or_insert((u64::MAX, 0));
-        lb.0 = lb.0.min(ev.open_cycle);
-        lb.1 = lb.1.max(ev.close_cycle);
-    }
-    for (op, &open) in &first_open {
-        for &p in dag.preds(*op as usize) {
-            if let Some(&close) = last_close.get(&p) {
-                if open < close {
-                    out.push(
-                        Finding::error(
-                            Invariant::DependencyOrder,
-                            format!(
-                                "op {op} opens its braid at {open} before its dependency {p} releases at {close}"
-                            ),
-                        )
-                        .with_op(*op)
-                        .with_cycle(open),
-                    );
-                }
-            }
+        first_open[op] = first_open[op].min(ev.open_cycle);
+        last_close[op] = last_close[op].max(ev.close_cycle);
+        match ev.leg {
+            1 => leg1_close[op] = leg1_close[op].max(ev.close_cycle),
+            2 => leg2_open[op] = leg2_open[op].min(ev.open_cycle),
+            _ => {}
         }
     }
-    for (&(op, leg), &(open, _)) in &leg_bounds {
-        if leg != 2 {
-            continue;
-        }
-        if let Some(&(_, close1)) = leg_bounds.get(&(op, 1)) {
-            if open < close1 {
+    for (op, &open) in first_open.iter().enumerate() {
+        for &p in dag.preds(op) {
+            let close = last_close.get(p as usize).copied().unwrap_or(0);
+            if open < close {
                 out.push(
                     Finding::error(
                         Invariant::DependencyOrder,
-                        format!("op {op} opens leg 2 at {open} before leg 1 closes at {close1}"),
+                        format!(
+                            "op {op} opens its braid at {open} before its dependency {p} releases at {close}"
+                        ),
                     )
-                    .with_op(op)
+                    .with_op(op as u32)
                     .with_cycle(open),
                 );
             }
+        }
+    }
+    for (op, (&open, &close1)) in leg2_open.iter().zip(&leg1_close).enumerate() {
+        if open < close1 {
+            out.push(
+                Finding::error(
+                    Invariant::DependencyOrder,
+                    format!("op {op} opens leg 2 at {open} before leg 1 closes at {close1}"),
+                )
+                .with_op(op as u32)
+                .with_cycle(open),
+            );
         }
     }
 }
@@ -386,5 +584,51 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.invariant == Invariant::TimeMonotonicity));
+    }
+
+    #[test]
+    fn numbering_indexes_every_resource_once_and_decodes_it() {
+        let (w, h) = (5, 3);
+        let numbering = Numbering::new(w, h, 0);
+        assert_eq!(numbering.len, 15 + 4 * 3 + 5 * 2);
+        let mut seen = vec![false; numbering.len];
+        for y in 0..h {
+            for x in 0..w {
+                let c = Coord::new(x, y);
+                let i = numbering.node(c).expect("on the mesh");
+                assert!(!std::mem::replace(&mut seen[i], true));
+                assert!(numbering.resource(i) == Resource::Node(c));
+                for n in [Coord::new(x + 1, y), Coord::new(x, y + 1)] {
+                    let Some(i) = numbering.link(c, n) else {
+                        assert!(n.x == w || n.y == h, "{c}-{n} has no index");
+                        continue;
+                    };
+                    assert_eq!(numbering.link(n, c), Some(i));
+                    assert!(!std::mem::replace(&mut seen[i], true));
+                    assert!(numbering.resource(i) == Resource::Link(c, n));
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every index names a resource");
+        assert_eq!(numbering.node(Coord::new(w, 0)), None);
+        assert_eq!(numbering.link(Coord::new(0, 0), Coord::new(2, 0)), None);
+        assert_eq!(numbering.link(Coord::new(0, 0), Coord::new(1, 1)), None);
+    }
+
+    #[test]
+    fn numbering_tables_are_bounded_by_the_holds_not_the_mesh() {
+        let empty = Numbering::new(0, 0, 0);
+        for (w, h, holds) in [
+            (u32::MAX, u32::MAX, 5),
+            (100_000, 100_000, 1_000_000),
+            (1, u32::MAX, 0),
+        ] {
+            assert_eq!(Numbering::new(w, h, holds), empty, "{w}x{h}");
+            assert!(Numbering::new(w, h, holds).node(Coord::new(0, 0)).is_none());
+        }
+        // A real trace's mesh is far smaller than its holds.
+        let dense = Numbering::new(200, 100, 100_000);
+        assert_eq!(dense.len, 200 * 100 + 199 * 100 + 200 * 99);
+        assert!(dense.len as u128 <= SLOTS_PER_HOLD * 100_000 + SLOT_ALLOWANCE);
     }
 }

@@ -5,11 +5,11 @@
 //! from first principles and **deliberately shares no routing,
 //! claiming, or simulation code** with the engines it checks. The
 //! braid engine's mesh claims are audited by an interval race detector
-//! keyed on raw coordinates; the EPR fabric's lane bookkeeping is
-//! audited by an independent sweep line over the hop transcript;
-//! static admission runs its own flood fill over the defect map. A bug
-//! in `scq-mesh` or the schedulers therefore cannot certify its own
-//! output.
+//! over router and link indices it computes from raw coordinates; the
+//! EPR fabric's lane bookkeeping is audited by an independent sweep
+//! line over the hop transcript; static admission runs its own flood
+//! fill over the defect map. A bug in `scq-mesh` or the schedulers
+//! therefore cannot certify its own output.
 //!
 //! Two layers, both run as passes of `scq-core`'s pipeline (the crate
 //! holds the checks, not a runner):
