@@ -7,19 +7,21 @@
 //! Every braid point asserts bit-identical schedules before timing
 //! counts, and every EPR point asserts the unlimited-capacity fabric
 //! matches the flow oracle exactly, so the reported numbers are for
-//! *the same answer*. Each braid engine time and each warm `e2e` time
-//! is the median of three runs (`runs_per_point` in the JSON) so a
-//! one-off scheduler hiccup cannot masquerade as a regression; the EPR
-//! `flow_secs`, `fabric_secs` and `place_secs` are single runs.
+//! *the same answer*. Each braid engine time, each point's certify
+//! pass and each warm `e2e` time is the median of three runs
+//! (`runs_per_point` in the JSON) so a one-off scheduler hiccup cannot
+//! masquerade as a regression; the EPR `flow_secs`, `fabric_secs` and
+//! `place_secs` are single runs.
 //! Fast-engine points are measured sequentially (stable wall-clocks),
 //! then re-run in parallel once to report the fan-out wall-clock of the
 //! whole grid.
 //!
-//! Once both reports are written, five checks read the rows behind
+//! Once both reports are written, six checks read the rows behind
 //! them, and the first that fails exits nonzero: the geomean speedup
 //! floor, the pipeline's pass order, the `e2e` warm-call ratios, the
-//! placement ablation's non-regression, and the degradation study
-//! (rate 0 equals clean, the envelope, at least one completed row).
+//! braid certifier's share of the fast grid, the placement ablation's
+//! non-regression, and the degradation study (rate 0 equals clean, the
+//! envelope, at least one completed row).
 
 #![warn(clippy::disallowed_methods)]
 
@@ -31,7 +33,7 @@ use scq_bench::{
     fig6_workloads, or_die, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
 };
-use scq_braid::Policy;
+use scq_braid::{BraidTrace, Policy};
 use scq_core::{run_toolflow_timed, ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
 use scq_serve::parallel_map;
@@ -65,6 +67,10 @@ const E2E_WARM_OVER_FIRST: f64 = 0.25;
 /// Ceiling on the warm `estimate` pass's share of the warm toolflow
 /// (measured well under 0.1%: a memo hit plus the closed-form model).
 const E2E_ESTIMATE_SHARE: f64 = 0.01;
+/// Ceiling on the grid's summed braid certify passes over its summed
+/// fast-engine schedules: certifying a schedule may cost at most half
+/// of computing it.
+const CERTIFY_OVER_FAST: f64 = 0.5;
 
 struct Point {
     app: &'static str,
@@ -172,21 +178,67 @@ fn check_e2e(rows: &[E2ePoint]) -> Result<String, String> {
     ))
 }
 
-/// One certified run of `runner` on a fig6 workload at the report's
-/// distance: the seconds its certify pass took. Any finding fails the
-/// report.
+/// Checks the braid certifier against [`CERTIFY_OVER_FAST`]: its
+/// summed certify passes over the fast engine's summed schedules of the
+/// same grid, both medians of [`RUNS_PER_POINT`] runs per point taken
+/// in one process, so a uniformly slower machine does not trip it. A
+/// run that certified no interval fails rather than passing vacuously.
+fn check_certify(certify_secs: f64, total_fast: f64, intervals: u64) -> Result<String, String> {
+    if intervals == 0 {
+        return Err("the certify passes checked no interval".into());
+    }
+    let ratio = certify_secs / total_fast.max(1e-12);
+    let per_interval = format!(
+        "{:.1} ns per interval over {intervals}",
+        certify_secs * 1e9 / intervals as f64
+    );
+    if ratio > CERTIFY_OVER_FAST {
+        return Err(format!(
+            "certify passes {:.1}ms exceed {CERTIFY_OVER_FAST} x the fast grid's {:.1}ms \
+             ({per_interval})",
+            certify_secs * 1e3,
+            total_fast * 1e3
+        ));
+    }
+    Ok(format!(
+        "certify/fast {ratio:.3} <= {CERTIFY_OVER_FAST}, {per_interval}"
+    ))
+}
+
+/// The router and link intervals the braid certifier checks in
+/// `trace`: every event holds each router and each link of its path.
+fn intervals(trace: &BraidTrace) -> u64 {
+    let holds = |n: usize| (2 * n).saturating_sub(1) as u64;
+    trace
+        .events
+        .iter()
+        .map(|ev| holds(ev.path.nodes().len()))
+        .sum()
+}
+
+/// [`RUNS_PER_POINT`] certified runs of `runner` on a fig6 workload at
+/// the report's distance: the median seconds their certify pass took,
+/// and the intervals of the braid trace it certified (0 without one).
+/// Any finding fails the report.
 fn certified(
     (bench, circuit): &(Benchmark, Circuit),
     policy: Policy,
     runner: PipelineRunner,
-) -> f64 {
+) -> (f64, u64) {
     let config = ToolflowConfig::pinned(policy, CODE_DISTANCE);
-    let mut cx = ArtifactContext::for_circuit(circuit, config);
-    let run = runner.certified().run(&mut cx);
-    let trace = or_die(run, "fig6 workload failed to schedule");
-    let findings = cx.findings();
-    assert!(findings.is_empty(), "{}: {findings:?}", bench.name());
-    trace.pass_secs("certify-")
+    let runner = runner.certified();
+    let mut secs = [0.0; RUNS_PER_POINT];
+    let mut checked = 0;
+    for s in &mut secs {
+        let mut cx = ArtifactContext::for_circuit(circuit, config);
+        let trace = or_die(runner.run(&mut cx), "fig6 workload failed to schedule");
+        let findings = cx.findings();
+        assert!(findings.is_empty(), "{}: {findings:?}", bench.name());
+        *s = trace.pass_secs("certify-");
+        checked = cx.braid_trace().map_or(0, intervals);
+    }
+    secs.sort_by(f64::total_cmp);
+    (secs[RUNS_PER_POINT / 2], checked)
 }
 
 fn main() {
@@ -223,10 +275,10 @@ fn main() {
     // certify-braid pass apart from the scheduling before it, so the
     // figure is the cost of *verification* alone. The guarded fast/ref
     // timings above run lists that never certify.
-    let certify_secs: f64 = grid
+    let (certify_secs, certify_intervals) = grid
         .iter()
         .map(|&(w, policy)| certified(&workloads[w], policy, PipelineRunner::braid()))
-        .sum();
+        .fold((0.0, 0), |(secs, n), (s, i)| (secs + s, n + i));
 
     // Per-pass wall clock of the artifact pipeline: one timed toolflow
     // run per fig6 app at the report's pinned distance, durations
@@ -309,8 +361,10 @@ fn main() {
         parallel_grid_secs * 1e3
     );
     println!(
-        "grid certification (certify-braid passes, summed): {:.1}ms",
-        certify_secs * 1e3
+        "grid certification (certify-braid passes, summed): {:.1}ms over {certify_intervals} \
+         intervals, {:.1} ns per interval",
+        certify_secs * 1e3,
+        certify_secs * 1e9 / certify_intervals.max(1) as f64
     );
     println!("\npipeline pass breakdown (summed over the fig6 apps):");
     for (name, s) in PIPELINE_STAGES.iter().zip(&pass_secs) {
@@ -369,7 +423,8 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"certify_secs\": {certify_secs:.6}");
+    let _ = writeln!(json, "  \"certify_secs\": {certify_secs:.6},");
+    let _ = writeln!(json, "  \"certify_intervals\": {certify_intervals}");
     json.push('}');
     json.push('\n');
     write_report("BENCH_sched.json", &json);
@@ -380,6 +435,10 @@ fn main() {
         ("geomean scheduler speedup", check_geomean(geomean_speedup)),
         ("pipeline pass order", check_pass_order(&e2e)),
         ("end-to-end toolflow", check_e2e(&e2e)),
+        (
+            "braid certification",
+            check_certify(certify_secs, total_fast, certify_intervals),
+        ),
         ("placement ablation", check_placement(&placement)),
         ("degradation study", check_degradation(&degradation)),
     ] {
@@ -710,7 +769,7 @@ fn epr_report(
     // workload's certified run, apart from its scheduling.
     let certify_secs: f64 = workloads
         .iter()
-        .map(|workload| certified(workload, Policy::P6, PipelineRunner::planar()))
+        .map(|workload| certified(workload, Policy::P6, PipelineRunner::planar()).0)
         .sum();
     println!(
         "\nplanar certification (certify-planar passes, summed): {:.1}ms",
@@ -832,6 +891,27 @@ mod tests {
     fn geomean_check_holds_the_floor() {
         assert!(check_geomean(3.0).is_ok());
         assert!(check_geomean(2.99).unwrap_err().contains("floor"));
+    }
+
+    #[test]
+    fn certify_check_holds_half_the_fast_grid() {
+        // The shape of a measured run: 0.20 s of certify passes over
+        // 3.7M intervals against 0.45 s of fast schedules.
+        let verdict = check_certify(0.20, 0.45, 3_700_000);
+        assert!(
+            verdict
+                .as_ref()
+                .is_ok_and(|s| s.contains("54.1 ns per interval")),
+            "{verdict:?}"
+        );
+        assert!(check_certify(0.225, 0.45, 3_700_000).is_ok());
+        // The HashMap certifier this check was written against: 0.549 s
+        // of certify passes against 0.492 s of fast schedules.
+        let err = check_certify(0.549, 0.492, 3_700_000).unwrap_err();
+        assert!(err.contains("exceed 0.5 x"), "{err}");
+        assert!(check_certify(0.0, 0.45, 0)
+            .unwrap_err()
+            .contains("no interval"));
     }
 
     /// One `e2e` row per fig6 app, in order, from `(first, warm, warm
