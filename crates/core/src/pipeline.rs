@@ -100,8 +100,8 @@ impl<'a> ArtifactContext<'a> {
     /// A context for a standalone circuit with no benchmark identity —
     /// QASM input to the `scq` CLI, for example.
     ///
-    /// Only the `estimate` pass reads the benchmark (it calibrates the
-    /// scale-free [`AppProfile`] from it), so this constructor is meant
+    /// Only the `estimate` pass reads the benchmark (it looks up the
+    /// benchmark's calibrated [`AppProfile`]), so this constructor is meant
     /// for runners that stop before it, like
     /// [`PipelineRunner::schedules`]; a full standard run would
     /// attribute the circuit to the default GSE profile.

@@ -5,12 +5,16 @@
 //! "concrete values for the number of qubits and amount of time needed
 //! to execute a fully-error-corrected application").
 //!
-//! The estimator is calibrated, not guessed: [`AppProfile::calibrate`]
-//! measures parallelism, operation mix, braid congestion (from the
-//! `scq-braid` simulator) and layout distances (from `scq-layout`) on
-//! feasible instances, then [`estimate`] extrapolates along each
-//! application's analytic scaling law to the paper's 10^24-operation
-//! design points.
+//! The estimator is calibrated, not guessed: each benchmark's
+//! parallelism, operation mix, braid congestion (from the `scq-braid`
+//! simulator), teleport congestion (from the `scq-teleport` fabric) and
+//! layout distances (from `scq-layout`) are measured on feasible
+//! instances, then [`estimate`] extrapolates along each application's
+//! analytic scaling law to the paper's 10^24-operation design points.
+//! The measurement is seeded, so its results are a committed table:
+//! [`AppProfile::calibrate`] returns a row, and a unit test recomputes
+//! every row and requires the same bytes. [`AppProfile::from_circuit`]
+//! measures an arbitrary circuit on every call.
 //!
 //! # Examples
 //!

@@ -6,9 +6,9 @@
 //! each application (parallelism, operation mix, braid congestion,
 //! layout distance coefficient) by simulating feasible instances, and
 //! combine them with each application's analytic problem-size scaling to
-//! evaluate arbitrary computation sizes.
-
-use std::sync::OnceLock;
+//! evaluate arbitrary computation sizes. The simulation is seeded, so the
+//! calibrated constants are committed as a table that a unit test
+//! recomputes.
 
 use scq_apps::Benchmark;
 use scq_braid::{schedule_circuit, BraidConfig, Policy};
@@ -100,22 +100,89 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
-    /// Calibrates the profile of `bench` by analyzing and scheduling a
-    /// small instance.
+    /// The calibrated profile of `bench`: its row of the committed
+    /// calibration table, the arms of the `match` below.
     ///
-    /// Computed once per process per [`Benchmark`]: the profile is a
-    /// pure function of the enum (generators, layout, and the braid
-    /// scheduler are all seeded), so the first call fills a process-wide
-    /// slot and every call returns an owned clone of it. Callers may
-    /// perturb their copy freely; the memo never sees it.
+    /// Calibration is a pure function of the enum. It analyzes the
+    /// paper-default instance, schedules a mid-size one under Policy 6
+    /// and lays it out with the congestion-aware placement, and fits
+    /// the qubit scaling law from two generated sizes; every step is
+    /// seeded. So its constants are committed here instead of being
+    /// remeasured in every process. The unit test
+    /// `calibration_table_is_the_measurement` reruns the measurement and
+    /// requires every row's `Debug` bytes; when a change moves a row, it
+    /// prints the replacement arms.
     pub fn calibrate(bench: Benchmark) -> AppProfile {
-        static MEMO: [OnceLock<AppProfile>; Benchmark::ALL.len()] =
-            [const { OnceLock::new() }; Benchmark::ALL.len()];
-        let slot = Benchmark::ALL
-            .iter()
-            .position(|&b| b == bench)
-            .expect("Benchmark::ALL lists every benchmark");
-        MEMO[slot].get_or_init(|| calibrate_uncached(bench)).clone()
+        use LogicalScaling::{Grover, Power};
+        let name = bench.name().to_owned();
+        match bench {
+            Benchmark::Gse => AppProfile {
+                name,
+                parallelism: 1.1696428571428572,
+                frac_two_qubit: 0.366412213740458,
+                frac_t: 0.2595419847328244,
+                braid_congestion: 1.0,
+                teleport_congestion: 1.0,
+                layout_kappa: 0.4244373438135827,
+                scaling: Power {
+                    a: 0.3073269074161505,
+                    b: 0.6100264198882642,
+                    c: 0.0,
+                },
+            },
+            Benchmark::SquareRoot => AppProfile {
+                name,
+                parallelism: 1.4471631747973697,
+                frac_two_qubit: 0.44954031491070484,
+                frac_t: 0.4172038465602874,
+                braid_congestion: 1.0315006562636722,
+                teleport_congestion: 1.0169544740973313,
+                layout_kappa: 0.34489791073265735,
+                scaling: Grover { coeff: 72.25 },
+            },
+            Benchmark::Sha1 => AppProfile {
+                name,
+                parallelism: 28.65563909774436,
+                frac_two_qubit: 0.436607892527288,
+                frac_t: 0.434928631402183,
+                braid_congestion: 1.3900565299318741,
+                teleport_congestion: 1.0042044409407436,
+                layout_kappa: 0.2286292813457822,
+                scaling: Power {
+                    a: 2.979215560189247,
+                    b: 0.5132429881145465,
+                    c: 0.0,
+                },
+            },
+            Benchmark::IsingSemi => AppProfile {
+                name,
+                parallelism: 20.253164556962027,
+                frac_two_qubit: 0.1765625,
+                frac_t: 0.3109375,
+                braid_congestion: 1.3282636248415716,
+                teleport_congestion: 1.3150289017341041,
+                layout_kappa: 0.2003282838697102,
+                scaling: Power {
+                    a: 0.9435856040397691,
+                    b: 0.5038128578294292,
+                    c: 0.0,
+                },
+            },
+            Benchmark::IsingFull => AppProfile {
+                name,
+                parallelism: 66.88524590163935,
+                frac_two_qubit: 0.16176470588235295,
+                frac_t: 0.32516339869281047,
+                braid_congestion: 2.175202156334232,
+                teleport_congestion: 1.3303303303303304,
+                layout_kappa: 0.15578865099247305,
+                scaling: Power {
+                    a: 0.9750918998173156,
+                    b: 0.502556094787709,
+                    c: 0.0,
+                },
+            },
+        }
     }
 
     /// Calibrates a profile from a single user-provided circuit.
@@ -123,8 +190,8 @@ impl AppProfile {
     /// Unlike [`AppProfile::calibrate`], no cross-size scaling law can be
     /// fit from one instance, so the qubit count is held constant: the
     /// profile is accurate *at this circuit's own computation size* and
-    /// should not be extrapolated across sizes. Not memoized: the input
-    /// is a circuit, not a key.
+    /// should not be extrapolated across sizes. It measures on every
+    /// call: the input is a circuit, not a table key.
     pub fn from_circuit(circuit: &Circuit, name: impl Into<String>) -> AppProfile {
         let scaling = LogicalScaling::Power {
             a: 0.0,
@@ -145,23 +212,11 @@ impl AppProfile {
     }
 }
 
-/// The uncached body of [`AppProfile::calibrate`].
-fn calibrate_uncached(bench: Benchmark) -> AppProfile {
-    // Parallelism, operation mix and layout distance come from the
-    // paper-default instance (Table 2 characterizes the applications at
-    // scale, not at toy sizes); congestion from a mid-size instance.
-    measure(
-        &bench.default_circuit(),
-        &bench.scaled_circuit(calibration_scale(bench)),
-        bench.name().to_owned(),
-        fit_scaling(bench),
-    )
-}
-
-/// The measurements both calibration entry points share: parallelism,
-/// operation mix and the layout distance coefficient of
-/// `stats_circuit`, and the braid (Policy 6) and teleport congestion
-/// multipliers of `congestion_circuit`.
+/// The measurements behind every profile: parallelism, operation mix
+/// and the layout distance coefficient of `stats_circuit`, and the
+/// braid (Policy 6) and teleport congestion multipliers of
+/// `congestion_circuit`. [`AppProfile::from_circuit`] runs them on
+/// every call; for the calibration table they run only in its test.
 fn measure(
     stats_circuit: &Circuit,
     congestion_circuit: &Circuit,
@@ -267,41 +322,68 @@ fn calibration_placement(
 /// Swap lanes per link for the constrained calibration runs.
 const CALIBRATION_LANES: u32 = 2;
 
-/// Instance scale used for braid-congestion calibration: large enough to
-/// exhibit contention, small enough to schedule quickly.
-fn calibration_scale(bench: Benchmark) -> u32 {
-    match bench {
-        Benchmark::Gse | Benchmark::SquareRoot => 0,
-        Benchmark::Sha1 | Benchmark::IsingSemi | Benchmark::IsingFull => 1,
-    }
-}
-
-/// Fits each benchmark's qubit-vs-ops law from two generated sizes.
-fn fit_scaling(bench: Benchmark) -> LogicalScaling {
-    match bench {
-        Benchmark::SquareRoot => {
-            // kq = coeff * 2^(n/2) * n^2; fit coeff at the small size.
-            let c = bench.small_circuit();
-            let n = f64::from((c.num_qubits() - 1) / 5);
-            let coeff = c.len() as f64 / ((n / 2.0).exp2() * n * n);
-            LogicalScaling::Grover { coeff }
-        }
-        _ => {
-            // Power-law fit q = a * kq^b from two instance sizes.
-            let c0 = bench.scaled_circuit(0);
-            let c1 = bench.scaled_circuit(2);
-            let (k0, q0) = (c0.len() as f64, f64::from(c0.num_qubits()));
-            let (k1, q1) = (c1.len() as f64, f64::from(c1.num_qubits()));
-            let b = (q1 / q0).ln() / (k1 / k0).ln();
-            let a = q0 / k0.powf(b);
-            LogicalScaling::Power { a, b, c: 0.0 }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
+
+    /// The measurement [`AppProfile::calibrate`]'s table commits, and
+    /// the table's only oracle.
+    fn calibrate_uncached(bench: Benchmark) -> AppProfile {
+        // Parallelism, operation mix and layout distance come from the
+        // paper-default instance (Table 2 characterizes the applications
+        // at scale, not at toy sizes); congestion from a mid-size one.
+        measure(
+            &bench.default_circuit(),
+            &bench.scaled_circuit(calibration_scale(bench)),
+            bench.name().to_owned(),
+            fit_scaling(bench),
+        )
+    }
+
+    /// Instance scale used for braid-congestion calibration: large
+    /// enough to exhibit contention, small enough to schedule quickly.
+    fn calibration_scale(bench: Benchmark) -> u32 {
+        match bench {
+            Benchmark::Gse | Benchmark::SquareRoot => 0,
+            Benchmark::Sha1 | Benchmark::IsingSemi | Benchmark::IsingFull => 1,
+        }
+    }
+
+    /// Fits each benchmark's qubit-vs-ops law from two generated sizes.
+    fn fit_scaling(bench: Benchmark) -> LogicalScaling {
+        match bench {
+            Benchmark::SquareRoot => {
+                // kq = coeff * 2^(n/2) * n^2; fit coeff at the small size.
+                let c = bench.small_circuit();
+                let n = f64::from((c.num_qubits() - 1) / 5);
+                let coeff = c.len() as f64 / ((n / 2.0).exp2() * n * n);
+                LogicalScaling::Grover { coeff }
+            }
+            _ => {
+                // Power-law fit q = a * kq^b from two instance sizes.
+                let c0 = bench.scaled_circuit(0);
+                let c1 = bench.scaled_circuit(2);
+                let (k0, q0) = (c0.len() as f64, f64::from(c0.num_qubits()));
+                let (k1, q1) = (c1.len() as f64, f64::from(c1.num_qubits()));
+                let b = (q1 / q0).ln() / (k1 / k0).ln();
+                let a = q0 / k0.powf(b);
+                LogicalScaling::Power { a, b, c: 0.0 }
+            }
+        }
+    }
+
+    /// The arms of the match in [`AppProfile::calibrate`] for `rows`,
+    /// measured in `Benchmark::ALL` order, as Rust source.
+    fn table_source(rows: &[AppProfile]) -> String {
+        let mut src = String::new();
+        for (bench, p) in Benchmark::ALL.iter().zip(rows) {
+            let row = format!("{p:#?}").replace(&format!("name: {:?},", p.name), "name,");
+            let _ = writeln!(src, "Benchmark::{bench:?} => {row},");
+        }
+        src
+    }
 
     #[test]
     fn grover_scaling_is_logarithmic() {
@@ -384,16 +466,26 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_memo_matches_the_uncached_computation() {
+    fn calibration_table_is_the_measurement() {
         // Compared as Debug text: the bytes the toolflow's golden
-        // digests hash.
-        let bytes = |p: AppProfile| format!("{p:?}");
-        for bench in Benchmark::ALL {
-            let first = bytes(AppProfile::calibrate(bench));
-            let repeat = bytes(AppProfile::calibrate(bench));
-            assert_eq!(first, repeat, "{}: repeated call", bench.name());
-            assert_eq!(first, bytes(calibrate_uncached(bench)), "{}", bench.name());
-        }
+        // digests hash. Each f64 prints as its shortest round-trip
+        // literal, so a pasted row is bit-exact, and -0.0 cannot pass
+        // for 0.0 as it would under PartialEq.
+        let measured = Benchmark::ALL.map(calibrate_uncached);
+        let moved: Vec<&str> = Benchmark::ALL
+            .iter()
+            .zip(&measured)
+            .filter(|&(&bench, m)| {
+                format!("{:?}", AppProfile::calibrate(bench)) != format!("{m:?}")
+            })
+            .map(|(bench, _)| bench.name())
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "calibration rows {moved:?} moved; replace the arms of the match in \
+             `AppProfile::calibrate` with these, then run `cargo fmt`:\n{}",
+            table_source(&measured)
+        );
     }
 
     #[test]
