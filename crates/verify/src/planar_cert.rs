@@ -236,8 +236,14 @@ fn check_routes(transcript: &EprTranscript, defects: Option<&DefectMap>, out: &m
                     );
                 }
             }
+            // A jump is no link (already a route finding above), so the
+            // map is asked only about adjacent pairs.
             for (a, b) in route.links() {
-                if map.topology().contains(a) && map.topology().contains(b) && map.link_dead(a, b) {
+                if a.is_adjacent(b)
+                    && map.topology().contains(a)
+                    && map.topology().contains(b)
+                    && map.link_dead(a, b)
+                {
                     out.push(
                         Finding::error(
                             Invariant::DefectAvoidance,

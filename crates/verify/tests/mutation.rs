@@ -264,6 +264,27 @@ fn planar_transient_fault_on_clean_fabric_flags_defect_avoidance() {
     assert_flags(&findings, Invariant::DefectAvoidance);
 }
 
+#[test]
+fn planar_jump_on_a_defect_map_flags_only_route_well_formed() {
+    let (c, dag, s, mut t) = planar_fixture();
+    let map = DefectMap::empty(t.topology);
+    assert!(certify_planar_schedule(&s, &t, &c, &dag, Some(&map)).is_empty());
+    // Plan request 0 as one jump between its endpoints, both routers of
+    // the map. The jump is no link of the fabric, so the defect check
+    // must not ask the map about it.
+    let (src, dst) = (t.requests[0].src, t.requests[0].dst);
+    assert!(!src.is_adjacent(dst), "request 0 must span several links");
+    t.routes[0] = Path::new_unchecked(vec![src, dst]);
+    let findings = certify_planar_schedule(&s, &t, &c, &dag, Some(&map));
+    assert_flags(&findings, Invariant::RouteWellFormed);
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.invariant == Invariant::RouteWellFormed),
+        "{findings:?}"
+    );
+}
+
 // ------------------------------------------------------ reproducibility
 
 /// Certifies twenty times over and requires the same findings in the
