@@ -298,8 +298,8 @@ fn bench_epr_pipeline(c: &mut Criterion) {
 }
 
 /// Fabric inject + event-driven advance throughput as the in-flight
-/// population grows: the packet layer's hot loop is the event heap and
-/// the per-link load/waiter bookkeeping.
+/// population grows: the packet layer's hot loop is the hop FIFO, the
+/// per-cycle merge and the per-link load/waiter bookkeeping.
 fn bench_fabric_throughput(c: &mut Criterion) {
     use scq_mesh::{Coord, Fabric, FabricConfig, Topology};
     let topo = Topology::new(32, 32);

@@ -6,7 +6,7 @@
 //!
 //! Once the report is written, the tier is checked, and the binary
 //! exits nonzero on a failure: at least four points at >= 10x fig6
-//! scale, every point at >= 50k events/sec, and at least one
+//! scale, every point at >= 1M events/sec, and at least one
 //! million-event point.
 //!
 //! `--reduced` shrinks the replication factors for CI while keeping
@@ -25,9 +25,11 @@ const RUNS_PER_POINT: usize = 3;
 const MIN_LARGE_POINTS: usize = 4;
 /// Demand size over the fig6 instance that makes a point large.
 const LARGE_POINT_SCALE: f64 = 10.0;
-/// Floor on every point's fabric throughput, far below the measured
-/// millions so only a real regression trips it.
-const EVENTS_PER_SEC_FLOOR: f64 = 50_000.0;
+/// Floor on every point's fabric throughput, about an eighth of the
+/// slowest point's rate on a 2-vCPU VM (`BENCH_scale.json`): machine
+/// noise stays far above it, an event loop that lost an order of
+/// magnitude falls below.
+const EVENTS_PER_SEC_FLOOR: f64 = 1_000_000.0;
 /// Fabric events of the largest point the tier must reach.
 const MILLION_EVENTS: u64 = 1_000_000;
 
@@ -156,7 +158,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_scale, ScalePoint};
+    use super::{check_scale, ScalePoint, EVENTS_PER_SEC_FLOOR};
 
     /// Points from `(scale_vs_fig6, events, events/sec)`.
     fn points(rows: &[(f64, u64, f64)]) -> Vec<ScalePoint> {
@@ -179,7 +181,7 @@ mod tests {
             (16.0, 2_100_000, 9.0e6),
             (16.0, 2_100_000, 8.0e6),
             (12.5, 1_400_000, 7.0e6),
-            (12.5, 500_000, 50_000.0), // exactly on the throughput floor
+            (12.5, 500_000, EVENTS_PER_SEC_FLOOR), // exactly on the floor
             (32.0, 1_800_000, 9.5e6),
         ]);
         assert!(check_scale(&tier).is_ok());

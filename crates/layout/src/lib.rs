@@ -278,12 +278,14 @@ fn interaction_aware(graph: &InteractionGraph, w: u32, h: u32) -> Vec<Coord> {
     let pgraph = to_partition_graph(graph);
     let all: Vec<u32> = (0..n).collect();
     let config = PartitionConfig::default();
+    let mut local_of = vec![u32::MAX; n as usize];
     assign_region(
         &pgraph,
         &all,
         Region { x: 0, y: 0, w, h },
         &config,
         &mut tile_of,
+        &mut local_of,
     );
     tile_of
 }
@@ -308,12 +310,15 @@ fn to_partition_graph(graph: &InteractionGraph) -> Graph {
         .expect("interaction graphs are valid partition inputs")
 }
 
+/// Places `qubits` inside `region`, bisecting recursively. `local_of`
+/// is [`induced_subgraph`]'s scratch table, one for the whole recursion.
 fn assign_region(
     graph: &Graph,
     qubits: &[u32],
     region: Region,
     config: &PartitionConfig,
     tile_of: &mut [Coord],
+    local_of: &mut [u32],
 ) {
     debug_assert!(region.cells() >= qubits.len() as u64);
     if qubits.is_empty() {
@@ -357,7 +362,7 @@ fn assign_region(
     };
 
     // Partition the qubits proportionally to the sub-region capacities.
-    let sub = induced_subgraph(graph, qubits);
+    let sub = induced_subgraph(graph, qubits, local_of);
     let frac = left.cells() as f64 / region.cells() as f64;
     let sub_config = PartitionConfig {
         target_left_fraction: frac,
@@ -383,12 +388,14 @@ fn assign_region(
     while right_qubits.len() as u64 > right.cells() {
         left_qubits.push(right_qubits.pop().expect("non-empty overflow"));
     }
-    assign_region(graph, &left_qubits, left, config, tile_of);
-    assign_region(graph, &right_qubits, right, config, tile_of);
+    assign_region(graph, &left_qubits, left, config, tile_of, local_of);
+    assign_region(graph, &right_qubits, right, config, tile_of, local_of);
 }
 
-fn induced_subgraph(graph: &Graph, vertices: &[u32]) -> Graph {
-    let mut local_of = vec![u32::MAX; graph.num_vertices()];
+/// The subgraph of `graph` on `vertices`, renumbered in their order.
+/// `local_of` maps each vertex of `graph` to its local index; it must
+/// hold `u32::MAX` everywhere on entry, and does again on return.
+fn induced_subgraph(graph: &Graph, vertices: &[u32], local_of: &mut [u32]) -> Graph {
     for (i, &v) in vertices.iter().enumerate() {
         local_of[v as usize] = i as u32;
     }
@@ -400,6 +407,9 @@ fn induced_subgraph(graph: &Graph, vertices: &[u32]) -> Graph {
                 edges.push((i as u32, lu, w));
             }
         }
+    }
+    for &v in vertices {
+        local_of[v as usize] = u32::MAX;
     }
     Graph::from_edges(vertices.len() as u32, &edges)
         .expect("induced subgraph construction cannot fail")

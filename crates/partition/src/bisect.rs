@@ -239,6 +239,9 @@ fn initial_bisection(graph: &Graph, config: &PartitionConfig, rng: &mut StdRng) 
         let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
         heap.push((0, start));
         let mut grown = 0usize;
+        // No vertex below `ungrown` is still ungrown. Vertices only
+        // leave the ungrown side, so the lowest ungrown index only grows.
+        let mut ungrown = 0usize;
         while left_weight < target_left && grown < n {
             let v = loop {
                 match heap.pop() {
@@ -253,10 +256,13 @@ fn initial_bisection(graph: &Graph, config: &PartitionConfig, rng: &mut StdRng) 
             };
             let v = match v {
                 Some(v) => v,
-                // Disconnected graph: seed a new region from any
+                // Disconnected graph: seed a new region from the lowest
                 // ungrown vertex.
-                None => match assignment.iter().position(|&s| s == 1) {
-                    Some(idx) => idx as u32,
+                None => match assignment[ungrown..].iter().position(|&s| s == 1) {
+                    Some(offset) => {
+                        ungrown += offset;
+                        ungrown as u32
+                    }
                     None => break,
                 },
             };

@@ -165,7 +165,7 @@ impl ScheduleRequest {
     /// code distance, so requests differing only in those reuse one
     /// cached placement (and skip its compute). The defect spec *is*
     /// keyed, conservatively: today's strategies are defect-blind, but
-    /// a defect-aware placer (ROADMAP item 5) must never inherit a
+    /// a defect-aware placer (ROADMAP item 8) must never inherit a
     /// floorplan computed for different hardware.
     pub fn placement_key(&self, circuit: &Circuit) -> u64 {
         let mut h = KeyHasher::new();

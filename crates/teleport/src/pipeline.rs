@@ -185,39 +185,48 @@ pub(crate) fn plan_launches(
 /// runs the serialized-slip consume recurrence and sweeps the two §8.1
 /// metrics. Fed predicted arrivals this reproduces the legacy flow
 /// model; fed measured fabric arrivals it prices real link contention.
+///
+/// Demand times are sorted and slip only grows, so consume times never
+/// decrease: peak live EPR pairs is a merge of the sorted launch times
+/// against them, with no sort of the consumes.
 pub(crate) fn account_arrivals(
     times: &[u64],
     launches_arrivals: &[(u64, u64)],
     teleport_cycles: u64,
 ) -> EprPipelineResult {
     debug_assert_eq!(times.len(), launches_arrivals.len());
+    let mut launches: Vec<u64> = launches_arrivals.iter().map(|&(l, _)| l).collect();
+    launches.sort_unstable();
+    let mut launches = launches.into_iter().peekable();
     let mut slip: u64 = 0;
     let mut total_stall = 0u64;
     let mut last_consume = 0u64;
     let mut ideal_last = 0u64;
-    let mut live_events: Vec<(u64, i64)> = Vec::with_capacity(2 * times.len());
+    let mut prev_consume = 0u64;
+    let mut live = 0i64;
+    let mut peak = 0i64;
 
-    for (&time, &(launch, arrive)) in times.iter().zip(launches_arrivals) {
+    for (&time, &(_, arrive)) in times.iter().zip(launches_arrivals) {
         let need = time + slip;
         let stall = arrive.saturating_sub(need);
         total_stall += stall;
         slip += stall;
         let consume = need + stall; // = max(need, arrive)
-        live_events.push((launch, 1));
-        live_events.push((consume, -1));
+        debug_assert!(consume >= prev_consume, "consume times never decrease");
+        prev_consume = consume;
+        // Launches before this consume go live first; at equal times
+        // the consume goes first (an EPR freed this cycle can be
+        // recycled).
+        while launches.next_if(|&l| l < consume).is_some() {
+            live += 1;
+            peak = peak.max(live);
+        }
+        live -= 1;
         last_consume = last_consume.max(consume + teleport_cycles);
         ideal_last = ideal_last.max(time + teleport_cycles);
     }
-
-    // Sweep for peak live EPR pairs (consume before launch at equal
-    // times: an EPR freed this cycle can be recycled).
-    live_events.sort_unstable();
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in live_events {
-        live += delta;
-        peak = peak.max(live);
-    }
+    // Launches after the last consume only add to the live count.
+    peak = peak.max(live + launches.len() as i64);
 
     EprPipelineResult {
         makespan: last_consume,
@@ -285,6 +294,92 @@ pub fn window_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
+
+    /// Oracle of [`account_arrivals`]: the same recurrence, with peak
+    /// live EPR pairs swept by sorting every `(launch, +1)` and
+    /// `(consume, -1)` pair (consumes first at equal times) and taking
+    /// the running maximum.
+    fn account_arrivals_by_sort(
+        times: &[u64],
+        launches_arrivals: &[(u64, u64)],
+        teleport_cycles: u64,
+    ) -> EprPipelineResult {
+        let mut slip: u64 = 0;
+        let mut total_stall = 0u64;
+        let mut last_consume = 0u64;
+        let mut ideal_last = 0u64;
+        let mut live_events: Vec<(u64, i64)> = Vec::with_capacity(2 * times.len());
+        for (&time, &(launch, arrive)) in times.iter().zip(launches_arrivals) {
+            let need = time + slip;
+            let stall = arrive.saturating_sub(need);
+            total_stall += stall;
+            slip += stall;
+            let consume = need + stall;
+            live_events.push((launch, 1));
+            live_events.push((consume, -1));
+            last_consume = last_consume.max(consume + teleport_cycles);
+            ideal_last = ideal_last.max(time + teleport_cycles);
+        }
+        live_events.sort_unstable();
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for (_, delta) in live_events {
+            live += delta;
+            peak = peak.max(live);
+        }
+        EprPipelineResult {
+            makespan: last_consume,
+            ideal_makespan: ideal_last,
+            peak_live_eprs: peak as usize,
+            total_stall_cycles: total_stall,
+            teleports: times.len(),
+        }
+    }
+
+    #[test]
+    fn merged_peak_matches_the_sorted_sweep() {
+        let mut rng = TestRng::seed_from_u64(0xacc0);
+        let below = |rng: &mut TestRng, n: u64| rng.next_u64() % n;
+        let (mut ties, mut zero_travel, mut same_cycle) = (0, 0, 0);
+        for case in 0..2000 {
+            // Short horizons and small travel make ties common.
+            let n = below(&mut rng, 24) as usize;
+            let mut times: Vec<u64> = (0..n).map(|_| below(&mut rng, 40)).collect();
+            times.sort_unstable();
+            let launches_arrivals: Vec<(u64, u64)> = times
+                .iter()
+                .map(|&t| {
+                    let launch = below(&mut rng, t + 4);
+                    (launch, launch + below(&mut rng, 4))
+                })
+                .collect();
+            let teleport_cycles = below(&mut rng, 3);
+            assert_eq!(
+                account_arrivals(&times, &launches_arrivals, teleport_cycles),
+                account_arrivals_by_sort(&times, &launches_arrivals, teleport_cycles),
+                "case {case}: times {times:?}, launches/arrivals {launches_arrivals:?}"
+            );
+
+            ties += usize::from(times.windows(2).any(|w| w[0] == w[1]));
+            zero_travel += usize::from(launches_arrivals.iter().any(|&(l, a)| l == a));
+            let mut slip = 0;
+            let consumes: Vec<u64> = times
+                .iter()
+                .zip(&launches_arrivals)
+                .map(|(&t, &(_, arrive))| {
+                    let consume = (t + slip).max(arrive);
+                    slip = consume - t;
+                    consume
+                })
+                .collect();
+            same_cycle += usize::from(launches_arrivals.iter().any(|(l, _)| consumes.contains(l)));
+        }
+        assert!(
+            ties > 100 && zero_travel > 100 && same_cycle > 100,
+            "ties {ties}, zero travel {zero_travel}, same-cycle launch and consume {same_cycle}"
+        );
+    }
 
     fn uniform_demands(n: u64, spacing: u64, distance: u32) -> Vec<EprDemand> {
         (0..n)

@@ -234,6 +234,35 @@ fn a_dead_anchor_of_an_unused_qubit_fails_neither_check_nor_schedule() {
     }
 }
 
+#[test]
+fn wide_two_gate_circuits_keep_their_layout_hashes() {
+    // Two gates over many declared qubits: nearly all of the layout
+    // pass bisects isolated vertices, and up to the 65,536-qubit cap
+    // its placement must not move.
+    for (qubits, hash) in [
+        (5_000, "0da7409eda81961e"),
+        (20_000, "b16a316e20b9dbd1"),
+        (65_536, "afe2c08e36cb018f"),
+    ] {
+        let qasm = scratch_file(
+            &format!("two-gates-{qubits}.qasm"),
+            &format!("qubits {qubits}\ncnot q0, q1\nh q1\n"),
+        );
+        let out = scq(&["schedule", &qasm, "--timings"]);
+        assert!(out.status.success(), "{qubits} qubits: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let layout = stdout
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("layout "))
+            .unwrap_or_else(|| panic!("{qubits} qubits: no layout hash in {stdout}"));
+        assert_eq!(
+            layout.split_whitespace().next(),
+            Some(hash),
+            "{qubits} qubits"
+        );
+    }
+}
+
 /// `text` with each `pass` line cut after the pass name: the padding
 /// before a duration varies with the duration's width.
 fn without_durations(text: &str) -> String {
