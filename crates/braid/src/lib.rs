@@ -73,4 +73,4 @@ pub use scheduler::{
     braid_mesh_dims, factory_sites, op_latency_cycles, schedule, schedule_circuit, schedule_with,
     BraidConfig, BraidSchedule, ScheduleError, TGateModel,
 };
-pub use trace::{BraidEvent, BraidTrace, EventCollector, NoTrace, TraceConflict, TraceSink};
+pub use trace::{BraidEvent, BraidTrace, EventCollector, NoTrace, TraceSink};

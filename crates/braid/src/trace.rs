@@ -1,20 +1,18 @@
-//! Braid schedule traces: the static schedule artifact, its validation,
-//! and congestion visualization.
+//! Braid schedule traces: the static schedule artifact and congestion
+//! visualization.
 //!
 //! The paper's scalability argument rests on one property: the dynamic
 //! network simulation only needs to find *a* conflict-free schedule at
 //! compile time, because "we replay the dynamic schedule as a static one
 //! at execution time on the quantum computer" (Section 6.1). The
 //! [`BraidTrace`] is that replayable artifact — every braid leg with its
-//! route and its open/close cycles — and [`BraidTrace::validate`] is the
-//! machine-checkable proof that the replay is conflict-free: no two
-//! braids ever hold a router or link at the same time.
+//! route and its open/close cycles. scq-verify's `certify_braid_trace`
+//! proves the replay conflict-free (no two braids ever hold a router or
+//! link at the same time) without sharing the engine's claiming code.
 
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 
-use scq_mesh::{Coord, Mesh, Path};
+use scq_mesh::{Coord, Path};
 
 /// Receiver for braid-leg events as the scheduler closes them, and for
 /// the work of each adaptive route search it runs.
@@ -122,63 +120,7 @@ pub struct BraidTrace {
     pub events: Vec<BraidEvent>,
 }
 
-/// A conflict found while replaying a trace: two braids held the same
-/// resource simultaneously. This never occurs for traces produced by the
-/// scheduler; it exists to *prove* that.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceConflict {
-    /// Cycle at which the conflicting claim was attempted.
-    pub cycle: u64,
-    /// The operation whose claim failed.
-    pub op: u32,
-}
-
-impl fmt::Display for TraceConflict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "braid of op {} could not re-claim its route at cycle {} during replay",
-            self.op, self.cycle
-        )
-    }
-}
-
-impl Error for TraceConflict {}
-
 impl BraidTrace {
-    /// Replays the static schedule on a fresh mesh and verifies that
-    /// every braid can claim its recorded route at its recorded cycle —
-    /// i.e. the schedule is conflict-free and executable as-is.
-    ///
-    /// Closes are processed before opens within a cycle, matching the
-    /// scheduler's release-then-issue order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TraceConflict`] encountered; `Ok(())` means
-    /// the schedule replays cleanly.
-    pub fn validate(&self) -> Result<(), TraceConflict> {
-        let mut mesh = Mesh::new(self.mesh_width, self.mesh_height);
-        // (cycle, is_open, event index); closes sort before opens.
-        let mut moments: Vec<(u64, bool, usize)> = Vec::with_capacity(2 * self.events.len());
-        for (i, e) in self.events.iter().enumerate() {
-            moments.push((e.open_cycle, true, i));
-            moments.push((e.close_cycle, false, i));
-        }
-        moments.sort_by_key(|&(t, is_open, _)| (t, is_open));
-        for (t, is_open, i) in moments {
-            let e = &self.events[i];
-            if is_open {
-                if !mesh.try_claim(&e.path, e.op) {
-                    return Err(TraceConflict { cycle: t, op: e.op });
-                }
-            } else {
-                mesh.release(&e.path, e.op);
-            }
-        }
-        Ok(())
-    }
-
     /// Total busy cycles per link, keyed on the link's canonical
     /// `(from, to)` coordinates — the congestion heatmap data.
     pub fn link_heatmap(&self) -> HashMap<(Coord, Coord), u64> {
@@ -279,48 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_events_validate() {
-        let trace = BraidTrace {
-            mesh_width: 5,
-            mesh_height: 5,
-            cycles: 10,
-            events: vec![event(0, 0, 5, row(0, 0, 4)), event(1, 0, 5, row(2, 0, 4))],
-        };
-        assert!(trace.validate().is_ok());
-    }
-
-    #[test]
-    fn time_separated_overlapping_routes_validate() {
-        let trace = BraidTrace {
-            mesh_width: 5,
-            mesh_height: 5,
-            cycles: 12,
-            events: vec![
-                event(0, 0, 5, row(1, 0, 3)),
-                event(1, 5, 10, row(1, 0, 3)), // same route, opens as 0 closes
-            ],
-        };
-        assert!(trace.validate().is_ok());
-    }
-
-    #[test]
-    fn conflicting_events_are_caught() {
-        let trace = BraidTrace {
-            mesh_width: 5,
-            mesh_height: 5,
-            cycles: 10,
-            events: vec![
-                event(0, 0, 6, row(1, 0, 3)),
-                event(1, 3, 8, row(1, 2, 4)), // overlaps in space and time
-            ],
-        };
-        let err = trace.validate().unwrap_err();
-        assert_eq!(err.op, 1);
-        assert_eq!(err.cycle, 3);
-        assert!(err.to_string().contains("op 1"));
-    }
-
-    #[test]
     fn heatmap_counts_busy_cycles() {
         let trace = BraidTrace {
             mesh_width: 3,
@@ -364,14 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_validates() {
+    fn empty_trace_renders_with_no_peak() {
         let trace = BraidTrace {
             mesh_width: 2,
             mesh_height: 2,
             cycles: 0,
             events: vec![],
         };
-        assert!(trace.validate().is_ok());
         assert_eq!(trace.peak_concurrent_braids(), 0);
         assert!(trace.render_heatmap().contains('+'));
     }

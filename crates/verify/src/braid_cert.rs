@@ -3,13 +3,13 @@
 //! [`certify_braid_trace`] takes the static schedule artifact a braid
 //! run emits (a [`BraidTrace`]) and verifies, from the trace alone,
 //! every invariant the machine's replay depends on. It shares *no* code
-//! with the engine that produced the trace: where the engine's own
-//! `BraidTrace::validate` replays claims through [`scq_mesh::Mesh`]
-//! (the same claiming code the scheduler used), this certifier numbers
-//! routers and links itself from raw coordinates and runs an interval
-//! race detector over them — a scheduler bug that corrupted the mesh's
-//! occupancy bookkeeping would fool the replay validator but not this
-//! check.
+//! with the engine that produced the trace: rather than replaying claims
+//! through [`scq_mesh::Mesh`] (the same claiming code the scheduler
+//! used), it numbers routers and links itself from raw coordinates and
+//! runs an interval race detector over them, so a scheduler bug that
+//! corrupted the mesh's occupancy bookkeeping cannot fool it. It is the
+//! one conflict checker of a braid schedule: `scq schedule` runs it on
+//! every schedule it emits.
 //!
 //! Every table is dense: resources are indexed by [`Numbering`], holds
 //! are bucketed by a counting sort, revisits are caught by generation
@@ -531,6 +531,7 @@ fn check_dependencies(
 mod tests {
     use super::*;
     use scq_braid::{schedule_with, BraidConfig, EventCollector};
+    use scq_mesh::Path;
 
     fn traced(n: u32) -> (Circuit, DependencyDag, BraidTrace) {
         let mut b = Circuit::builder("cert", n);
@@ -584,6 +585,45 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.invariant == Invariant::TimeMonotonicity));
+    }
+
+    #[test]
+    fn holds_are_half_open() {
+        let mut b = Circuit::builder("two-cnots", 4);
+        b.cnot(0, 1);
+        b.cnot(2, 3);
+        let c = b.finish();
+        let dag = DependencyDag::from_circuit(&c);
+        // A hold `(op, open, close, y, x0, x1)`: op's leg 1 holds row y
+        // from x0 to x1 over `[open, close)`.
+        let certify = |holds: [(u32, u64, u64, u32, u32, u32); 2]| {
+            let events = holds.map(|(op, open_cycle, close_cycle, y, x0, x1)| BraidEvent {
+                op,
+                leg: 1,
+                open_cycle,
+                close_cycle,
+                path: Path::new((x0..=x1).map(|x| Coord::new(x, y)).collect()),
+            });
+            let trace = BraidTrace {
+                mesh_width: 5,
+                mesh_height: 5,
+                cycles: 12,
+                events: events.into(),
+            };
+            certify_braid_trace(&trace, &c, &dag, None)
+        };
+        // Two disjoint rows held over the same window.
+        assert_eq!(certify([(0, 0, 5, 0, 0, 4), (1, 0, 5, 2, 0, 4)]), vec![]);
+        // One route reopened at the cycle it closed: `[0, 5)`, `[5, 10)`.
+        assert_eq!(certify([(0, 0, 5, 1, 0, 3), (1, 5, 10, 1, 0, 3)]), vec![]);
+        // Overlap in space and in time, `[3, 6)`: routers (2, 1) and
+        // (3, 1), and the link between them.
+        let findings = certify([(0, 0, 6, 1, 0, 3), (1, 3, 8, 1, 2, 4)]);
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        for f in &findings {
+            assert_eq!(f.invariant, Invariant::SpatialExclusivity, "{f:?}");
+            assert_eq!((f.op, f.cycle), (Some(1), Some(3)), "{f:?}");
+        }
     }
 
     #[test]

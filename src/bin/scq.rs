@@ -31,9 +31,9 @@
 //! defects make unroutable exit nonzero with a structured diagnostic —
 //! never a panic or a hang.
 //!
-//! `schedule --verify` additionally replays every emitted schedule
-//! through the independent `scq-verify` certifier and fails (nonzero
-//! exit) on any invariant violation.
+//! `schedule` certifies every schedule it emits: the independent
+//! `scq-verify` certifier replays each one, and any invariant violation
+//! fails the command (nonzero exit).
 //!
 //! `schedule`, `check` and `heatmap` are runs of the `scq-core` pass
 //! pipeline — the same passes `run_toolflow` executes, with the checks
@@ -94,8 +94,6 @@ fn main() -> ExitCode {
             eprintln!("  --defect-rate R    sample dead tiles/links at rate R in [0, 1)");
             eprintln!("  --defect-seed S    PRNG seed for sampling and transient faults");
             eprintln!("  --defect-map FILE  explicit defect map (dims must match a backend)");
-            eprintln!("verification:");
-            eprintln!("  schedule --verify  certify emitted schedules with scq-verify");
             eprintln!("timing:");
             eprintln!("  schedule --timings per-pass wall clock + artifact content hashes");
             return ExitCode::from(2);
@@ -289,45 +287,29 @@ fn cmd_check(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
 }
 
 fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
-    let verify = rest.iter().any(|a| a == "--verify");
     let timings = rest.iter().any(|a| a == "--timings");
-    let rest: Vec<String> = rest
-        .iter()
-        .filter(|a| *a != "--verify" && *a != "--timings")
-        .cloned()
-        .collect();
+    let rest: Vec<String> = rest.iter().filter(|a| *a != "--timings").cloned().collect();
     let (pos, defects) = parse_defect_opts(&rest)?;
     let (policy, code_distance) = (policy_arg(&pos)?, distance_arg(&pos, 1)?);
-    // Both backends in one traced run of the pass pipeline, certified
-    // under --verify. The report follows the run as far as it got, so
-    // a failure still prints what preceded it.
-    let runner = if verify {
-        PipelineRunner::schedules().certified()
-    } else {
-        PipelineRunner::schedules()
-    };
-    let mut cx = context(circuit, policy, code_distance, defects).with_trace(true);
-    let run = runner.run(&mut cx);
+    // Both backends in one certified run of the pass pipeline. The
+    // report follows the run as far as it got, so a failure still
+    // prints what preceded it.
+    let mut cx = context(circuit, policy, code_distance, defects);
+    let run = PipelineRunner::schedules().certified().run(&mut cx);
     print_notes(&cx);
     describe_defects(out, &cx, BackendKind::Braid)?;
     let (Some(braid), Some(trace)) = (cx.braid(), cx.braid_trace()) else {
         return Err(stopped(run));
     };
-    trace.validate()?;
-    let legs = trace.events.len();
     writeln!(out, "double-defect ({policy}, d={code_distance}): {braid}")?;
-    writeln!(out, "  static replay: conflict-free ({legs} braid legs)")?;
-    if verify {
-        report_findings(out, &cx, |p| p == "certify-braid", "braid schedule")?;
-        writeln!(out, "  certified: {legs} braid invariants hold")?;
-    }
+    report_findings(out, &cx, |p| p == "certify-braid", "braid schedule")?;
+    let legs = trace.events.len();
+    writeln!(out, "  certified: {legs} braid invariants hold")?;
     describe_defects(out, &cx, BackendKind::Planar)?;
     let Some(planar) = cx.planar() else {
         return Err(stopped(run));
     };
-    if verify {
-        report_findings(out, &cx, |p| p == "certify-planar", "planar schedule")?;
-    }
+    report_findings(out, &cx, |p| p == "certify-planar", "planar schedule")?;
     writeln!(
         out,
         "planar (Multi-SIMD): {} cycles, {} teleports, peak {} live EPR pairs",
@@ -335,10 +317,8 @@ fn cmd_schedule(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult 
         planar.simd.total_teleports(),
         planar.epr.peak_live_eprs
     )?;
-    if verify {
-        let flights = planar.epr.teleports;
-        writeln!(out, "  certified: {flights} EPR flights replayed clean")?;
-    }
+    let flights = planar.epr.teleports;
+    writeln!(out, "  certified: {flights} EPR flights replayed clean")?;
     if planar.transient_faults > 0 {
         writeln!(
             out,
@@ -418,7 +398,10 @@ fn cmd_batch(args: &[String], out: &mut Out) -> CliResult {
 fn cmd_compare(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let p_physical: f64 = match rest.first() {
         None => 1e-5,
-        Some(s) => parse_arg(s, "error rate")?,
+        Some(s) => match parse_arg(s, "error rate")? {
+            p if p > 0.0 && p < 1.0 => p,
+            _ => return Err(CliError::usage(format!("error rate `{s}` is not in (0, 1)")).into()),
+        },
     };
     let profile = AppProfile::from_circuit(circuit, circuit.name());
     let config = EstimateConfig {

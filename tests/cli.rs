@@ -310,12 +310,11 @@ pass static-admission
 check: unnamed passed (0 warning(s))
 ";
 
-/// `scq schedule --verify --timings` on [`CHAIN`] with
+/// `scq schedule --timings` on [`CHAIN`] with
 /// `--defect-rate 0.02 --defect-seed 7`.
-const SCHEDULE_CERTIFIED: &str = "\
+const SCHEDULE_DEFECTED: &str = "\
 defects (braid mesh 7x5): 1 dead tiles, 0 dead links, 1 flaky links
 double-defect (Policy 6, d=5): 90 cycles (CP 90, ratio 1.00), utilization 4.5%
-  static replay: conflict-free (15 braid legs)
   certified: 15 braid invariants hold
 defects (planar mesh 3x4): 1 dead tiles, 0 dead links, 0 flaky links
 planar (Multi-SIMD): 23 cycles, 10 teleports, peak 10 live EPR pairs
@@ -342,15 +341,18 @@ artifact hashes:
 /// `scq schedule --timings` on [`CHAIN`].
 const SCHEDULE_CLEAN: &str = "\
 double-defect (Policy 6, d=5): 90 cycles (CP 90, ratio 1.00), utilization 4.5%
-  static replay: conflict-free (15 braid legs)
+  certified: 15 braid invariants hold
 planar (Multi-SIMD): 19 cycles, 10 teleports, peak 10 live EPR pairs
+  certified: 10 EPR flights replayed clean
 per-pass timings:
   pass normalize-ir
   pass code-distance
   pass interaction-analysis
   pass layout
   pass braid-schedule
+  pass certify-braid
   pass planar-schedule
+  pass certify-planar
 artifact hashes:
   normalized-ir        4c73514c89e0c775  [normalize-ir]
   circuit-stats        6d616e95c9a3e1d6  [normalize-ir]
@@ -373,14 +375,13 @@ fn check_and_schedule_print_their_pinned_reports() {
         (
             vec![
                 "schedule",
-                "--verify",
                 "--timings",
                 "--defect-rate",
                 "0.02",
                 "--defect-seed",
                 "7",
             ],
-            SCHEDULE_CERTIFIED,
+            SCHEDULE_DEFECTED,
         ),
         (vec!["schedule", "--timings"], SCHEDULE_CLEAN),
     ] {
@@ -390,5 +391,27 @@ fn check_and_schedule_print_their_pinned_reports() {
         assert!(out.status.success(), "{argv:?}: {out:?}");
         let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
         assert_eq!(without_durations(&stdout), expected, "{argv:?}");
+    }
+}
+
+#[test]
+fn bad_options_are_usage_errors_not_panics() {
+    let qasm = scratch_file("chain-usage.qasm", CHAIN);
+    // Every schedule is certified, so the retired opt-in flag is an
+    // unknown flag like any other.
+    let mut cases = vec![(
+        vec!["schedule", &qasm, "--verify"],
+        "unknown flag `--verify`".to_string(),
+    )];
+    for rate in ["0", "1", "NaN", "inf", "-1e-3"] {
+        let expected = format!("error rate `{rate}` is not in (0, 1)");
+        cases.push((vec!["compare", &qasm, rate], expected));
+    }
+    for (args, expected) in cases {
+        let out = scq(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {expected}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
 }

@@ -1,63 +1,50 @@
 //! The paper's soundness property (Section 6.1): the braid schedule the
 //! dynamic simulation finds is *static* — it replays verbatim, without
-//! conflicts, deadlock, or livelock, on the machine. These tests replay
-//! the traced schedule of every benchmark and prove it conflict-free.
+//! conflicts, deadlock, or livelock, on the machine. These tests run
+//! every benchmark through a certified braid pipeline, whose certifier
+//! re-derives exclusivity from the trace's raw coordinates, and require
+//! a clean certificate.
 
 use scq::apps::Benchmark;
-use scq::braid::{schedule_with, BraidConfig, BraidSchedule, BraidTrace, EventCollector, Policy};
-use scq::ir::{Circuit, DependencyDag, InteractionGraph};
-use scq::layout::place;
+use scq::braid::{BraidSchedule, BraidTrace, Policy};
+use scq::core::{ArtifactContext, PipelineRunner, ToolflowConfig};
 
-/// Schedules `circuit` with a recording sink and returns the schedule
-/// with its replayable trace.
-fn traced(circuit: &Circuit, config: &BraidConfig) -> (BraidSchedule, BraidTrace) {
-    let dag = DependencyDag::from_circuit(circuit);
-    let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, config.policy.layout_strategy(), None);
-    let mut sink = EventCollector::default();
-    let stats = schedule_with(circuit, &dag, &layout, config, None, &mut sink).unwrap();
-    let trace = sink.into_trace(&layout, circuit, &stats);
-    (stats, trace)
-}
-
-fn trace_for(bench: Benchmark, policy: Policy) -> BraidTrace {
-    let config = BraidConfig {
-        policy,
-        code_distance: 3,
-        ..Default::default()
-    };
-    traced(&bench.small_circuit(), &config).1
+/// One certified braid run of `bench`'s small instance under `policy`
+/// at code distance `d`: the schedule and its trace, once the
+/// certifier found nothing.
+fn certified(bench: Benchmark, policy: Policy, d: u32) -> (BraidSchedule, BraidTrace) {
+    let circuit = bench.small_circuit();
+    let mut cx = ArtifactContext::new(bench, &circuit, ToolflowConfig::pinned(policy, d));
+    let run = PipelineRunner::braid().certified().run(&mut cx);
+    let findings = cx.findings();
+    assert!(
+        run.is_ok() && findings.is_empty(),
+        "{bench} {policy}: {run:?} {findings:?}"
+    );
+    (
+        cx.braid().cloned().unwrap(),
+        cx.braid_trace().cloned().unwrap(),
+    )
 }
 
 #[test]
 fn every_benchmark_schedule_replays_conflict_free() {
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, Policy::P6);
+        let (_, trace) = certified(bench, Policy::P6, 3);
         assert!(!trace.events.is_empty(), "{bench}: no braids traced");
-        trace
-            .validate()
-            .unwrap_or_else(|e| panic!("{bench}: replay conflict: {e}"));
     }
 }
 
 #[test]
 fn replay_holds_under_every_policy() {
     for policy in Policy::ALL {
-        let trace = trace_for(Benchmark::IsingSemi, policy);
-        trace
-            .validate()
-            .unwrap_or_else(|e| panic!("{policy}: replay conflict: {e}"));
+        certified(Benchmark::IsingSemi, policy, 3);
     }
 }
 
 #[test]
 fn trace_is_consistent_with_schedule_stats() {
-    let config = BraidConfig {
-        policy: Policy::P6,
-        code_distance: 5,
-        ..Default::default()
-    };
-    let (stats, trace) = traced(&Benchmark::Gse.small_circuit(), &config);
+    let (stats, trace) = certified(Benchmark::Gse, Policy::P6, 5);
     assert_eq!(trace.events.len() as u64, stats.braids_placed);
     assert_eq!(trace.cycles, stats.cycles);
     let hops: u64 = trace.events.iter().map(|e| e.path.len_hops() as u64).sum();
@@ -68,7 +55,7 @@ fn trace_is_consistent_with_schedule_stats() {
 
 #[test]
 fn congestion_heatmap_renders_for_real_workloads() {
-    let trace = trace_for(Benchmark::IsingFull, Policy::P6);
+    let (_, trace) = certified(Benchmark::IsingFull, Policy::P6, 3);
     let art = trace.render_heatmap();
     assert_eq!(
         art.lines().count() as u32,
