@@ -39,8 +39,8 @@ use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::place;
 use scq_mesh::Topology;
 use scq_teleport::{
-    hop_cycles_for_distance, schedule_simd, EprConfig, EprRequest, FabricEprConfig, PlanarMachine,
-    PlanarSchedule, SimdConfig,
+    schedule_simd, EprRequest, FabricEprConfig, PlanarConfig, PlanarMachine, PlanarSchedule,
+    SimdConfig,
 };
 
 /// The standard toolflow pipeline's stages, in execution order — the
@@ -217,8 +217,8 @@ pub struct ScaleWorkload {
     pub topology: Topology,
     /// The located demand trace, sorted by ideal use time.
     pub requests: Vec<EprRequest>,
-    /// Fabric parameters, with the hop latency scaled to the point's
-    /// code distance (see [`hop_cycles_for_distance`]).
+    /// Fabric parameters: [`PlanarConfig::fabric_config`] at the
+    /// point's code distance.
     pub config: FabricEprConfig,
     /// Demand size relative to this application's fig6-grid instance —
     /// the committed tier keeps at least four points at >= 10x.
@@ -252,21 +252,6 @@ pub fn replicate_blocks(block: &[EprRequest], blocks: u32) -> Vec<EprRequest> {
     out
 }
 
-/// The flow defaults with the per-tile hop latency scaled to
-/// `code_distance` — the same scaling [`PlanarConfig::fabric_config`]
-/// applies, reproduced here so scale points can sweep the distance
-/// without re-deriving the rest of the planar config.
-fn scale_config(code_distance: u32) -> FabricEprConfig {
-    let epr = EprConfig::default();
-    FabricEprConfig {
-        epr: EprConfig {
-            hop_cycles: epr.hop_cycles * hop_cycles_for_distance(code_distance),
-            ..epr
-        },
-        link_capacity: 4,
-    }
-}
-
 /// The scale-tier workload grid: demand traces 10–100x the fig6
 /// instances, covering deep uniform queues (multi-block SHA-1), bursty
 /// wide-parallel demand (wider Ising), long serial chains (SQ), and
@@ -275,6 +260,13 @@ fn scale_config(code_distance: u32) -> FabricEprConfig {
 /// fig6 scale, so `scale_report`'s checks still bind.
 pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
     let mut points = Vec::new();
+    let config = |code_distance| {
+        PlanarConfig {
+            code_distance,
+            ..Default::default()
+        }
+        .fabric_config()
+    };
 
     // Multi-block SHA-1: the fig6 SHA-1 instance (the most contended
     // fig6 app) replayed back to back. Every block injects ~15k halves,
@@ -293,7 +285,7 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
             name: format!("SHA-1 x{sha_blocks} d={d}"),
             topology: sha1_block.0,
             requests: sha_requests.clone(),
-            config: scale_config(d),
+            config: config(d),
             scale_vs_fig6: f64::from(sha_blocks),
         });
     }
@@ -321,7 +313,7 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
             name: format!("IM-wide x{ising_blocks} d={d}"),
             topology: wide_block.0,
             requests: ising_requests.clone(),
-            config: scale_config(d),
+            config: config(d),
             scale_vs_fig6: ising_scale,
         });
     }
@@ -341,7 +333,7 @@ pub fn scale_workloads(reduced: bool) -> Vec<ScaleWorkload> {
             name: "SQ x32 d=15".into(),
             topology: sq_block.0,
             requests: sq_requests,
-            config: scale_config(15),
+            config: config(15),
             scale_vs_fig6: 32.0,
         });
     }

@@ -1,10 +1,10 @@
 //! Stable 64-bit cache fingerprints for the serving layer.
 //!
 //! The schedule cache in `scq-serve` is content-addressed: a request's
-//! key is a hash over everything that can change the emitted schedule —
-//! the normalized IR, the backend configuration, the defect
-//! specification, and the engine version tag. This module provides the
-//! two halves that belong with the toolflow types themselves:
+//! key is a hash over everything its run reads — the normalized IR, the
+//! backend, the braid policy, the code distance, the defect
+//! specification and the verify flag. This module provides the two
+//! halves that belong with the toolflow types themselves:
 //!
 //! * [`KeyHasher`] — a streaming FNV-1a (64-bit) hasher with typed
 //!   `write_*` helpers. FNV-1a is chosen over `std`'s `DefaultHasher`
@@ -13,15 +13,17 @@
 //!   keys safe to persist or compare across processes.
 //! * [`CacheKeyed`] — the trait a type implements to feed its
 //!   schedule-relevant fields into a key. Implementations here cover
-//!   the IR ([`Circuit`]) and both backend configurations
-//!   ([`BraidConfig`], [`PlanarConfig`]) including every nested knob.
+//!   the IR ([`Circuit`]), the braid [`Policy`], the [`LayoutStrategy`]
+//!   and the placement artifact ([`Layout`]); the defect spec keys
+//!   itself beside its own type.
 //!
 //! Two rules keep the keys honest:
 //!
 //! 1. **Every schedule-relevant field is written.** A field omitted
-//!    from `write_key` is a cache-poisoning bug: two configs that
-//!    schedule differently would collide. The tests below flip each
-//!    field individually and assert the key moves.
+//!    from a key is a cache-poisoning bug: two requests that schedule
+//!    differently would collide. `scq-serve`'s
+//!    `key_sees_every_request_field` flips each request field
+//!    individually and asserts the key moves.
 //! 2. **Nothing schedule-irrelevant is written.** [`Circuit`]'s key
 //!    deliberately excludes the circuit *name*: two textually different
 //!    programs with identical gate streams schedule identically, and
@@ -31,10 +33,9 @@
 //! tag-prefixed, so adjacent fields cannot alias each other's bytes
 //! (e.g. `[1, 2] ++ [3]` keys differently from `[1] ++ [2, 3]`).
 
-use scq_braid::{BraidConfig, Policy, TGateModel};
+use scq_braid::Policy;
 use scq_ir::Circuit;
 use scq_layout::{Layout, LayoutStrategy};
-use scq_teleport::{DistributionPolicy, EprConfig, PlanarConfig, SimdConfig};
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -118,18 +119,6 @@ impl KeyHasher {
         self.write_u64(v.to_bits());
     }
 
-    /// Feeds an `Option<u32>` with a presence tag so `None` and
-    /// `Some(0)` key differently.
-    pub fn write_opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.write_bytes(&[0]),
-            Some(x) => {
-                self.write_bytes(&[1]);
-                self.write_u32(x);
-            }
-        }
-    }
-
     /// The accumulated 64-bit key.
     pub fn finish(&self) -> u64 {
         self.state
@@ -143,11 +132,9 @@ impl KeyHasher {
 ///
 /// ```
 /// use scq_core::CacheKeyed;
-/// use scq_braid::BraidConfig;
+/// use scq_braid::Policy;
 ///
-/// let a = BraidConfig::default().cache_key();
-/// let b = BraidConfig { code_distance: 11, ..Default::default() }.cache_key();
-/// assert_ne!(a, b);
+/// assert_ne!(Policy::P0.cache_key(), Policy::P6.cache_key());
 /// ```
 pub trait CacheKeyed {
     /// Writes every field that can change the emitted schedule.
@@ -216,69 +203,6 @@ impl CacheKeyed for Layout {
     }
 }
 
-impl CacheKeyed for TGateModel {
-    fn write_key(&self, h: &mut KeyHasher) {
-        h.write_bytes(&[match self {
-            TGateModel::FactoryBraids => 0,
-            TGateModel::LocalBuffered => 1,
-        }]);
-    }
-}
-
-impl CacheKeyed for BraidConfig {
-    fn write_key(&self, h: &mut KeyHasher) {
-        h.write_str("braid-config/v1");
-        self.policy.write_key(h);
-        h.write_u32(self.code_distance);
-        h.write_u32(self.route_timeout);
-        h.write_u32(self.drop_timeout);
-        h.write_opt_u32(self.factory_count);
-        h.write_u32(self.magic_production_cycles);
-        self.t_gate_model.write_key(h);
-        h.write_u64(self.max_cycles);
-    }
-}
-
-impl CacheKeyed for SimdConfig {
-    fn write_key(&self, h: &mut KeyHasher) {
-        h.write_u32(self.regions);
-        h.write_bool(self.locality_aware);
-    }
-}
-
-impl CacheKeyed for EprConfig {
-    fn write_key(&self, h: &mut KeyHasher) {
-        h.write_u64(self.hop_cycles);
-        h.write_usize(self.bandwidth);
-        h.write_u64(self.teleport_cycles);
-        h.write_u64(self.lead_slack_cycles);
-    }
-}
-
-impl CacheKeyed for DistributionPolicy {
-    fn write_key(&self, h: &mut KeyHasher) {
-        match self {
-            DistributionPolicy::EagerPrefetch => h.write_bytes(&[0]),
-            DistributionPolicy::JustInTime { window } => {
-                h.write_bytes(&[1]);
-                h.write_usize(*window);
-            }
-        }
-    }
-}
-
-impl CacheKeyed for PlanarConfig {
-    fn write_key(&self, h: &mut KeyHasher) {
-        h.write_str("planar-config/v1");
-        self.simd.write_key(h);
-        self.epr.write_key(h);
-        self.policy.write_key(h);
-        h.write_u32(self.code_distance);
-        h.write_u32(self.link_capacity);
-        h.write_opt_u32(self.epr_factories);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,131 +247,6 @@ mod tests {
         let mut b = Circuit::builder("tiny", 4); // wider register
         b.h(0).cnot(0, 1).t(2);
         assert_ne!(b.finish().cache_key(), base);
-    }
-
-    #[test]
-    fn braid_config_key_sees_every_field() {
-        let base = BraidConfig::default();
-        let variants = [
-            BraidConfig {
-                policy: Policy::P0,
-                ..base
-            },
-            BraidConfig {
-                code_distance: base.code_distance + 2,
-                ..base
-            },
-            BraidConfig {
-                route_timeout: base.route_timeout + 1,
-                ..base
-            },
-            BraidConfig {
-                drop_timeout: base.drop_timeout + 1,
-                ..base
-            },
-            BraidConfig {
-                factory_count: Some(0),
-                ..base
-            },
-            BraidConfig {
-                magic_production_cycles: base.magic_production_cycles + 1,
-                ..base
-            },
-            BraidConfig {
-                t_gate_model: TGateModel::LocalBuffered,
-                ..base
-            },
-            BraidConfig {
-                max_cycles: base.max_cycles - 1,
-                ..base
-            },
-        ];
-        let base_key = base.cache_key();
-        for v in variants {
-            assert_ne!(v.cache_key(), base_key, "field change missed: {v:?}");
-        }
-    }
-
-    #[test]
-    fn planar_config_key_sees_every_field() {
-        let base = PlanarConfig::default();
-        let base_key = base.cache_key();
-        let variants = [
-            PlanarConfig {
-                simd: SimdConfig {
-                    regions: 8,
-                    ..base.simd
-                },
-                ..base
-            },
-            PlanarConfig {
-                simd: SimdConfig {
-                    locality_aware: false,
-                    ..base.simd
-                },
-                ..base
-            },
-            PlanarConfig {
-                epr: EprConfig {
-                    hop_cycles: 2,
-                    ..base.epr
-                },
-                ..base
-            },
-            PlanarConfig {
-                epr: EprConfig {
-                    bandwidth: 128,
-                    ..base.epr
-                },
-                ..base
-            },
-            PlanarConfig {
-                epr: EprConfig {
-                    teleport_cycles: 4,
-                    ..base.epr
-                },
-                ..base
-            },
-            PlanarConfig {
-                epr: EprConfig {
-                    lead_slack_cycles: 9,
-                    ..base.epr
-                },
-                ..base
-            },
-            PlanarConfig {
-                policy: DistributionPolicy::EagerPrefetch,
-                ..base
-            },
-            PlanarConfig {
-                policy: DistributionPolicy::JustInTime { window: 65 },
-                ..base
-            },
-            PlanarConfig {
-                code_distance: base.code_distance + 2,
-                ..base
-            },
-            PlanarConfig {
-                link_capacity: base.link_capacity + 1,
-                ..base
-            },
-            PlanarConfig {
-                epr_factories: Some(2),
-                ..base
-            },
-        ];
-        for v in variants {
-            assert_ne!(v.cache_key(), base_key, "field change missed: {v:?}");
-        }
-    }
-
-    #[test]
-    fn none_and_some_zero_key_differently() {
-        let mut a = KeyHasher::new();
-        a.write_opt_u32(None);
-        let mut b = KeyHasher::new();
-        b.write_opt_u32(Some(0));
-        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

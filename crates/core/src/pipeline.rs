@@ -26,9 +26,10 @@
 //! Every caller that schedules, checks or certifies is a run:
 //! `run_toolflow` of [`PipelineRunner::standard`], the CLI, the batch
 //! service and the bench drivers of shorter lists. The context also
-//! carries the run's [`DefectSpec`], a trace request, and the findings
-//! of `scq-verify`'s checks ([`PipelineRunner::check`]) and certifiers
-//! ([`PipelineRunner::certified`]); no other list calls `scq-verify`.
+//! carries the run's [`DefectSpec`], the trace request its runner sets,
+//! and the findings of `scq-verify`'s checks ([`PipelineRunner::check`])
+//! and certifiers ([`PipelineRunner::certified`]); no other list calls
+//! `scq-verify`.
 //!
 //! `tests/differential_pipeline.rs` pins `run_toolflow`'s reports to
 //! committed golden digests.
@@ -66,10 +67,10 @@ pub struct ArtifactHash {
 
 /// The shared context a pipeline run accumulates artifacts into.
 ///
-/// Inputs (benchmark, circuit, config, defect spec, trace request) are
-/// fixed at construction; each pass reads the artifacts of its
-/// predecessors and deposits its own, together with an
-/// [`ArtifactHash`] provenance record.
+/// Inputs (benchmark, circuit, config, defect spec) are fixed at
+/// construction, and the runner sets the trace request; each pass reads
+/// the artifacts of its predecessors and deposits its own, together
+/// with an [`ArtifactHash`] provenance record.
 #[derive(Clone, Debug)]
 pub struct ArtifactContext<'a> {
     benchmark: Benchmark,
@@ -110,7 +111,7 @@ impl<'a> ArtifactContext<'a> {
     }
 
     /// A fresh context over one circuit with no artifacts yet, on clean
-    /// hardware and untraced.
+    /// hardware.
     pub fn new(benchmark: Benchmark, circuit: &'a Circuit, config: ToolflowConfig) -> Self {
         ArtifactContext {
             benchmark,
@@ -140,15 +141,6 @@ impl<'a> ArtifactContext<'a> {
     #[must_use]
     pub fn with_defects(mut self, defects: DefectSpec) -> Self {
         self.defects = defects;
-        self
-    }
-
-    /// The same context with the trace request set: the scheduling
-    /// passes then deposit the braid trace and the EPR transcript (the
-    /// schedules are bit-identical either way).
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -200,7 +192,7 @@ impl<'a> ArtifactContext<'a> {
         self.braid.as_ref()
     }
 
-    /// The braid schedule's replayable trace, once a traced
+    /// The braid schedule's replayable trace, once a certified run's
     /// `braid-schedule` has run.
     pub fn braid_trace(&self) -> Option<&BraidTrace> {
         self.braid_trace.as_ref()
@@ -525,7 +517,11 @@ impl ToolflowPass for EstimatePass {
 
 /// One `scq-verify` static check over the circuit, its DAG and both
 /// backends' fabrics, on the defect spec materialized on both meshes.
-/// [`PipelineRunner::check`] runs the four of them after `layout`.
+/// The planar fabric is the floorplan `planar-schedule` places on that
+/// map ([`PlanarMachine::with_defects`], dead tiles skipped), and a map
+/// that leaves none fails the check with the same
+/// [`ToolflowError::Comm`]. [`PipelineRunner::check`] runs the four
+/// checks after `layout`.
 pub struct StaticCheckPass(pub StaticCheck);
 
 impl ToolflowPass for StaticCheckPass {
@@ -537,7 +533,10 @@ impl ToolflowPass for StaticCheckPass {
         cx.materialize_defects(&[BackendKind::Braid, BackendKind::Planar])?;
         let dag = cx.dag.as_ref().expect("normalize-ir runs first");
         let layout = cx.layout.as_ref().expect("layout runs first");
-        let machine = PlanarMachine::new(cx.circuit.num_qubits(), None);
+        let machine = match cx.defect_map(BackendKind::Planar) {
+            Some(map) => PlanarMachine::with_defects(cx.circuit.num_qubits(), None, map)?,
+            None => PlanarMachine::new(cx.circuit.num_qubits(), None),
+        };
         let fabrics = [
             FabricView::braid(layout, cx.circuit, None, cx.defect_map(BackendKind::Braid)),
             FabricView::planar(&machine, cx.circuit, cx.defect_map(BackendKind::Planar)),
@@ -616,7 +615,7 @@ impl PipelineTrace {
 /// timing each pass and recording artifact hashes.
 pub struct PipelineRunner {
     passes: Vec<Box<dyn ToolflowPass>>,
-    /// Sets the context's trace request ([`PipelineRunner::certified`]).
+    /// The context's trace request: set by [`PipelineRunner::certified`].
     trace: bool,
 }
 
@@ -667,8 +666,9 @@ impl PipelineRunner {
     }
 
     /// The same list with a [`CertifyPass`] right after each scheduling
-    /// pass. The run traces its scheduling passes itself, whatever the
-    /// context's trace request.
+    /// pass. Only a certified run traces its scheduling passes: the
+    /// braid pass deposits its [`BraidTrace`], the planar pass its
+    /// [`EprTranscript`] (the schedules are bit-identical either way).
     #[must_use]
     pub fn certified(self) -> Self {
         let mut passes: Vec<Box<dyn ToolflowPass>> = Vec::new();
@@ -708,7 +708,7 @@ impl PipelineRunner {
     ///
     /// Whatever the failing pass returns (a finding is not an error).
     pub fn run(&self, cx: &mut ArtifactContext<'_>) -> Result<PipelineTrace, ToolflowError> {
-        cx.trace |= self.trace;
+        cx.trace = self.trace;
         let backends: Vec<BackendKind> = self.passes.iter().filter_map(|p| p.backend()).collect();
         let mut trace = PipelineTrace::default();
         for pass in &self.passes {
@@ -900,6 +900,7 @@ mod tests {
         assert_eq!(names.len(), plain_trace.timings.len() + 2);
         assert_eq!(certified.findings(), []);
         assert!(certified.braid_trace().is_some(), "certified runs trace");
+        assert!(plain.braid_trace().is_none(), "other runs do not");
         assert_eq!(certified.braid(), plain.braid());
         assert_eq!(certified.planar(), plain.planar());
         assert_eq!(trace.hashes, plain_trace.hashes, "no artifact is added");

@@ -15,9 +15,6 @@ use scq_core::ToolflowError;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The request itself was malformed (bad token, missing source,
-    /// out-of-range parameter).
-    BadRequest(String),
     /// The request was well-formed but its inputs were unusable
     /// (unparsable QASM or defect map, dimension mismatch).
     Invalid(String),
@@ -32,11 +29,6 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// Shorthand for a malformed-request complaint.
-    pub fn bad_request(msg: impl Into<String>) -> Self {
-        ServeError::BadRequest(msg.into())
-    }
-
     /// Shorthand for an unusable-input complaint.
     pub fn invalid(msg: impl Into<String>) -> Self {
         ServeError::Invalid(msg.into())
@@ -61,7 +53,6 @@ impl ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::BadRequest(m) => write!(f, "bad request: {m}"),
             ServeError::Invalid(m) => write!(f, "invalid input: {m}"),
             ServeError::Schedule(m) => write!(f, "scheduling failed: {m}"),
             ServeError::Certification(m) => write!(f, "certification failed: {m}"),
@@ -89,7 +80,7 @@ mod tests {
 
     #[test]
     fn renders_with_category_prefixes() {
-        assert_eq!(ServeError::bad_request("x").to_string(), "bad request: x");
+        assert_eq!(ServeError::invalid("x").to_string(), "invalid input: x");
         assert!(ServeError::schedule("boom").to_string().contains("boom"));
         assert!(ServeError::internal("p")
             .to_string()

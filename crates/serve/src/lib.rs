@@ -8,9 +8,9 @@
 //! 1. **Request model** ([`request`]): [`ScheduleRequest`] names a
 //!    circuit source, backend, policy/distance, defect spec, and verify
 //!    flag; normalization resolves the source and derives a
-//!    content-addressed key over the *meaning* of the request
-//!    ([`ENGINE_VERSION`] + normalized IR + effective config + defects
-//!    + verify), never over names or paths.
+//!    content-addressed key over what the request's run reads
+//!    (normalized IR + backend + braid policy + distance + defects +
+//!    verify), never over names or paths.
 //! 2. **Content-addressed cache** ([`cache`]): [`ScheduleCache`]
 //!    memoizes schedule outcomes under single-flight discipline — N
 //!    concurrent requesters of one key cost one compute — with LRU
@@ -37,7 +37,7 @@ pub use error::ServeError;
 pub use pool::parallel_map;
 pub use request::{
     load_request_file, parse_distance, parse_policy, parse_request_line, parse_request_text,
-    NormalizedRequest, RequestSource, ScheduleRequest, ENGINE_VERSION,
+    NormalizedRequest, RequestSource, ScheduleRequest,
 };
 /// A request's backend and defect spec: the pipeline's own inputs.
 pub use scq_core::{BackendKind, DefectSpec};

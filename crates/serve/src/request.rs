@@ -6,14 +6,14 @@
 //! policy, code distance, defect spec, verify flag). Normalization
 //! ([`ScheduleRequest::normalize`]) resolves the source to a concrete
 //! circuit and derives the request's content-addressed cache key — a
-//! stable FNV-1a fingerprint over:
+//! stable FNV-1a fingerprint over exactly what a compute reads:
 //!
 //! ```text
-//! engine version tag
-//!   ++ normalized IR            (gate stream, name-independent)
+//! normalized IR      (gate stream, name-independent)
 //!   ++ backend tag
-//!   ++ effective backend config (BraidConfig or PlanarConfig, every knob)
-//!   ++ defect spec              (clean / sampled{rate, seed} / map text)
+//!   ++ policy index  (braid requests only)
+//!   ++ code distance
+//!   ++ defect spec   (clean / sampled{rate, seed} / map text + seed)
 //!   ++ verify flag
 //! ```
 //!
@@ -46,18 +46,11 @@
 use std::sync::Arc;
 
 use scq_apps::Benchmark;
-use scq_braid::BraidConfig;
 use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher, ToolflowConfig};
 use scq_ir::{circuit_from_qasm, Circuit, CliError};
-use scq_teleport::PlanarConfig;
 
 use crate::error::ServeError;
 use crate::Policy;
-
-/// Version tag folded into every cache key. Bump on any change to the
-/// schedulers, the key recipe, or the memoized summary format: old keys
-/// must not alias new results.
-pub const ENGINE_VERSION: &str = "scq-serve/2";
 
 /// Where a request's circuit comes from.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,8 +108,8 @@ impl ScheduleRequest {
         }
     }
 
-    /// Resolves the source to a concrete circuit, derives the effective
-    /// backend configuration, and computes the content-addressed key.
+    /// Resolves the source to a concrete circuit and computes the
+    /// content-addressed key over the fields a compute reads.
     ///
     /// # Errors
     ///
@@ -135,18 +128,16 @@ impl ScheduleRequest {
             RequestSource::Circuit(c) => (Arc::clone(c), c.name().to_string()),
         };
         let mut h = KeyHasher::new();
-        h.write_str(ENGINE_VERSION);
         circuit.write_key(&mut h);
         match self.backend {
             BackendKind::Braid => {
                 h.write_bytes(&[0]);
-                self.braid_config().write_key(&mut h);
+                self.policy.write_key(&mut h);
             }
-            BackendKind::Planar => {
-                h.write_bytes(&[1]);
-                self.planar_config().write_key(&mut h);
-            }
+            // No policy knob on planar: `policy=0` and `policy=6` share.
+            BackendKind::Planar => h.write_bytes(&[1]),
         }
+        h.write_u32(self.code_distance);
         self.defects.write_key(&mut h);
         h.write_bool(self.verify);
         Ok(NormalizedRequest {
@@ -174,26 +165,6 @@ impl ScheduleRequest {
         self.policy.layout_strategy().write_key(&mut h);
         self.defects.write_key(&mut h);
         h.finish()
-    }
-
-    /// The effective braid configuration of this request.
-    pub fn braid_config(&self) -> BraidConfig {
-        BraidConfig {
-            policy: self.policy,
-            code_distance: self.code_distance,
-            ..Default::default()
-        }
-    }
-
-    /// The effective planar configuration of this request. The braid
-    /// `policy` field does not appear: it cannot change a planar
-    /// schedule, so folding it away lets e.g. `policy=0` and `policy=6`
-    /// planar requests share a cache entry.
-    pub fn planar_config(&self) -> PlanarConfig {
-        PlanarConfig {
-            code_distance: self.code_distance,
-            ..Default::default()
-        }
     }
 }
 
@@ -469,39 +440,47 @@ mod tests {
 
     #[test]
     fn key_sees_every_request_field() {
+        // The fields both backends key.
+        let shared = |from: &ScheduleRequest| {
+            vec![
+                ScheduleRequest {
+                    code_distance: 7,
+                    ..from.clone()
+                },
+                ScheduleRequest {
+                    defects: DefectSpec::Sampled {
+                        rate: 0.02,
+                        seed: 1,
+                    },
+                    ..from.clone()
+                },
+                ScheduleRequest {
+                    verify: true,
+                    ..from.clone()
+                },
+            ]
+        };
         let base = ScheduleRequest::for_circuit(tiny_circuit());
         let base_key = base.normalize().unwrap().key;
-        let variants = [
-            ScheduleRequest {
-                backend: BackendKind::Planar,
-                ..base.clone()
-            },
-            ScheduleRequest {
-                policy: Policy::P0,
-                ..base.clone()
-            },
-            ScheduleRequest {
-                code_distance: 7,
-                ..base.clone()
-            },
-            ScheduleRequest {
-                defects: DefectSpec::Sampled {
-                    rate: 0.02,
-                    seed: 1,
-                },
-                ..base.clone()
-            },
-            ScheduleRequest {
-                verify: true,
-                ..base.clone()
-            },
-        ];
-        for v in &variants {
-            assert_ne!(
-                v.normalize().unwrap().key,
-                base_key,
-                "field change missed: {v:?}"
-            );
+        let planar = ScheduleRequest {
+            backend: BackendKind::Planar,
+            ..base.clone()
+        };
+        let mut braid_variants = shared(&base);
+        braid_variants.push(planar.clone());
+        braid_variants.push(ScheduleRequest {
+            policy: Policy::P0,
+            ..base.clone()
+        });
+        for (from, variants) in [(&base, braid_variants), (&planar, shared(&planar))] {
+            let from_key = from.normalize().unwrap().key;
+            for v in &variants {
+                assert_ne!(
+                    v.normalize().unwrap().key,
+                    from_key,
+                    "field change missed: {v:?}"
+                );
+            }
         }
         // And a different circuit, of course.
         let mut b = Circuit::builder("tiny", 4);

@@ -31,9 +31,9 @@
 //! defects make unroutable exit nonzero with a structured diagnostic —
 //! never a panic or a hang.
 //!
-//! `schedule` certifies every schedule it emits: the independent
-//! `scq-verify` certifier replays each one, and any invariant violation
-//! fails the command (nonzero exit).
+//! `schedule` and `heatmap` certify every schedule they emit: the
+//! independent `scq-verify` certifier replays each one, and any
+//! invariant violation fails the command (nonzero exit).
 //!
 //! `schedule`, `check` and `heatmap` are runs of the `scq-core` pass
 //! pipeline — the same passes `run_toolflow` executes, with the checks
@@ -268,12 +268,14 @@ fn cmd_check(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (policy, code_distance) = (policy_arg(&pos)?, distance_arg(&pos, 1)?);
     // Frontend + mapping, the same stages `run_toolflow` runs, then
     // the independent scq-verify checks on the defect spec
-    // materialized on both backends' meshes.
+    // materialized on both backends' meshes. A failure still prints
+    // the defects it ran on.
     let mut cx = context(circuit, policy, code_distance, defects);
-    let pipeline = PipelineRunner::check().run(&mut cx)?;
+    let run = PipelineRunner::check().run(&mut cx);
     print_notes(&cx);
     describe_defects(out, &cx, BackendKind::Braid)?;
     describe_defects(out, &cx, BackendKind::Planar)?;
+    let pipeline = run?;
     for t in &pipeline.timings {
         writeln!(out, "pass {:<20} {:>9.1?}", t.pass, t.duration)?;
     }
@@ -432,12 +434,13 @@ fn cmd_compare(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
 fn cmd_heatmap(circuit: &Circuit, rest: &[String], out: &mut Out) -> CliResult {
     let (pos, defects) = parse_defect_opts(rest)?;
     let code_distance = distance_arg(&pos, 0)?;
-    let mut cx = context(circuit, Policy::P6, code_distance, defects).with_trace(true);
-    let run = PipelineRunner::braid().run(&mut cx);
+    let mut cx = context(circuit, Policy::P6, code_distance, defects);
+    let run = PipelineRunner::braid().certified().run(&mut cx);
     describe_defects(out, &cx, BackendKind::Braid)?;
     let (Some(braid), Some(trace)) = (cx.braid(), cx.braid_trace()) else {
         return Err(stopped(run));
     };
+    report_findings(out, &cx, |p| p == "certify-braid", "braid schedule")?;
     writeln!(
         out,
         "{} braid legs over {} cycles, peak {} concurrent braids",

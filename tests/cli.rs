@@ -234,6 +234,55 @@ fn a_dead_anchor_of_an_unused_qubit_fails_neither_check_nor_schedule() {
     }
 }
 
+/// A planar-mesh map (3x4, never the braid mesh) whose one dead tile,
+/// `(0, 1)`, is the first data cell of the row-major floorplan.
+const PLANAR_DEAD_TILE_MAP: &str = "dims 3 4\nnode 0 1\n";
+
+#[test]
+fn check_judges_the_floorplan_the_planar_backend_places_around_dead_tiles() {
+    // Five qubits leave a spare data cell on the 3x2 block, so the
+    // planar backend places them on the five live cells and q0 avoids
+    // the dead tile; check admits what schedule then certifies.
+    let qasm = scratch_file(
+        "five-dead-tile.qasm",
+        "qubits 5\nh q0\nt q1\ncnot q0, q1\ncnot q1, q2\ncnot q2, q3\nt q3\ncnot q3, q4\n\
+         cnot q0, q4\n",
+    );
+    let map = scratch_file("planar-dead-tile.map", PLANAR_DEAD_TILE_MAP);
+    for command in ["check", "schedule"] {
+        let out = scq(&[command, &qasm, "--defect-map", &map]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{command}: {out:?}");
+        assert!(
+            stdout.contains("defects (planar mesh 3x4): 1 dead tiles"),
+            "{command}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn a_planar_map_too_dead_to_place_on_fails_check_and_schedule_alike() {
+    // Six qubits need all six data cells of the 3x2 block.
+    let qasm = scratch_file("chain-dead-tile.qasm", CHAIN);
+    let map = scratch_file("chain-dead-tile.map", PLANAR_DEAD_TILE_MAP);
+    for command in ["check", "schedule"] {
+        let out = scq(&[command, &qasm, "--defect-map", &map]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.starts_with("note: "), "{command}: {stderr}");
+        assert_eq!(
+            stderr.lines().last(),
+            Some("error: cannot place 6 data tiles on 5 live cells"),
+            "{command}"
+        );
+        assert!(
+            stdout.contains("defects (planar mesh 3x4): 1 dead tiles"),
+            "{command}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn wide_two_gate_circuits_keep_their_layout_hashes() {
     // Two gates over many declared qubits: nearly all of the layout
