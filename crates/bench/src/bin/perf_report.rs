@@ -21,7 +21,8 @@
 //! floor, the pipeline's pass order, the `e2e` estimate shares, the
 //! braid certifier's share of the fast grid, the placement ablation's
 //! non-regression, and the degradation study (rate 0 equals clean, the
-//! envelope, at least one completed row).
+//! envelope, a defect-only multiplier of at least 1 on every completed
+//! teleport row, at least one completed row).
 
 #![warn(clippy::disallowed_methods)]
 
@@ -31,16 +32,16 @@ use std::time::Instant;
 use scq_apps::Benchmark;
 use scq_bench::{
     fig6_workloads, or_die, run_planar_on_defects, run_policy, run_policy_on_defects,
-    run_policy_reference, timed_median3, write_report, PIPELINE_STAGES,
+    run_policy_reference, timed_median3, write_report, FixedFloorplan, PIPELINE_STAGES,
 };
 use scq_braid::{BraidTrace, Policy};
 use scq_core::{run_toolflow_timed, ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq_ir::{Circuit, DependencyDag};
 use scq_serve::parallel_map;
 use scq_teleport::{
-    schedule_planar, schedule_simd, simulate_epr_distribution, simulate_epr_on_fabric,
-    CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand, FabricEprConfig, FabricRun,
-    PlanarConfig, PlanarMachine, SimdConfig,
+    schedule_planar, schedule_planar_with, schedule_simd, simulate_epr_distribution,
+    simulate_epr_on_fabric, CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand,
+    FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, SimdConfig,
 };
 
 const CODE_DISTANCE: u32 = 5;
@@ -521,6 +522,10 @@ struct DegradationPoint {
     /// Degraded makespan, or the structured diagnostic when the
     /// defects cut the machine apart.
     outcome: Result<u64, String>,
+    /// On a completed teleport row, the makespan of the degraded run's
+    /// floorplan replayed on a clean fabric: what the moved floorplan
+    /// costs without the defects.
+    replay_makespan: Option<u64>,
 }
 
 impl DegradationPoint {
@@ -530,12 +535,22 @@ impl DegradationPoint {
             .ok()
             .map(|&m| m as f64 / self.clean_makespan.max(1) as f64)
     }
+
+    /// Degraded over replay makespan: the slowdown the defects cause on
+    /// the floorplan they forced, apart from the floorplan's own.
+    fn defect_only_multiplier(&self) -> Option<f64> {
+        let degraded = *self.outcome.as_ref().ok()?;
+        let replay = self.replay_makespan?;
+        Some(degraded as f64 / replay.max(1) as f64)
+    }
 }
 
 /// Checks the degradation study: every row's rate-0 run equals its
 /// clean schedule, every completed row stays within
-/// [`DEGRADATION_ENVELOPE`], and at least one row completed. Schedules
-/// are cycle-deterministic, so a failure is a routing or scheduling
+/// [`DEGRADATION_ENVELOPE`], every completed teleport row's defects
+/// cost at least nothing on their own floorplan (defect-only
+/// multiplier >= 1), and at least one row completed. Schedules are
+/// cycle-deterministic, so a failure is a routing or scheduling
 /// regression, never timing noise.
 fn check_degradation(rows: &[DegradationPoint]) -> Result<String, String> {
     for p in rows {
@@ -552,6 +567,23 @@ fn check_degradation(rows: &[DegradationPoint]) -> Result<String, String> {
                 p.app, p.backend
             ));
         }
+        if let (Ok(&degraded), "teleport") = (p.outcome.as_ref(), p.backend) {
+            let Some(replay) = p.replay_makespan else {
+                return Err(format!(
+                    "{} ({}): the degraded floorplan has no clean replay",
+                    p.app, p.backend
+                ));
+            };
+            if degraded < replay {
+                return Err(format!(
+                    "{} ({}): defect-only multiplier {:.3}x ({degraded} / {replay}) is below \
+                     1: the defects sped up their own floorplan",
+                    p.app,
+                    p.backend,
+                    p.defect_only_multiplier().unwrap_or(0.0)
+                ));
+            }
+        }
     }
     let completed = rows.iter().filter(|p| p.outcome.is_ok()).count();
     if completed == 0 {
@@ -561,7 +593,7 @@ fn check_degradation(rows: &[DegradationPoint]) -> Result<String, String> {
     }
     Ok(format!(
         "{} rows equal their clean schedules at rate 0, {completed} completed within \
-         {DEGRADATION_ENVELOPE}x at rate {DEFECT_RATE}",
+         {DEGRADATION_ENVELOPE}x at rate {DEFECT_RATE}, defect-only multipliers >= 1",
         rows.len()
     ))
 }
@@ -578,14 +610,19 @@ fn degradation_report(
         .collect();
     parallel_map(&grid, |&(w, backend)| {
         let (bench, circuit) = &workloads[w];
-        let (clean_makespan, rate0_is_clean, outcome) = match backend {
+        let (clean_makespan, rate0_is_clean, outcome, replay_makespan) = match backend {
             "braid" => {
                 let clean = run_policy(circuit, Policy::P6, CODE_DISTANCE);
                 let on = |rate| {
                     run_policy_on_defects(circuit, Policy::P6, CODE_DISTANCE, rate, DEFECT_SEED)
                 };
                 let degraded = on(DEFECT_RATE).map(|s| s.cycles);
-                (clean.cycles, on(0.0).is_ok_and(|s| s == clean), degraded)
+                (
+                    clean.cycles,
+                    on(0.0).is_ok_and(|s| s == clean),
+                    degraded,
+                    None,
+                )
             }
             _ => {
                 let dag = DependencyDag::from_circuit(circuit);
@@ -595,8 +632,19 @@ fn degradation_report(
                 };
                 let clean = schedule_planar(circuit, &dag, &config);
                 let on = |rate| run_planar_on_defects(circuit, CODE_DISTANCE, rate, DEFECT_SEED);
-                let degraded = on(DEFECT_RATE).map(|s| s.cycles);
-                (clean.cycles, on(0.0).is_ok_and(|s| s == clean), degraded)
+                let degraded = on(DEFECT_RATE);
+                // The degraded run's floorplan on a clean fabric.
+                let replay = degraded.as_ref().ok().and_then(|s| {
+                    let floorplan = FixedFloorplan(s.machine.clone());
+                    let run = FabricRun::default();
+                    schedule_planar_with(circuit, &dag, &config, &floorplan, &run).ok()
+                });
+                (
+                    clean.cycles,
+                    on(0.0).is_ok_and(|s| s == clean),
+                    degraded.map(|s| s.cycles),
+                    replay.map(|(s, _)| s.cycles),
+                )
             }
         };
         DegradationPoint {
@@ -605,6 +653,7 @@ fn degradation_report(
             clean_makespan,
             rate0_is_clean,
             outcome: outcome.map_err(|e| e.to_string()),
+            replay_makespan,
         }
     })
 }
@@ -785,18 +834,20 @@ fn epr_report(
     );
     println!();
     println!(
-        "{:<10} {:>9} {:>12} {:>12} {:>11}",
-        "app", "backend", "clean span", "degraded", "multiplier"
+        "{:<10} {:>9} {:>12} {:>12} {:>11} {:>12}",
+        "app", "backend", "clean span", "degraded", "multiplier", "defect-only"
     );
     for p in &degradation {
         match &p.outcome {
             Ok(m) => println!(
-                "{:<10} {:>9} {:>12} {:>12} {:>10.2}x",
+                "{:<10} {:>9} {:>12} {:>12} {:>10.2}x {:>12}",
                 p.app,
                 p.backend,
                 p.clean_makespan,
                 m,
                 p.multiplier().unwrap_or(0.0),
+                p.defect_only_multiplier()
+                    .map_or_else(|| "-".to_string(), |d| format!("{d:.3}x")),
             ),
             Err(e) => println!(
                 "{:<10} {:>9} {:>12} {:>12}  unroutable: {e}",
@@ -856,9 +907,12 @@ fn epr_report(
         let comma = if i + 1 < degradation.len() { "," } else { "" };
         match &p.outcome {
             Ok(m) => {
+                let defect_only = p.defect_only_multiplier().map_or_else(String::new, |d| {
+                    format!(", \"defect_only_multiplier\": {d:.4}")
+                });
                 let _ = writeln!(
                     json,
-                    "    {{\"app\": \"{}\", \"backend\": \"{}\", \"clean_makespan\": {}, \"degraded_makespan\": {}, \"degradation_multiplier\": {:.4}, \"status\": \"ok\"}}{comma}",
+                    "    {{\"app\": \"{}\", \"backend\": \"{}\", \"clean_makespan\": {}, \"degraded_makespan\": {}, \"degradation_multiplier\": {:.4}{defect_only}, \"status\": \"ok\"}}{comma}",
                     p.app,
                     p.backend,
                     p.clean_makespan,
@@ -1071,8 +1125,36 @@ mod tests {
                 clean_makespan: 100,
                 rate0_is_clean: true,
                 outcome,
+                replay_makespan: None,
             })
             .collect()
+    }
+
+    /// A completed teleport row degraded to 100 cycles, its floorplan
+    /// replayed clean in `replay` cycles.
+    fn teleport_row(replay: Option<u64>) -> DegradationPoint {
+        DegradationPoint {
+            app: "x",
+            backend: "teleport",
+            clean_makespan: 100,
+            rate0_is_clean: true,
+            outcome: Ok(100),
+            replay_makespan: replay,
+        }
+    }
+
+    #[test]
+    fn degradation_check_accepts_defects_that_cost_nothing() {
+        let rows = [teleport_row(Some(100)), teleport_row(Some(98))];
+        assert!(check_degradation(&rows).is_ok());
+    }
+
+    #[test]
+    fn degradation_check_rejects_defects_that_beat_their_floorplan() {
+        let err = check_degradation(&[teleport_row(Some(101))]).unwrap_err();
+        assert!(err.contains("defect-only multiplier 0.990x"), "{err}");
+        let err = check_degradation(&[teleport_row(None)]).unwrap_err();
+        assert!(err.contains("no clean replay"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //! `simulate_epr_on_fabric` on demand traces 10–100x the fig6 grid
 //! (multi-block SHA-1, wider Ising, SQ chains, code distances up to 21)
 //! and writes `BENCH_scale.json`. Each point's `fabric_secs` is the
-//! median of three runs (`runs_per_point`).
+//! median of three runs (`runs_per_point`), and `minor_faults_per_run`
+//! the minor page faults those three runs took, over three: the pages
+//! a run first touches, which is what its allocations cost beyond the
+//! event loop. It reads `/proc/self/stat` and is `null` without
+//! `/proc`; nothing bounds it, since the count depends on the
+//! allocator.
 //!
 //! Once the report is written, the tier is checked, and the binary
 //! exits nonzero on a failure: at least four points at >= 10x fig6
@@ -42,6 +47,8 @@ struct ScalePoint {
     peak_event_queue: usize,
     makespan: u64,
     fabric_secs: f64,
+    /// Minor page faults per timed run, where `/proc` is present.
+    minor_faults_per_run: Option<u64>,
 }
 
 impl ScalePoint {
@@ -84,9 +91,22 @@ fn check_scale(points: &[ScalePoint]) -> Result<String, String> {
     ))
 }
 
+/// Minor page faults of this process so far: `minflt`, field 10 of
+/// `/proc/self/stat`, or `None` where `/proc` is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 3 is the first after the parenthesized command name.
+    let fields = stat.rsplit_once(')')?.1;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
 fn measure(w: &ScaleWorkload, policy: DistributionPolicy) -> ScalePoint {
+    let faults_before = minor_faults();
     let (result, fabric_secs) =
         timed_median3(|| simulate_epr_on_fabric(&w.requests, policy, &w.config, w.topology));
+    let minor_faults_per_run = faults_before
+        .zip(minor_faults())
+        .map(|(before, after)| (after - before) / RUNS_PER_POINT as u64);
     ScalePoint {
         name: w.name.clone(),
         requests: w.requests.len(),
@@ -95,6 +115,7 @@ fn measure(w: &ScaleWorkload, policy: DistributionPolicy) -> ScalePoint {
         peak_event_queue: result.peak_event_queue,
         makespan: result.pipeline.makespan,
         fabric_secs,
+        minor_faults_per_run,
     }
 }
 
@@ -110,12 +131,12 @@ fn main() {
     );
     println!();
     println!(
-        "{:<16} {:>9} {:>7} {:>10} {:>10} {:>10} {:>12}",
-        "point", "requests", "scale", "events", "peak q", "fabric", "events/s"
+        "{:<16} {:>9} {:>7} {:>10} {:>10} {:>10} {:>12} {:>11}",
+        "point", "requests", "scale", "events", "peak q", "fabric", "events/s", "faults/run"
     );
     for p in &points {
         println!(
-            "{:<16} {:>9} {:>6.1}x {:>10} {:>10} {:>9.1}ms {:>12.2e}",
+            "{:<16} {:>9} {:>6.1}x {:>10} {:>10} {:>9.1}ms {:>12.2e} {:>11}",
             p.name,
             p.requests,
             p.scale_vs_fig6,
@@ -123,6 +144,8 @@ fn main() {
             p.peak_event_queue,
             p.fabric_secs * 1e3,
             p.events_per_sec(),
+            p.minor_faults_per_run
+                .map_or_else(|| "-".to_string(), |f| f.to_string()),
         );
     }
 
@@ -135,7 +158,7 @@ fn main() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"scale_vs_fig6\": {:.2}, \"events\": {}, \"peak_event_queue\": {}, \"makespan\": {}, \"fabric_secs\": {:.6}, \"events_per_sec\": {:.3e}}}{comma}",
+            "    {{\"name\": \"{}\", \"requests\": {}, \"scale_vs_fig6\": {:.2}, \"events\": {}, \"peak_event_queue\": {}, \"makespan\": {}, \"fabric_secs\": {:.6}, \"minor_faults_per_run\": {}, \"events_per_sec\": {:.3e}}}{comma}",
             p.name,
             p.requests,
             p.scale_vs_fig6,
@@ -143,6 +166,8 @@ fn main() {
             p.peak_event_queue,
             p.makespan,
             p.fabric_secs,
+            p.minor_faults_per_run
+                .map_or_else(|| "null".to_string(), |f| f.to_string()),
             p.events_per_sec(),
         );
     }
@@ -171,6 +196,7 @@ mod tests {
                 peak_event_queue: 5,
                 makespan: 100,
                 fabric_secs: events as f64 / eps,
+                minor_faults_per_run: None,
             })
             .collect()
     }

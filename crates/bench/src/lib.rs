@@ -37,10 +37,10 @@ use scq_braid::{schedule_circuit, schedule_reference, BraidConfig, BraidSchedule
 use scq_core::{ArtifactContext, DefectSpec, PipelineRunner, ToolflowConfig, ToolflowError};
 use scq_ir::{Circuit, DependencyDag, InteractionGraph};
 use scq_layout::place;
-use scq_mesh::Topology;
+use scq_mesh::{CommError, Topology};
 use scq_teleport::{
-    schedule_simd, EprRequest, FabricEprConfig, PlanarConfig, PlanarMachine, PlanarSchedule,
-    SimdConfig,
+    schedule_simd, EprRequest, FabricEprConfig, FabricRun, PlacementStrategy, PlanarConfig,
+    PlanarMachine, PlanarSchedule, SimdConfig, SimdSchedule,
 };
 
 /// The standard toolflow pipeline's stages, in execution order — the
@@ -189,6 +189,29 @@ pub fn run_planar_on_defects(
     PipelineRunner::planar().run(&mut cx)?;
     let planar = cx.planar().cloned();
     Ok(planar.expect("a planar run deposits a schedule"))
+}
+
+/// A [`PlacementStrategy`] that lays every circuit out on one given
+/// floorplan. Scheduling a degraded run's [`PlanarMachine`] through it
+/// on a clean [`FabricRun`] separates what the defects cost from what
+/// the floorplan they forced costs: `perf_report`'s defect-only
+/// multiplier is the degraded makespan over that replay's.
+pub struct FixedFloorplan(pub PlanarMachine);
+
+impl PlacementStrategy for FixedFloorplan {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn place(
+        &self,
+        _num_qubits: u32,
+        _config: &PlanarConfig,
+        _simd: &SimdSchedule,
+        _run: &FabricRun,
+    ) -> Result<PlanarMachine, CommError> {
+        Ok(self.0.clone())
+    }
 }
 
 /// [`run_policy`] driven by the retained naive-stepping engine — the

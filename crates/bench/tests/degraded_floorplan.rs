@@ -9,36 +9,13 @@
 //! replay — the degraded run's `PlanarMachine` on a clean `FabricRun`.
 
 use scq_apps::Benchmark;
-use scq_bench::{fig6_workloads, run_planar_on_defects};
+use scq_bench::{fig6_workloads, run_planar_on_defects, FixedFloorplan};
 use scq_ir::DependencyDag;
-use scq_mesh::CommError;
-use scq_teleport::{
-    schedule_planar, schedule_planar_with, FabricRun, PlacementStrategy, PlanarConfig,
-    PlanarMachine, SimdSchedule,
-};
+use scq_teleport::{schedule_planar, schedule_planar_with, FabricRun, PlanarConfig};
 
 const CODE_DISTANCE: u32 = 5;
 const DEFECT_RATE: f64 = 0.02;
 const DEFECT_SEED: u64 = 20702;
-
-/// Lays every circuit out on one given floorplan.
-struct Fixed(PlanarMachine);
-
-impl PlacementStrategy for Fixed {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn place(
-        &self,
-        _num_qubits: u32,
-        _config: &PlanarConfig,
-        _simd: &SimdSchedule,
-        _run: &FabricRun,
-    ) -> Result<PlanarMachine, CommError> {
-        Ok(self.0.clone())
-    }
-}
 
 #[test]
 fn the_degraded_floorplan_alone_explains_the_faster_row() {
@@ -51,7 +28,7 @@ fn the_degraded_floorplan_alone_explains_the_faster_row() {
         let clean = schedule_planar(&circuit, &dag, &config);
         let degraded = run_planar_on_defects(&circuit, CODE_DISTANCE, DEFECT_RATE, DEFECT_SEED)
             .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        let floorplan = Fixed(degraded.machine.clone());
+        let floorplan = FixedFloorplan(degraded.machine.clone());
         let (replay, _) =
             schedule_planar_with(&circuit, &dag, &config, &floorplan, &FabricRun::default())
                 .unwrap_or_else(|e| panic!("{bench}: the replay schedules clean: {e}"));

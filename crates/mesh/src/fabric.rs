@@ -22,7 +22,10 @@
 //! exactly the `(time, message)` order one priority queue would:
 //!
 //! - **Launches** are all known before the run starts, so they wait in
-//!   one list that the run sorts once.
+//!   one list that the run sorts once and fires from the front. The
+//!   fired launches stay in it, ascending, for
+//!   [`Fabric::launch_cycles`]: a caller that needs them sorted reads
+//!   them there instead of sorting them again.
 //! - **Hop completions and first retries** fall due exactly
 //!   [`FabricConfig::hop_cycles`] after the cycle that schedules them.
 //!   That cycle never goes back, so these events sit in a FIFO in push
@@ -38,8 +41,17 @@
 //! launches. A busy cycle of the scale traces holds 5–25 events on
 //! average; on SHA-1 ×16 (1.49M events) this loop takes 50–66 ms where
 //! one heap of every in-flight event took 76–117 ms (2-vCPU VM).
-//! Routes live in one node arena: a message is an offset, a length and
-//! a cursor into it, not a heap-allocated [`Path`].
+//!
+//! Routes are resolved once, at [`Fabric::inject`], into one `u32`
+//! link index per hop in a single arena, so no event computes a link
+//! from two routers. A message is then a 12-byte record: the arena
+//! index of its next link, the end of its route and its state. The
+//! cycle a waiter started waiting rides in its link's wait queue, and
+//! arrival cycles sit in their own array ([`Fabric::arrivals`]). Router
+//! coordinates are copied only for a hop transcript
+//! ([`Fabric::record_hops`]). On SHA-1 ×16 (239,600 messages, 1.25M
+//! hops) that is 2.9 MB of records and 5.0 MB of links, where 40-byte
+//! records and 8-byte routers took 9.6 and 11.9 MB.
 //!
 //! # Examples
 //!
@@ -133,31 +145,32 @@ pub struct HopRecord {
 enum MsgState {
     /// Injected; the launch has not fired yet.
     Scheduled,
-    /// Crossing `link`; a completion event is pending.
-    Traversing { link: usize },
-    /// Queued on `link` (saturated) since cycle `since`.
-    Waiting { link: usize, since: u64 },
+    /// Crossing its current link; a completion event is pending.
+    Traversing,
+    /// Queued on its current link (saturated); the link's wait queue
+    /// holds the cycle it started waiting.
+    Waiting,
     /// A hop on a flaky link failed; backing off before re-attempting
     /// the same link from the same router.
     RetryWait,
-    /// Delivered at cycle `at`.
-    Arrived { at: u64 },
+    /// Delivered; the cycle is in [`Fabric::arrivals`].
+    Arrived,
 }
 
-/// One message in the fabric: where its route sits in the node arena,
-/// how far along it is, and what it is currently doing.
+/// One message in the fabric: where its route's links sit in the link
+/// arena, how far along it is, and what it is currently doing.
 #[derive(Clone, Copy, Debug)]
 struct InFlightMessage {
-    /// Arena index of the route's first node.
-    start: usize,
-    /// Nodes on the route (hops + 1).
-    len: u32,
-    /// Index into the route of the router the message last departed
-    /// (while traversing link `cursor -> cursor + 1`) or sits at (while
-    /// waiting).
-    cursor: u32,
+    /// Arena index of the link the message is crossing, waiting for or
+    /// about to enter; `end` once it has arrived.
+    next: u32,
+    /// One past the arena index of the route's last link.
+    end: u32,
     state: MsgState,
 }
+
+// One record per message, touched by every event of the run.
+const _: () = assert!(std::mem::size_of::<InFlightMessage>() <= 20);
 
 /// Aggregate fabric statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -200,6 +213,19 @@ struct FaultState {
     retries: Vec<u32>,
 }
 
+/// The hop transcript of a fabric with [`Fabric::record_hops`] on, and
+/// the router coordinates it needs: the event loop itself reads only
+/// link indices.
+#[derive(Clone, Debug, Default)]
+struct HopLog {
+    /// Every injected route, router by router, in injection order. A
+    /// route has one router more than it has links, so the router at
+    /// link-arena index `i` of message `id` sits at `i + id` here.
+    nodes: Vec<Coord>,
+    /// Link traversal attempts in completion order.
+    records: Vec<HopRecord>,
+}
+
 /// See [`Fabric::MAX_HOP_RETRIES`].
 const MAX_HOP_RETRIES: u32 = 8;
 
@@ -224,18 +250,24 @@ pub struct Fabric {
     link_faults: Vec<u64>,
     /// Present only on fault-injected fabrics.
     fault_state: Option<FaultState>,
-    /// Hop transcript, recorded only when [`Fabric::record_hops`] was
-    /// called (`None` keeps the hot path allocation-free).
-    hop_log: Option<Vec<HopRecord>>,
-    /// FIFO wait queue per link.
-    waiters: Vec<VecDeque<MsgId>>,
+    /// Present only after [`Fabric::record_hops`] (`None` keeps the hot
+    /// path free of coordinates and allocation).
+    hop_log: Option<HopLog>,
+    /// FIFO wait queue per link: `(id, since)` of every message queued
+    /// on it, `since` being the cycle it started waiting.
+    waiters: Vec<VecDeque<(MsgId, u64)>>,
     msgs: Vec<InFlightMessage>,
-    /// Every injected route, node by node, in injection order.
-    nodes: Vec<Coord>,
-    /// `(launch, id)` of every message whose launch has not fired.
-    /// [`Fabric::run_to_completion`] sorts it latest first and pops the
-    /// next launch off the end.
+    /// Every injected route as its canonical [`Topology`] link indices,
+    /// one per hop, in injection order.
+    links: Vec<u32>,
+    /// Arrival cycle of each message, set when it is delivered.
+    arrivals: Vec<u64>,
+    /// `(launch, id)` of every injected message. The first `fired` have
+    /// launched, in `(launch, id)` order; [`Fabric::run_to_completion`]
+    /// sorts the rest ascending and fires them from the front.
     launches: Vec<(u64, MsgId)>,
+    /// Launches already fired.
+    fired: usize,
     /// `(due, id)` of in-flight events due `hop_cycles` after the cycle
     /// that pushed them (hop completions and first retries), in push
     /// order, so `due` never decreases front to back.
@@ -263,6 +295,10 @@ impl Fabric {
     pub fn new(topo: Topology, config: FabricConfig) -> Self {
         assert!(config.link_capacity > 0, "link capacity must be positive");
         assert!(config.hop_cycles > 0, "hop latency must be positive");
+        assert!(
+            u32::try_from(topo.num_links()).is_ok(),
+            "link indices fit in u32"
+        );
         Fabric {
             topo,
             config,
@@ -274,8 +310,10 @@ impl Fabric {
             hop_log: None,
             waiters: vec![VecDeque::new(); topo.num_links()],
             msgs: Vec::new(),
-            nodes: Vec::new(),
+            links: Vec::new(),
+            arrivals: Vec::new(),
             launches: Vec::new(),
+            fired: 0,
             hops: VecDeque::new(),
             retries: BinaryHeap::new(),
             due: Vec::new(),
@@ -379,50 +417,73 @@ impl Fabric {
         )
     }
 
-    /// Enables hop recording: every subsequent link traversal attempt
-    /// (successful or failed) is appended to the transcript returned by
-    /// [`Fabric::hop_records`]. Off by default so the hot path pays
-    /// nothing; call before the run whose transit you want to audit.
+    /// Enables hop recording: every link traversal attempt (successful
+    /// or failed) is appended to the transcript returned by
+    /// [`Fabric::hop_records`], and [`Fabric::inject`] keeps a copy of
+    /// each route's routers for it. Off by default so the hot path pays
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message was already injected: the transcript covers
+    /// every message or none.
     pub fn record_hops(&mut self) {
-        if self.hop_log.is_none() {
-            self.hop_log = Some(Vec::new());
-        }
+        assert!(
+            self.msgs.is_empty(),
+            "record hops before the first message is injected"
+        );
+        self.hop_log.get_or_insert_with(HopLog::default);
     }
 
     /// The recorded link traversal attempts in completion order — empty
     /// unless [`Fabric::record_hops`] was called before the run.
     pub fn hop_records(&self) -> &[HopRecord] {
-        self.hop_log.as_deref().unwrap_or(&[])
+        self.hop_log.as_ref().map_or(&[], |log| &log.records)
     }
 
     /// Reserves room for `messages` more messages whose routes hold
-    /// `nodes` routers in total, so a caller that knows its traffic
-    /// up front injects it without reallocating.
-    pub fn reserve(&mut self, messages: usize, nodes: usize) {
+    /// `hops` links in total, so a caller that knows its traffic up
+    /// front injects it without reallocating.
+    pub fn reserve(&mut self, messages: usize, hops: usize) {
         self.msgs.reserve_exact(messages);
         self.launches.reserve_exact(messages);
-        self.nodes.reserve_exact(nodes);
+        self.arrivals.reserve_exact(messages);
+        self.links.reserve_exact(hops);
+        if let Some(log) = &mut self.hop_log {
+            log.nodes.reserve_exact(hops + messages);
+        }
         if let Some(f) = &mut self.fault_state {
             f.retries.reserve_exact(messages);
         }
     }
 
     /// Injects a message that starts traversing `route` at cycle
-    /// `launch`, copying the route into the fabric. Returns its id (ids
+    /// `launch`. The route is resolved once, here, into one link index
+    /// per hop; the run reads only those. Returns the message's id (ids
     /// are dense and ordered by injection). Injection costs O(route
     /// length); all movement happens in [`Fabric::run_to_completion`].
     ///
     /// # Panics
     ///
-    /// Panics if the route is empty or leaves the topology, if
+    /// Panics if the route is empty, leaves the topology or steps
+    /// between two routers that are not adjacent (naming both), if
     /// `launch` lies in the simulated past (before an already-processed
     /// event), or — on a fault-injected fabric — if the route
     /// traverses a dead node or link (routes must be planned around
     /// permanent defects; see [`DefectMap::route_avoiding`]).
     pub fn inject(&mut self, route: &Path, launch: u64) -> MsgId {
-        assert!(!route.is_empty(), "cannot inject an empty route");
-        for &n in route.nodes() {
+        let nodes = route.nodes();
+        assert!(!nodes.is_empty(), "cannot inject an empty route");
+        for &n in nodes {
             assert!(self.topo.contains(n), "route node {n} off the topology");
+        }
+        for pair in nodes.windows(2) {
+            assert!(
+                pair[0].is_adjacent(pair[1]),
+                "route steps from {} to {}, which are not adjacent",
+                pair[0],
+                pair[1]
+            );
         }
         assert!(
             launch >= self.now,
@@ -439,13 +500,21 @@ impl Fabric {
             f.retries.push(0);
         }
         let id = u32::try_from(self.msgs.len()).expect("fabric message ids fit in u32");
+        let next = self.links.len();
+        let topo = self.topo;
+        // `Fabric::new` checked that every link index fits in u32.
+        self.links
+            .extend(nodes.windows(2).map(|p| topo.link_index(p[0], p[1]) as u32));
+        let end = u32::try_from(self.links.len()).expect("the link arena fits u32 indices");
         self.msgs.push(InFlightMessage {
-            start: self.nodes.len(),
-            len: u32::try_from(route.nodes().len()).expect("route lengths fit in u32"),
-            cursor: 0,
+            next: next as u32,
+            end,
             state: MsgState::Scheduled,
         });
-        self.nodes.extend_from_slice(route.nodes());
+        if let Some(log) = &mut self.hop_log {
+            log.nodes.extend_from_slice(nodes);
+        }
+        self.arrivals.push(0);
         self.stats.injected += 1;
         self.launches.push((launch, id));
         self.note_queue_depth();
@@ -455,7 +524,10 @@ impl Fabric {
     /// Tracks the peak of pending events: unfired launches plus
     /// in-flight events, the current cycle's unprocessed ones included.
     fn note_queue_depth(&mut self) {
-        let pending = self.launches.len() + self.hops.len() + self.retries.len() + self.due_pending;
+        let pending = self.launches.len() - self.fired
+            + self.hops.len()
+            + self.retries.len()
+            + self.due_pending;
         self.stats.peak_event_queue = self.stats.peak_event_queue.max(pending);
     }
 
@@ -475,24 +547,40 @@ impl Fabric {
 
     /// Arrival time of message `id`, if it has been delivered.
     pub fn arrival_time(&self, id: MsgId) -> Option<u64> {
-        match self.msgs[id as usize].state {
-            MsgState::Arrived { at } => Some(at),
-            _ => None,
-        }
+        (self.msgs[id as usize].state == MsgState::Arrived).then(|| self.arrivals[id as usize])
     }
 
-    /// The route message `id` was injected with.
-    pub fn route(&self, id: MsgId) -> &[Coord] {
-        let m = &self.msgs[id as usize];
-        &self.nodes[m.start..m.start + m.len as usize]
+    /// The arrival cycle of every message, indexed by [`MsgId`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message has not arrived yet; every message has once
+    /// [`Fabric::run_to_completion`] returns.
+    pub fn arrivals(&self) -> &[u64] {
+        assert_eq!(
+            self.stats.delivered, self.stats.injected,
+            "arrivals are read once every message has arrived"
+        );
+        &self.arrivals
+    }
+
+    /// The launch cycles of the messages launched so far, ascending: the
+    /// order the run fired them in. After [`Fabric::run_to_completion`]
+    /// that is every message's launch, sorted once for the whole run.
+    pub fn launch_cycles(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.launches[..self.fired]
+            .iter()
+            .map(|&(launch, _)| launch)
     }
 
     /// Processes every pending event; afterwards all injected messages
     /// have arrived.
     pub fn run_to_completion(&mut self) {
-        // Latest first, so the next launch is the last element. Ids are
-        // unique, so `(launch, id)` orders the list totally.
-        self.launches.sort_unstable_by(|a, b| b.cmp(a));
+        // Every fired launch lies at or before the clock and every new
+        // one at or after it, so sorting the unfired tail keeps the
+        // whole list in `(launch, id)` order. Ids are unique, so the
+        // order is total.
+        self.launches[self.fired..].sort_unstable();
         let mut due = std::mem::take(&mut self.due);
         while let Some(t) = self.next_cycle() {
             // Every event processed at `t` schedules its successor at
@@ -517,7 +605,7 @@ impl Fabric {
             // Merge with the cycle's launches (sorted by id too).
             let mut next = 0;
             loop {
-                let launch = match self.launches.last() {
+                let launch = match self.launches.get(self.fired) {
                     Some(&(at, id)) if at == t => Some(id),
                     _ => None,
                 };
@@ -527,7 +615,7 @@ impl Fabric {
                         e
                     }
                     (Some(l), _) => {
-                        self.launches.pop();
+                        self.fired += 1;
                         l
                     }
                     (None, Some(&e)) => {
@@ -546,7 +634,7 @@ impl Fabric {
 
     /// The cycle of the earliest pending event, if any.
     fn next_cycle(&self) -> Option<u64> {
-        let launch = self.launches.last().map(|&(t, _)| t);
+        let launch = self.launches.get(self.fired).map(|&(t, _)| t);
         let hop = self.hops.front().map(|&(t, _)| t);
         let retry = self.retries.peek().map(|&Reverse((t, _))| t);
         [launch, hop, retry].into_iter().flatten().min()
@@ -556,8 +644,8 @@ impl Fabric {
         debug_assert!(t >= self.now, "events must be processed in order");
         self.now = t;
         self.stats.events_processed += 1;
-        let state = self.msgs[id as usize].state;
-        match state {
+        let i = id as usize;
+        match self.msgs[i].state {
             MsgState::Scheduled => {
                 // The message enters the fabric now, not at injection
                 // time — injection may happen arbitrarily early, and
@@ -566,15 +654,14 @@ impl Fabric {
                 self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
                 self.try_advance(t, id);
             }
-            MsgState::Traversing { link } => {
+            MsgState::Traversing => {
                 // Hop attempt over: free the lane, wake the FIFO head.
+                let at = self.msgs[i].next as usize;
+                let link = self.links[at] as usize;
                 self.load[link] -= 1;
                 self.link_busy[link] += self.config.hop_cycles;
-                if let Some(w) = self.waiters[link].pop_front() {
-                    let since = match self.msgs[w as usize].state {
-                        MsgState::Waiting { since, .. } => since,
-                        ref other => unreachable!("waiter in state {other:?}"),
-                    };
+                if let Some((w, since)) = self.waiters[link].pop_front() {
+                    debug_assert_eq!(self.msgs[w as usize].state, MsgState::Waiting);
                     self.stats.link_stall_cycles += t - since;
                     self.link_stalls[link] += t - since;
                     self.enter_link(w, link);
@@ -588,18 +675,17 @@ impl Fabric {
                     Some(f) => {
                         let p = f.defects.flaky_probs()[link];
                         p > 0.0
-                            && f.retries[id as usize] < MAX_HOP_RETRIES
+                            && f.retries[i] < MAX_HOP_RETRIES
                             && f.rng.gen_range(0.0..1.0f64) < p
                     }
                     None => false,
                 };
                 if let Some(log) = &mut self.hop_log {
-                    let m = &self.msgs[id as usize];
-                    let here = m.start + m.cursor as usize;
-                    log.push(HopRecord {
+                    let here = at + i;
+                    log.records.push(HopRecord {
                         msg: id,
-                        from: self.nodes[here],
-                        to: self.nodes[here + 1],
+                        from: log.nodes[here],
+                        to: log.nodes[here + 1],
                         enter: t - self.config.hop_cycles,
                         exit: t,
                         failed,
@@ -607,18 +693,18 @@ impl Fabric {
                 }
                 if failed {
                     let f = self.fault_state.as_mut().expect("fault state present");
-                    f.retries[id as usize] += 1;
-                    let backoff = self.config.hop_cycles << (f.retries[id as usize] - 1).min(3);
+                    f.retries[i] += 1;
+                    let backoff = self.config.hop_cycles << (f.retries[i] - 1).min(3);
                     self.stats.transient_faults += 1;
                     self.link_faults[link] += 1;
-                    self.msgs[id as usize].state = MsgState::RetryWait;
+                    self.msgs[i].state = MsgState::RetryWait;
                     self.push_event(backoff, id);
                 } else {
                     if let Some(f) = &mut self.fault_state {
-                        f.retries[id as usize] = 0;
+                        f.retries[i] = 0;
                     }
                     self.stats.hops_completed += 1;
-                    self.msgs[id as usize].cursor += 1;
+                    self.msgs[i].next += 1;
                     self.try_advance(t, id);
                 }
             }
@@ -627,35 +713,36 @@ impl Fabric {
                 // behind other traffic like any new arrival.
                 self.try_advance(t, id);
             }
-            MsgState::Waiting { .. } | MsgState::Arrived { .. } => {
+            MsgState::Waiting | MsgState::Arrived => {
                 unreachable!("no events are scheduled for waiting or arrived messages")
             }
         }
     }
 
-    /// At time `t`, message `id` sits at `route[cursor]`: deliver it or
-    /// move it onto its next link (queueing if the link is saturated).
+    /// At time `t`, message `id` sits at the router before its `next`
+    /// link: deliver it or move it onto that link (queueing if the link
+    /// is saturated).
     fn try_advance(&mut self, t: u64, id: MsgId) {
-        let msg = &self.msgs[id as usize];
-        if msg.cursor + 1 == msg.len {
-            self.msgs[id as usize].state = MsgState::Arrived { at: t };
+        let msg = &mut self.msgs[id as usize];
+        if msg.next == msg.end {
+            msg.state = MsgState::Arrived;
+            self.arrivals[id as usize] = t;
             self.in_flight -= 1;
             self.stats.delivered += 1;
             return;
         }
-        let here = msg.start + msg.cursor as usize;
-        let link = self.topo.link_index(self.nodes[here], self.nodes[here + 1]);
+        let link = self.links[msg.next as usize] as usize;
         if self.load[link] < self.config.link_capacity {
             self.enter_link(id, link);
         } else {
-            self.waiters[link].push_back(id);
-            self.msgs[id as usize].state = MsgState::Waiting { link, since: t };
+            msg.state = MsgState::Waiting;
+            self.waiters[link].push_back((id, t));
         }
     }
 
     fn enter_link(&mut self, id: MsgId, link: usize) {
         self.load[link] += 1;
-        self.msgs[id as usize].state = MsgState::Traversing { link };
+        self.msgs[id as usize].state = MsgState::Traversing;
         self.push_event(self.config.hop_cycles, id);
     }
 }
@@ -771,6 +858,14 @@ mod tests {
         );
         // Message 3 and message 2 each queued one hop behind a leader.
         assert_eq!(f.stats().link_stall_cycles, 4);
+        // The launches come back in firing order, the arrivals by id.
+        assert_eq!(f.launch_cycles().collect::<Vec<_>>(), [0, 2, 2, 6, 6]);
+        assert_eq!(f.arrivals(), [10, 6, 12, 8, 4]);
+        // A later launch joins the sorted list behind the fired ones.
+        let late = f.inject(&row_route(topo, 0, 0, 2), 20);
+        f.run_to_completion();
+        assert_eq!(f.launch_cycles().collect::<Vec<_>>(), [0, 2, 2, 6, 6, 20]);
+        assert_eq!(f.arrival_time(late), Some(24));
     }
 
     #[test]
@@ -989,6 +1084,24 @@ mod tests {
             let last = hops.iter().rev().find(|h| h.msg == id).unwrap();
             assert_eq!((Some(last.exit), last.failed), (at, false));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "route steps from (0, 0) to (2, 0), which are not adjacent")]
+    fn a_route_that_jumps_a_router_is_rejected() {
+        let topo = Topology::new(4, 1);
+        let mut f = Fabric::new(topo, FabricConfig::default());
+        let jump = Path::new_unchecked(vec![Coord::new(0, 0), Coord::new(2, 0)]);
+        let _ = f.inject(&jump, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals are read once every message has arrived")]
+    fn arrivals_are_not_read_before_the_run() {
+        let topo = Topology::new(4, 1);
+        let mut f = Fabric::new(topo, FabricConfig::default());
+        f.inject(&row_route(topo, 0, 0, 3), 0);
+        let _ = f.arrivals();
     }
 
     #[test]

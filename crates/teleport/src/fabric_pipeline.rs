@@ -29,13 +29,11 @@
 //! paper's planar numbers were missing.
 
 use scq_mesh::{
-    CommError, Coord, DefectMap, Fabric, FabricConfig, HopRecord, LinkHeatmap, MsgId, Path,
-    Topology,
+    CommError, Coord, DefectMap, Fabric, FabricConfig, HopRecord, LinkHeatmap, Path, Topology,
 };
 
 use crate::pipeline::{
-    account_arrivals, check_epr_inputs, plan_launches, DistributionPolicy, EprConfig,
-    EprPipelineResult,
+    account_arrivals, plan_launches, DistributionPolicy, EprConfig, EprPipelineResult,
 };
 
 /// One teleport's communication demand, located on the machine: an EPR
@@ -295,6 +293,13 @@ fn plan_defect_routes(
 /// fabric, account measured arrivals. `record` keeps the planned
 /// routes/launches, measured arrivals, and the fabric's hop log as an
 /// [`EprTranscript`]; without it nothing is copied or logged.
+///
+/// One pass validates and prices the requests and streams `(time,
+/// travel)` into the planner, which hands back the launch cycles. The
+/// fabric resolves each route into link indices as it is injected,
+/// sorts the launches once for its run, and keeps the arrivals; the
+/// accounting reads both from it, so the pipeline keeps no
+/// per-request vector of its own but the launch plan.
 fn run_epr_phases(
     requests: &[EprRequest],
     routes: Routes,
@@ -303,8 +308,6 @@ fn run_epr_phases(
     mut fabric: Fabric,
     record: bool,
 ) -> (FabricEprResult, Option<EprTranscript>) {
-    let times: Vec<u64> = requests.iter().map(|r| r.time).collect();
-    check_epr_inputs(&times, policy, config.epr.bandwidth);
     if record {
         fabric.record_hops();
     }
@@ -312,71 +315,58 @@ fn run_epr_phases(
 
     // Phase 1: plan launches at the flow level (uncontended estimates).
     // A clean XY route is exactly as long as the Manhattan distance.
-    let hops: Vec<u64> = match &routes {
-        Routes::Xy => requests
-            .iter()
-            .map(|r| {
+    let mut total_route_hops = 0u64;
+    let priced = requests.iter().enumerate().map(|(i, r)| {
+        let hops = match &routes {
+            Routes::Xy => {
                 assert!(
                     topology.contains(r.src) && topology.contains(r.dst),
                     "endpoints must be on the mesh"
                 );
                 u64::from(r.src.manhattan(r.dst))
-            })
-            .collect(),
-        Routes::Planned(paths) => paths.iter().map(|p| p.len_hops() as u64).collect(),
-    };
-    let total_route_hops: u64 = hops.iter().sum();
-    let timed: Vec<(u64, u64)> = requests
-        .iter()
-        .zip(&hops)
-        .map(|(r, &h)| (r.time, h * config.epr.hop_cycles))
-        .collect();
-    let plan = plan_launches(
-        &timed,
+            }
+            Routes::Planned(paths) => paths[i].len_hops() as u64,
+        };
+        total_route_hops += hops;
+        (r.time, hops * config.epr.hop_cycles)
+    });
+    let launches = plan_launches(
+        priced,
         policy,
         config.epr.bandwidth,
         config.epr.lead_slack_cycles,
     );
 
-    // Phase 2: fly every half through the fabric. A route has one
-    // node more than it has hops, so the fabric's arena is sized
-    // exactly.
-    let route_nodes = usize::try_from(total_route_hops).expect("route nodes fit in memory");
-    fabric.reserve(requests.len(), route_nodes + requests.len());
-    let ids: Vec<MsgId> = match routes {
+    // Phase 2: fly every half through the fabric, its link arena sized
+    // exactly. A fresh fabric numbers the halves in request order.
+    let hops = usize::try_from(total_route_hops).expect("route hops fit in memory");
+    fabric.reserve(requests.len(), hops);
+    match &routes {
         Routes::Xy => {
             let mut route = Path::empty();
-            requests
-                .iter()
-                .zip(&plan)
-                .map(|(r, &(launch, _))| {
-                    topology.route_xy_into(r.src, r.dst, &mut route);
-                    fabric.inject(&route, launch)
-                })
-                .collect()
+            for (r, &launch) in requests.iter().zip(&launches) {
+                topology.route_xy_into(r.src, r.dst, &mut route);
+                fabric.inject(&route, launch);
+            }
         }
-        Routes::Planned(paths) => paths
-            .iter()
-            .zip(&plan)
-            .map(|(route, &(launch, _))| fabric.inject(route, launch))
-            .collect(),
-    };
+        Routes::Planned(paths) => {
+            for (route, &launch) in paths.iter().zip(&launches) {
+                fabric.inject(route, launch);
+            }
+        }
+    }
     fabric.run_to_completion();
 
     // Phase 3: teleports consume the measured arrival events.
-    let measured: Vec<(u64, u64)> = ids
-        .iter()
-        .zip(&plan)
-        .map(|(&id, &(launch, _))| {
-            (
-                launch,
-                fabric
-                    .arrival_time(id)
-                    .expect("drained fabric delivered every half"),
-            )
-        })
-        .collect();
-    let pipeline = account_arrivals(&times, &measured, config.epr.teleport_cycles);
+    let arrivals = fabric.arrivals();
+    let pipeline = account_arrivals(
+        requests
+            .iter()
+            .map(|r| r.time)
+            .zip(arrivals.iter().copied()),
+        fabric.launch_cycles(),
+        config.epr.teleport_cycles,
+    );
 
     let stats = fabric.stats();
     let transcript = record.then(|| EprTranscript {
@@ -384,12 +374,15 @@ fn run_epr_phases(
         link_capacity: config.link_capacity,
         hop_cycles: config.epr.hop_cycles,
         requests: requests.to_vec(),
-        routes: ids
-            .iter()
-            .map(|&id| Path::new(fabric.route(id).to_vec()))
-            .collect(),
-        launches: plan.iter().map(|&(launch, _)| launch).collect(),
-        arrivals: measured.iter().map(|&(_, arrival)| arrival).collect(),
+        routes: match routes {
+            Routes::Xy => requests
+                .iter()
+                .map(|r| topology.route_xy(r.src, r.dst))
+                .collect(),
+            Routes::Planned(paths) => paths,
+        },
+        launches,
+        arrivals: arrivals.to_vec(),
         hops: fabric.hop_records().to_vec(),
     });
     let result = FabricEprResult {

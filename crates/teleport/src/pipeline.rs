@@ -14,7 +14,7 @@
 //! (qubit cost) and added latency.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// When EPR pairs are launched relative to their use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,59 +97,65 @@ impl EprPipelineResult {
     }
 }
 
-/// Validates the invariants both EPR simulators share.
-///
-/// # Panics
-///
-/// Panics if demand times are unsorted, the bandwidth is zero, or a
-/// `JustInTime` window is zero.
-pub(crate) fn check_epr_inputs(times: &[u64], policy: DistributionPolicy, bandwidth: usize) {
-    assert!(bandwidth > 0, "bandwidth must be positive");
-    assert!(
-        times.windows(2).all(|w| w[0] <= w[1]),
-        "demands must be sorted by time"
-    );
-    if let DistributionPolicy::JustInTime { window } = policy {
-        assert!(window > 0, "lookahead window must be positive");
-    }
-}
-
 /// Flow-level launch planning: the §8.1 recurrence deciding when each
 /// EPR pair is launched, given each demand's ideal use time and its
-/// *uncontended* travel time. Returns per-demand `(launch, predicted
-/// arrival)` pairs.
+/// *uncontended* travel time, streamed in demand order. Returns each
+/// demand's launch cycle; its predicted arrival is that plus its
+/// travel.
 ///
 /// This is the planning half of the legacy flow model, factored out so
 /// the route-aware fabric simulator launches with exactly the same
 /// policy decisions: the just-in-time target, the lookahead-window gate
 /// (demand `j` may not launch before demand `j - window` was consumed),
-/// and the global swap-lane bandwidth cap all live here.
+/// and the global swap-lane bandwidth cap all live here. The gate reads
+/// only the consume time `window` demands back, so the planner keeps
+/// the last `window` of them in a ring, not one per demand.
+///
+/// # Panics
+///
+/// Panics if demand times are unsorted, the bandwidth is zero, or a
+/// `JustInTime` window is zero.
 pub(crate) fn plan_launches(
-    demands: &[(u64, u64)], // (ideal use time, uncontended travel cycles)
+    demands: impl IntoIterator<Item = (u64, u64)>, // (ideal use time, uncontended travel cycles)
     policy: DistributionPolicy,
     bandwidth: usize,
     lead_slack_cycles: u64,
-) -> Vec<(u64, u64)> {
+) -> Vec<u64> {
+    assert!(bandwidth > 0, "bandwidth must be positive");
+    let window = match policy {
+        DistributionPolicy::EagerPrefetch => None,
+        DistributionPolicy::JustInTime { window } => {
+            assert!(window > 0, "lookahead window must be positive");
+            Some(window)
+        }
+    };
+    let demands = demands.into_iter();
+    let mut launches: Vec<u64> = Vec::with_capacity(demands.size_hint().0);
     let mut slip: u64 = 0;
+    let mut last_time: u64 = 0;
     // Arrival times of the pairs in flight: at most `bandwidth` of
     // them, so a binary heap stays shallow.
     let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-    let mut consume_times: Vec<u64> = Vec::with_capacity(demands.len());
-    let mut plan: Vec<(u64, u64)> = Vec::with_capacity(demands.len());
+    // Consume times of the last `window` demands, oldest first.
+    let mut recent: VecDeque<u64> = VecDeque::new();
 
-    for (j, &(time, travel)) in demands.iter().enumerate() {
+    for (time, travel) in demands {
+        assert!(time >= last_time, "demands must be sorted by time");
+        last_time = time;
         let need = time + slip;
-        let target = match policy {
-            DistributionPolicy::EagerPrefetch => 0,
-            DistributionPolicy::JustInTime { .. } => {
-                need.saturating_sub(travel + lead_slack_cycles)
-            }
-        };
-        // Window constraint: demand j may not launch before demand
-        // j - window has been consumed.
-        let window_gate = match policy {
-            DistributionPolicy::JustInTime { window } if j >= window => consume_times[j - window],
-            _ => 0,
+        let (target, window_gate) = match window {
+            None => (0, 0),
+            // Window constraint: demand j may not launch before demand
+            // j - window has been consumed, the ring's front once the
+            // ring is full.
+            Some(window) => (
+                need.saturating_sub(travel + lead_slack_cycles),
+                if recent.len() == window {
+                    recent.pop_front().unwrap_or(0)
+                } else {
+                    0
+                },
+            ),
         };
         // Bandwidth constraint: wait for a free swap lane.
         let mut launch = target.max(window_gate);
@@ -174,39 +180,42 @@ pub(crate) fn plan_launches(
 
         let stall = arrive.saturating_sub(need);
         slip += stall;
-        consume_times.push(need + stall); // = max(need, arrive)
-        plan.push((launch, arrive));
+        if window.is_some() {
+            recent.push_back(need + stall); // = max(need, arrive)
+        }
+        launches.push(launch);
     }
-    plan
+    launches
 }
 
 /// Accounting half of the EPR pipeline: given each demand's ideal use
-/// time, its launch time, and its (predicted or measured) arrival time,
-/// runs the serialized-slip consume recurrence and sweeps the two §8.1
-/// metrics. Fed predicted arrivals this reproduces the legacy flow
-/// model; fed measured fabric arrivals it prices real link contention.
+/// time and its (predicted or measured) arrival time, in demand order,
+/// and every launch cycle in ascending order, runs the serialized-slip
+/// consume recurrence and sweeps the two §8.1 metrics. Fed predicted
+/// arrivals this reproduces the legacy flow model; fed measured fabric
+/// arrivals it prices real link contention.
 ///
 /// Demand times are sorted and slip only grows, so consume times never
 /// decrease: peak live EPR pairs is a merge of the sorted launch times
-/// against them, with no sort of the consumes.
+/// against them, with no sort here at all.
 pub(crate) fn account_arrivals(
-    times: &[u64],
-    launches_arrivals: &[(u64, u64)],
+    demands: impl IntoIterator<Item = (u64, u64)>, // (ideal use time, arrival)
+    sorted_launches: impl ExactSizeIterator<Item = u64>,
     teleport_cycles: u64,
 ) -> EprPipelineResult {
-    debug_assert_eq!(times.len(), launches_arrivals.len());
-    let mut launches: Vec<u64> = launches_arrivals.iter().map(|&(l, _)| l).collect();
-    launches.sort_unstable();
-    let mut launches = launches.into_iter().peekable();
+    let mut launches = sorted_launches.peekable();
+    let mut teleports = 0usize;
     let mut slip: u64 = 0;
     let mut total_stall = 0u64;
     let mut last_consume = 0u64;
     let mut ideal_last = 0u64;
     let mut prev_consume = 0u64;
+    let mut prev_launch = 0u64;
     let mut live = 0i64;
     let mut peak = 0i64;
 
-    for (&time, &(_, arrive)) in times.iter().zip(launches_arrivals) {
+    for (time, arrive) in demands {
+        teleports += 1;
         let need = time + slip;
         let stall = arrive.saturating_sub(need);
         total_stall += stall;
@@ -217,7 +226,9 @@ pub(crate) fn account_arrivals(
         // Launches before this consume go live first; at equal times
         // the consume goes first (an EPR freed this cycle can be
         // recycled).
-        while launches.next_if(|&l| l < consume).is_some() {
+        while let Some(launch) = launches.next_if(|&l| l < consume) {
+            debug_assert!(launch >= prev_launch, "launches come sorted");
+            prev_launch = launch;
             live += 1;
             peak = peak.max(live);
         }
@@ -225,6 +236,7 @@ pub(crate) fn account_arrivals(
         last_consume = last_consume.max(consume + teleport_cycles);
         ideal_last = ideal_last.max(time + teleport_cycles);
     }
+    debug_assert_eq!(live + launches.len() as i64, 0, "one launch per demand");
     // Launches after the last consume only add to the live count.
     peak = peak.max(live + launches.len() as i64);
 
@@ -233,7 +245,7 @@ pub(crate) fn account_arrivals(
         ideal_makespan: ideal_last,
         peak_live_eprs: peak as usize,
         total_stall_cycles: total_stall,
-        teleports: times.len(),
+        teleports,
     }
 }
 
@@ -257,14 +269,23 @@ pub fn simulate_epr_distribution(
     policy: DistributionPolicy,
     config: &EprConfig,
 ) -> EprPipelineResult {
-    let times: Vec<u64> = demands.iter().map(|d| d.time).collect();
-    check_epr_inputs(&times, policy, config.bandwidth);
-    let timed: Vec<(u64, u64)> = demands
-        .iter()
-        .map(|d| (d.time, u64::from(d.distance) * config.hop_cycles))
-        .collect();
-    let plan = plan_launches(&timed, policy, config.bandwidth, config.lead_slack_cycles);
-    account_arrivals(&times, &plan, config.teleport_cycles)
+    let travel = |d: &EprDemand| u64::from(d.distance) * config.hop_cycles;
+    let launches = plan_launches(
+        demands.iter().map(|d| (d.time, travel(d))),
+        policy,
+        config.bandwidth,
+        config.lead_slack_cycles,
+    );
+    let mut sorted = launches.clone();
+    sorted.sort_unstable();
+    account_arrivals(
+        demands
+            .iter()
+            .zip(&launches)
+            .map(|(d, &launch)| (d.time, launch + travel(d))),
+        sorted.into_iter(),
+        config.teleport_cycles,
+    )
 }
 
 /// Sweeps lookahead windows and returns `(window, result)` pairs — the
@@ -355,8 +376,15 @@ mod tests {
                 })
                 .collect();
             let teleport_cycles = below(&mut rng, 3);
+            let mut sorted: Vec<u64> = launches_arrivals.iter().map(|&(l, _)| l).collect();
+            sorted.sort_unstable();
+            let arrivals = launches_arrivals.iter().map(|&(_, a)| a);
             assert_eq!(
-                account_arrivals(&times, &launches_arrivals, teleport_cycles),
+                account_arrivals(
+                    times.iter().copied().zip(arrivals),
+                    sorted.into_iter(),
+                    teleport_cycles
+                ),
                 account_arrivals_by_sort(&times, &launches_arrivals, teleport_cycles),
                 "case {case}: times {times:?}, launches/arrivals {launches_arrivals:?}"
             );
@@ -378,6 +406,116 @@ mod tests {
         assert!(
             ties > 100 && zero_travel > 100 && same_cycle > 100,
             "ties {ties}, zero travel {zero_travel}, same-cycle launch and consume {same_cycle}"
+        );
+    }
+
+    /// How often each constraint of [`plan_launches_full`] set a launch.
+    #[derive(Default)]
+    struct Binding {
+        /// Launches the window gate held past their target.
+        window_gate: usize,
+        /// Launches that waited past target and gate for a swap lane.
+        bandwidth: usize,
+    }
+
+    /// Oracle of [`plan_launches`]: the planner as it was before it
+    /// streamed, with one consume time per demand and `(launch,
+    /// predicted arrival)` pairs, counting which constraint bound each
+    /// launch.
+    fn plan_launches_full(
+        demands: &[(u64, u64)],
+        policy: DistributionPolicy,
+        bandwidth: usize,
+        lead_slack_cycles: u64,
+        binding: &mut Binding,
+    ) -> Vec<(u64, u64)> {
+        let mut slip: u64 = 0;
+        let mut in_flight: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+        let mut consume_times: Vec<u64> = Vec::with_capacity(demands.len());
+        let mut plan: Vec<(u64, u64)> = Vec::with_capacity(demands.len());
+
+        for (j, &(time, travel)) in demands.iter().enumerate() {
+            let need = time + slip;
+            let target = match policy {
+                DistributionPolicy::EagerPrefetch => 0,
+                DistributionPolicy::JustInTime { .. } => {
+                    need.saturating_sub(travel + lead_slack_cycles)
+                }
+            };
+            let window_gate = match policy {
+                DistributionPolicy::JustInTime { window } if j >= window => {
+                    consume_times[j - window]
+                }
+                _ => 0,
+            };
+            let mut launch = target.max(window_gate);
+            loop {
+                while let Some(&Reverse(a)) = in_flight.peek() {
+                    if a <= launch {
+                        in_flight.pop();
+                    } else {
+                        break;
+                    }
+                }
+                if in_flight.len() < bandwidth {
+                    break;
+                }
+                let Some(&Reverse(earliest)) = in_flight.peek() else {
+                    break;
+                };
+                launch = launch.max(earliest);
+            }
+            binding.window_gate += usize::from(window_gate > target);
+            binding.bandwidth += usize::from(launch > target.max(window_gate));
+            let arrive = launch + travel;
+            in_flight.push(Reverse(arrive));
+
+            let stall = arrive.saturating_sub(need);
+            slip += stall;
+            consume_times.push(need + stall);
+            plan.push((launch, arrive));
+        }
+        plan
+    }
+
+    #[test]
+    fn streaming_planner_matches_the_full_recurrence() {
+        let mut rng = TestRng::seed_from_u64(0x91a2);
+        let below = |rng: &mut TestRng, n: u64| rng.next_u64() % n;
+        let mut binding = Binding::default();
+        for case in 0..2000 {
+            // Dense demand and long travel, so windows and lanes bind.
+            let n = below(&mut rng, 40) as usize;
+            let mut times: Vec<u64> = (0..n).map(|_| below(&mut rng, 60)).collect();
+            times.sort_unstable();
+            let demands: Vec<(u64, u64)> =
+                times.iter().map(|&t| (t, below(&mut rng, 12))).collect();
+            let slack = below(&mut rng, 4);
+            let policies = [
+                DistributionPolicy::EagerPrefetch,
+                DistributionPolicy::JustInTime { window: 1 },
+                DistributionPolicy::JustInTime { window: 2 },
+                DistributionPolicy::JustInTime { window: 64 },
+                DistributionPolicy::JustInTime { window: n + 1 },
+            ];
+            for policy in policies {
+                for bandwidth in [1, 3, 256] {
+                    let full = plan_launches_full(&demands, policy, bandwidth, slack, &mut binding);
+                    let launches: Vec<u64> = full.iter().map(|&(l, _)| l).collect();
+                    assert_eq!(
+                        plan_launches(demands.iter().copied(), policy, bandwidth, slack),
+                        launches,
+                        "case {case}: {policy:?}, bandwidth {bandwidth}, slack {slack}, \
+                         demands {demands:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            binding.window_gate > 10_000 && binding.bandwidth > 10_000,
+            "window gate bound {} launches, bandwidth {}",
+            binding.window_gate,
+            binding.bandwidth
         );
     }
 
