@@ -155,8 +155,9 @@ fn bench_claim_release(c: &mut Criterion) {
 /// Adaptive routing on SHA-1's braid mesh at d = 3 (51 x 49 routers),
 /// congested by seeded short XY braids and cut in two by a staircase
 /// wall that claims no full row or column. Successful searches run the
-/// A* search and its route walk; pairs split by the wall run the exact
-/// unroutability probe's flood over the whole free region on one side.
+/// f-level bitboard sweeps and their route walk; pairs split by the
+/// wall run the exact unroutability probe's flood over the whole free
+/// region on one side.
 fn bench_adaptive_routing(c: &mut Criterion) {
     use scq_mesh::{Coord, Mesh, Path, RouteScratch};
     let (w, h) = (51u32, 49u32);
@@ -190,7 +191,7 @@ fn bench_adaptive_routing(c: &mut Criterion) {
         if mesh.node_claimed(a) || mesh.node_claimed(b) {
             continue;
         }
-        if mesh.route_adaptive(a, b, 0).is_some() {
+        if mesh.route_adaptive(a, b).is_some() {
             found.push((a, b));
         } else if a.y < 20 && b.y > 28 {
             cut.push((a, b));
@@ -209,7 +210,7 @@ fn bench_adaptive_routing(c: &mut Criterion) {
             found
                 .iter()
                 .map(|&(src, dst)| {
-                    assert!(mesh.route_adaptive_into(src, dst, 0, &mut scratch, &mut out));
+                    assert!(mesh.route_adaptive_into(src, dst, &mut scratch, &mut out));
                     out.len_hops()
                 })
                 .sum::<usize>()

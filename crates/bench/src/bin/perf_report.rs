@@ -7,7 +7,11 @@
 //! Every braid point asserts bit-identical schedules before timing
 //! counts, and every EPR point asserts the unlimited-capacity fabric
 //! matches the flow oracle exactly, so the reported numbers are for
-//! *the same answer*. Each braid engine time, each point's certify
+//! *the same answer*. Each braid point runs once more through a
+//! counting sink, untimed, that records the adaptive searches it ran
+//! and the bitboard row words they touched (`adaptive_searches`,
+//! `search_words`): the work behind the contended points' times, with
+//! no bound. Each braid engine time, each point's certify
 //! pass and each warm `e2e` time is the median of three runs
 //! (`runs_per_point` in the JSON) so a one-off scheduler hiccup cannot
 //! masquerade as a regression; the EPR `flow_secs`, `fabric_secs` and
@@ -34,9 +38,11 @@ use scq_bench::{
     fig6_workloads, or_die, run_planar_on_defects, run_policy, run_policy_on_defects,
     run_policy_reference, timed_median3, write_report, FixedFloorplan, PIPELINE_STAGES,
 };
-use scq_braid::{BraidTrace, Policy};
+use scq_braid::{schedule_with, BraidConfig, BraidSchedule, BraidTrace, Policy, TraceSink};
 use scq_core::{run_toolflow_timed, ArtifactContext, PipelineRunner, ToolflowConfig};
-use scq_ir::{Circuit, DependencyDag};
+use scq_ir::{Circuit, DependencyDag, InteractionGraph};
+use scq_layout::place;
+use scq_mesh::Path;
 use scq_serve::parallel_map;
 use scq_teleport::{
     schedule_planar, schedule_planar_with, schedule_simd, simulate_epr_distribution,
@@ -78,6 +84,10 @@ struct Point {
     /// Adaptive routing attempts, the count that explains the
     /// contended points' times.
     adaptive_routes: u64,
+    /// The attempts that ran the adaptive search (the exact flood
+    /// prunes the rest), and the row words those searches touched.
+    adaptive_searches: u64,
+    search_words: u64,
     fast_secs: f64,
     ref_secs: f64,
 }
@@ -105,6 +115,44 @@ impl Point {
     fn cycles_per_sec_fast(&self) -> f64 {
         self.cycles as f64 / self.fast_secs.max(1e-12)
     }
+}
+
+/// Counts a braid run's adaptive searches and the row words their
+/// sweeps touched.
+#[derive(Default)]
+struct SearchCount {
+    searches: u64,
+    words: u64,
+}
+
+impl TraceSink for SearchCount {
+    fn record(&mut self, _op: u32, _leg: u8, _open: u64, _close: u64, path: Path) -> Option<Path> {
+        Some(path)
+    }
+
+    fn searched(&mut self, _route: &Path, words: u32) {
+        self.searches += 1;
+        self.words += u64::from(words);
+    }
+}
+
+/// One fig6 point scheduled once more through a [`SearchCount`], on the
+/// policy's paired layout as `run_policy` schedules it.
+fn count_searches(circuit: &Circuit, policy: Policy) -> (BraidSchedule, SearchCount) {
+    let dag = DependencyDag::from_circuit(circuit);
+    let layout = place(
+        &InteractionGraph::from_circuit(circuit),
+        policy.layout_strategy(),
+        None,
+    );
+    let config = BraidConfig {
+        policy,
+        code_distance: CODE_DISTANCE,
+        ..Default::default()
+    };
+    let mut count = SearchCount::default();
+    let braid = schedule_with(circuit, &dag, &layout, &config, None, &mut count);
+    (or_die(braid, "fig6 workload failed to schedule"), count)
 }
 
 /// Checks the geomean speedup over the reference against
@@ -252,11 +300,20 @@ fn main() {
             let (naive, ref_secs) =
                 timed_median3(|| run_policy_reference(circuit, policy, CODE_DISTANCE));
             assert_eq!(fast, naive, "{} {policy}: engines diverged", bench.name());
+            let (counted, searches) = count_searches(circuit, policy);
+            assert_eq!(
+                fast,
+                counted,
+                "{} {policy}: counting moved the schedule",
+                bench.name()
+            );
             points.push(Point {
                 app: bench.name(),
                 policy: policy.index(),
                 cycles: fast.cycles,
                 adaptive_routes: fast.adaptive_routes,
+                adaptive_searches: searches.searches,
+                search_words: searches.words,
                 fast_secs,
                 ref_secs,
             });
@@ -335,16 +392,27 @@ fn main() {
     );
     println!();
     println!(
-        "{:<10} {:>6} {:>10} {:>9} {:>12} {:>12} {:>9} {:>14}",
-        "app", "policy", "cycles", "adaptive", "fast", "reference", "speedup", "cycles/s fast"
+        "{:<10} {:>6} {:>10} {:>9} {:>9} {:>9} {:>12} {:>12} {:>9} {:>14}",
+        "app",
+        "policy",
+        "cycles",
+        "adaptive",
+        "searches",
+        "words",
+        "fast",
+        "reference",
+        "speedup",
+        "cycles/s fast"
     );
     for p in &points {
         println!(
-            "{:<10} {:>6} {:>10} {:>9} {:>11.3}ms {:>11.3}ms {:>8.1}x {:>14.2e}",
+            "{:<10} {:>6} {:>10} {:>9} {:>9} {:>9} {:>11.3}ms {:>11.3}ms {:>8.1}x {:>14.2e}",
             p.app,
             format!("P{}", p.policy),
             p.cycles,
             p.adaptive_routes,
+            p.adaptive_searches,
+            p.search_words,
             p.fast_secs * 1e3,
             p.ref_secs * 1e3,
             p.speedup(),
@@ -392,8 +460,8 @@ fn main() {
         let comma = if i + 1 < points.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"app\": \"{}\", \"policy\": {}, \"cycles\": {}, \"adaptive_routes\": {}, \"fast_secs\": {:.6}, \"ref_secs\": {:.6}, \"speedup\": {:.2}, \"cycles_per_sec_fast\": {:.3e}}}{comma}",
-            p.app, p.policy, p.cycles, p.adaptive_routes, p.fast_secs, p.ref_secs, p.speedup(), p.cycles_per_sec_fast()
+            "    {{\"app\": \"{}\", \"policy\": {}, \"cycles\": {}, \"adaptive_routes\": {}, \"adaptive_searches\": {}, \"search_words\": {}, \"fast_secs\": {:.6}, \"ref_secs\": {:.6}, \"speedup\": {:.2}, \"cycles_per_sec_fast\": {:.3e}}}{comma}",
+            p.app, p.policy, p.cycles, p.adaptive_routes, p.adaptive_searches, p.search_words, p.fast_secs, p.ref_secs, p.speedup(), p.cycles_per_sec_fast()
         );
     }
     let _ = writeln!(json, "  ],");

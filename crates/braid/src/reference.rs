@@ -246,7 +246,7 @@ pub fn schedule_traced_reference(
                 Some(mesh.route_yx(src, dst))
             } else {
                 stats.adaptive_routes += 1;
-                mesh.route_adaptive(src, dst, op as u32)
+                mesh.route_adaptive(src, dst)
             };
             let claimed = match path {
                 Some(p) if mesh.try_claim(&p, op as u32) => Some(p),

@@ -441,7 +441,8 @@ impl Engine {
         // adaptive) that proves the claim below must fail for an owner
         // holding no mesh resources — which this op is: paths release
         // before ops re-enter the ready sets. The adaptive probe is
-        // exact, so no adaptive search below ever fails. The bookkeeping
+        // exact, so no adaptive search below ever fails, and the search
+        // answers for this op too. The bookkeeping
         // is exactly that of a walked-and-failed claim — adaptive
         // attempts still count, the failure counter still escalates — so
         // schedules stay bit-identical to the unpruned reference; only
@@ -477,9 +478,11 @@ impl Engine {
             let scratch = &mut self.route_scratch;
             let found = self
                 .mesh
-                .route_adaptive_into(src, dst, owner, scratch, &mut path);
-            sink.searched(scratch.expanded());
-            found && self.mesh.try_claim(&path, owner)
+                .claim_route_adaptive_into(src, dst, owner, scratch, &mut path);
+            if found {
+                sink.searched(&path, scratch.expanded());
+            }
+            found
         };
         if claimed {
             self.stats.braids_placed += 1;
@@ -541,10 +544,13 @@ impl Engine {
 ///    semantics.
 /// 3. **Allocation-free routing.** Dimension-ordered attempts use the
 ///    fused [`Mesh::claim_route_xy_into`] walks (no route object on
-///    failure) and adaptive attempts, flood and search, reuse one
-///    [`RouteScratch`];
-///    successful routes land in pooled buffers that the sink returns on
-///    release.
+///    failure). Adaptive attempts, flood and search, reuse one
+///    [`RouteScratch`]: the search sweeps the free-router and free-link
+///    bitboards one f-level at a time, a few word operations per row,
+///    and [`Mesh::claim_route_adaptive_into`] claims the route it finds
+///    without a second walk, since an issuing op holds nothing the
+///    route could cross. Successful routes land in pooled buffers that
+///    the sink returns on release.
 /// 4. **Claim-walk pruning.** Before any walk, each attempt consults
 ///    the mesh's bitboard congestion probe for its routing mode
 ///    ([`Mesh::xy_certainly_blocked`] / [`Mesh::yx_certainly_blocked`] /

@@ -39,12 +39,15 @@ pub trait TraceSink {
         path: Path,
     ) -> Option<Path>;
 
-    /// Notes one adaptive route search, which expanded `expanded`
-    /// routers ([`RouteScratch::expanded`](scq_mesh::RouteScratch::expanded)).
-    /// The default ignores it, so [`NoTrace`] and [`EventCollector`]
-    /// compile the call to nothing.
+    /// Notes one adaptive route search: the `route` it found and the
+    /// `words` of bitboard rows its f-level sweeps touched
+    /// ([`RouteScratch::expanded`](scq_mesh::RouteScratch::expanded)).
+    /// Every search the engine runs finds its route, because the exact
+    /// flood ([`Mesh::route_certainly_blocked`](scq_mesh::Mesh::route_certainly_blocked))
+    /// prunes the rest first. The default ignores it, so [`NoTrace`] and
+    /// [`EventCollector`] compile the call to nothing.
     #[inline]
-    fn searched(&mut self, _expanded: u32) {}
+    fn searched(&mut self, _route: &Path, _words: u32) {}
 }
 
 /// The zero-cost sink: drops every event and recycles path buffers.

@@ -121,11 +121,6 @@ impl DependencyDag {
         &self.succs[i]
     }
 
-    /// In-degree of instruction `i` (number of direct dependencies).
-    pub fn in_degree(&self, i: usize) -> usize {
-        self.preds[i].len()
-    }
-
     /// ASAP (as-soon-as-possible) level of instruction `i`: the length of
     /// the longest dependency chain strictly above it.
     pub fn asap_level(&self, i: usize) -> u32 {

@@ -27,8 +27,9 @@
 //! Three routing policies are provided, matching the braid scheduler's
 //! escalation ladder: dimension-ordered [`Mesh::route_xy`] /
 //! [`Mesh::route_yx`], and congestion-aware [`Mesh::route_adaptive`]
-//! (an A* search over currently-free resources, bounded by the route it
-//! returns).
+//! (bitboard sweeps of the free region, one f-level of the distance to
+//! `dst` plus the distance to `src` at a time, bounded by the route they
+//! return).
 //!
 //! # The fault layer
 //!
@@ -53,7 +54,9 @@
 //! route (into a caller-provided [`Path`] buffer) when the claim
 //! succeeds — under contention most claims fail, so the failure path
 //! allocates nothing; [`Mesh::route_adaptive_into`] reuses one
-//! [`RouteScratch`] across searches; and [`Mesh::tick_n`] advances
+//! [`RouteScratch`] across searches, and
+//! [`Mesh::claim_route_adaptive_into`] claims the route it finds
+//! without a second walk; and [`Mesh::tick_n`] advances
 //! the utilization clock over an idle stretch in one step so an
 //! event-driven scheduler can jump between wake times.
 //!

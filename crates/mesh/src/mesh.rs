@@ -18,29 +18,44 @@ const DEFECT: ClaimId = ClaimId::MAX - 1;
 /// Reusable buffers for [`Mesh::route_adaptive_into`] and
 /// [`Mesh::route_certainly_blocked`].
 ///
-/// The adaptive search needs a distance label per router and two bucket
-/// queues, and the blocked-route flood a row of reach bits and a dirty
-/// flag per mesh row; allocating them per call dominates the cost of
-/// short searches and floods. One `RouteScratch` amortizes those
-/// allocations across every adaptive routing attempt of a scheduling
-/// run. Each search raises the epoch its labels are written against, so
-/// reuse never requires clearing them.
+/// The adaptive search keeps a band of bitboard rows per f-level and a
+/// bitboard of the routers some level holds, and the blocked-route
+/// flood a row of reach bits and a dirty flag per mesh row; allocating
+/// them per call dominates the cost of short searches and floods. One
+/// `RouteScratch` amortizes those allocations across every adaptive
+/// routing attempt of a scheduling run. A search clears only the rows
+/// it sweeps.
 #[derive(Clone, Debug, Default)]
 pub struct RouteScratch {
-    /// `epoch - d` per node index for the best distance `d` to `dst` found
-    /// so far; labels of earlier searches are lower, so higher is closer.
-    label: Vec<u64>,
-    /// Grows by the node count plus one per search.
-    epoch: u64,
-    /// The A* buckets for the current f and for f + 2, in turn, of
-    /// `[node index, x, y]` entries, so expanding a node never divides.
-    buckets: [Vec<[u32; 3]>; 2],
-    /// Routers whose neighbors the last search examined.
+    /// The search's f-levels, one after another, each the rows of its
+    /// [`Band`] laid out like the free-router bitboard.
+    levels: Vec<u64>,
+    /// Where each level's rows sit, f = |src - dst| first.
+    bands: Vec<Band>,
+    /// Routers some level holds, laid out like the free-router
+    /// bitboard; only the rows a level of the current search spans are
+    /// current.
+    labelled: Vec<u64>,
+    /// Per word of a row, the columns at most `src.x` and those at
+    /// least `src.x`: where a sweep's fills carry bits east and west.
+    toward: Vec<[u64; 2]>,
+    /// A row of zeros, the level's row swept before the first.
+    zeros: Vec<u64>,
+    /// Row words the last search's sweeps touched.
     expanded: u32,
     /// The flood's reach bits, laid out like the free-router bitboard.
     reach: Vec<u64>,
     /// The flood's rows whose reach grew since they last spread.
     dirty: Vec<bool>,
+}
+
+/// The router rows `lo..=hi` that one f-level of an adaptive search
+/// swept, stored from word `at` of [`RouteScratch::levels`].
+#[derive(Clone, Copy, Debug)]
+struct Band {
+    lo: usize,
+    hi: usize,
+    at: usize,
 }
 
 impl RouteScratch {
@@ -50,18 +65,11 @@ impl RouteScratch {
         RouteScratch::default()
     }
 
-    /// How many routers the last search expanded.
+    /// The last search's work: the row words its f-level sweeps
+    /// touched, every word of each row they closed. A search refused at
+    /// its endpoints touches none.
     pub fn expanded(&self) -> u32 {
         self.expanded
-    }
-
-    fn begin(&mut self, nodes: usize) {
-        if self.label.len() < nodes {
-            self.label.resize(nodes, 0);
-        }
-        self.epoch += nodes as u64 + 1;
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.expanded = 0;
     }
 }
 
@@ -95,6 +103,11 @@ fn set_bit(words: &mut [u64], line: usize, i: u32, on: bool) {
     words[word] = words[word] & !bit | if on { bit } else { 0 };
 }
 
+/// Row `r` of a bitboard of `rw` words a row.
+fn row_of(bits: &[u64], r: usize, rw: usize) -> &[u64] {
+    &bits[r * rw..][..rw]
+}
+
 fn bit(words: &[u64], i: u32) -> bool {
     words[(i / 64) as usize] >> (i % 64) & 1 == 1
 }
@@ -124,13 +137,11 @@ fn clear_span(words: &[u64], len: u32) -> Option<(u32, u32)> {
 
 /// Occluded fill toward higher bits: spreads `reach` into each bit of
 /// `enter` (the bits that can be entered from the bit below) that a run
-/// of `enter` bits joins to it.
-fn fill_up(mut reach: u64, mut enter: u64) -> u64 {
-    for s in [1, 2, 4, 8, 16, 32] {
-        reach |= enter & (reach << s);
-        enter &= enter << s;
-    }
-    reach
+/// of `enter` bits joins to it. Adding `reach` to the runs of
+/// `enter | reach` carries through exactly the bits it fills.
+fn fill_up(reach: u64, enter: u64) -> u64 {
+    let runs = enter | reach;
+    reach | (runs ^ runs.wrapping_add(reach)) & runs
 }
 
 /// [`fill_up`] toward lower bits: `enter` holds the bits that can be
@@ -266,22 +277,6 @@ impl Mesh {
             }
         }
         mesh
-    }
-
-    /// Returns `true` if the router at `c` is a fabrication defect
-    /// (dead per the [`DefectMap`] this mesh was built with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is off the mesh.
-    pub fn node_defective(&self, c: Coord) -> bool {
-        assert!(
-            self.contains(c),
-            "node {c} outside {}x{} mesh",
-            self.width(),
-            self.height()
-        );
-        self.nodes[self.node_index(c)] == DEFECT
     }
 
     /// The underlying geometry, shared with the packet-style
@@ -573,8 +568,7 @@ impl Mesh {
     /// Exact unroutability probe for *any* route: `true` precisely when
     /// no path whatsoever — dimension-ordered or adaptive — connects
     /// `src` and `dst` for a claimant that currently holds no mesh
-    /// resources, i.e. when [`Mesh::route_adaptive`] would return `None`
-    /// for it.
+    /// resources, i.e. when [`Mesh::route_adaptive`] returns `None`.
     ///
     /// Past the endpoint checks, a bit-parallel flood over the occupancy
     /// bitboards decides reachability: within a row, reach spreads along
@@ -830,16 +824,16 @@ impl Mesh {
             .then_some(out)
     }
 
-    /// Shortest route from `src` to `dst` using only currently-free
-    /// resources (the adaptive escape route of Section 6.1's "route
-    /// adaptivity ... after certain timeouts"). Returns `None` when the
-    /// congestion leaves no free corridor.
+    /// Shortest route from `src` to `dst` over currently-free resources,
+    /// for a claimant that holds no mesh resources: the adaptive escape
+    /// route of Section 6.1's "route adaptivity ... after certain
+    /// timeouts". Returns `None` when the congestion leaves no free
+    /// corridor, exactly when [`Mesh::route_certainly_blocked`] says so.
     ///
-    /// Resources held by `owner` itself count as free, so a braid may
-    /// re-route over its own footprint. Among the shortest free routes
-    /// it returns the one whose moves from `src`, read as a sequence,
-    /// are lexicographically smallest under east < west < south < north,
-    /// so every route is reproducible.
+    /// Among the shortest free routes it returns the one whose moves
+    /// from `src`, read as a sequence, are lexicographically smallest
+    /// under east < west < south < north, so every route is
+    /// reproducible.
     ///
     /// # Examples
     ///
@@ -850,18 +844,17 @@ impl Mesh {
     /// let (src, dst) = (Coord::new(0, 0), Coord::new(3, 2));
     /// // East before south: the route runs along row 0, then down.
     /// let hops = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2)];
-    /// let route = mesh.route_adaptive(src, dst, 1).expect("an open mesh routes");
+    /// let route = mesh.route_adaptive(src, dst).expect("an open mesh routes");
     /// assert_eq!(route.nodes(), hops.map(|(x, y)| Coord::new(x, y)));
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is off the mesh or `owner` is one of
-    /// the reserved sentinels, as in [`Mesh::try_claim`].
-    pub fn route_adaptive(&self, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
+    /// Panics if either endpoint is off the mesh.
+    pub fn route_adaptive(&self, src: Coord, dst: Coord) -> Option<Path> {
         let mut scratch = RouteScratch::new();
         let mut out = Path::empty();
-        self.route_adaptive_into(src, dst, owner, &mut scratch, &mut out)
+        self.route_adaptive_into(src, dst, &mut scratch, &mut out)
             .then_some(out)
     }
 
@@ -870,6 +863,15 @@ impl Mesh {
     /// variant for hot scheduling loops. Returns `false` (leaving `out`
     /// unspecified) when no free corridor exists.
     ///
+    /// The search reads the occupancy bitboards a row of words at a
+    /// time. For a router v, let g be its free-route distance to `dst`
+    /// and h = |v - src|: a step toward `src` keeps f = g + h and a step
+    /// away raises it by 2. The search labels one f-level after another
+    /// as bitboard rows, from `dst`'s level f = |src - dst| up to the
+    /// level that holds `src`, whose f is the route's length L, so it
+    /// sweeps only rows with |y - src.y| + |y - dst.y| <= L. A walk from
+    /// `src` then reads the route off the levels.
+    ///
     /// # Panics
     ///
     /// As [`Mesh::route_adaptive`].
@@ -877,7 +879,6 @@ impl Mesh {
         &self,
         src: Coord,
         dst: Coord,
-        owner: ClaimId,
         scratch: &mut RouteScratch,
         out: &mut Path,
     ) -> bool {
@@ -885,110 +886,314 @@ impl Mesh {
             self.contains(src) && self.contains(dst),
             "endpoints must be on the mesh"
         );
-        assert_owner(owner);
-        scratch.begin(self.nodes.len());
-        let free = |o: ClaimId| (o == FREE) | (o == owner);
-        let (src_i, dst_i) = (self.node_index(src), self.node_index(dst));
-        if !free(self.nodes[src_i]) || !free(self.nodes[dst_i]) {
+        scratch.expanded = 0;
+        let free = |c: Coord| self.nodes[self.node_index(c)] == FREE;
+        if !free(src) || !free(dst) {
             return false;
         }
-        // A* from `dst` under the Manhattan distance to `src`: a step
-        // toward `src` keeps f = g + h and any other raises it by 2, so
-        // two FIFO buckets order the search. Once `src` pops at f = L,
-        // finishing that bucket leaves every router on a shortest route
-        // labelled with its exact distance to `dst`, having expanded only
-        // routers with |v - src| + |v - dst| <= L. A label can drop after
-        // its router was queued for f + 2, which turns that entry stale.
-        let row = self.width() as usize;
-        // Index, x and y steps to the east/west/south/north neighbors.
-        let steps = [
-            (1, 1, 0),
-            (usize::MAX, u32::MAX, 0),
-            (row, 0, 1),
-            (row.wrapping_neg(), 0, u32::MAX),
-        ];
-        let (label, buckets, epoch) = (&mut scratch.label, &mut scratch.buckets, scratch.epoch);
-        label[dst_i] = epoch;
-        buckets[0].push([dst_i as u32, dst.x, dst.y]);
-        let (mut f, mut b, mut found) = (src.manhattan(dst), 0, false);
-        // One pass per f; the pass that pops `src` is the last.
-        while !found && !buckets[b].is_empty() {
-            let mut head = 0;
-            while let Some(&[cur, x, y]) = buckets[b].get(head) {
-                head += 1;
-                let i = cur as usize;
-                // The label this entry was queued with, at g = f - h.
-                let key = epoch - u64::from(f - x.abs_diff(src.x) - y.abs_diff(src.y));
-                if label[i] != key {
-                    continue; // stale: relabelled nearer since
+        let Some(len) = self.sweep_levels(src, dst, scratch) else {
+            return false;
+        };
+        self.walk_levels(src, dst, len, scratch, out);
+        true
+    }
+
+    /// Fused search-and-claim: [`Mesh::route_adaptive_into`], then the
+    /// route claimed for `owner`, written into `out`. The search counts
+    /// what `owner` holds as taken, so its route is free by
+    /// construction and is claimed without a second walk. Returns
+    /// `false` and claims nothing when no free corridor exists.
+    ///
+    /// # Panics
+    ///
+    /// As [`Mesh::claim_route_xy_into`].
+    pub fn claim_route_adaptive_into(
+        &mut self,
+        src: Coord,
+        dst: Coord,
+        owner: ClaimId,
+        scratch: &mut RouteScratch,
+        out: &mut Path,
+    ) -> bool {
+        assert_owner(owner);
+        let found = self.route_adaptive_into(src, dst, scratch, out);
+        if found {
+            self.claim_free(out.nodes(), owner);
+        }
+        found
+    }
+
+    /// The f-level sweeps of [`Mesh::route_adaptive_into`] between two
+    /// free routers: the f of the first level that holds `src`, which is
+    /// the route's length, or `None` once a level comes out empty.
+    ///
+    /// Level f is the closure of its seeds under steps toward `src`:
+    /// `dst` seeds the first level, and the free routers one free link
+    /// from level f that no level holds yet seed level f + 2. Steps
+    /// toward `src` run toward row `src.y` and, along a row, toward
+    /// column `src.x`, so one sweep closes a level: the rows above
+    /// `src.y` downward, the rows below it upward, then row `src.y`. A
+    /// level's band spans `src.y` and the rows next to the previous
+    /// level's bits, where its seeds lie. Past the seeds, a sweep stops
+    /// at the first row it leaves empty: nothing reaches the rows after.
+    fn sweep_levels(&self, src: Coord, dst: Coord, scratch: &mut RouteScratch) -> Option<u32> {
+        let (rw, sy) = (self.row_words, src.y as usize);
+        let last_row = self.height() as usize - 1;
+        let RouteScratch {
+            levels,
+            bands,
+            labelled,
+            toward,
+            zeros,
+            expanded,
+            ..
+        } = scratch;
+        levels.clear();
+        bands.clear();
+        labelled.resize(labelled.len().max(self.free_nodes.len()), 0);
+        let sx = src.x;
+        toward.clear();
+        toward.extend((0..rw).map(|k| [line_mask(k, sx + 1), !line_mask(k, sx)]));
+        zeros.resize(rw, 0);
+        // The rows of the last level that hold routers.
+        let (mut first, mut last) = (dst.y as usize, dst.y as usize);
+        let (mut lo, mut hi) = (sy.min(first), sy.max(last));
+        // The rows of `labelled` this search has cleared.
+        let (mut clear_lo, mut clear_hi) = (lo, hi);
+        labelled[lo * rw..(hi + 1) * rw].fill(0);
+        let mut f = src.manhattan(dst);
+        loop {
+            let at = levels.len();
+            levels.resize(at + (hi - lo + 1) * rw, 0);
+            let band = Band { lo, hi, at };
+            let (done, cur) = levels.split_at_mut(at);
+            // Rows that may hold seeds.
+            let (seed_lo, seed_hi) = match bands.last() {
+                None => {
+                    set_bit(cur, (dst.y as usize - lo) * rw, dst.x, true);
+                    (first, last)
                 }
-                found |= i == src_i; // its neighbors all go to f + 2
-                scratch.expanded += 1;
-                // The tests combine without branching, so the mesh's
-                // occupancy never steers the branch predictor.
-                let mut open = self.neighbors(i, x, y, |n, link| {
-                    (label[n] < key - 1) & free(self.nodes[n]) & free(link)
-                });
-                // Bit k marks neighbor k farther from `src`, due at f + 2.
-                let far = u32::from(x >= src.x)
-                    | u32::from(x <= src.x) << 1
-                    | u32::from(y >= src.y) << 2
-                    | u32::from(y <= src.y) << 3;
-                while open != 0 {
-                    let k = open.trailing_zeros();
-                    open &= open - 1;
-                    let (di, dx, dy) = steps[k as usize];
-                    let n = i.wrapping_add(di);
-                    label[n] = key - 1;
-                    let entry = [n as u32, x.wrapping_add(dx), y.wrapping_add(dy)];
-                    buckets[b ^ (far >> k & 1) as usize].push(entry);
+                Some(&prev) => {
+                    let from = &done[prev.at + (first - prev.lo) * rw..][..(last - first + 1) * rw];
+                    self.seed_level(band, cur, (first, from), labelled);
+                    (first.saturating_sub(1), (last + 1).min(last_row))
+                }
+            };
+            let (mut swept, mut any_lo, mut any_hi) = (0, usize::MAX, 0);
+            let mut close = |y: usize| {
+                swept += 1;
+                let any = self.close_row(y, sy, band, cur, labelled, (toward, zeros));
+                if any {
+                    (any_lo, any_hi) = (any_lo.min(y), any_hi.max(y));
+                }
+                any
+            };
+            for y in lo..sy {
+                if !close(y) && y >= seed_hi {
+                    break;
                 }
             }
-            buckets[b].clear();
-            (f, b) = (f + 2, b ^ 1);
+            for y in (sy + 1..=hi).rev() {
+                if !close(y) && y <= seed_lo {
+                    break;
+                }
+            }
+            close(sy);
+            bands.push(band);
+            *expanded = expanded.saturating_add((swept * rw) as u32);
+            if bit(&cur[(sy - lo) * rw..], src.x) {
+                return Some(f);
+            }
+            if any_lo > any_hi {
+                return None;
+            }
+            (first, last) = (any_lo, any_hi);
+            lo = first.saturating_sub(1).min(sy);
+            hi = (last + 1).min(last_row).max(sy);
+            if lo < clear_lo {
+                labelled[lo * rw..clear_lo * rw].fill(0);
+                clear_lo = lo;
+            }
+            if hi > clear_hi {
+                labelled[(clear_hi + 1) * rw..(hi + 1) * rw].fill(0);
+                clear_hi = hi;
+            }
+            f += 2;
         }
-        if !found {
+    }
+
+    /// Seeds the level whose rows `band` are `cur` from the previous
+    /// level's rows `first..` (`from`): with the free routers one free
+    /// link from them that no level holds yet. A row's words run on
+    /// into the next row's, and no free link leaves a row's last word
+    /// eastward, so each step shifts all rows' words at once.
+    fn seed_level(
+        &self,
+        band: Band,
+        cur: &mut [u64],
+        (first, from): (usize, &[u64]),
+        labelled: &[u64],
+    ) {
+        let rw = self.row_words;
+        let (start, end) = (first * rw, first * rw + from.len());
+        // Word `a` of the mesh's bitboards is word `a - base` of `cur`.
+        let base = band.lo * rw;
+        let h_links = &self.free_h[start..end];
+        let here = &mut cur[start - base..end - base];
+        // East into x over link x - 1, then west into x over link x.
+        let mut carry = 0;
+        for ((bits, &f), &l) in here.iter_mut().zip(from).zip(h_links) {
+            *bits |= (f & l) << 1 | carry;
+            carry = (f & l) >> 63;
+        }
+        let mut carry = 0;
+        for ((bits, &f), &l) in here.iter_mut().zip(from).zip(h_links).rev() {
+            *bits |= (f >> 1 | carry) & l;
+            carry = f << 63;
+        }
+        // South over the links below the rows; the last row has none.
+        let south_end = end.min(self.free_v.len());
+        let v_links = &self.free_v[start..south_end];
+        let below = &mut cur[start + rw - base..south_end + rw - base];
+        for ((bits, &f), &l) in below.iter_mut().zip(from).zip(v_links) {
+            *bits |= f & l;
+        }
+        // North over the links above the rows; row 0 has none.
+        let north_start = start.max(rw);
+        let v_links = &self.free_v[north_start - rw..end - rw];
+        let above = &mut cur[north_start - rw - base..end - rw - base];
+        let from_north = &from[north_start - start..];
+        for ((bits, &f), &l) in above.iter_mut().zip(from_north).zip(v_links) {
+            *bits |= f & l;
+        }
+        let (lo, hi) = (
+            start.saturating_sub(rw),
+            (end + rw).min(self.free_nodes.len()),
+        );
+        let seeds = cur[lo - base..hi - base].iter_mut();
+        for ((bits, &free), &known) in seeds.zip(&self.free_nodes[lo..hi]).zip(&labelled[lo..hi]) {
+            *bits &= free & !known;
+        }
+    }
+
+    /// Closes row `y` of the level whose rows `band` are `cur` under
+    /// steps toward `src`, and returns whether the row holds any
+    /// router. The row gains the free routers one step toward row `sy`
+    /// from the level's row swept before it that no level holds; its
+    /// runs of free routers joined by free links then carry its bits
+    /// toward column `src.x` (the `toward` masks), across words as
+    /// [`Mesh::spread_row`] does, and the row's bits are labelled.
+    fn close_row(
+        &self,
+        y: usize,
+        sy: usize,
+        band: Band,
+        cur: &mut [u64],
+        labelled: &mut [u64],
+        (toward, zeros): (&[[u64; 2]], &[u64]),
+    ) -> bool {
+        let rw = self.row_words;
+        let (toward, zeros) = (&toward[..rw], &zeros[..rw]);
+        let nodes = row_of(&self.free_nodes, y, rw);
+        let links = row_of(&self.free_h, y, rw);
+        let known = &mut labelled[y * rw..][..rw];
+        let (before, rest) = cur.split_at_mut((y - band.lo) * rw);
+        let (bits, after) = rest.split_at_mut(rw);
+        // The rows swept before this one, north and south, with the
+        // vertical links between.
+        let (north, north_links) = if y <= sy && y > band.lo {
+            (
+                &before[before.len() - rw..],
+                row_of(&self.free_v, y - 1, rw),
+            )
+        } else {
+            (zeros, zeros)
+        };
+        let (south, south_links) = if y >= sy && y < band.hi {
+            (&after[..rw], row_of(&self.free_v, y, rw))
+        } else {
+            (zeros, zeros)
+        };
+        // East toward src.x: router x <= src.x is entered from x - 1.
+        let (mut link_in, mut reach_in, mut any, mut east) = (0, 0, 0, 0);
+        for k in 0..rw {
+            let open = nodes[k] & !known[k];
+            let seeds = bits[k] | (north[k] & north_links[k] | south[k] & south_links[k]) & open;
+            let enter = (links[k] << 1 | link_in) & open & toward[k][0];
+            bits[k] = fill_up(seeds | (reach_in & enter), enter);
+            (link_in, reach_in) = (links[k] >> 63, bits[k] >> 63);
+            any |= bits[k];
+            east |= bits[k] & !toward[k][0];
+        }
+        if any == 0 {
             return false;
         }
-        // Walk from `src`, each step to the first neighbor in east, west,
-        // south, north order one hop nearer `dst`: of the shortest routes,
-        // the one whose moves are lexicographically smallest.
-        let nodes = out.nodes_mut();
-        nodes.clear();
-        nodes.push(src);
-        let (mut i, mut x, mut y) = (src_i, src.x, src.y);
-        while i != dst_i {
-            let want = label[i] + 1;
-            let next = self.neighbors(i, x, y, |n, link| (label[n] == want) & free(link));
-            debug_assert!(next != 0, "a router on a shortest route has a next hop");
-            let (di, dx, dy) = steps[next.trailing_zeros() as usize];
-            (i, x, y) = (i.wrapping_add(di), x.wrapping_add(dx), y.wrapping_add(dy));
-            nodes.push(Coord::new(x, y));
+        // West toward src.x, from routers east of it: router x >= src.x
+        // is entered from x + 1.
+        let mut reach_in = 0;
+        for k in (0..rw).rev() {
+            if east != 0 {
+                let enter = links[k] & nodes[k] & !known[k] & toward[k][1];
+                bits[k] = fill_down(bits[k] | (reach_in & enter), enter);
+                reach_in = bits[k] << 63;
+            }
+            known[k] |= bits[k];
         }
         true
     }
 
-    /// Bit k (east, west, south, north) set for each neighbor of router
-    /// `i` at `(x, y)` whose index and link owner pass `ok`. Neighbors
-    /// are `i ± 1` / `i ± width`, the vertical link below router `i` is
-    /// `v_links[i]`, and the horizontal link east of it `h_links[i - y]`.
-    #[inline(always)]
-    fn neighbors(&self, i: usize, x: u32, y: u32, ok: impl Fn(usize, ClaimId) -> bool) -> u32 {
-        let row = self.width() as usize;
-        let mut mask = 0;
-        if x + 1 < self.width() {
-            mask |= u32::from(ok(i + 1, self.h_links[i - y as usize]));
+    /// The walk of [`Mesh::route_adaptive_into`] from `src`, `len` hops
+    /// from `dst`, over the swept levels. Each step goes to the first
+    /// neighbor in east, west, south, north order that a free link
+    /// reaches and that lies in level g - 1 + h, for g the hops left
+    /// before the step and h the neighbor's distance to `src`: exactly
+    /// the neighbors one hop nearer `dst`. A step away from `src` keeps
+    /// the level, one toward it drops a level. Of the shortest routes,
+    /// the walk takes the one whose moves are lexicographically
+    /// smallest.
+    fn walk_levels(
+        &self,
+        src: Coord,
+        dst: Coord,
+        len: u32,
+        scratch: &RouteScratch,
+        out: &mut Path,
+    ) {
+        let rw = self.row_words;
+        let free = |links: &[u64], x: u32, y: u32| bit(&links[y as usize * rw..], x);
+        // Whether level `i` (none below the first) holds `n`.
+        let holds = |i: usize, n: Coord| {
+            scratch.bands.get(i).is_some_and(|b| {
+                let y = n.y as usize;
+                (b.lo..=b.hi).contains(&y) && bit(&scratch.levels[b.at + (y - b.lo) * rw..], n.x)
+            })
+        };
+        let (w, h) = (self.width(), self.height());
+        let nodes = out.nodes_mut();
+        nodes.clear();
+        nodes.push(src);
+        let (mut at, mut level) = (src, (len - src.manhattan(dst)) as usize / 2);
+        while at != dst {
+            let (x, y) = (at.x, at.y);
+            let step = |away: bool| if away { level } else { level.wrapping_sub(1) };
+            let (east, west) = (step(x >= src.x), step(x <= src.x));
+            let (south, north) = (step(y >= src.y), step(y <= src.y));
+            (at, level) = if x + 1 < w
+                && free(&self.free_h, x, y)
+                && holds(east, Coord::new(x + 1, y))
+            {
+                (Coord::new(x + 1, y), east)
+            } else if x > 0 && free(&self.free_h, x - 1, y) && holds(west, Coord::new(x - 1, y)) {
+                (Coord::new(x - 1, y), west)
+            } else if y + 1 < h && free(&self.free_v, x, y) && holds(south, Coord::new(x, y + 1)) {
+                (Coord::new(x, y + 1), south)
+            } else {
+                debug_assert!(y > 0 && free(&self.free_v, x, y - 1));
+                debug_assert!(holds(north, Coord::new(x, y - 1)), "a next hop");
+                (Coord::new(x, y - 1), north)
+            };
+            nodes.push(at);
         }
-        if x > 0 {
-            mask |= u32::from(ok(i - 1, self.h_links[i - y as usize - 1])) << 1;
-        }
-        if y + 1 < self.height() {
-            mask |= u32::from(ok(i + row, self.v_links[i])) << 2;
-        }
-        if y > 0 {
-            mask |= u32::from(ok(i - row, self.v_links[i - row])) << 3;
-        }
-        mask
     }
 
     /// Advances the utilization clock by one cycle, accumulating the
@@ -1015,11 +1220,6 @@ impl Mesh {
             return 0.0;
         }
         self.busy_link_cycles as f64 / (self.ticks as f64 * self.num_links() as f64)
-    }
-
-    /// Cycles ticked so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 }
 
@@ -1071,7 +1271,7 @@ mod tests {
         assert!(!m.try_claim(&vertical, 2));
         // ...and there is no adaptive way around a full-width wall.
         assert!(m
-            .route_adaptive(Coord::new(2, 0), Coord::new(2, 4), 2)
+            .route_adaptive(Coord::new(2, 0), Coord::new(2, 4))
             .is_none());
     }
 
@@ -1082,7 +1282,7 @@ mod tests {
         let wall = m.route_xy(Coord::new(2, 2), Coord::new(2, 3));
         assert!(m.try_claim(&wall, 9));
         let p = m
-            .route_adaptive(Coord::new(0, 2), Coord::new(4, 2), 1)
+            .route_adaptive(Coord::new(0, 2), Coord::new(4, 2))
             .expect("detour exists");
         assert_eq!(p.source(), Coord::new(0, 2));
         assert_eq!(p.dest(), Coord::new(4, 2));
@@ -1094,7 +1294,7 @@ mod tests {
     fn adaptive_prefers_shortest_free() {
         let m = Mesh::new(6, 6);
         let p = m
-            .route_adaptive(Coord::new(1, 1), Coord::new(4, 3), 1)
+            .route_adaptive(Coord::new(1, 1), Coord::new(4, 3))
             .unwrap();
         assert_eq!(
             p.len_hops() as u32,
@@ -1147,7 +1347,6 @@ mod tests {
         // (2 + 2 + 0) / (3 * 12)
         let expect = 4.0 / 36.0;
         assert!((m.utilization() - expect).abs() < 1e-12);
-        assert_eq!(m.ticks(), 3);
     }
 
     #[test]
@@ -1272,8 +1471,8 @@ mod tests {
         for trial in 0..10u32 {
             let src = Coord::new(0, trial % 8);
             let dst = Coord::new(7, (trial * 3) % 8);
-            let expected = m.route_adaptive(src, dst, 1);
-            let got = m.route_adaptive_into(src, dst, 1, &mut scratch, &mut out);
+            let expected = m.route_adaptive(src, dst);
+            let got = m.route_adaptive_into(src, dst, &mut scratch, &mut out);
             match expected {
                 Some(p) => {
                     assert!(got);
@@ -1290,21 +1489,9 @@ mod tests {
         assert!(m.try_claim(&Path::new(vec![Coord::new(0, 0)]), 9));
         let mut scratch = RouteScratch::new();
         let mut out = Path::empty();
-        assert!(m.route_adaptive_into(
-            Coord::new(1, 1),
-            Coord::new(3, 3),
-            1,
-            &mut scratch,
-            &mut out
-        ));
+        assert!(m.route_adaptive_into(Coord::new(1, 1), Coord::new(3, 3), &mut scratch, &mut out));
         assert!(scratch.expanded() > 0);
-        assert!(!m.route_adaptive_into(
-            Coord::new(0, 0),
-            Coord::new(3, 3),
-            1,
-            &mut scratch,
-            &mut out
-        ));
+        assert!(!m.route_adaptive_into(Coord::new(0, 0), Coord::new(3, 3), &mut scratch, &mut out));
         // A search refused at its endpoints expands nothing.
         assert_eq!(scratch.expanded(), 0);
     }
@@ -1362,7 +1549,7 @@ mod tests {
                         }
                         assert_eq!(
                             m.route_certainly_blocked(src, dst, &mut s),
-                            m.route_adaptive(src, dst, 7).is_none(),
+                            m.route_adaptive(src, dst).is_none(),
                             "route probe inexact for {src}->{dst}"
                         );
                     }
@@ -1399,7 +1586,7 @@ mod tests {
         assert!(m.try_claim(&Path::new(vec![Coord::new(0, 1)]), 2));
         assert!(m.route_certainly_blocked(Coord::new(0, 0), Coord::new(4, 4), &mut s));
         assert!(m
-            .route_adaptive(Coord::new(0, 0), Coord::new(4, 4), 9)
+            .route_adaptive(Coord::new(0, 0), Coord::new(4, 4))
             .is_none());
         // The zero-hop route to the enclosed-but-free router itself is
         // fine, so enclosure must not fire on src == dst.
@@ -1537,10 +1724,14 @@ mod tests {
             a.tick();
         }
         b.tick_n(17);
-        assert_eq!(a.ticks(), b.ticks());
-        assert!((a.utilization() - b.utilization()).abs() < f64::EPSILON);
         b.tick_n(0);
-        assert_eq!(b.ticks(), 17);
+        // One idle cycle more: 17 cycles of 3 busy links over 18 cycles
+        // of 24 links.
+        for m in [&mut a, &mut b] {
+            m.release(&p, 1);
+            m.tick();
+            assert!((m.utilization() - 51.0 / 432.0).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -1552,7 +1743,7 @@ mod tests {
         let p = a.route_xy(Coord::new(0, 0), Coord::new(4, 3));
         assert_eq!(a.try_claim(&p, 1), b.try_claim(&p, 1));
         assert_eq!(a.busy_links(), b.busy_links());
-        assert!(!b.node_defective(Coord::new(2, 2)));
+        assert!(!b.node_claimed(Coord::new(2, 2)));
     }
 
     #[test]
@@ -1561,7 +1752,7 @@ mod tests {
         let text = "dims 5 5\nnode 2 0\nlink 2 2 3 2\n";
         let map = DefectMap::from_text(text).unwrap();
         let mut m = Mesh::with_defects(5, 5, &map);
-        assert!(m.node_defective(Coord::new(2, 0)));
+        assert!(map.node_dead(Coord::new(2, 0)) && m.node_claimed(Coord::new(2, 0)));
         // Defects do not count as traffic.
         assert_eq!(m.busy_links(), 0);
         assert_eq!(m.utilization(), 0.0);
@@ -1573,9 +1764,9 @@ mod tests {
         assert!(!m.claim_route_xy_into(Coord::new(0, 0), Coord::new(4, 0), 1, &mut out));
         // ...and the adaptive router detours around both defects.
         let detour = m
-            .route_adaptive(Coord::new(0, 0), Coord::new(4, 0), 1)
+            .route_adaptive(Coord::new(0, 0), Coord::new(4, 0))
             .expect("live detour exists");
-        assert!(detour.nodes().iter().all(|&n| !m.node_defective(n)));
+        assert!(detour.nodes().iter().all(|&n| !map.node_dead(n)));
         assert!(detour
             .links()
             .all(|(a, b)| !(a == Coord::new(2, 2) && b == Coord::new(3, 2)
@@ -1597,7 +1788,7 @@ mod tests {
         let mut s = RouteScratch::new();
         assert!(m.route_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4), &mut s));
         assert!(m
-            .route_adaptive(Coord::new(2, 0), Coord::new(2, 4), 1)
+            .route_adaptive(Coord::new(2, 0), Coord::new(2, 4))
             .is_none());
         assert!(m.xy_certainly_blocked(Coord::new(2, 0), Coord::new(2, 4)));
         // Same-side traffic is unaffected.
@@ -1616,12 +1807,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved")]
     fn defect_sentinel_is_not_a_legal_search_owner() {
-        use crate::defect::DefectMap;
-        // Column 1 is dead; to the sentinel, every dead router and link
-        // would look like its own and the search would cross them.
-        let map = DefectMap::from_text("dims 3 3\nnode 1 0\nnode 1 1\nnode 1 2\n").unwrap();
-        let m = Mesh::with_defects(3, 3, &map);
-        let _ = m.route_adaptive(Coord::new(0, 0), Coord::new(2, 0), ClaimId::MAX - 1);
+        // A route claimed for the sentinel would turn dead forever.
+        let mut m = Mesh::new(3, 3);
+        let (mut scratch, mut out) = (RouteScratch::new(), Path::empty());
+        let (src, dst) = (Coord::new(0, 0), Coord::new(2, 0));
+        let _ = m.claim_route_adaptive_into(src, dst, ClaimId::MAX - 1, &mut scratch, &mut out);
     }
 
     #[test]

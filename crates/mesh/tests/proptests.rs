@@ -24,9 +24,9 @@ fn arb_side() -> impl Strategy<Value = u32> {
     (0usize..12, 1u32..141).prop_map(|(i, side)| SEAM_SIDES.get(i).copied().unwrap_or(side))
 }
 
-/// Who may use each router and link, for one owner, read through the
-/// public API: `is_path_free` on a one-router path and on each
-/// one-link path.
+/// Which routers and links are free, read through the public API:
+/// `is_path_free`, for an owner holding nothing, on a one-router path
+/// and on each one-link path.
 struct FreeMap {
     w: u32,
     node: Vec<bool>,
@@ -37,9 +37,10 @@ struct FreeMap {
 }
 
 impl FreeMap {
-    fn new(mesh: &Mesh, owner: ClaimId) -> Self {
+    fn new(mesh: &Mesh) -> Self {
         let (w, h) = (mesh.width(), mesh.height());
-        let free = |nodes: Vec<Coord>| mesh.is_path_free(&Path::new(nodes), owner);
+        // `congested_mesh` claims for owners 1..=4 only.
+        let free = |nodes: Vec<Coord>| mesh.is_path_free(&Path::new(nodes), 0);
         let coords = || (0..h).flat_map(move |y| (0..w).map(move |x| Coord::new(x, y)));
         FreeMap {
             w,
@@ -58,7 +59,7 @@ impl FreeMap {
     }
 
     /// The adaptive search as first written, kept as the oracle of the
-    /// A* search: a `VecDeque` BFS over free routers and links that
+    /// f-level sweeps: a `VecDeque` BFS over free routers and links that
     /// tries neighbors east, west, south, north and stops when `dst` is
     /// first discovered, which returns the shortest route whose moves
     /// are lexicographically smallest. `None` when no route exists.
@@ -151,6 +152,45 @@ fn random_coord(mesh: &Mesh, rng: &mut TestRng) -> Coord {
     )
 }
 
+/// The geometry bound on an adaptive search's work: the row words
+/// (`ceil(width / 64)` a row) of every f-level from |src - dst| to the
+/// route's length `len`, each over the rows y with
+/// |y - src.y| + |y - dst.y| <= len.
+fn words_bound(mesh: &Mesh, src: Coord, dst: Coord, len: u32) -> usize {
+    let row_words = mesh.width().div_ceil(64) as usize;
+    let levels = ((len - src.manhattan(dst)) / 2 + 1) as usize;
+    let rows = (0..mesh.height())
+        .filter(|&y| y.abs_diff(src.y) + y.abs_diff(dst.y) <= len)
+        .count();
+    row_words * levels * rows
+}
+
+/// Runs the adaptive search between every two of `points` and checks
+/// it against the oracle node for node, and its work against
+/// [`words_bound`].
+fn assert_routes_match_the_oracle(mesh: &Mesh, points: &[Coord]) {
+    let (w, h) = (mesh.width(), mesh.height());
+    let free = FreeMap::new(mesh);
+    let mut scratch = RouteScratch::new();
+    let mut out = Path::empty();
+    for &src in points {
+        for &dst in points {
+            let expect = free.route(src, dst);
+            let found = mesh.route_adaptive_into(src, dst, &mut scratch, &mut out);
+            assert_eq!(found, expect.is_some(), "{w}x{h} {src} -> {dst}");
+            if let Some(expect) = expect {
+                assert_eq!(out.nodes(), &expect[..], "{w}x{h} {src} -> {dst}");
+                let bound = words_bound(mesh, src, dst, out.len_hops() as u32);
+                assert!(
+                    scratch.expanded() as usize <= bound,
+                    "{w}x{h} {src} -> {dst}: {} words touched, bound {bound}",
+                    scratch.expanded()
+                );
+            }
+        }
+    }
+}
+
 /// Checks every line read of the bitboards against a `node_claimed`
 /// scan.
 fn assert_line_reads_match_scan(mesh: &Mesh) {
@@ -185,38 +225,28 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         // Two meshes of different sizes share one scratch, and each is
-        // queried for owner 1 (which may hold resources that count as
-        // free for it), owner 3 and an owner holding nothing.
+        // queried 18 times against the free map of an owner holding
+        // nothing.
         let mut rng = TestRng::seed_from_u64(seed);
         let mut scratch = RouteScratch::new();
         let mut out = Path::empty();
         for (w, h) in [(sides.0, sides.1), (sides.2, sides.3)] {
             let claims = (w * h / 12) as usize;
             let (mesh, _) = congested_mesh(w, h, rate, claims, &mut rng);
-            for owner in [1, 3, 77] {
-                let free = FreeMap::new(&mesh, owner);
-                for _ in 0..6 {
-                    let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
-                    let expect = free.route(src, dst);
-                    let found = mesh.route_adaptive_into(src, dst, owner, &mut scratch, &mut out);
-                    prop_assert_eq!(found, expect.is_some(), "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
-                    if let Some(expect) = expect {
-                        prop_assert_eq!(out.nodes(), &expect[..], "{}x{} {} -> {} owner {}", w, h, src, dst, owner);
-                        // Only free routers that a route of this length
-                        // could pass, |v - src| + |v - dst| <= L, expand.
-                        let len = out.len_hops() as u32;
-                        let within = (0..w * h)
-                            .map(|i| Coord::new(i % w, i / w))
-                            .filter(|&v| {
-                                free.node[free.index(v)] && v.manhattan(src) + v.manhattan(dst) <= len
-                            })
-                            .count();
-                        prop_assert!(
-                            scratch.expanded() as usize <= within,
-                            "{}x{} {} -> {} owner {}: {} expanded, {} within reach",
-                            w, h, src, dst, owner, scratch.expanded(), within
-                        );
-                    }
+            let free = FreeMap::new(&mesh);
+            for _ in 0..18 {
+                let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
+                let expect = free.route(src, dst);
+                let found = mesh.route_adaptive_into(src, dst, &mut scratch, &mut out);
+                prop_assert_eq!(found, expect.is_some(), "{}x{} {} -> {}", w, h, src, dst);
+                if let Some(expect) = expect {
+                    prop_assert_eq!(out.nodes(), &expect[..], "{}x{} {} -> {}", w, h, src, dst);
+                    let bound = words_bound(&mesh, src, dst, out.len_hops() as u32);
+                    prop_assert!(
+                        scratch.expanded() as usize <= bound,
+                        "{}x{} {} -> {}: {} words touched, bound {}",
+                        w, h, src, dst, scratch.expanded(), bound
+                    );
                 }
             }
         }
@@ -238,7 +268,7 @@ proptest! {
             let (src, dst) = (random_coord(&mesh, &mut rng), random_coord(&mesh, &mut rng));
             prop_assert_eq!(
                 mesh.route_certainly_blocked(src, dst, &mut scratch),
-                mesh.route_adaptive(src, dst, 99).is_none(),
+                mesh.route_adaptive(src, dst).is_none(),
                 "route probe {} -> {} on {}x{}", src, dst, w, h
             );
             let xy_walks = mesh.clone().claim_route_xy(src, dst, 99).is_some();
@@ -290,7 +320,7 @@ proptest! {
     #[test]
     fn adaptive_on_empty_mesh_is_shortest((w, h, a, b) in arb_mesh_and_endpoints()) {
         let mesh = Mesh::new(w, h);
-        let p = mesh.route_adaptive(a, b, 1).expect("empty mesh always routes");
+        let p = mesh.route_adaptive(a, b).expect("empty mesh always routes");
         prop_assert_eq!(p.len_hops() as u32, a.manhattan(b));
     }
 
@@ -336,7 +366,7 @@ proptest! {
         let wall_y = h / 2;
         let wall = mesh.route_xy(Coord::new(0, wall_y), Coord::new((w - 1) / 2, wall_y));
         prop_assert!(mesh.try_claim(&wall, 99));
-        if let Some(p) = mesh.route_adaptive(a, b, 1) {
+        if let Some(p) = mesh.route_adaptive(a, b) {
             // The route never touches the wall's resources.
             for &n in p.nodes() {
                 prop_assert!(
@@ -370,7 +400,7 @@ proptest! {
             // defect-free path.
             let mesh = Mesh::with_defects(w, h, &map);
             prop_assert!(
-                map.node_dead(a) || map.node_dead(b) || mesh.route_adaptive(a, b, 1).is_none(),
+                map.node_dead(a) || map.node_dead(b) || mesh.route_adaptive(a, b).is_none(),
                 "DefectMap found no route but the mesh router did"
             );
         }
@@ -400,4 +430,68 @@ proptest! {
         prop_assert!(mesh.utilization() >= 0.0);
         prop_assert!(mesh.utilization() <= 1.0);
     }
+}
+
+#[test]
+fn adaptive_routes_match_the_oracle_at_word_shift_edges() {
+    // Endpoints in columns 0, 62, 63, 64 and w - 1, on meshes one to
+    // five routers tall, idle and congested: fill masks that shift a
+    // word by 64 show here first.
+    let mut rng = TestRng::seed_from_u64(64);
+    for w in [63, 64, 65, 128] {
+        for h in [1, 2, 5] {
+            let columns = [0, 62, 63, 64, w - 1].into_iter().filter(|&x| x < w);
+            let points: Vec<Coord> = columns
+                .flat_map(|x| [Coord::new(x, 0), Coord::new(x, h - 1)])
+                .collect();
+            let (congested, _) = congested_mesh(w, h, 0.0, (w * h / 6) as usize, &mut rng);
+            for mesh in [Mesh::new(w, h), congested] {
+                assert_routes_match_the_oracle(&mesh, &points);
+            }
+        }
+    }
+}
+
+#[test]
+fn adaptive_routes_match_the_oracle_on_one_router_wide_meshes() {
+    // A column of routers: every row is one word with one bit.
+    let mut rng = TestRng::seed_from_u64(1);
+    for h in [1, 2, 63, 64, 65, 128] {
+        let rows = [0, 1, 62, 63, 64, h - 1].into_iter().filter(|&y| y < h);
+        let points: Vec<Coord> = rows.map(|y| Coord::new(0, y)).collect();
+        let (congested, _) = congested_mesh(1, h, 0.0, (h / 16) as usize, &mut rng);
+        for mesh in [Mesh::new(1, h), congested] {
+            assert_routes_match_the_oracle(&mesh, &points);
+        }
+    }
+}
+
+#[test]
+fn adaptive_search_refuses_a_claimed_or_a_dead_endpoint() {
+    // Router (63, 1) is claimed and (64, 1), across the word seam, dead.
+    let map = DefectMap::from_text("dims 70 3\nnode 64 1\n").expect("a valid map");
+    let mut mesh = Mesh::with_defects(70, 3, &map);
+    assert!(mesh.try_claim(&Path::new(vec![Coord::new(63, 1)]), 1));
+    let (claimed, dead, open) = (Coord::new(63, 1), Coord::new(64, 1), Coord::new(0, 0));
+    let mut scratch = RouteScratch::new();
+    let mut out = Path::empty();
+    for (src, dst) in [
+        (claimed, open),
+        (open, claimed),
+        (claimed, claimed),
+        (dead, open),
+        (open, dead),
+        (dead, dead),
+    ] {
+        assert!(!mesh.route_adaptive_into(src, dst, &mut scratch, &mut out));
+        assert_eq!(scratch.expanded(), 0, "{src} -> {dst} touched no word");
+        assert!(mesh.route_certainly_blocked(src, dst, &mut scratch));
+    }
+    let around = [
+        Coord::new(62, 1),
+        Coord::new(65, 1),
+        open,
+        Coord::new(69, 2),
+    ];
+    assert_routes_match_the_oracle(&mesh, &around);
 }
