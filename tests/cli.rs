@@ -443,6 +443,52 @@ fn check_and_schedule_print_their_pinned_reports() {
     }
 }
 
+/// `scq compare examples/wide_mesh.qasm <p>` at three error rates, one
+/// each where the Fowler law picks d = 13, 5 and 3.
+const COMPARE_WIDE_MESH: [(&str, &str); 3] = [
+    (
+        "5e-3",
+        "\
+at p_physical = 5.0e-3, 1500 logical ops:
+  planar: d=13, 7.03e6 physical qubits, 1.90e-5 s
+  double-defect: d=13, 2.22e6 physical qubits, 2.70e-4 s
+  space-time ratio (dd/planar): 4.46 -> use planar encoding
+",
+    ),
+    (
+        "2e-3",
+        "\
+at p_physical = 2.0e-3, 1500 logical ops:
+  planar: d=5, 5.25e5 physical qubits, 1.49e-5 s
+  double-defect: d=5, 3.28e5 physical qubits, 1.16e-4 s
+  space-time ratio (dd/planar): 4.84 -> use planar encoding
+",
+    ),
+    (
+        "1e-6",
+        "\
+at p_physical = 1.0e-6, 1500 logical ops:
+  planar: d=3, 1.06e5 physical qubits, 1.35e-5 s
+  double-defect: d=3, 1.18e5 physical qubits, 7.70e-5 s
+  space-time ratio (dd/planar): 6.32 -> use planar encoding
+",
+    ),
+];
+
+#[test]
+fn compare_prints_its_pinned_estimates() {
+    // The one CLI path through `AppProfile::from_circuit` and
+    // `estimate_both`: the code distance, both estimates and the
+    // verdict are pinned whole.
+    let qasm = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/wide_mesh.qasm");
+    for (p, expected) in COMPARE_WIDE_MESH {
+        let out = scq(&["compare", qasm, p]);
+        assert!(out.status.success(), "{p}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert_eq!(stdout, expected, "p = {p}");
+    }
+}
+
 #[test]
 fn bad_options_are_usage_errors_not_panics() {
     let qasm = scratch_file("chain-usage.qasm", CHAIN);
