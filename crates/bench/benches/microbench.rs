@@ -5,7 +5,7 @@ use scq_apps::{ising, Benchmark, IsingParams};
 use scq_braid::{BraidConfig, Policy};
 use scq_ir::{DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
-use scq_partition::{bisect, Graph, PartitionConfig};
+use scq_partition::{bisect, Graph};
 
 fn bench_dag_construction(c: &mut Criterion) {
     let circuit = Benchmark::IsingFull.default_circuit();
@@ -30,7 +30,7 @@ fn bench_partitioner(c: &mut Criterion) {
     }
     let graph = Graph::from_edges(w * h, &edges).unwrap();
     c.bench_function("partition/bisect-grid-576", |b| {
-        b.iter(|| bisect(std::hint::black_box(&graph), &PartitionConfig::default()))
+        b.iter(|| bisect(std::hint::black_box(&graph), 0.5))
     });
 }
 
@@ -46,7 +46,6 @@ fn bench_layout(c: &mut Criterion) {
             place(
                 std::hint::black_box(&graph),
                 LayoutStrategy::InteractionAware,
-                None,
             )
         })
     });
@@ -164,12 +163,9 @@ fn bench_adaptive_routing(c: &mut Criterion) {
     let mut mesh = Mesh::new(w, h);
     // Row 20 up to x = 25, down column 25, then row 28 to the east edge:
     // every router above row 20 is cut off from every one below row 28.
-    assert!(mesh
-        .claim_route_xy(Coord::new(0, 20), Coord::new(25, 28), 1)
-        .is_some());
-    assert!(mesh
-        .claim_route_xy(Coord::new(26, 28), Coord::new(50, 28), 2)
-        .is_some());
+    let mut path = Path::empty();
+    assert!(mesh.claim_route_xy_into(Coord::new(0, 20), Coord::new(25, 28), 1, &mut path));
+    assert!(mesh.claim_route_xy_into(Coord::new(26, 28), Coord::new(50, 28), 2, &mut path));
     let mut state = 0x2545_f491_4f6c_dd1du64;
     let mut next = |bound: u32| {
         state = state
@@ -180,7 +176,7 @@ fn bench_adaptive_routing(c: &mut Criterion) {
     for owner in 3..400u32 {
         let a = Coord::new(next(w), next(h));
         let b = Coord::new((a.x + next(9)).min(w - 1), (a.y + next(9)).min(h - 1));
-        let _ = mesh.claim_route_xy(a, b, owner);
+        let _ = mesh.claim_route_xy_into(a, b, owner, &mut path);
     }
     let (mut found, mut cut) = (Vec::new(), Vec::new());
     for _ in 0..100_000 {
@@ -236,7 +232,7 @@ fn bench_ready_sets_vs_rescan(c: &mut Criterion) {
     });
     let dag = DependencyDag::from_circuit(&circuit);
     let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let config = BraidConfig {
         policy: Policy::P6,
         code_distance: 3,
@@ -260,7 +256,7 @@ fn bench_traced_vs_untraced(c: &mut Criterion) {
     });
     let dag = DependencyDag::from_circuit(&circuit);
     let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let config = BraidConfig {
         policy: Policy::P6,
         code_distance: 3,

@@ -55,7 +55,7 @@ fn main() {
         ("random", LayoutStrategy::Random(7)),
     ];
     let results = parallel_map(&variants, |&(_, strategy)| {
-        let layout = place(&graph, strategy, None);
+        let layout = place(&graph, strategy);
         let config = BraidConfig {
             policy: Policy::P6,
             code_distance: 5,
@@ -86,7 +86,7 @@ fn main() {
         ("locally buffered", TGateModel::LocalBuffered),
     ];
     let results = parallel_map(&variants, |&(_, model)| {
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+        let layout = place(&graph, LayoutStrategy::InteractionAware);
         let config = BraidConfig {
             policy: Policy::P6,
             code_distance: 5,
@@ -119,7 +119,7 @@ fn main() {
         ("dimension-order only", u32::MAX, u32::MAX),
     ];
     let results = parallel_map(&variants, |&(_, route_timeout, drop_timeout)| {
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+        let layout = place(&graph, LayoutStrategy::InteractionAware);
         let config = BraidConfig {
             policy: Policy::P6,
             code_distance: 5,
@@ -205,7 +205,7 @@ fn main() {
     };
     let strategies: [(&str, &dyn PlacementStrategy); 2] = [
         ("baseline (row-major)", &BaselinePlacement),
-        ("congestion-aware", &CongestionAwarePlacement::default()),
+        ("congestion-aware", &CongestionAwarePlacement),
     ];
     let mut rows = Vec::new();
     for (name, strategy) in strategies {

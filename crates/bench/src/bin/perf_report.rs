@@ -143,7 +143,6 @@ fn count_searches(circuit: &Circuit, policy: Policy) -> (BraidSchedule, SearchCo
     let layout = place(
         &InteractionGraph::from_circuit(circuit),
         policy.layout_strategy(),
-        None,
     );
     let config = BraidConfig {
         policy,
@@ -800,7 +799,7 @@ fn epr_report(
             ..Default::default()
         };
         let t0 = Instant::now();
-        let placed = CongestionAwarePlacement::default().place_traced(
+        let placed = CongestionAwarePlacement.place_traced(
             circuit.num_qubits(),
             &planar,
             &simd,

@@ -2,11 +2,13 @@
 //! our model constants): how much do the Figure 9 crossover boundaries
 //! move when the estimator's calibration knobs are perturbed?
 //!
-//! Knobs swept: the pipelining-exposure coefficient `omega`, the
-//! ancilla-factory footprint ratio, and the residual JIT latency
-//! overhead. A robust qualitative conclusion (parallel apps cross later;
-//! boundaries slope down with error rate) should survive factor-of-two
-//! perturbations in all of them.
+//! Knobs swept: the pipelining-exposure coefficient
+//! `EstimateConfig::exposure_omega`, the ancilla-factory footprint ratio
+//! (`EstimateConfig::factory`), and each profile's fabric-measured
+//! teleport-congestion multiplier (`AppProfile::teleport_congestion`,
+//! the residual JIT latency). A robust qualitative conclusion (parallel
+//! apps cross later; boundaries slope down with error rate) should
+//! survive factor-of-two perturbations in all of them.
 //!
 //! A fourth sweep leaves the estimator and runs the *schedulers* on
 //! non-ideal hardware: a (defect-rate x app) grid on both backends,

@@ -224,7 +224,7 @@ pub fn run_policy_reference(
 ) -> BraidSchedule {
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
+    let layout = place(&graph, policy.layout_strategy());
     schedule_reference(circuit, &dag, &layout, &braid_config(policy, code_distance))
         .expect("figure 6 workloads schedule cleanly")
 }

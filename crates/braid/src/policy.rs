@@ -93,17 +93,6 @@ impl Policy {
         }
     }
 
-    /// Whether operation issue is restricted to program order
-    /// (policies 0-2; policies 3+ reorder by priority metrics).
-    pub fn in_order_issue(self) -> bool {
-        self.index() <= 2
-    }
-
-    /// Whether *events* are also locked to program order (policy 0 only).
-    pub fn strict_event_order(self) -> bool {
-        self == Policy::P0
-    }
-
     /// Whether second-leg (closing) events outrank first-leg (opening)
     /// events (policies 5 and 6).
     pub fn closing_first(self) -> bool {
@@ -207,15 +196,6 @@ mod tests {
         for p in &Policy::ALL[2..] {
             assert_eq!(p.layout_strategy(), LayoutStrategy::InteractionAware);
         }
-    }
-
-    #[test]
-    fn ordering_flags() {
-        assert!(Policy::P0.strict_event_order());
-        assert!(!Policy::P1.strict_event_order());
-        assert!(Policy::P1.in_order_issue());
-        assert!(Policy::P2.in_order_issue());
-        assert!(!Policy::P3.in_order_issue());
     }
 
     #[test]

@@ -948,7 +948,7 @@ pub fn schedule_circuit(
 ) -> Result<BraidSchedule, ScheduleError> {
     let dag = DependencyDag::from_circuit(circuit);
     let graph = scq_ir::InteractionGraph::from_circuit(circuit);
-    let layout = scq_layout::place(&graph, config.policy.layout_strategy(), None);
+    let layout = scq_layout::place(&graph, config.policy.layout_strategy());
     schedule(circuit, &dag, &layout, config)
 }
 
@@ -1143,7 +1143,7 @@ mod tests {
     fn layout_mismatch_is_detected() {
         let small = Circuit::builder("small", 2).finish();
         let g = InteractionGraph::from_circuit(&small);
-        let layout = place(&g, LayoutStrategy::Linear, None);
+        let layout = place(&g, LayoutStrategy::Linear);
         let big = single_cnot(); // 2 qubits, fits
         assert!(schedule(
             &big,
@@ -1208,7 +1208,7 @@ mod tests {
 
     fn layout_for(circuit: &Circuit, policy: Policy) -> Layout {
         let g = InteractionGraph::from_circuit(circuit);
-        place(&g, policy.layout_strategy(), None)
+        place(&g, policy.layout_strategy())
     }
 
     #[test]

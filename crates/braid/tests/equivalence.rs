@@ -45,7 +45,7 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
 fn assert_equivalent(circuit: &Circuit, config: &BraidConfig) {
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, config.policy.layout_strategy(), None);
+    let layout = place(&graph, config.policy.layout_strategy());
     let mut sink = EventCollector::default();
     let fast = schedule_with(circuit, &dag, &layout, config, None, &mut sink).map(|s| {
         let trace = sink.into_trace(&layout, circuit, &s);
@@ -161,7 +161,7 @@ fn in_order_policies_match_the_reference_engine_on_a_fig6_app() {
             ..Default::default()
         };
         let graph = InteractionGraph::from_circuit(&circuit);
-        let layout = place(&graph, policy.layout_strategy(), None);
+        let layout = place(&graph, policy.layout_strategy());
         let mut sink = EventCollector::default();
         let fast_stats =
             schedule_with(&circuit, &dag, &layout, &config, None, &mut sink).expect("fast engine");

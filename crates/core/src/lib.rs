@@ -31,26 +31,26 @@ pub use defects::{DefectError, DefectSpec};
 pub use pipeline::{
     ArtifactContext, ArtifactHash, PassTiming, PipelineRunner, PipelineTrace, ToolflowPass,
 };
+pub use scq_surface::MAX_DISTANCE;
 
 use std::error::Error;
 use std::fmt;
 
 use scq_apps::Benchmark;
 use scq_braid::{BraidSchedule, Policy, ScheduleError};
-use scq_estimate::{AppProfile, EstimateConfig, ResourceEstimate};
+use scq_estimate::{AppProfile, ResourceEstimate};
 use scq_ir::analysis::CircuitStats;
 use scq_layout::Layout;
 use scq_mesh::CommError;
-use scq_surface::{CodeDistanceModel, Encoding, Technology, ThresholdExceeded};
+use scq_surface::{Encoding, Technology, ThresholdExceeded};
 use scq_teleport::PlanarSchedule;
 
 /// Configuration of one end-to-end toolflow run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ToolflowConfig {
-    /// Physical technology (error rate, gate timings).
+    /// Physical technology (error rate, gate timings); the estimate
+    /// prices both encodings on it.
     pub technology: Technology,
-    /// Logical error-rate scaling model.
-    pub distance_model: CodeDistanceModel,
     /// Braid prioritization policy for the double-defect backend.
     pub policy: Policy,
     /// Benchmark problem-size step (see
@@ -60,10 +60,9 @@ pub struct ToolflowConfig {
     /// Pins the code distance instead of deriving it from the
     /// computation size and technology — for callers (like the `scq`
     /// CLI) that take the distance as an explicit input. `None` (the
-    /// default) derives it through `distance_model`.
+    /// default) derives it by the Fowler law
+    /// ([`scq_surface::required_distance_for_ops`]).
     pub code_distance: Option<u32>,
-    /// Estimator parameters for the encoding comparison.
-    pub estimate: EstimateConfig,
 }
 
 impl ToolflowConfig {
@@ -82,11 +81,9 @@ impl Default for ToolflowConfig {
     fn default() -> Self {
         ToolflowConfig {
             technology: Technology::superconducting_optimistic(),
-            distance_model: CodeDistanceModel::default(),
             policy: Policy::P6,
             scale: None,
             code_distance: None,
-            estimate: EstimateConfig::default(),
         }
     }
 }

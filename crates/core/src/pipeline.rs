@@ -44,6 +44,7 @@ use scq_estimate::{estimate_both, AppProfile, EstimateConfig, ResourceEstimate};
 use scq_ir::{analysis::CircuitStats, Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, Layout};
 use scq_mesh::DefectMap;
+use scq_surface::required_distance_for_ops;
 use scq_teleport::{
     schedule_planar_with, BaselinePlacement, EprTranscript, FabricRun, PlanarConfig, PlanarMachine,
     PlanarSchedule,
@@ -347,10 +348,7 @@ impl ToolflowPass for CodeDistancePass {
         let total_ops = cx.stats.as_ref().map_or(1, |s| s.total_ops.max(1));
         let d = match cx.config.code_distance {
             Some(d) => d,
-            None => cx
-                .config
-                .distance_model
-                .required_distance_for_ops(cx.config.technology.p_physical, total_ops as f64)?,
+            None => required_distance_for_ops(cx.config.technology.p_physical, total_ops as f64)?,
         };
         let mut h = KeyHasher::new();
         h.write_str("code-distance/v1");
@@ -408,7 +406,7 @@ impl ToolflowPass for LayoutPass {
             .graph
             .as_ref()
             .expect("interaction-analysis runs before layout");
-        let layout = place(graph, cx.config.policy.layout_strategy(), None);
+        let layout = place(graph, cx.config.policy.layout_strategy());
         cx.record("layout", self.name(), layout.cache_key());
         cx.layout = Some(layout);
         Ok(())
@@ -500,8 +498,7 @@ impl ToolflowPass for EstimatePass {
         let profile = AppProfile::calibrate(cx.benchmark);
         let est_config = EstimateConfig {
             technology: cx.config.technology,
-            distance_model: cx.config.distance_model,
-            ..cx.config.estimate
+            ..Default::default()
         };
         let estimates = estimate_both(&profile, total_ops as f64, &est_config)?;
         let mut h = KeyHasher::new();
@@ -538,7 +535,7 @@ impl ToolflowPass for StaticCheckPass {
             None => PlanarMachine::new(cx.circuit.num_qubits(), None),
         };
         let fabrics = [
-            FabricView::braid(layout, cx.circuit, None, cx.defect_map(BackendKind::Braid)),
+            FabricView::braid(layout, cx.circuit, cx.defect_map(BackendKind::Braid)),
             FabricView::planar(&machine, cx.circuit, cx.defect_map(BackendKind::Planar)),
         ];
         let mut findings = Vec::new();

@@ -3,19 +3,22 @@
 use std::fmt;
 
 use scq_surface::{
-    CodeDistanceModel, Encoding, FactoryConfig, Technology, ThresholdExceeded, TileGeometry,
+    required_distance_for_ops, Encoding, FactoryConfig, Technology, ThresholdExceeded,
+    TileGeometry, TELEPORT_CYCLES,
 };
 use scq_teleport::hop_cycles_for_distance;
 
 use crate::profile::AppProfile;
+
+/// Distribution cycles fully hidden by even a minimal prefetch window:
+/// swap chains shorter than this never stall a teleport.
+const PREFETCH_HIDE_CYCLES: f64 = 4.0;
 
 /// Parameters of the resource estimator.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EstimateConfig {
     /// Physical technology (error rate, cycle time).
     pub technology: Technology,
-    /// Logical error-rate scaling law.
-    pub distance_model: CodeDistanceModel,
     /// Ancilla factory sizing.
     pub factory: FactoryConfig,
     /// Exposure coefficient `omega`: the fraction of EPR swap-chain
@@ -23,22 +26,14 @@ pub struct EstimateConfig {
     /// `1 / (1 + omega * parallelism)`. Parallel applications overlap
     /// distribution with independent work; serial ones mostly cannot.
     pub exposure_omega: f64,
-    /// Fixed logical latency of a teleport in EC cycles.
-    pub teleport_fixed_cycles: f64,
-    /// Distribution cycles fully hidden by even a minimal prefetch
-    /// window: swap chains shorter than this never stall a teleport.
-    pub prefetch_hide_cycles: f64,
 }
 
 impl Default for EstimateConfig {
     fn default() -> Self {
         EstimateConfig {
             technology: Technology::superconducting_optimistic(),
-            distance_model: CodeDistanceModel::default(),
             factory: FactoryConfig::default(),
             exposure_omega: 1.0,
-            teleport_fixed_cycles: 3.0,
-            prefetch_hide_cycles: 4.0,
         }
     }
 }
@@ -89,11 +84,15 @@ impl fmt::Display for ResourceEstimate {
 ///   gates one leg of `d+1`; the whole schedule is inflated by the
 ///   simulator-calibrated braid congestion factor. Space is `8d^2` per
 ///   tile, 25% channel overhead, plus magic-state factories.
-/// - **Planar**: communication ops cost a fixed teleport latency plus
-///   the *exposed* fraction of the EPR swap-chain distance (mean
-///   distance `kappa * sqrt(Q)` tiles, `(2d-1)/8` cycles per tile);
+/// - **Planar**: communication ops cost [`TELEPORT_CYCLES`] plus the
+///   *exposed* fraction of the EPR swap-chain distance (mean distance
+///   `0.5 * sqrt(1.4 Q)` tiles, set by the machine radius rather than
+///   the profile's `layout_kappa`, and `(2d-1)/8` cycles per tile);
 ///   space is `(2d-1)^2` per tile, 12.5% lane overhead, factories, and
 ///   the live-EPR pool given by Little's law.
+///
+/// The code distance is [`required_distance_for_ops`] of `kq` at
+/// `config.technology`'s error rate.
 ///
 /// # Errors
 ///
@@ -106,9 +105,7 @@ pub fn estimate(
     config: &EstimateConfig,
 ) -> Result<ResourceEstimate, ThresholdExceeded> {
     assert!(kq >= 1.0, "computation size must be at least one op");
-    let d = config
-        .distance_model
-        .required_distance_for_ops(config.technology.p_physical, kq)?;
+    let d = required_distance_for_ops(config.technology.p_physical, kq)?;
     let df = f64::from(d);
     let q = profile.logical_qubits(kq);
     let depth = kq / profile.parallelism;
@@ -133,9 +130,8 @@ pub fn estimate(
             let dist_tiles = 0.5 * (1.4 * q).sqrt();
             let hop = hop_cycles_for_distance(d) as f64;
             let exposure = 1.0 / (1.0 + config.exposure_omega * profile.parallelism);
-            let exposed_cycles =
-                (dist_tiles * hop - config.prefetch_hide_cycles).max(0.0) * exposure;
-            let comm_cost = config.teleport_fixed_cycles + exposed_cycles;
+            let exposed_cycles = (dist_tiles * hop - PREFETCH_HIDE_CYCLES).max(0.0) * exposure;
+            let comm_cost = TELEPORT_CYCLES as f64 + exposed_cycles;
             let per_op =
                 (profile.frac_two_qubit + profile.frac_t) * comm_cost + profile.frac_local() * 1.0;
             // Residual JIT latency: the per-app multiplier measured on

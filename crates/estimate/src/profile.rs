@@ -235,7 +235,7 @@ fn measure(
         .unwrap_or(1.0)
         .max(1.0);
     let graph = InteractionGraph::from_circuit(stats_circuit);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let qubits = stats_circuit.num_qubits();
     let kappa = if graph.total_weight() > 0 && qubits > 1 {
         layout.avg_interaction_distance(&graph) / f64::from(qubits).sqrt()
@@ -313,7 +313,7 @@ fn calibration_placement(
 ) -> (SimdSchedule, PlanarMachine, PlacementOutcome) {
     let dag = DependencyDag::from_circuit(circuit);
     let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
-    let (machine, outcome) = CongestionAwarePlacement::default()
+    let (machine, outcome) = CongestionAwarePlacement
         .place_traced(circuit.num_qubits(), planar, &simd, &FabricRun::default())
         .expect("a defect-free floorplan always places");
     (simd, machine, outcome)

@@ -51,32 +51,19 @@ impl PlacementCost {
     }
 }
 
-/// Search knobs of the congestion placer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CongestionPlacerConfig {
-    /// Maximum improve iterations (each accepted move re-profiles and
-    /// starts a new iteration).
-    pub max_iterations: usize,
-    /// Maximum candidate moves evaluated per iteration before declaring
-    /// convergence.
-    pub candidate_moves: usize,
-    /// How many of the hottest columns contribute move sources.
-    pub hot_columns: usize,
-}
+// The search budget: eight iterations, six candidates per iteration,
+// sourcing from the two hottest columns — enough to drain the contended
+// fig6 points while keeping the profiling budget to a few dozen
+// simulations.
 
-impl Default for CongestionPlacerConfig {
-    /// Eight iterations, six candidates per iteration, sourcing from
-    /// the two hottest columns — enough to drain the contended fig6
-    /// points while keeping the profiling budget to a few dozen
-    /// simulations.
-    fn default() -> Self {
-        CongestionPlacerConfig {
-            max_iterations: 8,
-            candidate_moves: 6,
-            hot_columns: 2,
-        }
-    }
-}
+/// Maximum improve iterations (each accepted move re-profiles and
+/// starts a new iteration).
+const MAX_ITERATIONS: usize = 8;
+/// Maximum candidate moves evaluated per iteration before declaring
+/// convergence.
+const CANDIDATE_MOVES: usize = 6;
+/// How many of the hottest columns contribute move sources.
+const HOT_COLUMNS: usize = 2;
 
 /// What one [`optimize_placement`] run did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,7 +122,6 @@ pub fn optimize_placement(
     cells: &[Coord],
     demand: &[u64],
     evaluate: &mut dyn FnMut(&[Coord]) -> (PlacementCost, LinkHeatmap),
-    config: &CongestionPlacerConfig,
 ) -> PlacementOutcome {
     assert_eq!(demand.len(), tiles.len(), "one demand entry per qubit");
     let cell_set: std::collections::BTreeSet<Coord> = cells.iter().copied().collect();
@@ -151,9 +137,9 @@ pub fn optimize_placement(
         moves_accepted: 0,
         evaluations: 1,
     };
-    'improve: while outcome.iterations < config.max_iterations && cost.lane_stalls > 0 {
+    'improve: while outcome.iterations < MAX_ITERATIONS && cost.lane_stalls > 0 {
         outcome.iterations += 1;
-        let moves = propose_moves(tiles, cells, demand, &heat, config);
+        let moves = propose_moves(tiles, cells, demand, &heat);
         for mv in moves {
             let mut trial = tiles.clone();
             apply(&mut trial, mv);
@@ -179,7 +165,6 @@ fn propose_moves(
     cells: &[Coord],
     demand: &[u64],
     heat: &LinkHeatmap,
-    config: &CongestionPlacerConfig,
 ) -> Vec<Move> {
     let occupant: BTreeMap<Coord, u32> = tiles
         .iter()
@@ -192,7 +177,7 @@ fn propose_moves(
     // Sources: the highest-demand qubits sitting in the hottest
     // loaded columns.
     let mut sources: Vec<u32> = Vec::new();
-    for &hx in by_load.iter().take(config.hot_columns) {
+    for &hx in by_load.iter().take(HOT_COLUMNS) {
         if load(hx) == 0 {
             break;
         }
@@ -211,7 +196,7 @@ fn propose_moves(
     for &q in &sources {
         let from = tiles[q as usize];
         for &cx in &cold {
-            if moves.len() >= config.candidate_moves {
+            if moves.len() >= CANDIDATE_MOVES {
                 return moves;
             }
             if load(cx) >= load(from.x) {
@@ -321,13 +306,7 @@ mod tests {
         let mut tiles: Vec<Coord> = (0..4).map(|q| Coord::new(0, q)).collect();
         let cells = grid_cells(4, 4);
         let mut oracle = toy_oracle(4, 4, demand.clone());
-        let outcome = optimize_placement(
-            &mut tiles,
-            &cells,
-            &demand,
-            &mut oracle,
-            &CongestionPlacerConfig::default(),
-        );
+        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut oracle);
         assert!(outcome.optimized.improves_on(&outcome.baseline));
         assert!(outcome.moves_accepted >= 2, "{outcome:?}");
         // Perfect spread: one heavy qubit per column.
@@ -346,13 +325,7 @@ mod tests {
         let run = || {
             let mut tiles = start.clone();
             let mut oracle = toy_oracle(3, 4, demand.clone());
-            let outcome = optimize_placement(
-                &mut tiles,
-                &cells,
-                &demand,
-                &mut oracle,
-                &CongestionPlacerConfig::default(),
-            );
+            let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut oracle);
             (tiles, outcome)
         };
         let (tiles_a, outcome_a) = run();
@@ -373,13 +346,7 @@ mod tests {
             inner(t)
         };
         let before = tiles.clone();
-        let outcome = optimize_placement(
-            &mut tiles,
-            &cells,
-            &demand,
-            &mut oracle,
-            &CongestionPlacerConfig::default(),
-        );
+        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut oracle);
         assert_eq!(calls, 1, "no stalls -> single profiling pass");
         assert_eq!(tiles, before);
         assert_eq!(outcome.baseline, outcome.optimized);
@@ -395,13 +362,7 @@ mod tests {
         let cells = grid_cells(3, 2);
         let mut oracle = toy_oracle(3, 2, demand.clone());
         let before = tiles.clone();
-        let outcome = optimize_placement(
-            &mut tiles,
-            &cells,
-            &demand,
-            &mut oracle,
-            &CongestionPlacerConfig::default(),
-        );
+        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut oracle);
         assert_eq!(outcome.baseline, outcome.optimized);
         assert_eq!(outcome.moves_accepted, 0);
         assert_eq!(tiles, before);
@@ -414,12 +375,6 @@ mod tests {
         let demand = vec![1u64];
         let cells = grid_cells(2, 2);
         let mut oracle = toy_oracle(2, 2, demand.clone());
-        let _ = optimize_placement(
-            &mut tiles,
-            &cells,
-            &demand,
-            &mut oracle,
-            &CongestionPlacerConfig::default(),
-        );
+        let _ = optimize_placement(&mut tiles, &cells, &demand, &mut oracle);
     }
 }

@@ -32,8 +32,8 @@
 //!     b.cnot(i, (i + 1) % 8);
 //! }
 //! let g = InteractionGraph::from_circuit(&b.finish());
-//! let optimized = place(&g, LayoutStrategy::InteractionAware, None);
-//! let naive = place(&g, LayoutStrategy::Linear, None);
+//! let optimized = place(&g, LayoutStrategy::InteractionAware);
+//! let naive = place(&g, LayoutStrategy::Linear);
 //! assert!(optimized.weighted_distance(&g) <= naive.weighted_distance(&g));
 //! ```
 
@@ -42,7 +42,7 @@
 
 mod congestion;
 
-pub use congestion::{optimize_placement, CongestionPlacerConfig, PlacementCost, PlacementOutcome};
+pub use congestion::{optimize_placement, PlacementCost, PlacementOutcome};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -50,7 +50,7 @@ use rand::SeedableRng;
 
 use scq_ir::InteractionGraph;
 use scq_mesh::Coord;
-use scq_partition::{bisect, Graph, PartitionConfig};
+use scq_partition::{bisect, Graph};
 
 /// Placement strategies for mapping logical qubits to grid tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -142,25 +142,11 @@ pub fn default_grid(n: u32) -> (u32, u32) {
     (w, h)
 }
 
-/// Places the qubits of `graph` on a grid.
-///
-/// `grid` overrides the default near-square grid; it must provide at
-/// least as many tiles as qubits.
-///
-/// # Panics
-///
-/// Panics if the grid is too small for the qubit count.
-pub fn place(
-    graph: &InteractionGraph,
-    strategy: LayoutStrategy,
-    grid: Option<(u32, u32)>,
-) -> Layout {
+/// Places the qubits of `graph` on the near-square grid of
+/// [`default_grid`].
+pub fn place(graph: &InteractionGraph, strategy: LayoutStrategy) -> Layout {
     let n = graph.num_qubits();
-    let (w, h) = grid.unwrap_or_else(|| default_grid(n));
-    assert!(
-        u64::from(w) * u64::from(h) >= u64::from(n),
-        "grid {w}x{h} too small for {n} qubits"
-    );
+    let (w, h) = default_grid(n);
     let tile_of = match strategy {
         LayoutStrategy::Linear => (0..n).map(|q| Coord::new(q % w, q / w)).collect(),
         LayoutStrategy::Random(seed) => {
@@ -277,13 +263,11 @@ fn interaction_aware(graph: &InteractionGraph, w: u32, h: u32) -> Vec<Coord> {
     }
     let pgraph = to_partition_graph(graph);
     let all: Vec<u32> = (0..n).collect();
-    let config = PartitionConfig::default();
     let mut local_of = vec![u32::MAX; n as usize];
     assign_region(
         &pgraph,
         &all,
         Region { x: 0, y: 0, w, h },
-        &config,
         &mut tile_of,
         &mut local_of,
     );
@@ -316,7 +300,6 @@ fn assign_region(
     graph: &Graph,
     qubits: &[u32],
     region: Region,
-    config: &PartitionConfig,
     tile_of: &mut [Coord],
     local_of: &mut [u32],
 ) {
@@ -364,11 +347,7 @@ fn assign_region(
     // Partition the qubits proportionally to the sub-region capacities.
     let sub = induced_subgraph(graph, qubits, local_of);
     let frac = left.cells() as f64 / region.cells() as f64;
-    let sub_config = PartitionConfig {
-        target_left_fraction: frac,
-        ..*config
-    };
-    let bi = bisect(&sub, &sub_config);
+    let bi = bisect(&sub, frac);
 
     let mut left_qubits: Vec<u32> = Vec::new();
     let mut right_qubits: Vec<u32> = Vec::new();
@@ -388,8 +367,8 @@ fn assign_region(
     while right_qubits.len() as u64 > right.cells() {
         left_qubits.push(right_qubits.pop().expect("non-empty overflow"));
     }
-    assign_region(graph, &left_qubits, left, config, tile_of, local_of);
-    assign_region(graph, &right_qubits, right, config, tile_of, local_of);
+    assign_region(graph, &left_qubits, left, tile_of, local_of);
+    assign_region(graph, &right_qubits, right, tile_of, local_of);
 }
 
 /// The subgraph of `graph` on `vertices`, renumbered in their order.
@@ -466,7 +445,7 @@ mod tests {
             LayoutStrategy::Random(7),
             LayoutStrategy::InteractionAware,
         ] {
-            let l = place(&g, strategy, None);
+            let l = place(&g, strategy);
             assert!(l.check_invariants(), "{strategy:?}");
             assert_eq!(l.num_qubits(), 16);
         }
@@ -475,9 +454,9 @@ mod tests {
     #[test]
     fn interaction_aware_beats_baselines_on_clusters() {
         let g = clustered_graph();
-        let opt = place(&g, LayoutStrategy::InteractionAware, None).weighted_distance(&g);
-        let lin = place(&g, LayoutStrategy::Linear, None).weighted_distance(&g);
-        let rnd = place(&g, LayoutStrategy::Random(3), None).weighted_distance(&g);
+        let opt = place(&g, LayoutStrategy::InteractionAware).weighted_distance(&g);
+        let lin = place(&g, LayoutStrategy::Linear).weighted_distance(&g);
+        let rnd = place(&g, LayoutStrategy::Random(3)).weighted_distance(&g);
         assert!(opt < lin, "optimized {opt} vs linear {lin}");
         assert!(opt < rnd, "optimized {opt} vs random {rnd}");
     }
@@ -485,33 +464,17 @@ mod tests {
     #[test]
     fn interaction_aware_shortens_rings() {
         let g = ring_graph(36);
-        let opt = place(&g, LayoutStrategy::InteractionAware, None);
-        let rnd = place(&g, LayoutStrategy::Random(1), None);
+        let opt = place(&g, LayoutStrategy::InteractionAware);
+        let rnd = place(&g, LayoutStrategy::Random(1));
         assert!(opt.avg_interaction_distance(&g) < rnd.avg_interaction_distance(&g));
         // A ring on a 6x6 grid can keep most neighbors adjacent.
         assert!(opt.avg_interaction_distance(&g) < 2.5);
     }
 
     #[test]
-    fn explicit_grid_respected() {
-        let g = ring_graph(6);
-        let l = place(&g, LayoutStrategy::InteractionAware, Some((6, 2)));
-        assert_eq!(l.grid_width(), 6);
-        assert_eq!(l.grid_height(), 2);
-        assert!(l.check_invariants());
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn undersized_grid_rejected() {
-        let g = ring_graph(9);
-        let _ = place(&g, LayoutStrategy::Linear, Some((2, 2)));
-    }
-
-    #[test]
     fn linear_layout_is_row_major() {
         let g = ring_graph(6);
-        let l = place(&g, LayoutStrategy::Linear, Some((3, 2)));
+        let l = place(&g, LayoutStrategy::Linear);
         assert_eq!(l.tile(0), Coord::new(0, 0));
         assert_eq!(l.tile(2), Coord::new(2, 0));
         assert_eq!(l.tile(3), Coord::new(0, 1));
@@ -520,9 +483,9 @@ mod tests {
     #[test]
     fn random_layout_is_deterministic_per_seed() {
         let g = ring_graph(10);
-        let a = place(&g, LayoutStrategy::Random(5), None);
-        let b = place(&g, LayoutStrategy::Random(5), None);
-        let c = place(&g, LayoutStrategy::Random(6), None);
+        let a = place(&g, LayoutStrategy::Random(5));
+        let b = place(&g, LayoutStrategy::Random(5));
+        let c = place(&g, LayoutStrategy::Random(6));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -530,7 +493,7 @@ mod tests {
     #[test]
     fn empty_graph_places_nothing() {
         let g = InteractionGraph::from_circuit(&Circuit::builder("e", 0).finish());
-        let l = place(&g, LayoutStrategy::InteractionAware, None);
+        let l = place(&g, LayoutStrategy::InteractionAware);
         assert_eq!(l.num_qubits(), 0);
         assert_eq!(l.weighted_distance(&g), 0);
     }
@@ -539,7 +502,7 @@ mod tests {
     fn refine_never_worsens() {
         let g = clustered_graph();
         for seed in 0..5u64 {
-            let mut l = place(&g, LayoutStrategy::Random(seed), None);
+            let mut l = place(&g, LayoutStrategy::Random(seed));
             let before = l.weighted_distance(&g);
             refine_swaps(&mut l, &g, 8);
             let after = l.weighted_distance(&g);
@@ -556,7 +519,7 @@ mod tests {
             b.cnot(0, 3);
         }
         let g = InteractionGraph::from_circuit(&b.finish());
-        let mut l = place(&g, LayoutStrategy::Linear, Some((2, 2)));
+        let mut l = place(&g, LayoutStrategy::Linear);
         assert_eq!(l.weighted_distance(&g), 10);
         refine_swaps(&mut l, &g, 4);
         assert_eq!(l.weighted_distance(&g), 5, "tiles: {:?}", l.tiles());
@@ -567,7 +530,11 @@ mod tests {
         let mut b = Circuit::builder("pair", 4);
         b.cnot(0, 3).cnot(0, 3).cnot(1, 2);
         let g = InteractionGraph::from_circuit(&b.finish());
-        let l = place(&g, LayoutStrategy::Linear, Some((4, 1)));
+        let l = Layout {
+            grid_width: 4,
+            grid_height: 1,
+            tile_of: (0..4).map(|x| Coord::new(x, 0)).collect(),
+        };
         // q0 at x0, q3 at x3 (dist 3, weight 2); q1-q2 dist 1 weight 1.
         assert_eq!(l.weighted_distance(&g), 7);
         assert!((l.avg_interaction_distance(&g) - 7.0 / 3.0).abs() < 1e-12);

@@ -69,13 +69,6 @@ pub enum CommError {
         /// Dimensions of the machine it was applied to.
         expected: (u32, u32),
     },
-    /// A requested mesh geometry with a zero dimension.
-    DegenerateGeometry {
-        /// Requested width in routers.
-        width: u32,
-        /// Requested height in routers.
-        height: u32,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -96,9 +89,6 @@ impl fmt::Display for CommError {
                 "defect map is {}x{} but the machine is {}x{}",
                 map.0, map.1, expected.0, expected.1
             ),
-            CommError::DegenerateGeometry { width, height } => {
-                write!(f, "mesh dimensions must be positive, got {width}x{height}")
-            }
         }
     }
 }

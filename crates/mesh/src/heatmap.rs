@@ -7,7 +7,6 @@
 //! congestion-aware placement loop consumes — hot columns attract EPR
 //! route demand, and the optimizer steers data tiles away from them.
 
-use crate::coord::Coord;
 use crate::topology::Topology;
 
 /// Snapshot of per-link busy and stall cycles over a fabric run.
@@ -93,21 +92,6 @@ impl LinkHeatmap {
         self.busy.iter().copied().max().unwrap_or(0)
     }
 
-    /// Combined busy + stall load of the link between adjacent routers
-    /// `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the routers are not adjacent or lie off the topology.
-    pub fn link_load(&self, a: Coord, b: Coord) -> u64 {
-        assert!(
-            self.topo.contains(a) && self.topo.contains(b),
-            "link endpoints must be on the topology"
-        );
-        let i = self.topo.link_index(a, b);
-        self.busy[i] + self.stalls[i]
-    }
-
     /// Combined busy + stall load over the vertical links of column `x`
     /// — the congestion an EPR half pays descending that column under
     /// dimension-ordered (X then Y) routing, which makes per-column
@@ -122,21 +106,6 @@ impl LinkHeatmap {
         (0..self.topo.height().saturating_sub(1))
             .map(|y| {
                 let i = h_links + self.topo.v_index(x, y);
-                self.busy[i] + self.stalls[i]
-            })
-            .sum()
-    }
-
-    /// Combined busy + stall load over the horizontal links of row `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside the topology.
-    pub fn row_load(&self, y: u32) -> u64 {
-        assert!(y < self.topo.height(), "row {y} off the topology");
-        (0..self.topo.width().saturating_sub(1))
-            .map(|x| {
-                let i = self.topo.h_index(x, y);
                 self.busy[i] + self.stalls[i]
             })
             .sum()
@@ -170,22 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn column_and_row_loads_aggregate_links() {
+    fn column_loads_aggregate_links() {
         let h = heatmap_3x3();
         assert_eq!(h.column_load(1), 10 + 4 + 7);
         assert_eq!(h.column_load(0), 0);
-        assert_eq!(h.row_load(0), 3);
-        assert_eq!(h.row_load(2), 0);
         assert_eq!(h.total_stall_cycles(), 4);
         assert_eq!(h.hottest_link_busy_cycles(), 10);
-    }
-
-    #[test]
-    fn link_load_reads_single_links() {
-        let h = heatmap_3x3();
-        assert_eq!(h.link_load(Coord::new(1, 0), Coord::new(1, 1)), 14);
-        assert_eq!(h.link_load(Coord::new(0, 0), Coord::new(1, 0)), 3);
-        assert_eq!(h.link_load(Coord::new(2, 1), Coord::new(2, 2)), 0);
     }
 
     #[test]

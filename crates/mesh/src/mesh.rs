@@ -786,17 +786,6 @@ impl Mesh {
         self.claim_route_dim_ordered_into(src, dst, DimOrder::XThenY, owner, out)
     }
 
-    /// Allocating convenience wrapper over [`Mesh::claim_route_xy_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Mesh::claim_route_xy_into`].
-    pub fn claim_route_xy(&mut self, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
-        let mut out = Path::empty();
-        self.claim_route_xy_into(src, dst, owner, &mut out)
-            .then_some(out)
-    }
-
     /// Fused route-and-claim along the Y-then-X walk; see
     /// [`Mesh::claim_route_xy_into`].
     ///
@@ -811,17 +800,6 @@ impl Mesh {
         out: &mut Path,
     ) -> bool {
         self.claim_route_dim_ordered_into(src, dst, DimOrder::YThenX, owner, out)
-    }
-
-    /// Allocating convenience wrapper over [`Mesh::claim_route_yx_into`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Mesh::claim_route_xy_into`].
-    pub fn claim_route_yx(&mut self, src: Coord, dst: Coord, owner: ClaimId) -> Option<Path> {
-        let mut out = Path::empty();
-        self.claim_route_yx_into(src, dst, owner, &mut out)
-            .then_some(out)
     }
 
     /// Shortest route from `src` to `dst` over currently-free resources,
@@ -1430,22 +1408,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_route_convenience_wrappers() {
-        let mut m = Mesh::new(4, 4);
-        let p = m
-            .claim_route_xy(Coord::new(0, 0), Coord::new(3, 2), 7)
-            .expect("free mesh");
-        assert_eq!(p.len_hops(), 5);
-        assert!(m
-            .claim_route_yx(Coord::new(0, 1), Coord::new(3, 1), 8)
-            .is_none());
-        m.release(&p, 7);
-        assert!(m
-            .claim_route_yx(Coord::new(0, 1), Coord::new(3, 1), 8)
-            .is_some());
-    }
-
-    #[test]
     fn route_into_variants_match_allocating_routes() {
         let m = Mesh::new(7, 5);
         let mut out = Path::empty();
@@ -1684,7 +1646,14 @@ mod tests {
         let paths: Vec<Path> = claims
             .iter()
             .zip(1..)
-            .map(|(&(a, b), owner)| m.claim_route_xy(a, b, owner).expect("disjoint claims"))
+            .map(|(&(a, b), owner)| {
+                let mut p = Path::empty();
+                assert!(
+                    m.claim_route_xy_into(a, b, owner, &mut p),
+                    "disjoint claims"
+                );
+                p
+            })
             .collect();
         assert_line_reads_match_scan(&m);
         // Releasing a path re-tightens the intervals it bounded.
@@ -1705,9 +1674,8 @@ mod tests {
         assert_line_reads_match_scan(&m);
         assert_eq!(m.row_claimed_interval(1), Some((0, 64)));
         assert_eq!(m.row_claimed_count(2), 0);
-        let p = m
-            .claim_route_xy(Coord::new(1, 3), Coord::new(65, 3), 3)
-            .unwrap();
+        let mut p = Path::empty();
+        assert!(m.claim_route_xy_into(Coord::new(1, 3), Coord::new(65, 3), 3, &mut p));
         assert_line_reads_match_scan(&m);
         m.release(&p, 3);
         assert_line_reads_match_scan(&m);

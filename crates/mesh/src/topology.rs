@@ -49,27 +49,10 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero. Toolflow code paths that
-    /// build meshes from user-supplied configuration should use
-    /// [`Topology::try_new`] and surface the structured error instead.
+    /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
         Topology { width, height }
-    }
-
-    /// Like [`Topology::new`], but returns a structured
-    /// [`CommError::DegenerateGeometry`](crate::defect::CommError::DegenerateGeometry) on a zero dimension instead of
-    /// panicking — the entry point for meshes built from user-supplied
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::DegenerateGeometry`](crate::defect::CommError::DegenerateGeometry) if either dimension is zero.
-    pub fn try_new(width: u32, height: u32) -> Result<Self, crate::defect::CommError> {
-        if width == 0 || height == 0 {
-            return Err(crate::defect::CommError::DegenerateGeometry { width, height });
-        }
-        Ok(Topology { width, height })
     }
 
     /// Width in routers.

@@ -271,8 +271,8 @@ proptest! {
                 mesh.route_adaptive(src, dst).is_none(),
                 "route probe {} -> {} on {}x{}", src, dst, w, h
             );
-            let xy_walks = mesh.clone().claim_route_xy(src, dst, 99).is_some();
-            let yx_walks = mesh.clone().claim_route_yx(src, dst, 99).is_some();
+            let xy_walks = mesh.clone().claim_route_xy_into(src, dst, 99, &mut Path::empty());
+            let yx_walks = mesh.clone().claim_route_yx_into(src, dst, 99, &mut Path::empty());
             prop_assert!(!(xy_walks && mesh.xy_certainly_blocked(src, dst)), "xy {} -> {}", src, dst);
             prop_assert!(!(yx_walks && mesh.yx_certainly_blocked(src, dst)), "yx {} -> {}", src, dst);
             if rate == 0.0 {

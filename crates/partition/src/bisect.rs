@@ -10,38 +10,19 @@ use rand::{Rng, SeedableRng};
 
 use crate::graph::{cut_weight, Graph};
 
-/// Tuning knobs of the partitioner.
-///
-/// The defaults mirror a conventional METIS-style configuration; all
-/// results are deterministic for a fixed [`PartitionConfig::seed`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartitionConfig {
-    /// Allowed imbalance: each side may weigh up to `(1 + epsilon)` times
-    /// its proportional target.
-    pub epsilon: f64,
-    /// Seed for all randomized tie-breaking.
-    pub seed: u64,
-    /// Coarsening stops when the graph has at most this many vertices.
-    pub coarsest_size: usize,
-    /// Maximum FM refinement passes per level.
-    pub fm_passes: usize,
-    /// Fraction of total vertex weight targeted for side 0 (0.5 for an
-    /// even split; `scq_layout::place`'s recursive bisection uses other
-    /// fractions).
-    pub target_left_fraction: f64,
-}
+// The partitioner's constants mirror a conventional METIS-style
+// configuration.
 
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            epsilon: 0.1,
-            seed: 42,
-            coarsest_size: 24,
-            fm_passes: 4,
-            target_left_fraction: 0.5,
-        }
-    }
-}
+/// Allowed imbalance `epsilon`: each side may weigh up to
+/// `(1 + EPSILON)` times its proportional target.
+pub const EPSILON: f64 = 0.1;
+/// Seed for all randomized tie-breaking, so every result is
+/// deterministic.
+const SEED: u64 = 42;
+/// Coarsening stops when the graph has at most this many vertices.
+const COARSEST_SIZE: usize = 24;
+/// Maximum FM refinement passes per level.
+const FM_PASSES: usize = 4;
 
 /// The result of a two-way partition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,7 +65,10 @@ struct CoarseLevel {
     graph: Graph,
 }
 
-/// Partitions `graph` into two sides using the multilevel scheme.
+/// Partitions `graph` into two sides using the multilevel scheme,
+/// targeting `target_left_fraction` of the total vertex weight for
+/// side 0 (0.5 for an even split; `scq_layout::place`'s recursive
+/// bisection uses other fractions).
 ///
 /// This is the crate's METIS-equivalent entry point: coarsen by
 /// heavy-edge matching, bisect the coarsest graph greedily, then project
@@ -93,7 +77,7 @@ struct CoarseLevel {
 /// # Examples
 ///
 /// ```
-/// use scq_partition::{bisect, Graph, PartitionConfig};
+/// use scq_partition::{bisect, Graph};
 ///
 /// // Two triangles joined by one bridge edge: the optimal cut is 1.
 /// let g = Graph::from_edges(
@@ -101,10 +85,10 @@ struct CoarseLevel {
 ///     &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1), (2, 3, 1)],
 /// )
 /// .unwrap();
-/// let b = bisect(&g, &PartitionConfig::default());
+/// let b = bisect(&g, 0.5);
 /// assert_eq!(b.cut, 1);
 /// ```
-pub fn bisect(graph: &Graph, config: &PartitionConfig) -> Bisection {
+pub fn bisect(graph: &Graph, target_left_fraction: f64) -> Bisection {
     let n = graph.num_vertices();
     if n == 0 {
         return Bisection {
@@ -121,8 +105,8 @@ pub fn bisect(graph: &Graph, config: &PartitionConfig) -> Bisection {
     // Coarsening phase.
     let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut current = graph.clone();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    while current.num_vertices() > config.coarsest_size {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    while current.num_vertices() > COARSEST_SIZE {
         let level = coarsen_once(&current, &mut rng);
         let shrink = level.graph.num_vertices() as f64 / current.num_vertices() as f64;
         let coarse = level.graph.clone();
@@ -134,8 +118,8 @@ pub fn bisect(graph: &Graph, config: &PartitionConfig) -> Bisection {
     }
 
     // Initial partition on the coarsest graph.
-    let mut assignment = initial_bisection(&current, config, &mut rng);
-    fm_refine(&current, &mut assignment, config);
+    let mut assignment = initial_bisection(&current, target_left_fraction, &mut rng);
+    fm_refine(&current, &mut assignment, target_left_fraction);
 
     // Uncoarsening with refinement at each level. The fine graph of
     // level `i` is the coarse graph of level `i - 1` (or the input graph
@@ -148,7 +132,7 @@ pub fn bisect(graph: &Graph, config: &PartitionConfig) -> Bisection {
         for v in 0..fine_n {
             fine_assignment[v] = assignment[level.fine_to_coarse[v] as usize];
         }
-        fm_refine(fine_graph, &mut fine_assignment, config);
+        fm_refine(fine_graph, &mut fine_assignment, target_left_fraction);
         assignment = fine_assignment;
     }
 
@@ -223,10 +207,10 @@ fn coarsen_once(graph: &Graph, rng: &mut StdRng) -> CoarseLevel {
 }
 
 /// Greedy region-growing initial bisection; best of several starts.
-fn initial_bisection(graph: &Graph, config: &PartitionConfig, rng: &mut StdRng) -> Vec<u8> {
+fn initial_bisection(graph: &Graph, target_left_fraction: f64, rng: &mut StdRng) -> Vec<u8> {
     let n = graph.num_vertices();
     let total = graph.total_vertex_weight();
-    let target_left = (total as f64 * config.target_left_fraction).round() as u64;
+    let target_left = (total as f64 * target_left_fraction).round() as u64;
 
     let mut best: Option<(u64, Vec<u8>)> = None;
     let tries = 4.min(n);
@@ -285,17 +269,17 @@ fn initial_bisection(graph: &Graph, config: &PartitionConfig, rng: &mut StdRng) 
 }
 
 /// In-place FM refinement with rollback to the best observed prefix.
-fn fm_refine(graph: &Graph, assignment: &mut [u8], config: &PartitionConfig) {
+fn fm_refine(graph: &Graph, assignment: &mut [u8], target_left_fraction: f64) {
     let n = graph.num_vertices();
     if n < 2 {
         return;
     }
     let total = graph.total_vertex_weight();
-    let target_left = total as f64 * config.target_left_fraction;
-    let max_left = (target_left * (1.0 + config.epsilon)).round() as u64;
-    let min_left = (target_left * (1.0 - config.epsilon)).round() as u64;
+    let target_left = total as f64 * target_left_fraction;
+    let max_left = (target_left * (1.0 + EPSILON)).round() as u64;
+    let min_left = (target_left * (1.0 - EPSILON)).round() as u64;
 
-    for _pass in 0..config.fm_passes {
+    for _pass in 0..FM_PASSES {
         let mut left_weight: u64 = (0..n as u32)
             .filter(|&v| assignment[v as usize] == 0)
             .map(|v| graph.vertex_weight(v))
@@ -399,7 +383,7 @@ mod tests {
 
     #[test]
     fn path_splits_with_unit_cut() {
-        let b = bisect(&path(16), &PartitionConfig::default());
+        let b = bisect(&path(16), 0.5);
         assert_eq!(b.cut, 1);
         assert_eq!(b.left_weight, 8);
         assert_eq!(b.right_weight, 8);
@@ -407,42 +391,33 @@ mod tests {
 
     #[test]
     fn bridge_between_cliques_is_found() {
-        let b = bisect(&two_cliques(8), &PartitionConfig::default());
+        let b = bisect(&two_cliques(8), 0.5);
         assert_eq!(b.cut, 1, "assignment: {:?}", b.assignment);
         assert_eq!(b.left_weight, 8);
     }
 
     #[test]
     fn large_path_stays_balanced() {
-        let cfg = PartitionConfig::default();
         let g = path(501);
-        let b = bisect(&g, &cfg);
+        let b = bisect(&g, 0.5);
         let total = g.total_vertex_weight() as f64;
         let frac = b.left_weight as f64 / total;
-        assert!(
-            (frac - 0.5).abs() <= cfg.epsilon + 0.01,
-            "left fraction {frac}"
-        );
+        assert!((frac - 0.5).abs() <= EPSILON + 0.01, "left fraction {frac}");
         assert!(b.cut <= 3, "cut = {}", b.cut);
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
         let g = two_cliques(10);
-        let cfg = PartitionConfig::default();
-        let a = bisect(&g, &cfg);
-        let b = bisect(&g, &cfg);
+        let a = bisect(&g, 0.5);
+        let b = bisect(&g, 0.5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn respects_target_fraction() {
         let g = path(100);
-        let cfg = PartitionConfig {
-            target_left_fraction: 0.25,
-            ..Default::default()
-        };
-        let b = bisect(&g, &cfg);
+        let b = bisect(&g, 0.25);
         let frac = b.left_weight as f64 / g.total_vertex_weight() as f64;
         assert!((frac - 0.25).abs() < 0.1, "left fraction {frac}");
     }
@@ -450,18 +425,15 @@ mod tests {
     #[test]
     fn handles_trivial_graphs() {
         let empty = Graph::from_edges(0, &[]).unwrap();
-        assert_eq!(
-            bisect(&empty, &PartitionConfig::default()).assignment.len(),
-            0
-        );
+        assert_eq!(bisect(&empty, 0.5).assignment.len(), 0);
 
         let single = Graph::from_edges(1, &[]).unwrap();
-        let b = bisect(&single, &PartitionConfig::default());
+        let b = bisect(&single, 0.5);
         assert_eq!(b.assignment, vec![0]);
         assert_eq!(b.cut, 0);
 
         let pair = Graph::from_edges(2, &[(0, 1, 5)]).unwrap();
-        let b = bisect(&pair, &PartitionConfig::default());
+        let b = bisect(&pair, 0.5);
         assert_eq!(b.cut, 5); // unavoidable
         assert_ne!(b.assignment[0], b.assignment[1]);
     }
@@ -481,7 +453,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let b = bisect(&g, &PartitionConfig::default());
+        let b = bisect(&g, 0.5);
         assert_eq!(b.cut, 0);
         assert_eq!(b.left_weight, 3);
     }
@@ -495,7 +467,7 @@ mod tests {
             &[4, 1, 1, 1, 1],
         )
         .unwrap();
-        let b = bisect(&g, &PartitionConfig::default());
+        let b = bisect(&g, 0.5);
         let frac = b.left_weight as f64 / 8.0;
         assert!((frac - 0.5).abs() <= 0.15, "left fraction {frac}");
     }

@@ -9,17 +9,18 @@
 //! refinement with rollback. `scq_layout::place` runs it recursively
 //! to place qubits on the mesh.
 //!
-//! All operations are deterministic for a fixed [`PartitionConfig::seed`].
+//! All operations are deterministic: randomized tie-breaking draws from
+//! one fixed seed.
 //!
 //! # Examples
 //!
 //! ```
-//! use scq_partition::{bisect, Graph, PartitionConfig};
+//! use scq_partition::{bisect, Graph};
 //!
 //! // A 16-vertex path: the minimum balanced cut is a single edge.
 //! let edges: Vec<(u32, u32, u64)> = (0..15).map(|i| (i, i + 1, 1)).collect();
 //! let g = Graph::from_edges(16, &edges).unwrap();
-//! let result = bisect(&g, &PartitionConfig::default());
+//! let result = bisect(&g, 0.5);
 //! assert_eq!(result.cut, 1);
 //! ```
 
@@ -29,5 +30,5 @@
 mod bisect;
 mod graph;
 
-pub use bisect::{bisect, Bisection, PartitionConfig};
+pub use bisect::{bisect, Bisection, EPSILON};
 pub use graph::{cut_weight, Graph, GraphError};

@@ -46,7 +46,7 @@
 use std::sync::Arc;
 
 use scq_apps::Benchmark;
-use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher, ToolflowConfig};
+use scq_core::{BackendKind, CacheKeyed, DefectSpec, KeyHasher, MAX_DISTANCE};
 use scq_ir::{circuit_from_qasm, Circuit, CliError};
 
 use crate::error::ServeError;
@@ -329,8 +329,8 @@ pub fn parse_policy(value: &str) -> Result<Policy, CliError> {
 
 /// Parses a surface code distance — the rule of a request's
 /// `distance=` and of the `scq` CLI's distance argument: odd, at least
-/// 3, and at most the `max_distance` of the default code-distance
-/// model (1001), the largest distance the toolflow ever derives.
+/// 3, and at most [`MAX_DISTANCE`] (1001), the largest
+/// distance the toolflow ever derives.
 ///
 /// # Errors
 ///
@@ -345,7 +345,7 @@ pub fn parse_distance(value: &str) -> Result<u32, CliError> {
             "distance must be odd and >= 3, got {d}"
         )));
     }
-    let limit = ToolflowConfig::default().distance_model.max_distance;
+    let limit = MAX_DISTANCE;
     if d > limit {
         return Err(CliError::invalid(format!(
             "distance {d} exceeds the limit of {limit}"

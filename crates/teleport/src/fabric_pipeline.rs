@@ -365,7 +365,6 @@ fn run_epr_phases(
             .map(|r| r.time)
             .zip(arrivals.iter().copied()),
         fabric.launch_cycles(),
-        config.epr.teleport_cycles,
     );
 
     let stats = fabric.stats();

@@ -16,6 +16,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use scq_surface::TELEPORT_CYCLES;
+
 /// When EPR pairs are launched relative to their use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistributionPolicy {
@@ -37,8 +39,6 @@ pub struct EprConfig {
     pub hop_cycles: u64,
     /// Maximum EPR pairs concurrently *in flight* (swap-lane bandwidth).
     pub bandwidth: usize,
-    /// Fixed latency of the teleport itself once the pair is in place.
-    pub teleport_cycles: u64,
     /// Extra lead time added to just-in-time launches — the "appropriate
     /// lead time" of Section 8.1 that absorbs queueing jitter at the
     /// swap lanes.
@@ -49,12 +49,11 @@ impl Default for EprConfig {
     /// One cycle per hop, 256 concurrent pairs (roughly one swap lane
     /// per tile column on a mid-size machine — the fabric is provisioned
     /// for steady-state demand so the *window* is the binding knob, as
-    /// in Section 8.1), 3-cycle teleports.
+    /// in Section 8.1).
     fn default() -> Self {
         EprConfig {
             hop_cycles: 1,
             bandwidth: 256,
-            teleport_cycles: 3,
             lead_slack_cycles: 8,
         }
     }
@@ -191,7 +190,8 @@ pub(crate) fn plan_launches(
 /// Accounting half of the EPR pipeline: given each demand's ideal use
 /// time and its (predicted or measured) arrival time, in demand order,
 /// and every launch cycle in ascending order, runs the serialized-slip
-/// consume recurrence and sweeps the two §8.1 metrics. Fed predicted
+/// consume recurrence and sweeps the two §8.1 metrics; each teleport
+/// takes [`TELEPORT_CYCLES`] once its pair is in place. Fed predicted
 /// arrivals this reproduces the legacy flow model; fed measured fabric
 /// arrivals it prices real link contention.
 ///
@@ -201,7 +201,6 @@ pub(crate) fn plan_launches(
 pub(crate) fn account_arrivals(
     demands: impl IntoIterator<Item = (u64, u64)>, // (ideal use time, arrival)
     sorted_launches: impl ExactSizeIterator<Item = u64>,
-    teleport_cycles: u64,
 ) -> EprPipelineResult {
     let mut launches = sorted_launches.peekable();
     let mut teleports = 0usize;
@@ -233,8 +232,8 @@ pub(crate) fn account_arrivals(
             peak = peak.max(live);
         }
         live -= 1;
-        last_consume = last_consume.max(consume + teleport_cycles);
-        ideal_last = ideal_last.max(time + teleport_cycles);
+        last_consume = last_consume.max(consume + TELEPORT_CYCLES);
+        ideal_last = ideal_last.max(time + TELEPORT_CYCLES);
     }
     debug_assert_eq!(live + launches.len() as i64, 0, "one launch per demand");
     // Launches after the last consume only add to the live count.
@@ -284,7 +283,6 @@ pub fn simulate_epr_distribution(
             .zip(&launches)
             .map(|(d, &launch)| (d.time, launch + travel(d))),
         sorted.into_iter(),
-        config.teleport_cycles,
     )
 }
 
@@ -375,17 +373,12 @@ mod tests {
                     (launch, launch + below(&mut rng, 4))
                 })
                 .collect();
-            let teleport_cycles = below(&mut rng, 3);
             let mut sorted: Vec<u64> = launches_arrivals.iter().map(|&(l, _)| l).collect();
             sorted.sort_unstable();
             let arrivals = launches_arrivals.iter().map(|&(_, a)| a);
             assert_eq!(
-                account_arrivals(
-                    times.iter().copied().zip(arrivals),
-                    sorted.into_iter(),
-                    teleport_cycles
-                ),
-                account_arrivals_by_sort(&times, &launches_arrivals, teleport_cycles),
+                account_arrivals(times.iter().copied().zip(arrivals), sorted.into_iter()),
+                account_arrivals_by_sort(&times, &launches_arrivals, TELEPORT_CYCLES),
                 "case {case}: times {times:?}, launches/arrivals {launches_arrivals:?}"
             );
 

@@ -23,7 +23,7 @@
 //! baseline — the invariant `perf_report` checks on every row of the
 //! `BENCH_epr.json` it writes.
 
-use scq_layout::{optimize_placement, CongestionPlacerConfig, PlacementCost, PlacementOutcome};
+use scq_layout::{optimize_placement, PlacementCost, PlacementOutcome};
 use scq_mesh::{CommError, Coord, LinkHeatmap};
 
 use crate::fabric_pipeline::{simulate_epr_on_fabric_with, FabricRun};
@@ -87,17 +87,9 @@ impl PlacementStrategy for BaselinePlacement {
 /// EPR fabric, and steer high-demand data tiles away from the measured
 /// hot columns (see the module docs at the top of this file).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CongestionAwarePlacement {
-    /// Search knobs forwarded to [`optimize_placement`].
-    pub placer: CongestionPlacerConfig,
-}
+pub struct CongestionAwarePlacement;
 
 impl CongestionAwarePlacement {
-    /// A congestion-aware placement with explicit search knobs.
-    pub fn new(placer: CongestionPlacerConfig) -> Self {
-        CongestionAwarePlacement { placer }
-    }
-
     /// Like [`PlacementStrategy::place`], also returning what the
     /// optimizer did — baseline vs optimized cost, moves accepted,
     /// profiling simulations spent. Ablations and the perf report use
@@ -166,7 +158,7 @@ impl CongestionAwarePlacement {
             }
         };
         let mut tiles = machine.tiles.clone();
-        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut evaluate, &self.placer);
+        let outcome = optimize_placement(&mut tiles, &cells, &demand, &mut evaluate);
         machine.tiles = tiles;
         Ok((machine, outcome))
     }
@@ -235,7 +227,7 @@ mod tests {
         simd: &SimdSchedule,
         run: &FabricRun,
     ) -> (PlanarMachine, PlacementOutcome) {
-        CongestionAwarePlacement::default()
+        CongestionAwarePlacement
             .place_traced(n, config, simd, run)
             .unwrap()
     }
@@ -367,7 +359,7 @@ mod tests {
             &c,
             &dag,
             &contended_config(),
-            &CongestionAwarePlacement::default(),
+            &CongestionAwarePlacement,
             &FabricRun::default(),
         )
         .unwrap();

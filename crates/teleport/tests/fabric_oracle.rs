@@ -48,7 +48,6 @@ fn arb_config() -> impl Strategy<Value = EprConfig> {
         EprConfig {
             hop_cycles,
             bandwidth,
-            teleport_cycles: 3,
             lead_slack_cycles,
         }
     })

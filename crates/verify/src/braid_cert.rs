@@ -544,7 +544,7 @@ mod tests {
         let c = b.finish();
         let dag = DependencyDag::from_circuit(&c);
         let graph = scq_ir::InteractionGraph::from_circuit(&c);
-        let layout = scq_layout::place(&graph, scq_layout::LayoutStrategy::InteractionAware, None);
+        let layout = scq_layout::place(&graph, scq_layout::LayoutStrategy::InteractionAware);
         let mut sink = EventCollector::default();
         let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
             .expect("schedules");

@@ -49,25 +49,16 @@ impl<'a> FabricView<'a> {
     /// The braid backend's view: qubit tiles anchor at their routers
     /// (tile `(x, y)` owns router `(2x+1, 2y+1)` of the
     /// [`braid_mesh_dims`] mesh), T-state factories at the scheduler's
-    /// [`factory_sites`], and two-qubit gates braid anchor-to-anchor.
-    ///
-    /// `factory_count` mirrors `BraidConfig::factory_count`: `None`
-    /// provisions one factory per two grid columns, as the scheduler
-    /// does.
-    pub fn braid(
-        layout: &Layout,
-        circuit: &Circuit,
-        factory_count: Option<u32>,
-        defects: Option<&'a DefectMap>,
-    ) -> Self {
+    /// [`factory_sites`] with its default count (one per grid column,
+    /// at least two), and two-qubit gates braid anchor-to-anchor.
+    pub fn braid(layout: &Layout, circuit: &Circuit, defects: Option<&'a DefectMap>) -> Self {
         let (mesh_w, mesh_h) = braid_mesh_dims(layout, circuit);
         let anchors = layout
             .tiles()
             .iter()
             .map(|t| Coord::new(2 * t.x + 1, 2 * t.y + 1))
             .collect();
-        let count = factory_count.unwrap_or_else(|| layout.grid_width().max(2));
-        let factories = factory_sites(mesh_w, mesh_h, count);
+        let factories = factory_sites(mesh_w, mesh_h, layout.grid_width().max(2));
         let mut seen = HashSet::new();
         let factory_users = circuit
             .iter()
@@ -547,11 +538,10 @@ mod tests {
         let layout = scq_layout::place(
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
-            None,
         );
         let machine = PlanarMachine::new(c.num_qubits(), None);
         let fabrics = [
-            FabricView::braid(&layout, &c, None, None),
+            FabricView::braid(&layout, &c, None),
             FabricView::planar(&machine, &c, None),
         ];
         let findings = checked(&c, &dag, &fabrics);
@@ -588,14 +578,13 @@ mod tests {
         let layout = scq_layout::place(
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
-            None,
         );
         let (mw, mh) = braid_mesh_dims(&layout, &c);
         let anchor = Coord::new(2 * layout.tile(0).x + 1, 2 * layout.tile(0).y + 1);
         let map =
             DefectMap::from_text(&format!("dims {mw} {mh}\nnode {} {}\n", anchor.x, anchor.y))
                 .unwrap();
-        let fabrics = [FabricView::braid(&layout, &c, None, Some(&map))];
+        let fabrics = [FabricView::braid(&layout, &c, Some(&map))];
         let findings = checked(&c, &dag, &fabrics);
         assert!(findings
             .iter()
@@ -616,7 +605,6 @@ mod tests {
         let layout = scq_layout::place(
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
-            None,
         );
         let (mw, mh) = braid_mesh_dims(&layout, &c);
         let t0 = layout.tile(0);
@@ -633,7 +621,7 @@ mod tests {
             }
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let fabrics = [FabricView::braid(&layout, &c, None, Some(&map))];
+        let fabrics = [FabricView::braid(&layout, &c, Some(&map))];
         let findings = checked(&c, &dag, &fabrics);
         assert!(
             findings.iter().any(|f| f.invariant == Invariant::Admission),

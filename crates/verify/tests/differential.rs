@@ -374,7 +374,7 @@ fn engine_trace(
     defect_seed: Option<u64>,
 ) -> Option<(BraidTrace, Option<DefectMap>)> {
     let graph = InteractionGraph::from_circuit(c);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let (mw, mh) = braid_mesh_dims(&layout, c);
     let map = defect_seed.map(|seed| DefectMap::sample(Topology::new(mw, mh), 0.03, seed));
     let config = BraidConfig {

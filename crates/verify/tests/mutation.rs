@@ -41,7 +41,7 @@ fn workload(n: u32) -> (Circuit, DependencyDag) {
 fn braid_fixture() -> (Circuit, DependencyDag, BraidTrace) {
     let (c, dag) = workload(10);
     let graph = InteractionGraph::from_circuit(&c);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let mut sink = EventCollector::default();
     let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
         .expect("the mutation workload schedules cleanly");

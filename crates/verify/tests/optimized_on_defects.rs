@@ -55,13 +55,8 @@ fn congestion_aware_placement_on_defects_certifies_and_never_loses_to_baseline()
                 fault_seed: seed,
                 transcript: true,
             };
-            let optimized = schedule_planar_with(
-                &circuit,
-                &dag,
-                &config,
-                &CongestionAwarePlacement::default(),
-                &run,
-            );
+            let optimized =
+                schedule_planar_with(&circuit, &dag, &config, &CongestionAwarePlacement, &run);
             let baseline = schedule_planar_with(&circuit, &dag, &config, &BaselinePlacement, &run);
             let (schedule, transcript) = match optimized {
                 Ok(out) => out,

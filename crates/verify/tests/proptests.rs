@@ -87,7 +87,7 @@ proptest! {
     fn braid_traces_certify_clean(c in arb_circuit()) {
         let dag = DependencyDag::from_circuit(&c);
         let graph = InteractionGraph::from_circuit(&c);
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+        let layout = place(&graph, LayoutStrategy::InteractionAware);
         let trace = braid_trace(&c, &dag, &layout, None)
             .expect("clean fabrics schedule every corpus circuit");
         let findings = certify_braid_trace(&trace, &c, &dag, None);
@@ -98,7 +98,7 @@ proptest! {
     fn braid_traces_certify_clean_on_defects(c in arb_circuit(), seed in 0u64..500) {
         let dag = DependencyDag::from_circuit(&c);
         let graph = InteractionGraph::from_circuit(&c);
-        let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+        let layout = place(&graph, LayoutStrategy::InteractionAware);
         let (mw, mh) = braid_mesh_dims(&layout, &c);
         let map = DefectMap::sample(Topology::new(mw, mh), 0.03, seed);
         // A structured scheduling error (the defects cut the machine

@@ -28,7 +28,7 @@ fn main() {
     println!();
     println!("policy    schedule/CP    mesh utilization    braids    adaptive    drops");
     for policy in Policy::ALL {
-        let layout = place(&graph, policy.layout_strategy(), None);
+        let layout = place(&graph, policy.layout_strategy());
         let config = BraidConfig {
             policy,
             code_distance: 5,

@@ -63,6 +63,6 @@ pub mod prelude {
     pub use scq_ir::{analysis, Circuit, DependencyDag, Gate, InteractionGraph, Qubit};
     pub use scq_layout::{place, Layout, LayoutStrategy};
     pub use scq_serve::{BatchRunner, ScheduleRequest, ScheduleResponse};
-    pub use scq_surface::{CodeDistanceModel, Encoding, Technology, TileGeometry};
+    pub use scq_surface::{required_distance_for_ops, Encoding, Technology, TileGeometry};
     pub use scq_teleport::{schedule_planar, DistributionPolicy, PlanarConfig};
 }

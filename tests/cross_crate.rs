@@ -5,8 +5,8 @@ use scq::apps::{gse, Benchmark, GseParams};
 use scq::braid::{schedule, schedule_circuit, BraidConfig, Policy};
 use scq::ir::{circuit_from_qasm, circuit_to_qasm, Circuit, DependencyDag, InteractionGraph};
 use scq::layout::{place, LayoutStrategy};
-use scq::partition::{bisect, Graph, PartitionConfig};
-use scq::surface::{CodeDistanceModel, Encoding, Technology, TileGeometry};
+use scq::partition::{bisect, Graph};
+use scq::surface::{required_distance_for_ops, Encoding, Technology, TileGeometry};
 use scq::teleport::{schedule_planar, PlanarConfig};
 
 /// QASM text -> parse -> layout -> braid schedule: the external-program
@@ -45,7 +45,7 @@ fn interaction_graph_partitions_cleanly() {
     let graph = InteractionGraph::from_circuit(&circuit);
     let edges: Vec<(u32, u32, u64)> = graph.iter().collect();
     let pgraph = Graph::from_edges(graph.num_qubits(), &edges).unwrap();
-    let result = bisect(&pgraph, &PartitionConfig::default());
+    let result = bisect(&pgraph, 0.5);
     assert_eq!(result.assignment.len(), 13);
     let total = result.left_weight + result.right_weight;
     assert_eq!(total, 13);
@@ -66,7 +66,7 @@ fn optimized_layout_shortens_braids() {
         ..Default::default()
     };
     let run = |strategy: LayoutStrategy| {
-        let layout = place(&graph, strategy, None);
+        let layout = place(&graph, strategy);
         schedule(&circuit, &dag, &layout, &config).unwrap()
     };
     let optimized = run(LayoutStrategy::InteractionAware);
@@ -86,7 +86,7 @@ fn backends_share_the_dag() {
     let circuit = Benchmark::IsingSemi.small_circuit();
     let dag = DependencyDag::from_circuit(&circuit);
     let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, LayoutStrategy::InteractionAware, None);
+    let layout = place(&graph, LayoutStrategy::InteractionAware);
     let braid = schedule(
         &circuit,
         &dag,
@@ -109,11 +109,8 @@ fn backends_share_the_dag() {
 #[test]
 fn distance_to_geometry_pipeline() {
     let tech = Technology::superconducting_current();
-    let model = CodeDistanceModel::default();
     let circuit = Benchmark::Gse.small_circuit();
-    let d = model
-        .required_distance_for_ops(tech.p_physical, circuit.len() as f64)
-        .unwrap();
+    let d = required_distance_for_ops(tech.p_physical, circuit.len() as f64).unwrap();
     let planar = TileGeometry::new(Encoding::Planar, d);
     let dd = TileGeometry::new(Encoding::DoubleDefect, d);
     let q = u64::from(circuit.num_qubits());
@@ -135,7 +132,7 @@ fn layout_and_mesh_dimensions_agree() {
     let circuit = b.finish();
     let dag = DependencyDag::from_circuit(&circuit);
     let graph = InteractionGraph::from_circuit(&circuit);
-    let layout = place(&graph, LayoutStrategy::Linear, Some((3, 3)));
+    let layout = place(&graph, LayoutStrategy::Linear);
     let result = schedule(
         &circuit,
         &dag,

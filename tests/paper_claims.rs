@@ -50,7 +50,7 @@ fn table2_parallelism_factors() {
 fn braid_ratio(circuit: &scq::ir::Circuit, policy: Policy) -> f64 {
     let dag = DependencyDag::from_circuit(circuit);
     let graph = InteractionGraph::from_circuit(circuit);
-    let layout = place(&graph, policy.layout_strategy(), None);
+    let layout = place(&graph, policy.layout_strategy());
     let config = BraidConfig {
         policy,
         code_distance: 3,
@@ -107,7 +107,7 @@ fn fig6_utilization_rises_with_policy() {
     let util = |policy: Policy| {
         let dag = DependencyDag::from_circuit(&circuit);
         let graph = InteractionGraph::from_circuit(&circuit);
-        let layout = place(&graph, policy.layout_strategy(), None);
+        let layout = place(&graph, policy.layout_strategy());
         let config = BraidConfig {
             policy,
             code_distance: 3,
