@@ -17,12 +17,14 @@
 //!
 //! # Engine architecture
 //!
-//! Two engines produce provably identical schedules:
+//! Both engines run on the one [`BraidMachine`] of their layout (its
+//! mesh, anchors and factory sites) and produce provably identical
+//! schedules:
 //!
 //! * **The event-driven fast path** — incremental ready/leg2-ready sets
 //!   maintained on state transitions (no per-cycle O(n) rescan),
 //!   event-driven time advance that jumps idle stretches straight to the
-//!   next release via `Mesh::tick_n`, allocation-free fused route+claim
+//!   next release, allocation-free fused route+claim
 //!   walks with pooled route buffers, and tracing that is generic over a
 //!   [`TraceSink`] so untraced runs pay no event or clone cost. It has
 //!   two entry points: [`schedule`] (pristine mesh, [`NoTrace`]) and
@@ -62,15 +64,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod machine;
 mod policy;
 mod reference;
 mod scheduler;
 mod trace;
 
+pub use machine::BraidMachine;
 pub use policy::Policy;
 pub use reference::{schedule_reference, schedule_traced_reference};
 pub use scheduler::{
-    braid_mesh_dims, factory_sites, op_latency_cycles, schedule, schedule_circuit, schedule_with,
-    BraidConfig, BraidSchedule, ScheduleError, TGateModel,
+    op_latency_cycles, schedule, schedule_circuit, schedule_with, BraidConfig, BraidSchedule,
+    ScheduleError, TGateModel,
 };
 pub use trace::{BraidEvent, BraidTrace, EventCollector, NoTrace, TraceSink};

@@ -16,14 +16,14 @@ use std::collections::BinaryHeap;
 
 use scq_ir::{Circuit, DependencyDag};
 use scq_layout::Layout;
-use scq_mesh::{Coord, Mesh, Path};
+use scq_mesh::{Mesh, Path};
 
+use crate::machine::BraidMachine;
 use crate::policy::{sort_candidates, Candidate, Policy};
 use crate::scheduler::{
-    factory_sites, op_latency_cycles, BraidConfig, BraidSchedule, OpState, ScheduleError,
-    TGateModel,
+    op_latency_cycles, BraidConfig, BraidSchedule, OpState, ScheduleError, TGateModel,
 };
-use crate::trace::{BraidEvent, BraidTrace};
+use crate::trace::{BraidEvent, BraidTrace, EventCollector};
 
 /// Naive-stepping counterpart of [`crate::schedule`]; see the module
 /// docs.
@@ -85,29 +85,14 @@ pub fn schedule_traced_reference(
             drops: 0,
             total_braid_hops: 0,
         };
-        let trace = BraidTrace {
-            mesh_width: 2 * layout.grid_width().max(1) + 1,
-            mesh_height: 2 * layout.grid_height().max(1) + 1,
-            cycles: 0,
-            events: Vec::new(),
-        };
+        let trace = EventCollector::default().into_trace(layout, circuit, &empty);
         return Ok((empty, trace));
     }
 
-    // Double-resolution mesh: tile (x, y) anchors at router (2x+1, 2y+1);
-    // even rows/columns are the braid channels between tiles.
-    let mesh_w = 2 * layout.grid_width() + 1;
-    let mesh_h = 2 * layout.grid_height() + 1;
-    let mut mesh = Mesh::new(mesh_w, mesh_h);
-    let anchor = |q: u32| {
-        let t = layout.tile(q);
-        Coord::new(2 * t.x + 1, 2 * t.y + 1)
-    };
-
-    let factory_count = config
-        .factory_count
-        .unwrap_or_else(|| layout.grid_width().max(2));
-    let factories = factory_sites(mesh_w, mesh_h, factory_count);
+    let machine = BraidMachine::new(layout, config.factory_count);
+    let mut mesh = Mesh::new(machine.topology.width(), machine.topology.height());
+    let anchor = |q: u32| machine.anchors[q as usize];
+    let factories = &machine.factories;
     let mut factory_free_at: Vec<u64> = vec![0; factories.len()];
 
     let mut state = vec![OpState::Blocked; n];
@@ -423,16 +408,10 @@ pub fn schedule_traced_reference(
             }
         }
 
-        mesh.tick();
         t += 1;
     }
 
-    stats.mesh_utilization = mesh.utilization();
-    let trace = BraidTrace {
-        mesh_width: mesh_w,
-        mesh_height: mesh_h,
-        cycles: stats.cycles,
-        events,
-    };
+    stats.mesh_utilization = machine.utilization(&stats, d);
+    let trace = EventCollector { events }.into_trace(layout, circuit, &stats);
     Ok((stats, trace))
 }

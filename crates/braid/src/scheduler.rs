@@ -10,6 +10,7 @@ use scq_ir::{Circuit, DependencyDag, Gate};
 use scq_layout::Layout;
 use scq_mesh::{CommError, Coord, DefectMap, Mesh, Path, RouteScratch};
 
+use crate::machine::BraidMachine;
 use crate::policy::{sort_candidates, Candidate, Policy};
 use crate::trace::{BraidTrace, EventCollector, NoTrace, TraceSink};
 
@@ -45,8 +46,9 @@ pub struct BraidConfig {
     /// more, and the one after routes adaptively if `drop_timeout >
     /// 2 * route_timeout` (as by default), else it is dropped again.
     pub drop_timeout: u32,
-    /// Number of magic-state factory sites; `None` derives one per two
-    /// grid columns (a top and bottom factory row, Figure 3b).
+    /// Number of magic-state factory sites; `None` is the
+    /// [`BraidMachine`] default, one per grid column and at least two,
+    /// split over a top and a bottom factory row (Figure 3b).
     pub factory_count: Option<u32>,
     /// Cycles a factory needs to produce one magic state.
     pub magic_production_cycles: u32,
@@ -95,7 +97,9 @@ pub struct BraidSchedule {
     pub cycles: u64,
     /// Dependency-limited lower bound (weighted critical path).
     pub critical_path_cycles: u64,
-    /// Average fraction of busy mesh links (Figure 6, red curve).
+    /// Average fraction of busy mesh links (Figure 6, red curve):
+    /// `total_braid_hops * (d + 1) / (cycles * num_links)`, since every
+    /// placed leg holds the links of its route for `d + 1` cycles.
     pub mesh_utilization: f64,
     /// Number of operations scheduled.
     pub total_ops: usize,
@@ -241,17 +245,6 @@ impl OpState {
     }
 }
 
-/// Evenly spreads `count` factory sites along the top and bottom router
-/// rows of a `mesh_w x mesh_h` mesh (the edge factory placement of
-/// Figure 3b, via the shared [`scq_surface::edge_factory_sites`] rule).
-/// Duplicate positions collapse, so fewer sites may return.
-pub fn factory_sites(mesh_w: u32, mesh_h: u32, count: u32) -> Vec<Coord> {
-    scq_surface::edge_factory_sites(mesh_w, mesh_h, count)
-        .into_iter()
-        .map(|(x, y)| Coord::new(x, y))
-        .collect()
-}
-
 /// Schedules `circuit` on the tiled double-defect architecture.
 ///
 /// Braids are simulated as circuit-switched messages: each braid leg
@@ -289,35 +282,19 @@ pub fn schedule(
     schedule_with(circuit, dag, layout, config, None, &mut NoTrace)
 }
 
-/// Router-mesh dimensions the braid engine uses for this layout and
-/// circuit — build braid-resolution [`DefectMap`]s on exactly these.
-///
-/// The mesh is double the tile grid's resolution: tile (x, y) anchors
-/// at router (2x+1, 2y+1) and even rows/columns are the braid channels
-/// between tiles. The engine and the trace header derive their
-/// dimensions from this one formula; empty circuits clamp degenerate
-/// zero-size grids to a 3x3 mesh for a well-formed trace.
-pub fn braid_mesh_dims(layout: &Layout, circuit: &Circuit) -> (u32, u32) {
-    let (w, h) = if circuit.is_empty() {
-        (layout.grid_width().max(1), layout.grid_height().max(1))
-    } else {
-        (layout.grid_width(), layout.grid_height())
-    };
-    (2 * w + 1, 2 * h + 1)
-}
-
 impl EventCollector {
     /// Assembles the [`BraidTrace`] of a [`schedule_with`] run that
     /// recorded into this collector — the static, replayable schedule
     /// artifact with every braid leg's route and open/close cycles,
     /// which scq-verify's `certify_braid_trace` proves conflict-free.
+    /// Its header is the [`BraidMachine`] mesh of `layout`.
     pub fn into_trace(
         self,
         layout: &Layout,
-        circuit: &Circuit,
+        _circuit: &Circuit,
         schedule: &BraidSchedule,
     ) -> BraidTrace {
-        let (mesh_width, mesh_height) = braid_mesh_dims(layout, circuit);
+        let (mesh_width, mesh_height) = BraidMachine::layout_dims(layout);
         BraidTrace {
             mesh_width,
             mesh_height,
@@ -516,7 +493,7 @@ impl Engine {
 /// (the mesh holds them permanently claimed), dead factory sites are
 /// skipped, and T gates only consider factories with a live route to
 /// their target. The map must be built on the router-resolution
-/// dimensions returned by [`braid_mesh_dims`]; an empty map is treated
+/// dimensions of the layout's [`BraidMachine`]; an empty map is treated
 /// as `None`, so it schedules bit-identically to the pristine mesh.
 ///
 /// The sink decides what is recorded: [`NoTrace`] keeps the run
@@ -537,8 +514,9 @@ impl Engine {
 ///    *zero* attempts cannot change any scheduler state until the next
 ///    release fires (failure counters only advance on attempts, and no
 ///    ready T gate means factory availability is irrelevant), so `t`
-///    jumps straight to the release heap's next wake time and the mesh
-///    utilization clock advances in bulk via [`Mesh::tick_n`]. Cycles
+///    jumps straight to the release heap's next wake time. Nothing else
+///    advances: the mesh utilization is a closed form of the finished
+///    schedule's counts ([`BraidSchedule::mesh_utilization`]). Cycles
 ///    with a failed attempt still step one-by-one — starvation
 ///    escalation is counted per cycle and is part of the schedule
 ///    semantics.
@@ -573,7 +551,7 @@ impl Engine {
 /// # Panics
 ///
 /// Panics if `dag` was not built from `circuit` or the map's dimensions
-/// differ from [`braid_mesh_dims`].
+/// differ from the [`BraidMachine`] mesh.
 #[allow(clippy::too_many_lines)]
 pub fn schedule_with(
     circuit: &Circuit,
@@ -612,18 +590,9 @@ pub fn schedule_with(
         return Ok(stats);
     }
 
-    let (mesh_w, mesh_h) = braid_mesh_dims(layout, circuit);
-    let anchors: Vec<Coord> = (0..circuit.num_qubits())
-        .map(|q| {
-            let tile = layout.tile(q);
-            Coord::new(2 * tile.x + 1, 2 * tile.y + 1)
-        })
-        .collect();
-
-    let factory_count = config
-        .factory_count
-        .unwrap_or_else(|| layout.grid_width().max(2));
-    let mut factories = factory_sites(mesh_w, mesh_h, factory_count);
+    let mut machine = BraidMachine::new(layout, config.factory_count);
+    let (mesh_w, mesh_h) = (machine.topology.width(), machine.topology.height());
+    let anchors = &machine.anchors;
 
     // Defect admission: prove up front that the circuit is routable at
     // all on the cut mesh (dead anchors, disconnected pairs, dead or
@@ -651,8 +620,9 @@ pub fn schedule_with(
                 router: anchors[q],
             });
         }
-        let full_factory_count = factories.len();
-        factories.retain(|&f| !map.node_dead(f));
+        let full_factory_count = machine.factories.len();
+        machine.factories.retain(|&f| !map.node_dead(f));
+        let factories = &machine.factories;
         let wants_factory_braids = config.t_gate_model == TGateModel::FactoryBraids
             && circuit
                 .instructions()
@@ -709,7 +679,7 @@ pub fn schedule_with(
         fail_count: vec![0u32; n],
         held_paths: vec![None; n],
         releases: BinaryHeap::new(),
-        factory_free_at: vec![0; factories.len()],
+        factory_free_at: vec![0; machine.factories.len()],
         stats,
         path_pool: Vec::new(),
         route_scratch: RouteScratch::new(),
@@ -766,8 +736,8 @@ pub fn schedule_with(
     let env = IssueEnv {
         circuit,
         config,
-        factories: &factories,
-        anchors: &anchors,
+        factories: &machine.factories,
+        anchors,
         hold: u64::from(d) + 1,
         factory_reach: &factory_reach,
     };
@@ -920,19 +890,16 @@ pub fn schedule_with(
             // and account the skipped idle cycles in bulk. (When a T
             // gate is waiting on a factory it shows up as a failed
             // attempt, so factory wake times never gate this jump.)
-            let wake = eng
+            t = eng
                 .releases
                 .peek()
                 .map_or(t + 1, |&Reverse((rt, _, _))| rt.max(t + 1));
-            eng.mesh.tick_n(wake - t);
-            t = wake;
         } else {
-            eng.mesh.tick();
             t += 1;
         }
     }
 
-    eng.stats.mesh_utilization = eng.mesh.utilization();
+    eng.stats.mesh_utilization = machine.utilization(&eng.stats, d);
     Ok(eng.stats)
 }
 
@@ -1166,24 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn factory_sites_are_on_edge_rows() {
-        let sites = factory_sites(21, 21, 10);
-        assert!(!sites.is_empty());
-        for s in &sites {
-            assert!(s.y == 0 || s.y == 20, "site {s} not on an edge row");
-            assert!(s.x < 21);
-        }
-    }
-
-    #[test]
-    fn factory_sites_handle_tiny_counts() {
-        let sites = factory_sites(5, 5, 1);
-        assert_eq!(sites.len(), 1);
-        let sites = factory_sites(5, 5, 2);
-        assert!(!sites.is_empty());
-    }
-
-    #[test]
     fn op_latency_model() {
         assert_eq!(
             op_latency_cycles(Gate::Cnot, 5, TGateModel::FactoryBraids),
@@ -1220,7 +1169,7 @@ mod tests {
             ..Default::default()
         };
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         let map = DefectMap::empty(scq_mesh::Topology::new(mw, mh));
         let clean = schedule(&c, &dag, &layout, &config).unwrap();
         let defected = on_defects(&c, &dag, &layout, &config, &map).unwrap();
@@ -1246,7 +1195,7 @@ mod tests {
             ..Default::default()
         };
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         // Kill a router on the direct corridor between the two anchors
         // (anchors sit at odd coordinates; the XY corridor runs along
         // the anchor row).
@@ -1281,7 +1230,7 @@ mod tests {
             ..Default::default()
         };
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         // Wall off the second qubit's anchor column entirely.
         let cut_x = 2;
         let mut text = format!("dims {mw} {mh}\n");
@@ -1305,7 +1254,7 @@ mod tests {
         let dag = DependencyDag::from_circuit(&c);
         let config = BraidConfig::default();
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         // Tile (0, 0) anchors at router (1, 1).
         let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode 1 1\n")).unwrap();
         let err = on_defects(&c, &dag, &layout, &config, &map).unwrap_err();
@@ -1335,10 +1284,9 @@ mod tests {
         let dag = DependencyDag::from_circuit(&c);
         let config = BraidConfig::default();
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
-        let tile = layout.tile(2);
-        let (x, y) = (2 * tile.x + 1, 2 * tile.y + 1);
-        let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode {x} {y}\n")).unwrap();
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
+        let a = BraidMachine::new(&layout, None).anchors[2];
+        let map = DefectMap::from_text(&format!("dims {mw} {mh}\nnode {} {}\n", a.x, a.y)).unwrap();
         let defected = on_defects(&c, &dag, &layout, &config, &map).unwrap();
         assert_eq!(defected.total_ops, 2);
     }
@@ -1351,7 +1299,7 @@ mod tests {
         let dag = DependencyDag::from_circuit(&c);
         let config = BraidConfig::default();
         let layout = layout_for(&c, config.policy);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         // Factories sit on the top and bottom router rows: kill both.
         let mut text = format!("dims {mw} {mh}\n");
         for x in 0..mw {
@@ -1367,7 +1315,7 @@ mod tests {
         let cnot = single_cnot();
         let dag2 = DependencyDag::from_circuit(&cnot);
         let layout2 = layout_for(&cnot, config.policy);
-        let (mw2, mh2) = braid_mesh_dims(&layout2, &cnot);
+        let (mw2, mh2) = BraidMachine::grid_dims(cnot.num_qubits());
         let mut text2 = format!("dims {mw2} {mh2}\n");
         for x in 0..mw2 {
             text2.push_str(&format!("node {x} 0\nnode {x} {}\n", mh2 - 1));

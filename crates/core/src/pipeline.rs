@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use scq_apps::Benchmark;
 use scq_braid::{
-    braid_mesh_dims, schedule_with, BraidConfig, BraidSchedule, BraidTrace, EventCollector, NoTrace,
+    schedule_with, BraidConfig, BraidMachine, BraidSchedule, BraidTrace, EventCollector, NoTrace,
 };
 use scq_estimate::{estimate_both, AppProfile, EstimateConfig, ResourceEstimate};
 use scq_ir::{analysis::CircuitStats, Circuit, DependencyDag, InteractionGraph};
@@ -147,6 +147,8 @@ impl<'a> ArtifactContext<'a> {
 
     /// The same context with its layout artifact seeded — a memoized
     /// placement, say — so `interaction-analysis` and `layout` skip.
+    /// It must place the circuit's qubits: the braid defect map is
+    /// materialized on the mesh of the circuit's qubit count.
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
         self.layout = Some(layout);
@@ -236,30 +238,24 @@ impl<'a> ArtifactContext<'a> {
     /// backend of one run, once per context (later calls keep the first
     /// result). The runner calls it before its first scheduling pass,
     /// and a static check pass for both backends; a scheduling pass run
-    /// on its own covers just its backend.
+    /// on its own covers just its backend. Both meshes follow from the
+    /// circuit's qubit count ([`BraidMachine::grid_dims`],
+    /// [`PlanarMachine::grid_dims`]), so no pass needs to run first.
     ///
     /// # Errors
     ///
     /// [`ToolflowError::Defects`] for a malformed map file or one that
     /// fits none of `backends`' meshes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the braid backend before a layout exists.
     pub fn materialize_defects(&mut self, backends: &[BackendKind]) -> Result<(), ToolflowError> {
         if self.defect_maps.is_some() {
             return Ok(());
         }
+        let n = self.circuit.num_qubits();
         let meshes: Vec<(BackendKind, (u32, u32))> = backends
             .iter()
             .map(|&backend| match backend {
-                BackendKind::Braid => {
-                    let layout = self.layout.as_ref().expect("layout runs first");
-                    (backend, braid_mesh_dims(layout, self.circuit))
-                }
-                BackendKind::Planar => {
-                    (backend, PlanarMachine::grid_dims(self.circuit.num_qubits()))
-                }
+                BackendKind::Braid => (backend, BraidMachine::grid_dims(n)),
+                BackendKind::Planar => (backend, PlanarMachine::grid_dims(n)),
             })
             .collect();
         let (maps, notes) = self.defects.materialize(&meshes)?;
@@ -530,13 +526,14 @@ impl ToolflowPass for StaticCheckPass {
         cx.materialize_defects(&[BackendKind::Braid, BackendKind::Planar])?;
         let dag = cx.dag.as_ref().expect("normalize-ir runs first");
         let layout = cx.layout.as_ref().expect("layout runs first");
-        let machine = match cx.defect_map(BackendKind::Planar) {
+        let braid = BraidMachine::new(layout, None);
+        let planar = match cx.defect_map(BackendKind::Planar) {
             Some(map) => PlanarMachine::with_defects(cx.circuit.num_qubits(), None, map)?,
             None => PlanarMachine::new(cx.circuit.num_qubits(), None),
         };
         let fabrics = [
-            FabricView::braid(layout, cx.circuit, cx.defect_map(BackendKind::Braid)),
-            FabricView::planar(&machine, cx.circuit, cx.defect_map(BackendKind::Planar)),
+            FabricView::braid(&braid, cx.circuit, cx.defect_map(BackendKind::Braid)),
+            FabricView::planar(&planar, cx.circuit, cx.defect_map(BackendKind::Planar)),
         ];
         let mut findings = Vec::new();
         self.0.run(cx.circuit, dag, &fabrics, &mut findings);
@@ -864,11 +861,46 @@ mod tests {
 
         let mut braid_only = ArtifactContext::for_circuit(&c, config).with_defects(spec);
         let err = PipelineRunner::braid().run(&mut braid_only).unwrap_err();
-        let (bw, bh) = braid_mesh_dims(clean.layout().unwrap(), &c);
+        let (bw, bh) = BraidMachine::grid_dims(c.num_qubits());
         let expected = format!("defect map p.map is {w}x{h} but the braid mesh is {bw}x{bh}");
         assert!(matches!(err, ToolflowError::Defects(_)), "{err}");
         assert_eq!(err.to_string(), expected);
         assert!(braid_only.braid().is_none(), "nothing scheduled");
+    }
+
+    #[test]
+    fn a_fresh_context_materializes_the_braid_map_from_the_qubit_count() {
+        let c = small();
+        let spec = DefectSpec::Sampled {
+            rate: 0.02,
+            seed: 7,
+        };
+        let mut fresh =
+            ArtifactContext::for_circuit(&c, ToolflowConfig::default()).with_defects(spec);
+        let mut run = fresh.clone();
+        fresh.materialize_defects(&[BackendKind::Braid]).unwrap();
+        let map = fresh.defect_map(BackendKind::Braid).expect("a sampled map");
+        let topology = map.topology();
+        let dims = (topology.width(), topology.height());
+        assert_eq!(dims, BraidMachine::grid_dims(c.num_qubits()));
+        PipelineRunner::braid().run(&mut run).unwrap();
+        assert_eq!(run.defect_map(BackendKind::Braid), Some(map));
+    }
+
+    #[test]
+    fn both_machines_size_their_grids_as_place_lays_out_the_qubits() {
+        use scq_layout::LayoutStrategy;
+        for n in (0..=1024).chain([65_536]) {
+            let c = Circuit::builder("idle", n).finish();
+            let layout = place(&InteractionGraph::from_circuit(&c), LayoutStrategy::Linear);
+            let (w, h) = (layout.grid_width(), layout.grid_height());
+            assert_eq!(
+                BraidMachine::grid_dims(n),
+                (2 * w + 1, 2 * h + 1),
+                "{n} qubits"
+            );
+            assert_eq!(PlanarMachine::grid_dims(n), (w, h + 2), "{n} qubits");
+        }
     }
 
     fn pass_names(trace: &PipelineTrace) -> Vec<&'static str> {

@@ -5,7 +5,7 @@
 //! 69-router-wide braid mesh takes two words a bitboard row.
 
 use scq_apps::Benchmark;
-use scq_braid::{braid_mesh_dims, schedule_with, BraidConfig, BraidSchedule, Policy, TraceSink};
+use scq_braid::{schedule_with, BraidConfig, BraidMachine, BraidSchedule, Policy, TraceSink};
 use scq_core::{ArtifactContext, PipelineRunner, ToolflowConfig};
 use scq_ir::{circuit_to_qasm, Circuit};
 use scq_mesh::Path;
@@ -59,7 +59,7 @@ fn schedule_counted(
         ..Default::default()
     };
     let layout = cx.layout().expect("layout ran");
-    let (width, height) = braid_mesh_dims(layout, circuit);
+    let (width, height) = BraidMachine::grid_dims(circuit.num_qubits());
     let mut counter = SearchCounter {
         height,
         row_words: width.div_ceil(64),

@@ -14,8 +14,8 @@
 //! The simulation is fully event-driven: every in-flight message keeps
 //! a route cursor and a pending hop-completion event;
 //! [`Fabric::run_to_completion`] processes events in `(time, message)`
-//! order and jumps straight across idle stretches, exactly like the
-//! braid engine's `tick_n` jumps — there is no per-cycle stepping
+//! order and jumps straight across idle stretches, as the braid engine
+//! jumps to its next release — there is no per-cycle stepping
 //! anywhere.
 //!
 //! The event structures follow the traffic, and together they pop
@@ -392,17 +392,6 @@ impl Fabric {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> FabricStats {
         self.stats
-    }
-
-    /// Busy-cycles accumulated per link (canonical [`Topology`] link
-    /// indexing) — the congestion heatmap.
-    pub fn link_busy_cycles(&self) -> &[u64] {
-        &self.link_busy
-    }
-
-    /// Busy-cycles on the hottest link.
-    pub fn hottest_link_busy_cycles(&self) -> u64 {
-        self.link_busy.iter().copied().max().unwrap_or(0)
     }
 
     /// Snapshots the per-link busy and stall counters into a stable
@@ -897,8 +886,9 @@ mod tests {
         }
         f.run_to_completion();
         // 4 messages x 3 links x 3 cycles.
-        assert_eq!(f.link_busy_cycles().iter().sum::<u64>(), 36);
-        assert_eq!(f.hottest_link_busy_cycles(), 12);
+        let h = f.heatmap();
+        assert_eq!(h.busy_cycles().iter().sum::<u64>(), 36);
+        assert_eq!(h.hottest_link_busy_cycles(), 12);
         assert_eq!(f.stats().peak_in_flight, 4);
     }
 

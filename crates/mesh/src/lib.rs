@@ -16,8 +16,7 @@
 //! with braids as messages in this network" (Section 6.1). [`Mesh`] is
 //! that network: routers sit at tile corners, braids atomically claim
 //! whole routes (nodes and links) because defects can neither cross nor
-//! be buffered, and the mesh tracks the utilization statistic Figure 6
-//! reports. [`Fabric`] is the planar machine's counterpart (Section
+//! be buffered. [`Fabric`] is the planar machine's counterpart (Section
 //! 8.1): EPR halves are in-flight messages with a route cursor and a
 //! per-hop countdown, links have a finite number of swap lanes, and
 //! saturated links queue messages in FIFO order — the congestion the
@@ -56,9 +55,7 @@
 //! allocates nothing; [`Mesh::route_adaptive_into`] reuses one
 //! [`RouteScratch`] across searches, and
 //! [`Mesh::claim_route_adaptive_into`] claims the route it finds
-//! without a second walk; and [`Mesh::tick_n`] advances
-//! the utilization clock over an idle stretch in one step so an
-//! event-driven scheduler can jump between wake times.
+//! without a second walk.
 //!
 //! Beside its owner arrays, a [`Mesh`] keeps occupancy bitboards: free
 //! routers and free horizontal links per row, free vertical links per
@@ -69,9 +66,7 @@
 //! a dimension-ordered corridor a word at a time, and
 //! [`Mesh::route_certainly_blocked`] floods the free region bit-parallel
 //! and says exactly whether any free route exists, so a scheduler that
-//! asks first never runs a failing search. The line reads
-//! ([`Mesh::row_claimed_count`], [`Mesh::row_claimed_interval`] and
-//! their column twins) are popcounts and trailing/leading-zero counts.
+//! asks first never runs a failing search.
 //!
 //! # Examples
 //!
@@ -83,8 +78,7 @@
 //! let b = mesh.route_xy(Coord::new(0, 1), Coord::new(7, 1));
 //! assert!(mesh.try_claim(&a, 1));
 //! assert!(mesh.try_claim(&b, 2)); // parallel rows don't conflict
-//! mesh.tick();
-//! assert!(mesh.utilization() > 0.0);
+//! assert_eq!(mesh.busy_links(), 14);
 //! ```
 
 #![forbid(unsafe_code)]

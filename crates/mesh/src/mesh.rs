@@ -1,4 +1,4 @@
-//! The circuit-switched mesh: atomic path claims, routing, utilization.
+//! The circuit-switched mesh: atomic path claims and routing.
 
 use crate::coord::{Coord, Path};
 use crate::defect::DefectMap;
@@ -123,18 +123,6 @@ fn all_set(words: &[u64], lo: u32, hi: u32) -> bool {
     })
 }
 
-/// The lowest and highest clear bit among the first `len` bits of
-/// `words`, or `None` when they are all set.
-fn clear_span(words: &[u64], len: u32) -> Option<(u32, u32)> {
-    let clear = |i: usize| !words[i] & line_mask(i, len);
-    let first = (0..words.len()).find(|&i| clear(i) != 0)?;
-    let last = (0..words.len()).rev().find(|&i| clear(i) != 0)?;
-    Some((
-        64 * first as u32 + clear(first).trailing_zeros(),
-        64 * last as u32 + 63 - clear(last).leading_zeros(),
-    ))
-}
-
 /// Occluded fill toward higher bits: spreads `reach` into each bit of
 /// `enter` (the bits that can be entered from the bit below) that a run
 /// of `enter` bits joins to it. Adding `reach` to the runs of
@@ -164,9 +152,6 @@ fn fill_down(mut reach: u64, mut enter: u64) -> u64 {
 /// channels: a route is either entirely free or unusable
 /// ("braids differ from conventional messages": (a)-(d) in the paper).
 ///
-/// The mesh also keeps the utilization statistics reported in Figure 6
-/// (red curve): call [`Mesh::tick`] once per simulated cycle.
-///
 /// # Examples
 ///
 /// ```
@@ -190,9 +175,6 @@ pub struct Mesh {
     /// Router occupancy.
     nodes: Vec<ClaimId>,
     busy_links: usize,
-    /// Accumulated busy-link-cycles for utilization.
-    busy_link_cycles: u64,
-    ticks: u64,
     /// Occupancy bitboards, a set bit marking a free resource, written
     /// together with the owner arrays above. Every row of bits takes
     /// `row_words` words (`ceil(width / 64)`).
@@ -227,8 +209,6 @@ impl Mesh {
             v_links: vec![FREE; topo.num_v_links()],
             nodes: vec![FREE; topo.num_nodes()],
             busy_links: 0,
-            busy_link_cycles: 0,
-            ticks: 0,
             row_words,
             free_nodes: full_lines(width, row_words, height),
             free_h: full_lines(width - 1, row_words, height),
@@ -242,8 +222,8 @@ impl Mesh {
     /// (per `defects`) are permanently claimed by the reserved `DEFECT`
     /// sentinel. Claims, probes, and adaptive routing all treat them as
     /// occupied forever; they are never released, and they do not count
-    /// toward [`Mesh::busy_links`] or [`Mesh::utilization`], which stay
-    /// traffic-only. With an empty map this is exactly [`Mesh::new`].
+    /// toward [`Mesh::busy_links`], which stays traffic-only. With an
+    /// empty map this is exactly [`Mesh::new`].
     ///
     /// Flaky links are a transient-fault concept of the packet
     /// [`Fabric`](crate::Fabric); the circuit-switched mesh ignores
@@ -461,70 +441,6 @@ impl Mesh {
             self.height()
         );
         self.nodes[self.node_index(c)] != FREE
-    }
-
-    /// Number of claimed routers on row `y`: a popcount of its bitboard
-    /// row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside the mesh.
-    pub fn row_claimed_count(&self, y: u32) -> u32 {
-        assert!(
-            y < self.height(),
-            "row {y} outside height {}",
-            self.height()
-        );
-        let free: u32 = self.node_row(y).iter().map(|w| w.count_ones()).sum();
-        self.width() - free
-    }
-
-    /// Number of claimed routers on column `x`: a popcount of its
-    /// bitboard column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is outside the mesh.
-    pub fn col_claimed_count(&self, x: u32) -> u32 {
-        assert!(
-            x < self.width(),
-            "column {x} outside width {}",
-            self.width()
-        );
-        let free: u32 = self.node_col(x).iter().map(|w| w.count_ones()).sum();
-        self.height() - free
-    }
-
-    /// The `[min, max]` x-interval bounding row `y`'s claimed routers,
-    /// or `None` when the row is idle; read from the bitboard row with
-    /// trailing/leading-zero counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside the mesh.
-    pub fn row_claimed_interval(&self, y: u32) -> Option<(u32, u32)> {
-        assert!(
-            y < self.height(),
-            "row {y} outside height {}",
-            self.height()
-        );
-        clear_span(self.node_row(y), self.width())
-    }
-
-    /// The `[min, max]` y-interval bounding column `x`'s claimed
-    /// routers, or `None` when the column is idle; read from the
-    /// bitboard column with trailing/leading-zero counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is outside the mesh.
-    pub fn col_claimed_interval(&self, x: u32) -> Option<(u32, u32)> {
-        assert!(
-            x < self.width(),
-            "column {x} outside width {}",
-            self.width()
-        );
-        clear_span(self.node_col(x), self.height())
     }
 
     /// Congestion probe: `true` proves the dimension-ordered X-then-Y
@@ -1173,32 +1089,6 @@ impl Mesh {
             nodes.push(at);
         }
     }
-
-    /// Advances the utilization clock by one cycle, accumulating the
-    /// current busy-link count.
-    pub fn tick(&mut self) {
-        self.busy_link_cycles += self.busy_links as u64;
-        self.ticks += 1;
-    }
-
-    /// Advances the utilization clock by `k` cycles in one step —
-    /// equivalent to calling [`Mesh::tick`] `k` times while no claims or
-    /// releases happen in between. This is what lets an event-driven
-    /// scheduler jump straight to the next wake time instead of spinning
-    /// one cycle at a time.
-    pub fn tick_n(&mut self, k: u64) {
-        self.busy_link_cycles += self.busy_links as u64 * k;
-        self.ticks += k;
-    }
-
-    /// Average fraction of busy links over all ticked cycles — the
-    /// "Average Mesh Utilization" metric of Figure 6.
-    pub fn utilization(&self) -> f64 {
-        if self.ticks == 0 || self.num_links() == 0 {
-            return 0.0;
-        }
-        self.busy_link_cycles as f64 / (self.ticks as f64 * self.num_links() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -1309,28 +1199,6 @@ mod tests {
         assert_eq!(m.busy_links(), 2);
         m.release(&p, 1);
         assert_eq!(m.busy_links(), 0);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut m = Mesh::new(3, 3);
-        // 12 links total.
-        assert_eq!(m.num_links(), 12);
-        let p = m.route_xy(Coord::new(0, 0), Coord::new(2, 0)); // 2 links
-        assert!(m.try_claim(&p, 1));
-        m.tick();
-        m.tick();
-        m.release(&p, 1);
-        m.tick();
-        // (2 + 2 + 0) / (3 * 12)
-        let expect = 4.0 / 36.0;
-        assert!((m.utilization() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_of_idle_mesh_is_zero() {
-        let m = Mesh::new(2, 2);
-        assert_eq!(m.utilization(), 0.0);
     }
 
     #[test]
@@ -1589,51 +1457,39 @@ mod tests {
         assert!(!m.xy_certainly_blocked(Coord::new(0, 3), Coord::new(2, 3)));
     }
 
-    #[test]
-    fn line_accessors_track_claims() {
-        let mut m = Mesh::new(6, 6);
-        assert_eq!(m.row_claimed_count(2), 0);
-        assert_eq!(m.row_claimed_interval(2), None);
-        let p = m.route_xy(Coord::new(1, 2), Coord::new(4, 2));
-        assert!(m.try_claim(&p, 3));
-        assert_eq!(m.row_claimed_count(2), 4);
-        assert_eq!(m.row_claimed_interval(2), Some((1, 4)));
-        assert_eq!(m.col_claimed_count(4), 1);
-        assert_eq!(m.col_claimed_interval(4), Some((2, 2)));
-        m.release(&p, 3);
-        assert_eq!(m.row_claimed_count(2), 0);
-        assert_eq!(m.col_claimed_interval(4), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside height")]
-    fn row_accessor_off_mesh_panics() {
-        let m = Mesh::new(4, 4);
-        let _ = m.row_claimed_count(4);
-    }
-
-    /// Checks every line read of the bitboards against a scan of
-    /// `node_claimed`.
-    fn assert_line_reads_match_scan(m: &Mesh) {
-        let span = |claimed: &[u32]| claimed.first().map(|&lo| (lo, claimed[claimed.len() - 1]));
-        for y in 0..m.height() {
-            let claimed: Vec<u32> = (0..m.width())
-                .filter(|&x| m.node_claimed(Coord::new(x, y)))
-                .collect();
-            assert_eq!(m.row_claimed_count(y), claimed.len() as u32, "row {y}");
-            assert_eq!(m.row_claimed_interval(y), span(&claimed), "row {y}");
+    /// Checks every word of the four bitboards against the owner
+    /// arrays: a set bit is exactly a free resource, and the bits past
+    /// the end of each line stay clear.
+    fn assert_bitboards_match_owners(m: &Mesh) {
+        let (w, h) = (m.width(), m.height());
+        let line = |len: u32, words: usize, free: &dyn Fn(u32) -> bool| -> Vec<u64> {
+            let mut bits = vec![0u64; words];
+            for i in (0..len).filter(|&i| free(i)) {
+                set_bit(&mut bits, 0, i, true);
+            }
+            bits
+        };
+        let (rw, cw) = (m.row_words, m.col_words);
+        for y in 0..h {
+            let at = |words: &[u64]| words[y as usize * rw..][..rw].to_vec();
+            let node = |x: u32| m.nodes[m.node_index(Coord::new(x, y))] == FREE;
+            assert_eq!(at(&m.free_nodes), line(w, rw, &node), "routers of row {y}");
+            let east = |x: u32| m.h_links[m.h_index(x, y)] == FREE;
+            assert_eq!(at(&m.free_h), line(w - 1, rw, &east), "links of row {y}");
+            if y + 1 < h {
+                let south = |x: u32| m.v_links[m.v_index(x, y)] == FREE;
+                assert_eq!(at(&m.free_v), line(w, rw, &south), "links below row {y}");
+            }
         }
-        for x in 0..m.width() {
-            let claimed: Vec<u32> = (0..m.height())
-                .filter(|&y| m.node_claimed(Coord::new(x, y)))
-                .collect();
-            assert_eq!(m.col_claimed_count(x), claimed.len() as u32, "column {x}");
-            assert_eq!(m.col_claimed_interval(x), span(&claimed), "column {x}");
+        for x in 0..w {
+            let col = m.free_cols[x as usize * cw..][..cw].to_vec();
+            let node = |y: u32| m.nodes[m.node_index(Coord::new(x, y))] == FREE;
+            assert_eq!(col, line(h, cw, &node), "routers of column {x}");
         }
     }
 
     #[test]
-    fn bitboard_line_reads_match_a_scan() {
+    fn bitboards_match_the_owners_across_word_seams() {
         // 70 x 67 routers: rows and columns take two words each, and the
         // claims cross both word seams.
         let mut m = Mesh::new(70, 67);
@@ -1655,51 +1511,26 @@ mod tests {
                 p
             })
             .collect();
-        assert_line_reads_match_scan(&m);
-        // Releasing a path re-tightens the intervals it bounded.
+        assert_bitboards_match_owners(&m);
         m.release(&paths[2], 3);
-        assert_line_reads_match_scan(&m);
+        assert_bitboards_match_owners(&m);
         m.release(&paths[0], 1);
-        assert_line_reads_match_scan(&m);
-        assert_eq!(m.row_claimed_interval(0), None);
+        assert_bitboards_match_owners(&m);
     }
 
     #[test]
-    fn defected_line_reads_match_a_scan() {
+    fn defected_bitboards_match_the_owners() {
         use crate::defect::DefectMap;
-        // Dead routers count as claimed; dead links claim no router.
+        // Dead routers and dead links are claimed by the defect owner.
         let text = "dims 66 5\nnode 0 1\nnode 64 1\nnode 65 4\nlink 63 2 64 2\n";
         let map = DefectMap::from_text(text).unwrap();
         let mut m = Mesh::with_defects(66, 5, &map);
-        assert_line_reads_match_scan(&m);
-        assert_eq!(m.row_claimed_interval(1), Some((0, 64)));
-        assert_eq!(m.row_claimed_count(2), 0);
+        assert_bitboards_match_owners(&m);
         let mut p = Path::empty();
         assert!(m.claim_route_xy_into(Coord::new(1, 3), Coord::new(65, 3), 3, &mut p));
-        assert_line_reads_match_scan(&m);
+        assert_bitboards_match_owners(&m);
         m.release(&p, 3);
-        assert_line_reads_match_scan(&m);
-    }
-
-    #[test]
-    fn tick_n_matches_repeated_tick() {
-        let mut a = Mesh::new(4, 4);
-        let mut b = Mesh::new(4, 4);
-        let p = a.route_xy(Coord::new(0, 0), Coord::new(3, 0));
-        assert!(a.try_claim(&p, 1));
-        assert!(b.try_claim(&p, 1));
-        for _ in 0..17 {
-            a.tick();
-        }
-        b.tick_n(17);
-        b.tick_n(0);
-        // One idle cycle more: 17 cycles of 3 busy links over 18 cycles
-        // of 24 links.
-        for m in [&mut a, &mut b] {
-            m.release(&p, 1);
-            m.tick();
-            assert!((m.utilization() - 51.0 / 432.0).abs() < 1e-12);
-        }
+        assert_bitboards_match_owners(&m);
     }
 
     #[test]
@@ -1723,7 +1554,6 @@ mod tests {
         assert!(map.node_dead(Coord::new(2, 0)) && m.node_claimed(Coord::new(2, 0)));
         // Defects do not count as traffic.
         assert_eq!(m.busy_links(), 0);
-        assert_eq!(m.utilization(), 0.0);
         // A route through the dead node cannot be claimed...
         let p = m.route_xy(Coord::new(0, 0), Coord::new(4, 0));
         assert!(!m.try_claim(&p, 1));

@@ -384,14 +384,15 @@ fn run_epr_phases(
         arrivals: arrivals.to_vec(),
         hops: fabric.hop_records().to_vec(),
     });
+    let heatmap = fabric.heatmap();
     let result = FabricEprResult {
         pipeline,
         link_stall_cycles: stats.link_stall_cycles,
         peak_in_flight: stats.peak_in_flight,
-        hottest_link_busy_cycles: fabric.hottest_link_busy_cycles(),
+        hottest_link_busy_cycles: heatmap.hottest_link_busy_cycles(),
         total_route_hops,
         transient_faults: stats.transient_faults,
-        heatmap: fabric.heatmap(),
+        heatmap,
         events_processed: stats.events_processed,
         peak_event_queue: stats.peak_event_queue,
     };

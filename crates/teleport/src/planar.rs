@@ -13,6 +13,7 @@
 //! contention instead of a scalar mean-distance estimate.
 
 use scq_ir::{Circuit, DependencyDag};
+use scq_layout::default_grid;
 use scq_mesh::{CommError, Coord, DefectMap, Topology};
 use scq_surface::{edge_factory_sites, FactoryConfig};
 
@@ -129,12 +130,11 @@ impl PlanarMachine {
     }
 
     /// The tile-grid dimensions [`PlanarMachine::new`] lays
-    /// `num_qubits` out on (data block plus the two factory rows) —
-    /// build planar-resolution [`DefectMap`]s on exactly these.
+    /// `num_qubits` out on (the [`default_grid`] data block plus the two
+    /// factory rows) — build planar-resolution [`DefectMap`]s on exactly
+    /// these.
     pub fn grid_dims(num_qubits: u32) -> (u32, u32) {
-        let n = num_qubits.max(1);
-        let grid_w = ((f64::from(n)).sqrt().ceil() as u32).max(1);
-        let grid_h = n.div_ceil(grid_w);
+        let (grid_w, grid_h) = default_grid(num_qubits);
         (grid_w, grid_h + 2)
     }
 

@@ -12,9 +12,8 @@
 
 use std::collections::HashSet;
 
-use scq_braid::{braid_mesh_dims, factory_sites};
+use scq_braid::BraidMachine;
 use scq_ir::{Circuit, DependencyDag};
-use scq_layout::Layout;
 use scq_mesh::{Coord, DefectMap, Topology};
 use scq_teleport::PlanarMachine;
 
@@ -46,19 +45,14 @@ pub struct FabricView<'a> {
 }
 
 impl<'a> FabricView<'a> {
-    /// The braid backend's view: qubit tiles anchor at their routers
-    /// (tile `(x, y)` owns router `(2x+1, 2y+1)` of the
-    /// [`braid_mesh_dims`] mesh), T-state factories at the scheduler's
-    /// [`factory_sites`] with its default count (one per grid column,
-    /// at least two), and two-qubit gates braid anchor-to-anchor.
-    pub fn braid(layout: &Layout, circuit: &Circuit, defects: Option<&'a DefectMap>) -> Self {
-        let (mesh_w, mesh_h) = braid_mesh_dims(layout, circuit);
-        let anchors = layout
-            .tiles()
-            .iter()
-            .map(|t| Coord::new(2 * t.x + 1, 2 * t.y + 1))
-            .collect();
-        let factories = factory_sites(mesh_w, mesh_h, layout.grid_width().max(2));
+    /// The braid backend's view of the machine the engines schedule on:
+    /// qubits anchor at their tiles' routers, T-state factories at the
+    /// machine's sites, and two-qubit gates braid anchor-to-anchor.
+    pub fn braid(
+        machine: &BraidMachine,
+        circuit: &Circuit,
+        defects: Option<&'a DefectMap>,
+    ) -> Self {
         let mut seen = HashSet::new();
         let factory_users = circuit
             .iter()
@@ -68,10 +62,10 @@ impl<'a> FabricView<'a> {
             .collect();
         FabricView {
             name: "braid",
-            topology: Topology::new(mesh_w, mesh_h),
+            topology: machine.topology,
             defects,
-            anchors,
-            factories,
+            anchors: machine.anchors.clone(),
+            factories: machine.factories.clone(),
             factory_users,
             pair_connectivity: true,
         }
@@ -539,9 +533,10 @@ mod tests {
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
         );
+        let braid = BraidMachine::new(&layout, None);
         let machine = PlanarMachine::new(c.num_qubits(), None);
         let fabrics = [
-            FabricView::braid(&layout, &c, None),
+            FabricView::braid(&braid, &c, None),
             FabricView::planar(&machine, &c, None),
         ];
         let findings = checked(&c, &dag, &fabrics);
@@ -579,12 +574,13 @@ mod tests {
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
         );
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
-        let anchor = Coord::new(2 * layout.tile(0).x + 1, 2 * layout.tile(0).y + 1);
+        let machine = BraidMachine::new(&layout, None);
+        let (mw, mh) = (machine.topology.width(), machine.topology.height());
+        let anchor = machine.anchors[0];
         let map =
             DefectMap::from_text(&format!("dims {mw} {mh}\nnode {} {}\n", anchor.x, anchor.y))
                 .unwrap();
-        let fabrics = [FabricView::braid(&layout, &c, Some(&map))];
+        let fabrics = [FabricView::braid(&machine, &c, Some(&map))];
         let findings = checked(&c, &dag, &fabrics);
         assert!(findings
             .iter()
@@ -606,9 +602,9 @@ mod tests {
             &scq_ir::InteractionGraph::from_circuit(&c),
             scq_layout::LayoutStrategy::InteractionAware,
         );
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
-        let t0 = layout.tile(0);
-        let a = Coord::new(2 * t0.x + 1, 2 * t0.y + 1);
+        let machine = BraidMachine::new(&layout, None);
+        let (mw, mh) = (machine.topology.width(), machine.topology.height());
+        let a = machine.anchors[0];
         let mut text = format!("dims {mw} {mh}\n");
         for (nx, ny) in [
             (a.x.wrapping_sub(1), a.y),
@@ -621,7 +617,7 @@ mod tests {
             }
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let fabrics = [FabricView::braid(&layout, &c, Some(&map))];
+        let fabrics = [FabricView::braid(&machine, &c, Some(&map))];
         let findings = checked(&c, &dag, &fabrics);
         assert!(
             findings.iter().any(|f| f.invariant == Invariant::Admission),

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use scq_braid::{
-    braid_mesh_dims, schedule_with, BraidConfig, BraidEvent, BraidTrace, EventCollector, Policy,
+    schedule_with, BraidConfig, BraidEvent, BraidMachine, BraidTrace, EventCollector, Policy,
 };
 use scq_ir::{Circuit, DependencyDag, Gate, InteractionGraph};
 use scq_layout::{place, LayoutStrategy};
@@ -375,7 +375,7 @@ fn engine_trace(
 ) -> Option<(BraidTrace, Option<DefectMap>)> {
     let graph = InteractionGraph::from_circuit(c);
     let layout = place(&graph, LayoutStrategy::InteractionAware);
-    let (mw, mh) = braid_mesh_dims(&layout, c);
+    let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
     let map = defect_seed.map(|seed| DefectMap::sample(Topology::new(mw, mh), 0.03, seed));
     let config = BraidConfig {
         policy,

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use scq_braid::{
-    braid_mesh_dims, schedule_with, BraidConfig, BraidTrace, EventCollector, ScheduleError,
+    schedule_with, BraidConfig, BraidMachine, BraidTrace, EventCollector, ScheduleError,
 };
 use scq_ir::{Circuit, DependencyDag, Gate, InteractionGraph};
 use scq_layout::{place, Layout, LayoutStrategy};
@@ -99,7 +99,7 @@ proptest! {
         let dag = DependencyDag::from_circuit(&c);
         let graph = InteractionGraph::from_circuit(&c);
         let layout = place(&graph, LayoutStrategy::InteractionAware);
-        let (mw, mh) = braid_mesh_dims(&layout, &c);
+        let (mw, mh) = BraidMachine::grid_dims(c.num_qubits());
         let map = DefectMap::sample(Topology::new(mw, mh), 0.03, seed);
         // A structured scheduling error (the defects cut the machine
         // apart) is the only acceptable alternative to a clean
