@@ -270,7 +270,7 @@ fn bench_traced_vs_untraced(c: &mut Criterion) {
             let mut sink = scq_braid::EventCollector::default();
             let s = scq_braid::schedule_with(&circuit, &dag, &layout, &config, None, &mut sink)
                 .unwrap();
-            sink.into_trace(&layout, &circuit, &s)
+            sink.into_trace(&layout, &s)
         })
     });
 }

@@ -172,7 +172,6 @@ fn main() {
         let config = PlanarConfig {
             code_distance: 5,
             link_capacity,
-            ..Default::default()
         };
         schedule_planar(&circuit, &dag, &config)
     });
@@ -201,7 +200,6 @@ fn main() {
     let planar_config = PlanarConfig {
         code_distance: 5,
         link_capacity: 2,
-        ..Default::default()
     };
     let strategies: [(&str, &dyn PlacementStrategy); 2] = [
         ("baseline (row-major)", &BaselinePlacement),

@@ -16,7 +16,7 @@ use scq_mesh::FabricConfig;
 use scq_serve::parallel_map;
 use scq_teleport::{
     schedule_simd, simulate_epr_on_fabric, DistributionPolicy, EprConfig, EprRequest,
-    FabricEprConfig, FabricEprResult, PlanarMachine, SimdConfig,
+    FabricEprConfig, FabricEprResult, PlanarMachine,
 };
 
 /// Swap lanes per tile boundary for the constrained (contended) runs.
@@ -31,8 +31,8 @@ struct Workload {
 fn prepare(bench: Benchmark) -> Workload {
     let circuit = bench.small_circuit();
     let dag = DependencyDag::from_circuit(&circuit);
-    let simd = schedule_simd(&circuit, &dag, &SimdConfig::default());
-    let machine = PlanarMachine::new(circuit.num_qubits(), None);
+    let simd = schedule_simd(&circuit, &dag);
+    let machine = PlanarMachine::new(circuit.num_qubits());
     let requests = machine.requests_for(&simd);
     Workload {
         bench,

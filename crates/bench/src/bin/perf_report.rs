@@ -46,8 +46,8 @@ use scq_mesh::Path;
 use scq_serve::parallel_map;
 use scq_teleport::{
     schedule_planar, schedule_planar_with, schedule_simd, simulate_epr_distribution,
-    simulate_epr_on_fabric, CongestionAwarePlacement, DistributionPolicy, EprConfig, EprDemand,
-    FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine, SimdConfig,
+    simulate_epr_on_fabric, CongestionAwarePlacement, EprDemand, FabricEprConfig, FabricRun,
+    PlanarConfig, PlanarMachine, PLANAR_POLICY,
 };
 
 const CODE_DISTANCE: u32 = 5;
@@ -730,14 +730,21 @@ fn degradation_report(
 fn epr_report(
     workloads: &[(scq_apps::Benchmark, scq_ir::Circuit)],
 ) -> (Vec<PlacementPoint>, Vec<DegradationPoint>) {
-    let epr = EprConfig::default();
-    let policy = DistributionPolicy::JustInTime { window: 64 };
+    // Distance 1 prices a hop at one cycle, the flow model's default;
+    // the placement ablation below profiles on this same fabric.
+    let planar = PlanarConfig {
+        code_distance: 1,
+        link_capacity: EPR_LANES,
+    };
+    let tight_fabric = planar.fabric_config();
+    let epr = tight_fabric.epr;
+    let policy = PLANAR_POLICY;
     let mut points = Vec::new();
     let mut placement_points = Vec::new();
     for (bench, circuit) in workloads {
         let dag = DependencyDag::from_circuit(circuit);
-        let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
-        let machine = PlanarMachine::new(circuit.num_qubits(), None);
+        let simd = schedule_simd(circuit, &dag);
+        let machine = PlanarMachine::new(circuit.num_qubits());
         let requests = machine.requests_for(&simd);
         let demands: Vec<EprDemand> = requests
             .iter()
@@ -766,15 +773,7 @@ fn epr_report(
             bench.name()
         );
 
-        let tight = simulate_epr_on_fabric(
-            &requests,
-            policy,
-            &FabricEprConfig {
-                epr,
-                link_capacity: EPR_LANES,
-            },
-            machine.topology,
-        );
+        let tight = simulate_epr_on_fabric(&requests, policy, &tight_fabric, machine.topology);
         points.push(EprPoint {
             app: bench.name(),
             teleports: requests.len(),
@@ -788,16 +787,6 @@ fn epr_report(
 
         // Placement ablation on the same constrained point: feed the
         // fabric heatmap back into data-tile positions and re-measure.
-        // code_distance 1 keeps fabric_config() at the same raw
-        // hop_cycles the rows above were measured with.
-        let planar = PlanarConfig {
-            epr,
-            policy,
-            code_distance: 1,
-            link_capacity: EPR_LANES,
-            epr_factories: None,
-            ..Default::default()
-        };
         let t0 = Instant::now();
         let placed = CongestionAwarePlacement.place_traced(
             circuit.num_qubits(),

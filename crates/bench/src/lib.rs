@@ -40,7 +40,7 @@ use scq_layout::place;
 use scq_mesh::{CommError, Topology};
 use scq_teleport::{
     schedule_simd, EprRequest, FabricEprConfig, FabricRun, PlacementStrategy, PlanarConfig,
-    PlanarMachine, PlanarSchedule, SimdConfig, SimdSchedule,
+    PlanarMachine, PlanarSchedule, SimdSchedule,
 };
 
 /// The standard toolflow pipeline's stages, in execution order — the
@@ -252,8 +252,8 @@ pub struct ScaleWorkload {
 /// located EPR demand trace — one "block" of a scale workload.
 fn located_requests(circuit: &Circuit) -> (Topology, Vec<EprRequest>) {
     let dag = DependencyDag::from_circuit(circuit);
-    let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
-    let machine = PlanarMachine::new(circuit.num_qubits(), None);
+    let simd = schedule_simd(circuit, &dag);
+    let machine = PlanarMachine::new(circuit.num_qubits());
     let requests = machine.requests_for(&simd);
     (machine.topology, requests)
 }

@@ -85,7 +85,7 @@ pub fn schedule_traced_reference(
             drops: 0,
             total_braid_hops: 0,
         };
-        let trace = EventCollector::default().into_trace(layout, circuit, &empty);
+        let trace = EventCollector::default().into_trace(layout, &empty);
         return Ok((empty, trace));
     }
 
@@ -412,6 +412,6 @@ pub fn schedule_traced_reference(
     }
 
     stats.mesh_utilization = machine.utilization(&stats, d);
-    let trace = EventCollector { events }.into_trace(layout, circuit, &stats);
+    let trace = EventCollector { events }.into_trace(layout, &stats);
     Ok((stats, trace))
 }

@@ -288,12 +288,7 @@ impl EventCollector {
     /// artifact with every braid leg's route and open/close cycles,
     /// which scq-verify's `certify_braid_trace` proves conflict-free.
     /// Its header is the [`BraidMachine`] mesh of `layout`.
-    pub fn into_trace(
-        self,
-        layout: &Layout,
-        _circuit: &Circuit,
-        schedule: &BraidSchedule,
-    ) -> BraidTrace {
+    pub fn into_trace(self, layout: &Layout, schedule: &BraidSchedule) -> BraidTrace {
         let (mesh_width, mesh_height) = BraidMachine::layout_dims(layout);
         BraidTrace {
             mesh_width,
@@ -544,14 +539,15 @@ impl Engine {
 ///
 /// As [`schedule`], plus [`ScheduleError::DeadAnchor`] when a qubit some
 /// instruction uses sits on a dead anchor router (unused qubits may), and
-/// [`ScheduleError::Unroutable`] when the defects cut the mesh: a
+/// [`ScheduleError::Unroutable`] when the map does not fit: its
+/// dimensions differ from the [`BraidMachine`] mesh
+/// ([`CommError::DefectMapMismatch`]), or the defects cut the mesh: a
 /// two-qubit pair has no defect-free route, a T-gate target is
 /// unreachable from every live factory, or all factory sites died.
 ///
 /// # Panics
 ///
-/// Panics if `dag` was not built from `circuit` or the map's dimensions
-/// differ from the [`BraidMachine`] mesh.
+/// Panics if `dag` was not built from `circuit`.
 #[allow(clippy::too_many_lines)]
 pub fn schedule_with(
     circuit: &Circuit,
@@ -600,11 +596,13 @@ pub fn schedule_with(
     // instead of starving until the cycle limit.
     let mut factory_reach: Vec<Vec<bool>> = Vec::new();
     if let Some(map) = defects {
-        let (dw, dh) = (map.topology().width(), map.topology().height());
-        assert!(
-            dw == mesh_w && dh == mesh_h,
-            "defect map is {dw}x{dh} but the braid mesh is {mesh_w}x{mesh_h}"
-        );
+        if map.topology() != machine.topology {
+            return Err(CommError::DefectMapMismatch {
+                map: (map.topology().width(), map.topology().height()),
+                expected: (mesh_w, mesh_h),
+            }
+            .into());
+        }
         // Only qubits that some instruction uses need a live anchor: an
         // unused one never opens a braid.
         let mut used = vec![false; anchors.len()];
@@ -1212,7 +1210,7 @@ mod tests {
         // The traced variant agrees and its routes avoid the dead node.
         let mut sink = EventCollector::default();
         let stats = schedule_with(&c, &dag, &layout, &config, Some(&map), &mut sink).unwrap();
-        let trace = sink.into_trace(&layout, &c, &stats);
+        let trace = sink.into_trace(&layout, &stats);
         assert_eq!(stats, defected);
         for ev in &trace.events {
             for &n in ev.path.nodes() {

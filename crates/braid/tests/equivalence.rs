@@ -48,7 +48,7 @@ fn assert_equivalent(circuit: &Circuit, config: &BraidConfig) {
     let layout = place(&graph, config.policy.layout_strategy());
     let mut sink = EventCollector::default();
     let fast = schedule_with(circuit, &dag, &layout, config, None, &mut sink).map(|s| {
-        let trace = sink.into_trace(&layout, circuit, &s);
+        let trace = sink.into_trace(&layout, &s);
         (s, trace)
     });
     let naive = schedule_traced_reference(circuit, &dag, &layout, config);
@@ -165,7 +165,7 @@ fn in_order_policies_match_the_reference_engine_on_a_fig6_app() {
         let mut sink = EventCollector::default();
         let fast_stats =
             schedule_with(&circuit, &dag, &layout, &config, None, &mut sink).expect("fast engine");
-        let fast_trace = sink.into_trace(&layout, &circuit, &fast_stats);
+        let fast_trace = sink.into_trace(&layout, &fast_stats);
         let (ref_stats, ref_trace) =
             schedule_traced_reference(&circuit, &dag, &layout, &config).expect("reference engine");
         assert_eq!(fast_stats, ref_stats, "{policy} stats diverged");

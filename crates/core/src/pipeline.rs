@@ -148,7 +148,9 @@ impl<'a> ArtifactContext<'a> {
     /// The same context with its layout artifact seeded — a memoized
     /// placement, say — so `interaction-analysis` and `layout` skip.
     /// It must place the circuit's qubits: the braid defect map is
-    /// materialized on the mesh of the circuit's qubit count.
+    /// materialized on the mesh of the circuit's qubit count, so on
+    /// defects a layout of another size fails `braid-schedule` with
+    /// [`CommError::DefectMapMismatch`](scq_mesh::CommError::DefectMapMismatch).
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
         self.layout = Some(layout);
@@ -435,7 +437,7 @@ impl ToolflowPass for BraidSchedulePass {
         let braid = if cx.trace {
             let mut sink = EventCollector::default();
             let braid = schedule_with(cx.circuit, dag, layout, &config, defects, &mut sink)?;
-            cx.braid_trace = Some(sink.into_trace(layout, cx.circuit, &braid));
+            cx.braid_trace = Some(sink.into_trace(layout, &braid));
             braid
         } else {
             schedule_with(cx.circuit, dag, layout, &config, defects, &mut NoTrace)?
@@ -528,8 +530,8 @@ impl ToolflowPass for StaticCheckPass {
         let layout = cx.layout.as_ref().expect("layout runs first");
         let braid = BraidMachine::new(layout, None);
         let planar = match cx.defect_map(BackendKind::Planar) {
-            Some(map) => PlanarMachine::with_defects(cx.circuit.num_qubits(), None, map)?,
-            None => PlanarMachine::new(cx.circuit.num_qubits(), None),
+            Some(map) => PlanarMachine::with_defects(cx.circuit.num_qubits(), map)?,
+            None => PlanarMachine::new(cx.circuit.num_qubits()),
         };
         let fabrics = [
             FabricView::braid(&braid, cx.circuit, cx.defect_map(BackendKind::Braid)),
@@ -885,6 +887,38 @@ mod tests {
         assert_eq!(dims, BraidMachine::grid_dims(c.num_qubits()));
         PipelineRunner::braid().run(&mut run).unwrap();
         assert_eq!(run.defect_map(BackendKind::Braid), Some(map));
+    }
+
+    #[test]
+    fn a_seeded_layout_of_another_size_is_a_structured_error() {
+        use scq_braid::ScheduleError;
+        use scq_layout::LayoutStrategy;
+        use scq_mesh::CommError;
+        let c = small();
+        let wide = Circuit::builder("wide", 20).finish();
+        let layout = place(
+            &InteractionGraph::from_circuit(&wide),
+            LayoutStrategy::Linear,
+        );
+        let spec = DefectSpec::Sampled {
+            rate: 0.02,
+            seed: 7,
+        };
+        let mut cx = ArtifactContext::for_circuit(&c, ToolflowConfig::default())
+            .with_defects(spec)
+            .with_layout(layout);
+        let err = PipelineRunner::braid().run(&mut cx).unwrap_err();
+        let map = BraidMachine::grid_dims(c.num_qubits());
+        let expected = BraidMachine::grid_dims(20);
+        assert_eq!(
+            err,
+            ToolflowError::Braid(ScheduleError::Unroutable(CommError::DefectMapMismatch {
+                map,
+                expected
+            }))
+        );
+        assert_eq!(err.to_string(), "defect map is 7x5 but the machine is 11x9");
+        assert!(cx.braid().is_none(), "nothing scheduled");
     }
 
     #[test]

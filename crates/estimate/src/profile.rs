@@ -15,9 +15,8 @@ use scq_braid::{schedule_circuit, BraidConfig, Policy};
 use scq_ir::{analysis, Circuit, DependencyDag, InteractionGraph};
 use scq_layout::{place, LayoutStrategy, PlacementOutcome};
 use scq_teleport::{
-    hop_cycles_for_distance, schedule_simd, simulate_epr_on_fabric, CongestionAwarePlacement,
-    DistributionPolicy, EprConfig, FabricEprConfig, FabricRun, PlanarConfig, PlanarMachine,
-    SimdConfig, SimdSchedule,
+    schedule_simd, simulate_epr_on_fabric, CongestionAwarePlacement, FabricEprConfig, FabricRun,
+    PlanarConfig, PlanarMachine, SimdSchedule, PLANAR_POLICY,
 };
 
 /// How an application's logical qubit count scales with its logical
@@ -275,8 +274,8 @@ fn measured_teleport_congestion(circuit: &Circuit) -> f64 {
     // floorplan (`outcome.optimized`); only the unlimited one remains.
     let free = simulate_epr_on_fabric(
         &machine.requests_for(&simd),
-        planar.policy,
-        &FabricEprConfig::unlimited(planar.epr),
+        PLANAR_POLICY,
+        &FabricEprConfig::unlimited(planar.fabric_config().epr),
         machine.topology,
     );
     if free.pipeline.makespan == 0 {
@@ -285,23 +284,12 @@ fn measured_teleport_congestion(circuit: &Circuit) -> f64 {
     (outcome.optimized.makespan as f64 / free.pipeline.makespan as f64).max(1.0)
 }
 
-/// The planar machine the teleport calibration runs: JIT window 64
-/// over [`CALIBRATION_LANES`] swap lanes, distance-5 hops.
+/// The planar machine the teleport calibration runs: distance-5 hops
+/// over [`CALIBRATION_LANES`] swap lanes.
 fn calibration_config() -> PlanarConfig {
     PlanarConfig {
-        epr: EprConfig {
-            hop_cycles: hop_cycles_for_distance(5),
-            ..Default::default()
-        },
-        policy: DistributionPolicy::JustInTime { window: 64 },
-        // fabric_config() scales hop_cycles by the code distance; the
-        // distance is already priced into `epr` above, and
-        // hop_cycles_for_distance(1) == 1 keeps the placement's
-        // profiling runs on exactly that fabric.
-        code_distance: 1,
+        code_distance: 5,
         link_capacity: CALIBRATION_LANES,
-        epr_factories: None,
-        ..Default::default()
     }
 }
 
@@ -312,7 +300,7 @@ fn calibration_placement(
     planar: &PlanarConfig,
 ) -> (SimdSchedule, PlanarMachine, PlacementOutcome) {
     let dag = DependencyDag::from_circuit(circuit);
-    let simd = schedule_simd(circuit, &dag, &SimdConfig::default());
+    let simd = schedule_simd(circuit, &dag);
     let (machine, outcome) = CongestionAwarePlacement
         .place_traced(circuit.num_qubits(), planar, &simd, &FabricRun::default())
         .expect("a defect-free floorplan always places");
@@ -499,11 +487,8 @@ mod tests {
             let (simd, machine, outcome) = calibration_placement(&circuit, &planar);
             let tight = simulate_epr_on_fabric(
                 &machine.requests_for(&simd),
-                planar.policy,
-                &FabricEprConfig {
-                    epr: planar.epr,
-                    link_capacity: CALIBRATION_LANES,
-                },
+                PLANAR_POLICY,
+                &planar.fabric_config(),
                 machine.topology,
             );
             assert_eq!(

@@ -11,7 +11,8 @@
 //! Five layers:
 //!
 //! - [`schedule_simd`]: the Multi-SIMD region scheduler (one gate type
-//!   per region per timestep, teleports on region changes),
+//!   per region per timestep over [`SIMD_REGIONS`] regions, teleports
+//!   on region changes),
 //! - [`PlacementStrategy`]: where the data tiles go —
 //!   [`BaselinePlacement`] is the historical row-major floorplan,
 //!   [`CongestionAwarePlacement`] profiles the fabric and steers
@@ -23,7 +24,10 @@
 //!   Section 8.1, retained as the differential oracle the fabric must
 //!   match exactly under unlimited link capacity,
 //! - [`schedule_planar`]: the combined machine timeline in EC cycles,
-//!   with teleports consuming measured fabric arrival events.
+//!   with teleports consuming measured fabric arrival events. A run is
+//!   its [`PlanarConfig`]: a code distance, which prices one EPR hop,
+//!   and the swap lanes per link; every run launches under
+//!   [`PLANAR_POLICY`].
 //!
 //! Each engine has one clean entry point and one `_with` entry point
 //! taking a [`FabricRun`] — the machine's defect map, the seed of its
@@ -64,12 +68,11 @@ pub use fabric_pipeline::{
     FabricEprConfig, FabricEprResult, FabricRun,
 };
 pub use pipeline::{
-    simulate_epr_distribution, window_sweep, DistributionPolicy, EprConfig, EprDemand,
-    EprPipelineResult,
+    simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand, EprPipelineResult,
 };
 pub use placement::{BaselinePlacement, CongestionAwarePlacement, PlacementStrategy};
 pub use planar::{
     hop_cycles_for_distance, schedule_planar, schedule_planar_with, PlanarConfig, PlanarMachine,
-    PlanarSchedule,
+    PlanarSchedule, PLANAR_POLICY,
 };
-pub use simd::{schedule_simd, SimdConfig, SimdSchedule};
+pub use simd::{schedule_simd, SimdSchedule, SIMD_REGIONS};

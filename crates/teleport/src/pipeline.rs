@@ -286,30 +286,6 @@ pub fn simulate_epr_distribution(
     )
 }
 
-/// Sweeps lookahead windows and returns `(window, result)` pairs — the
-/// §8.1 window-size study ("smaller window sizes cap qubit usage at the
-/// expense of starving data qubits ... large windows release more EPRs
-/// into the network than necessary").
-pub fn window_sweep(
-    demands: &[EprDemand],
-    windows: &[usize],
-    config: &EprConfig,
-) -> Vec<(usize, EprPipelineResult)> {
-    windows
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                simulate_epr_distribution(
-                    demands,
-                    DistributionPolicy::JustInTime { window: w },
-                    config,
-                ),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,7 +606,16 @@ mod tests {
     #[test]
     fn window_sweep_is_monotone_in_peak() {
         let demands = uniform_demands(200, 2, 6);
-        let sweep = window_sweep(&demands, &[1, 4, 16, 64, 256], &EprConfig::default());
+        let sweep: Vec<_> = [1, 4, 16, 64, 256]
+            .into_iter()
+            .map(|window| {
+                let policy = DistributionPolicy::JustInTime { window };
+                (
+                    window,
+                    simulate_epr_distribution(&demands, policy, &EprConfig::default()),
+                )
+            })
+            .collect();
         for w in sweep.windows(2) {
             assert!(
                 w[0].1.peak_live_eprs <= w[1].1.peak_live_eprs,

@@ -27,15 +27,17 @@ use scq_layout::{optimize_placement, PlacementCost, PlacementOutcome};
 use scq_mesh::{CommError, Coord, LinkHeatmap};
 
 use crate::fabric_pipeline::{simulate_epr_on_fabric_with, FabricRun};
-use crate::planar::{PlanarConfig, PlanarMachine};
+use crate::planar::{PlanarConfig, PlanarMachine, PLANAR_POLICY};
 use crate::simd::SimdSchedule;
 
 /// A policy for laying out the planar machine's data tiles.
 ///
 /// The strategy receives the SIMD schedule (whose per-teleport qubits
-/// are the communication demand), the full planar configuration, and
-/// the [`FabricRun`] describing the machine's defects, and returns the
-/// machine the EPR fabric will run on.
+/// are the communication demand), the run's code distance and swap
+/// lanes (a strategy that profiles the fabric prices a floorplan on
+/// [`PlanarConfig::fabric_config`] under [`PLANAR_POLICY`], as the
+/// schedule will run), and the [`FabricRun`] describing the machine's
+/// defects, and returns the machine the EPR fabric will run on.
 pub trait PlacementStrategy {
     /// Human-readable strategy name (for reports and ablations).
     fn name(&self) -> &'static str;
@@ -72,13 +74,13 @@ impl PlacementStrategy for BaselinePlacement {
     fn place(
         &self,
         num_qubits: u32,
-        config: &PlanarConfig,
+        _config: &PlanarConfig,
         _simd: &SimdSchedule,
         run: &FabricRun,
     ) -> Result<PlanarMachine, CommError> {
         match run.defects {
-            Some(defects) => PlanarMachine::with_defects(num_qubits, config.epr_factories, defects),
-            None => Ok(PlanarMachine::new(num_qubits, config.epr_factories)),
+            Some(defects) => PlanarMachine::with_defects(num_qubits, defects),
+            None => Ok(PlanarMachine::new(num_qubits)),
         }
     }
 }
@@ -130,7 +132,6 @@ impl CongestionAwarePlacement {
         }
         let demand = per_qubit_demand(num_qubits, simd);
         let fabric = config.fabric_config();
-        let policy = config.policy;
         let profile_machine = machine.clone();
         let mut evaluate = |tiles: &[Coord]| {
             let mut candidate = profile_machine.clone();
@@ -138,7 +139,9 @@ impl CongestionAwarePlacement {
             let topo = candidate.topology;
             let priced = candidate
                 .requests_for_avoiding(simd, run.defects)
-                .and_then(|reqs| simulate_epr_on_fabric_with(&reqs, policy, &fabric, topo, &run));
+                .and_then(|reqs| {
+                    simulate_epr_on_fabric_with(&reqs, PLANAR_POLICY, &fabric, topo, &run)
+                });
             match priced {
                 Ok((result, _)) => (
                     PlacementCost {
@@ -205,14 +208,13 @@ fn data_cells(machine: &PlanarMachine) -> Vec<Coord> {
 mod tests {
     use super::*;
     use crate::fabric_pipeline::simulate_epr_on_fabric;
-    use crate::pipeline::{DistributionPolicy, EprConfig};
-    use crate::simd::{schedule_simd, SimdConfig};
+    use crate::simd::schedule_simd;
     use scq_ir::{Circuit, DependencyDag};
     use scq_mesh::DefectMap;
 
     fn simd_for(circuit: &Circuit) -> SimdSchedule {
         let dag = DependencyDag::from_circuit(circuit);
-        schedule_simd(circuit, &dag, &SimdConfig::default())
+        schedule_simd(circuit, &dag)
     }
 
     fn baseline(n: u32, config: &PlanarConfig, simd: &SimdSchedule) -> PlanarMachine {
@@ -253,12 +255,8 @@ mod tests {
 
     fn contended_config() -> PlanarConfig {
         PlanarConfig {
-            policy: DistributionPolicy::JustInTime { window: 64 },
             code_distance: 5,
             link_capacity: 1,
-            epr_factories: Some(2),
-            epr: EprConfig::default(),
-            simd: SimdConfig::default(),
         }
     }
 
@@ -266,16 +264,10 @@ mod tests {
     fn baseline_reproduces_the_hard_coded_floorplan() {
         let c = hot_column_circuit(30, 6, 4);
         let simd = simd_for(&c);
-        for factories in [None, Some(2), Some(5)] {
-            let config = PlanarConfig {
-                epr_factories: factories,
-                ..PlanarConfig::default()
-            };
-            assert_eq!(
-                baseline(30, &config, &simd),
-                PlanarMachine::new(30, factories)
-            );
-        }
+        assert_eq!(
+            baseline(30, &PlanarConfig::default(), &simd),
+            PlanarMachine::new(30)
+        );
     }
 
     #[test]
@@ -291,7 +283,7 @@ mod tests {
         let base_machine = baseline(36, &config, &simd);
         let base = simulate_epr_on_fabric(
             &base_machine.requests_for(&simd),
-            config.policy,
+            PLANAR_POLICY,
             &fabric,
             base_machine.topology,
         );
@@ -300,7 +292,7 @@ mod tests {
         let (opt_machine, outcome) = optimized(36, &config, &simd, &FabricRun::default());
         let opt = simulate_epr_on_fabric(
             &opt_machine.requests_for(&simd),
-            config.policy,
+            PLANAR_POLICY,
             &fabric,
             opt_machine.topology,
         );
@@ -428,6 +420,6 @@ mod tests {
         };
         let (m, outcome) = optimized(16, &config, &simd, &FabricRun::default());
         assert_eq!(outcome.evaluations, 1, "stall-free: one profiling pass");
-        assert_eq!(m, PlanarMachine::new(16, None));
+        assert_eq!(m, PlanarMachine::new(16));
     }
 }

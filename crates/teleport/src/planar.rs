@@ -23,58 +23,52 @@ use crate::fabric_pipeline::{
 };
 use crate::pipeline::{DistributionPolicy, EprConfig, EprPipelineResult};
 use crate::placement::{BaselinePlacement, PlacementStrategy};
-use crate::simd::{schedule_simd, SimdConfig, SimdSchedule};
+use crate::simd::{schedule_simd, SimdSchedule};
 
-/// Configuration of a planar-machine scheduling run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// The launch policy of every planar run: just in time, with at most
+/// 64 EPR pairs outstanding. The placement profiling runs launch the
+/// same way, so a floorplan is priced as it will be scheduled.
+pub const PLANAR_POLICY: DistributionPolicy = DistributionPolicy::JustInTime { window: 64 };
+
+/// Configuration of a planar-machine scheduling run: its code distance
+/// and its swap lanes. The rest of the machine is fixed: the
+/// [`SIMD_REGIONS`](crate::SIMD_REGIONS) locality-aware regions, the
+/// [`PLANAR_POLICY`] launches and the [`FactoryConfig`] provision of
+/// EPR factories.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanarConfig {
-    /// Multi-SIMD region scheduling parameters.
-    pub simd: SimdConfig,
-    /// EPR fabric parameters. `hop_cycles` here is a base value; the
-    /// effective value scales with code distance (a swap chain crossing
-    /// a distance-`d` tile is `2d-1` physical steps, ~1/8 of an EC cycle
-    /// each).
-    pub epr: EprConfig,
-    /// EPR launch policy.
-    pub policy: DistributionPolicy,
-    /// Surface code distance (sets tile width, hence swap-chain length).
+    /// Surface code distance: it sets the tile width, hence the
+    /// swap-chain length of one EPR hop ([`hop_cycles_for_distance`]).
     pub code_distance: u32,
     /// Swap lanes per tile boundary — how many EPR halves may cross one
     /// link concurrently. [`scq_mesh::FabricConfig::UNLIMITED`]
     /// recovers the contention-free flow model.
     pub link_capacity: u32,
-    /// Number of EPR factory tiles; `None` provisions them from
-    /// [`FactoryConfig`] (at least two, split over the top and bottom
-    /// edge rows).
-    pub epr_factories: Option<u32>,
 }
 
 impl Default for PlanarConfig {
     fn default() -> Self {
         PlanarConfig {
-            simd: SimdConfig::default(),
-            epr: EprConfig::default(),
-            policy: DistributionPolicy::JustInTime { window: 64 },
             code_distance: 9,
             link_capacity: 4,
-            epr_factories: None,
         }
     }
 }
 
 impl PlanarConfig {
-    /// The effective fabric parameters of a run at this configuration:
-    /// flow-level knobs with the hop latency scaled by the code
-    /// distance (a swap chain crosses `2d-1` qubit positions per tile),
-    /// plus the per-link swap-lane capacity. Both [`schedule_planar`]
-    /// and the placement profiling pass price candidate layouts with
-    /// exactly this configuration, so the optimizer optimizes the
-    /// metric the schedule is measured by.
+    /// The fabric of a run at this configuration, decided here alone:
+    /// one hop takes [`hop_cycles_for_distance`] of the code distance
+    /// (a swap chain crosses `2d-1` qubit positions per tile), the
+    /// global bandwidth and the lead slack are the [`EprConfig`]
+    /// defaults, and every link has `link_capacity` swap lanes. Both
+    /// [`schedule_planar`] and the placement profiling pass price
+    /// candidate layouts with exactly this configuration, so the
+    /// optimizer optimizes the metric the schedule is measured by.
     pub fn fabric_config(&self) -> FabricEprConfig {
         FabricEprConfig {
             epr: EprConfig {
-                hop_cycles: self.epr.hop_cycles * hop_cycles_for_distance(self.code_distance),
-                ..self.epr
+                hop_cycles: hop_cycles_for_distance(self.code_distance),
+                ..EprConfig::default()
             },
             link_capacity: self.link_capacity,
         }
@@ -105,23 +99,19 @@ pub struct PlanarMachine {
 
 impl PlanarMachine {
     /// Lays out `num_qubits` data tiles row-major in a near-square
-    /// block, with `epr_factories` (or a [`FactoryConfig`] provision)
-    /// factory tiles on the surrounding edge rows.
-    pub fn new(num_qubits: u32, epr_factories: Option<u32>) -> Self {
+    /// block, with the [`FactoryConfig`] provision of factory tiles (at
+    /// least two) on the surrounding edge rows.
+    pub fn new(num_qubits: u32) -> Self {
         let (grid_w, grid_h) = Self::grid_dims(num_qubits);
         // Factory rows sit above and below the data block.
         let topology = Topology::new(grid_w, grid_h);
         let tiles: Vec<Coord> = (0..num_qubits)
             .map(|q| Coord::new(q % grid_w, 1 + q / grid_w))
             .collect();
-        let factories = edge_factory_sites(
-            grid_w,
-            grid_h,
-            Self::factory_count(num_qubits, epr_factories),
-        )
-        .into_iter()
-        .map(|(x, y)| Coord::new(x, y))
-        .collect();
+        let factories = edge_factory_sites(grid_w, grid_h, Self::factory_count(num_qubits))
+            .into_iter()
+            .map(|(x, y)| Coord::new(x, y))
+            .collect();
         PlanarMachine {
             topology,
             tiles,
@@ -138,18 +128,13 @@ impl PlanarMachine {
         (grid_w, grid_h + 2)
     }
 
-    /// Factory-site count for a machine of `num_qubits` (explicit or
-    /// [`FactoryConfig`]-provisioned).
-    fn factory_count(num_qubits: u32, epr_factories: Option<u32>) -> u32 {
-        let n = num_qubits.max(1);
-        epr_factories
-            .unwrap_or_else(|| {
-                FactoryConfig::default()
-                    .provision(u64::from(n), true)
-                    .epr_factories
-                    .max(2)
-            })
-            .max(1)
+    /// Factory-site count for a machine of `num_qubits`: the
+    /// [`FactoryConfig`] provision, at least two.
+    fn factory_count(num_qubits: u32) -> u32 {
+        FactoryConfig::default()
+            .provision(u64::from(num_qubits.max(1)), true)
+            .epr_factories
+            .max(2)
     }
 
     /// Lays the machine out around fabrication defects: data tiles fill
@@ -163,13 +148,9 @@ impl PlanarMachine {
     /// remain; [`CommError::NoLiveFactories`] if every factory site
     /// died; [`CommError::DefectMapMismatch`] if the map's dimensions
     /// differ from [`PlanarMachine::grid_dims`].
-    pub fn with_defects(
-        num_qubits: u32,
-        epr_factories: Option<u32>,
-        defects: &DefectMap,
-    ) -> Result<Self, CommError> {
+    pub fn with_defects(num_qubits: u32, defects: &DefectMap) -> Result<Self, CommError> {
         if defects.is_empty() {
-            return Ok(Self::new(num_qubits, epr_factories));
+            return Ok(Self::new(num_qubits));
         }
         let (grid_w, grid_h) = Self::grid_dims(num_qubits);
         let topology = Topology::new(grid_w, grid_h);
@@ -191,11 +172,7 @@ impl PlanarMachine {
             });
         }
         let tiles = live[..needed].to_vec();
-        let sites = edge_factory_sites(
-            grid_w,
-            grid_h,
-            Self::factory_count(num_qubits, epr_factories),
-        );
+        let sites = edge_factory_sites(grid_w, grid_h, Self::factory_count(num_qubits));
         let dead = sites.len();
         let factories: Vec<Coord> = sites
             .into_iter()
@@ -299,7 +276,7 @@ pub struct PlanarSchedule {
     /// Total EC cycles, including EPR distribution stalls.
     pub cycles: u64,
     /// Dependency-limited logical timesteps (the critical-path bound for
-    /// the configured number of SIMD regions).
+    /// [`SIMD_REGIONS`](crate::SIMD_REGIONS) regions).
     pub timesteps: u64,
     /// The SIMD schedule that produced the demand trace.
     pub simd: SimdSchedule,
@@ -339,9 +316,8 @@ impl PlanarSchedule {
 ///
 /// # Panics
 ///
-/// Panics if `dag` was not built from `circuit`, or if the fabric
-/// parameters are degenerate (`epr.hop_cycles`, `epr.bandwidth`,
-/// `link_capacity`, or a `JustInTime` window of zero).
+/// Panics if `dag` was not built from `circuit` or `link_capacity` is
+/// zero.
 pub fn schedule_planar(
     circuit: &Circuit,
     dag: &DependencyDag,
@@ -390,12 +366,12 @@ pub fn schedule_planar_with(
     run: &FabricRun,
 ) -> Result<(PlanarSchedule, Option<EprTranscript>), CommError> {
     let run = run.normalized();
-    let simd = schedule_simd(circuit, dag, &config.simd);
+    let simd = schedule_simd(circuit, dag);
     let machine = placement.place(circuit.num_qubits(), config, &simd, &run)?;
     let requests = machine.requests_for_avoiding(&simd, run.defects)?;
     let (result, transcript) = simulate_epr_on_fabric_with(
         &requests,
-        config.policy,
+        PLANAR_POLICY,
         &config.fabric_config(),
         machine.topology,
         &run,
@@ -489,7 +465,7 @@ mod tests {
 
     #[test]
     fn machine_floorplan_is_well_formed() {
-        let m = PlanarMachine::new(30, None);
+        let m = PlanarMachine::new(30);
         // 6x5 data block plus two factory rows.
         assert_eq!(m.topology.width(), 6);
         assert_eq!(m.topology.height(), 7);
@@ -526,15 +502,15 @@ mod tests {
     #[test]
     fn jit_beats_eager_on_peak_eprs() {
         let c = mixed_circuit(32, 6);
-        let jit = run(&c, &PlanarConfig::default());
-        let eager = run(
-            &c,
-            &PlanarConfig {
-                policy: DistributionPolicy::EagerPrefetch,
-                ..Default::default()
-            },
+        let config = PlanarConfig::default();
+        let jit = run(&c, &config);
+        let eager = crate::simulate_epr_on_fabric(
+            &jit.machine.requests_for(&jit.simd),
+            DistributionPolicy::EagerPrefetch,
+            &config.fabric_config(),
+            jit.machine.topology,
         );
-        assert!(jit.epr.peak_live_eprs < eager.epr.peak_live_eprs);
+        assert!(jit.epr.peak_live_eprs < eager.pipeline.peak_live_eprs);
     }
 
     #[test]
@@ -551,7 +527,6 @@ mod tests {
             &c,
             &PlanarConfig {
                 link_capacity: 1,
-                epr_factories: Some(2),
                 ..Default::default()
             },
         );
@@ -568,7 +543,6 @@ mod tests {
             &c,
             &PlanarConfig {
                 code_distance: 3,
-                policy: DistributionPolicy::JustInTime { window: 2 },
                 ..Default::default()
             },
         );
@@ -576,7 +550,6 @@ mod tests {
             &c,
             &PlanarConfig {
                 code_distance: 41,
-                policy: DistributionPolicy::JustInTime { window: 2 },
                 ..Default::default()
             },
         );
@@ -638,7 +611,7 @@ mod tests {
             }
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let err = PlanarMachine::with_defects(16, None, &map).unwrap_err();
+        let err = PlanarMachine::with_defects(16, &map).unwrap_err();
         assert!(matches!(
             err,
             CommError::Unplaceable {
@@ -656,7 +629,7 @@ mod tests {
             text.push_str(&format!("node {x} 0\nnode {x} {}\n", gh - 1));
         }
         let map = DefectMap::from_text(&text).unwrap();
-        let err = PlanarMachine::with_defects(9, None, &map).unwrap_err();
+        let err = PlanarMachine::with_defects(9, &map).unwrap_err();
         assert!(matches!(err, CommError::NoLiveFactories { .. }));
     }
 

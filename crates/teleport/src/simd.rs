@@ -5,35 +5,17 @@
 //! region, and multiple (reconfigurable) SIMD regions can accommodate
 //! heterogeneous types of operations at any cycle" (the Multi-SIMD
 //! architecture of Heckey et al. [35]). The scheduler levelizes the
-//! dependency DAG under a `k`-region constraint and counts the
-//! teleportations needed to move qubits between regions — the
+//! dependency DAG under a [`SIMD_REGIONS`]-region constraint and counts
+//! the teleportations needed to move qubits between regions — the
 //! communication demand the EPR pipeline must satisfy.
 
 use std::collections::BTreeMap;
 
 use scq_ir::{Circuit, DependencyDag, Gate};
 
-/// Configuration of the Multi-SIMD scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimdConfig {
-    /// Number of reconfigurable SIMD regions operating concurrently.
-    pub regions: u32,
-    /// Whether to apply the locality-based mapping of Heckey et al. \[35\], which keeps
-    /// a qubit in its region across consecutive uses instead of
-    /// returning it to memory after every operation.
-    pub locality_aware: bool,
-}
-
-impl Default for SimdConfig {
-    /// Four SIMD regions with locality-aware mapping, the configuration
-    /// the paper's toolflow inherits from \[35\].
-    fn default() -> Self {
-        SimdConfig {
-            regions: 4,
-            locality_aware: true,
-        }
-    }
-}
+/// Reconfigurable SIMD regions operating concurrently: the four
+/// locality-aware regions the paper's toolflow inherits from \[35\].
+pub const SIMD_REGIONS: usize = 4;
 
 /// The result of Multi-SIMD scheduling.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,19 +62,18 @@ impl SimdSchedule {
 /// Schedules `circuit` onto the Multi-SIMD planar architecture.
 ///
 /// List scheduling over the dependency DAG: each timestep packs ready
-/// operations into at most [`SimdConfig::regions`] regions, one gate
-/// type per region (SIMD broadcast executes any number of same-type
-/// gates). Teleports are counted when an operand qubit's current
-/// location (a region, or memory) differs from the region its next
-/// operation runs in; with locality-aware mapping the qubit stays put
+/// operations into at most [`SIMD_REGIONS`] regions, one gate type per
+/// region (SIMD broadcast executes any number of same-type gates).
+/// Teleports are counted when an operand qubit's current location (a
+/// region, or memory) differs from the region its next operation runs
+/// in; under the locality-aware mapping of \[35\] the qubit stays put
 /// until a different region claims it.
 ///
 /// # Panics
 ///
-/// Panics if `dag` was not built from `circuit` or `config.regions == 0`.
-pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag, config: &SimdConfig) -> SimdSchedule {
+/// Panics if `dag` was not built from `circuit`.
+pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag) -> SimdSchedule {
     assert_eq!(dag.len(), circuit.len(), "dag does not match circuit");
-    assert!(config.regions > 0, "need at least one SIMD region");
     let n = circuit.len();
     let mut remaining: Vec<u32> = (0..n).map(|i| dag.preds(i).len() as u32).collect();
     let mut ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
@@ -109,7 +90,7 @@ pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag, config: &SimdConfig
 
     while scheduled < n {
         timestep += 1;
-        // Group ready ops by gate type; assign up to `regions` types.
+        // Group ready ops by gate type; assign up to SIMD_REGIONS types.
         let mut by_gate: BTreeMap<Gate, Vec<usize>> = BTreeMap::new();
         for &op in &ready {
             by_gate
@@ -120,7 +101,7 @@ pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag, config: &SimdConfig
         // Largest groups first: broadcast amortizes best over big groups.
         let mut groups: Vec<(Gate, Vec<usize>)> = by_gate.into_iter().collect();
         groups.sort_by_key(|(g, ops)| (std::cmp::Reverse(ops.len()), *g));
-        groups.truncate(config.regions as usize);
+        groups.truncate(SIMD_REGIONS);
 
         let mut issued: Vec<usize> = Vec::new();
         for (region, (gate, ops)) in groups.into_iter().enumerate() {
@@ -144,13 +125,6 @@ pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag, config: &SimdConfig
                 issued.push(op);
             }
             let _ = gate;
-        }
-        if !config.locality_aware {
-            // Naive mapping: qubits return to memory after each step, so
-            // every future use teleports again.
-            for loc in location.iter_mut() {
-                *loc = None;
-            }
         }
 
         // Retire issued ops and refill the ready set.
@@ -184,9 +158,9 @@ pub fn schedule_simd(circuit: &Circuit, dag: &DependencyDag, config: &SimdConfig
 mod tests {
     use super::*;
 
-    fn schedule(circuit: &Circuit, config: &SimdConfig) -> SimdSchedule {
+    fn schedule(circuit: &Circuit) -> SimdSchedule {
         let dag = DependencyDag::from_circuit(circuit);
-        schedule_simd(circuit, &dag, config)
+        schedule_simd(circuit, &dag)
     }
 
     fn wide_h_layer(n: u32) -> Circuit {
@@ -199,82 +173,47 @@ mod tests {
 
     #[test]
     fn simd_broadcast_packs_same_gate_in_one_step() {
-        let s = schedule(&wide_h_layer(32), &SimdConfig::default());
+        let s = schedule(&wide_h_layer(32));
         assert_eq!(s.timesteps, 1);
         assert_eq!(s.total_ops, 32);
     }
 
     #[test]
     fn region_limit_serializes_gate_types() {
-        // Four distinct gate types on distinct qubits, one region: four
-        // timesteps. Four regions: one timestep.
-        let mut b = Circuit::builder("types", 4);
+        // Four distinct gate types on distinct qubits fill the four
+        // regions in one timestep; a fifth type waits for the next.
+        let mut b = Circuit::builder("types", 5);
         b.h(0).x(1).s(2).z(3);
-        let c = b.finish();
-        let one = schedule(
-            &c,
-            &SimdConfig {
-                regions: 1,
-                locality_aware: true,
-            },
-        );
-        assert_eq!(one.timesteps, 4);
-        let four = schedule(
-            &c,
-            &SimdConfig {
-                regions: 4,
-                locality_aware: true,
-            },
-        );
-        assert_eq!(four.timesteps, 1);
+        assert_eq!(schedule(&b.clone().finish()).timesteps, 1);
+        b.y(4);
+        assert_eq!(schedule(&b.finish()).timesteps, 2);
     }
 
     #[test]
     fn dependencies_respected() {
         let mut b = Circuit::builder("chain", 1);
         b.h(0).t(0).h(0);
-        let s = schedule(&b.finish(), &SimdConfig::default());
+        let s = schedule(&b.finish());
         assert_eq!(s.timesteps, 3);
     }
 
     #[test]
     fn locality_reduces_teleports() {
-        // Repeated ops on the same qubits: locality keeps them in place.
+        // Repeated ops on the same qubits: locality keeps them in
+        // place, so only the first op teleports its two operands (a
+        // mapping that returned them to memory would pay 20).
         let mut b = Circuit::builder("reuse", 2);
         for _ in 0..10 {
             b.cnot(0, 1);
         }
-        let c = b.finish();
-        let local = schedule(
-            &c,
-            &SimdConfig {
-                regions: 2,
-                locality_aware: true,
-            },
-        );
-        let naive = schedule(
-            &c,
-            &SimdConfig {
-                regions: 2,
-                locality_aware: false,
-            },
-        );
-        assert!(
-            local.teleports < naive.teleports,
-            "{} !< {}",
-            local.teleports,
-            naive.teleports
-        );
-        // Naive pays two teleports per op, every op.
-        assert_eq!(naive.teleports, 20);
-        assert_eq!(local.teleports, 2);
+        assert_eq!(schedule(&b.finish()).teleports, 2);
     }
 
     #[test]
     fn magic_states_counted_per_t_gate() {
         let mut b = Circuit::builder("ts", 3);
         b.t(0).t(1).tdg(2);
-        let s = schedule(&b.finish(), &SimdConfig::default());
+        let s = schedule(&b.finish());
         assert_eq!(s.magic_teleports, 3);
         assert_eq!(s.total_teleports(), s.teleports + 3);
     }
@@ -282,7 +221,7 @@ mod tests {
     #[test]
     fn teleport_times_are_monotone_and_bounded() {
         let c = wide_h_layer(8);
-        let s = schedule(&c, &SimdConfig::default());
+        let s = schedule(&c);
         for w in s.teleport_times.windows(2) {
             assert!(w[0] <= w[1]);
         }
@@ -295,7 +234,7 @@ mod tests {
         for i in 0..5u32 {
             b.cnot(i, i + 1).t(i);
         }
-        let s = schedule(&b.finish(), &SimdConfig::default());
+        let s = schedule(&b.finish());
         assert_eq!(s.teleport_qubits.len(), s.teleport_times.len());
         assert!(s.teleport_qubits.iter().all(|&q| q < 6));
     }
@@ -308,7 +247,7 @@ mod tests {
         }
         let c = b.finish();
         let dag = DependencyDag::from_circuit(&c);
-        let s = schedule_simd(&c, &dag, &SimdConfig::default());
+        let s = schedule_simd(&c, &dag);
         assert_eq!(s.op_timesteps.len(), c.len());
         assert!(s.op_timesteps.iter().all(|&t| t >= 1 && t <= s.timesteps));
         for op in 0..c.len() {
@@ -325,21 +264,9 @@ mod tests {
 
     #[test]
     fn teleport_rate() {
-        let s = schedule(&wide_h_layer(8), &SimdConfig::default());
+        let s = schedule(&wide_h_layer(8));
         assert!(s.teleport_rate() > 0.0);
-        let empty = schedule(&Circuit::builder("e", 1).finish(), &SimdConfig::default());
+        let empty = schedule(&Circuit::builder("e", 1).finish());
         assert_eq!(empty.teleport_rate(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SIMD region")]
-    fn zero_regions_rejected() {
-        let _ = schedule(
-            &wide_h_layer(2),
-            &SimdConfig {
-                regions: 0,
-                locality_aware: true,
-            },
-        );
     }
 }

@@ -11,9 +11,8 @@ use proptest::prelude::*;
 use scq_ir::{Circuit, DependencyDag, Gate};
 use scq_mesh::{Coord, Topology};
 use scq_teleport::{
-    schedule_simd, simulate_epr_distribution, simulate_epr_on_fabric, window_sweep,
-    DistributionPolicy, EprConfig, EprDemand, EprRequest, FabricEprConfig, PlanarMachine,
-    SimdConfig,
+    schedule_simd, simulate_epr_distribution, simulate_epr_on_fabric, DistributionPolicy,
+    EprConfig, EprDemand, EprRequest, FabricEprConfig, PlanarMachine,
 };
 
 const GRID_HEIGHT: u32 = 16;
@@ -114,7 +113,7 @@ proptest! {
 }
 
 /// Fig-style grid: a realistic Multi-SIMD demand trace swept over the
-/// §8.1 window sizes must agree with the legacy `window_sweep` at every
+/// §8.1 window sizes must agree with the legacy flow model at every
 /// grid point.
 #[test]
 fn window_grid_matches_flow_model_on_simd_trace() {
@@ -132,8 +131,8 @@ fn window_grid_matches_flow_model_on_simd_trace() {
     }
     let circuit = b.finish();
     let dag = DependencyDag::from_circuit(&circuit);
-    let simd = schedule_simd(&circuit, &dag, &SimdConfig::default());
-    let machine = PlanarMachine::new(circuit.num_qubits(), None);
+    let simd = schedule_simd(&circuit, &dag);
+    let machine = PlanarMachine::new(circuit.num_qubits());
     let requests = machine.requests_for(&simd);
     assert!(requests.len() > 500, "need a real demand trace");
 
@@ -148,13 +147,12 @@ fn window_grid_matches_flow_model_on_simd_trace() {
         .collect();
 
     let config = EprConfig::default();
-    let windows = [1usize, 4, 16, 64, 256, 1024];
-    let flow_sweep = window_sweep(&demands, &windows, &config);
-    for (&window, (w, flow)) in windows.iter().zip(flow_sweep) {
-        assert_eq!(window, w);
+    for window in [1usize, 4, 16, 64, 256, 1024] {
+        let policy = DistributionPolicy::JustInTime { window };
+        let flow = simulate_epr_distribution(&demands, policy, &config);
         let fabric = simulate_epr_on_fabric(
             &requests,
-            DistributionPolicy::JustInTime { window },
+            policy,
             &FabricEprConfig::unlimited(config),
             machine.topology,
         );

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use scq_ir::{Circuit, DependencyDag, Gate};
 use scq_teleport::{
-    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand, SimdConfig,
+    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand,
 };
 
 fn arb_circuit() -> impl Strategy<Value = Circuit> {
@@ -53,27 +53,11 @@ proptest! {
     #[test]
     fn simd_schedules_every_op(c in arb_circuit()) {
         let dag = DependencyDag::from_circuit(&c);
-        let s = schedule_simd(&c, &dag, &SimdConfig::default());
+        let s = schedule_simd(&c, &dag);
         prop_assert_eq!(s.total_ops, c.len());
         prop_assert!(s.timesteps as usize >= dag.depth());
         prop_assert_eq!(s.magic_teleports as usize, c.t_count());
         prop_assert_eq!(s.teleport_times.len() as u64, s.total_teleports());
-    }
-
-    #[test]
-    fn fewer_regions_never_speed_up(c in arb_circuit()) {
-        let dag = DependencyDag::from_circuit(&c);
-        let one = schedule_simd(&c, &dag, &SimdConfig { regions: 1, locality_aware: true });
-        let four = schedule_simd(&c, &dag, &SimdConfig { regions: 4, locality_aware: true });
-        prop_assert!(one.timesteps >= four.timesteps);
-    }
-
-    #[test]
-    fn locality_never_adds_teleports(c in arb_circuit()) {
-        let dag = DependencyDag::from_circuit(&c);
-        let aware = schedule_simd(&c, &dag, &SimdConfig { regions: 4, locality_aware: true });
-        let naive = schedule_simd(&c, &dag, &SimdConfig { regions: 4, locality_aware: false });
-        prop_assert!(aware.teleports <= naive.teleports);
     }
 
     #[test]

@@ -548,7 +548,7 @@ mod tests {
         let mut sink = EventCollector::default();
         let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
             .expect("schedules");
-        let trace = sink.into_trace(&layout, &c, &schedule);
+        let trace = sink.into_trace(&layout, &schedule);
         (c, dag, trace)
     }
 

@@ -534,7 +534,7 @@ mod tests {
             scq_layout::LayoutStrategy::InteractionAware,
         );
         let braid = BraidMachine::new(&layout, None);
-        let machine = PlanarMachine::new(c.num_qubits(), None);
+        let machine = PlanarMachine::new(c.num_qubits());
         let fabrics = [
             FabricView::braid(&braid, &c, None),
             FabricView::planar(&machine, &c, None),

@@ -384,7 +384,7 @@ fn engine_trace(
     };
     let mut sink = EventCollector::default();
     let schedule = schedule_with(c, dag, &layout, &config, map.as_ref(), &mut sink).ok()?;
-    Some((sink.into_trace(&layout, c, &schedule), map))
+    Some((sink.into_trace(&layout, &schedule), map))
 }
 
 /// Asserts the certifier and the oracle agree on `trace`, returning

@@ -45,7 +45,7 @@ fn braid_fixture() -> (Circuit, DependencyDag, BraidTrace) {
     let mut sink = EventCollector::default();
     let schedule = schedule_with(&c, &dag, &layout, &BraidConfig::default(), None, &mut sink)
         .expect("the mutation workload schedules cleanly");
-    let trace = sink.into_trace(&layout, &c, &schedule);
+    let trace = sink.into_trace(&layout, &schedule);
     (c, dag, trace)
 }
 

@@ -26,7 +26,7 @@ fn braid_trace(
 ) -> Result<BraidTrace, ScheduleError> {
     let mut sink = EventCollector::default();
     let schedule = schedule_with(c, dag, layout, &BraidConfig::default(), defects, &mut sink)?;
-    Ok(sink.into_trace(layout, c, &schedule))
+    Ok(sink.into_trace(layout, &schedule))
 }
 
 /// The planar schedule of `c` with its EPR transcript, optionally on a

@@ -10,7 +10,7 @@
 use scq::apps::{sha1, Sha1Params};
 use scq::ir::DependencyDag;
 use scq::teleport::{
-    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand, SimdConfig,
+    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand,
 };
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         rounds: 8,
     });
     let dag = DependencyDag::from_circuit(&circuit);
-    let simd = schedule_simd(&circuit, &dag, &SimdConfig::default());
+    let simd = schedule_simd(&circuit, &dag);
     let demands: Vec<EprDemand> = simd
         .teleport_times
         .iter()

@@ -9,7 +9,7 @@ use scq::ir::{analysis, DependencyDag, InteractionGraph};
 use scq::layout::place;
 use scq::surface::{CommMethod, CostLevel, Encoding};
 use scq::teleport::{
-    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand, SimdConfig,
+    schedule_simd, simulate_epr_distribution, DistributionPolicy, EprConfig, EprDemand,
 };
 
 /// Table 1: the communication tradeoff matrix, verbatim.
@@ -174,7 +174,7 @@ fn fig9_inlining_raises_boundary() {
 fn epr_pipelining_tradeoff() {
     let circuit = Benchmark::Sha1.small_circuit();
     let dag = DependencyDag::from_circuit(&circuit);
-    let simd = schedule_simd(&circuit, &dag, &SimdConfig::default());
+    let simd = schedule_simd(&circuit, &dag);
     let demands: Vec<EprDemand> = simd
         .teleport_times
         .iter()
