@@ -738,7 +738,6 @@ fn epr_report(
     };
     let tight_fabric = planar.fabric_config();
     let epr = tight_fabric.epr;
-    let policy = PLANAR_POLICY;
     let mut points = Vec::new();
     let mut placement_points = Vec::new();
     for (bench, circuit) in workloads {
@@ -755,13 +754,13 @@ fn epr_report(
             .collect();
 
         let t0 = Instant::now();
-        let flow = simulate_epr_distribution(&demands, policy, &epr);
+        let flow = simulate_epr_distribution(&demands, PLANAR_POLICY, &epr);
         let flow_secs = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
         let free = simulate_epr_on_fabric(
             &requests,
-            policy,
+            PLANAR_POLICY,
             &FabricEprConfig::unlimited(epr),
             machine.topology,
         );
@@ -773,7 +772,8 @@ fn epr_report(
             bench.name()
         );
 
-        let tight = simulate_epr_on_fabric(&requests, policy, &tight_fabric, machine.topology);
+        let tight =
+            simulate_epr_on_fabric(&requests, PLANAR_POLICY, &tight_fabric, machine.topology);
         points.push(EprPoint {
             app: bench.name(),
             teleports: requests.len(),
